@@ -5,13 +5,14 @@ scale."""
 
 from . import boundary, clifford, geometry, linalg, reduction, solver, system
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
-                     NormalizationError, NotHyperbolicError,
-                     UnsupportedDimensionError)
+                     NormalizationError, NotAdmissibleError,
+                     NotHyperbolicError, UnsupportedDimensionError)
 
 __all__ = [
     "boundary", "clifford", "geometry", "linalg", "reduction", "solver",
     "system", "BoundaryClosureError", "ConfigError", "ContractError",
-    "NormalizationError", "NotHyperbolicError", "UnsupportedDimensionError",
+    "NormalizationError", "NotAdmissibleError", "NotHyperbolicError",
+    "UnsupportedDimensionError",
 ]
 
 __version__ = "0.1.0"

@@ -149,15 +149,11 @@ def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
             B = bc.kernel_space(chart, q, tol=tol)
             ranks_by_face.setdefault(face, set()).add(B.rank)
             ranks.add(B.rank)
-            F = sign * (G @ sigma_n)
-            F = 0.5 * (F + F.conj().T)
-            ev, V = herm_eigen(restrict_form(F, B))
-            scale = max(1.0, float(np.linalg.norm(F)))
-            if ev.size and ev[0] < min_form:
-                min_form = float(ev[0])
-                if ev[0] < -semidef_tol * scale:
-                    witness = B.basis @ V[:, 0]
-                    witness_val = float(ev[0])
+            lowest, v = _form_on_boundary_space(sign * (G @ sigma_n), B, semidef_tol)
+            if lowest < min_form:
+                min_form = lowest
+                if v is not None:
+                    witness, witness_val = v, lowest
             count, spec = _nonneg_count(sys, q, sigma_n, G, tol)
             counts.add(count)
             spectra.setdefault(face, spec)
@@ -182,18 +178,26 @@ def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
         spectra=spectra)
 
 
+def _form_on_boundary_space(F, B, tol):
+    """Condition (ii) at one point: the Hermitian part of the form F on B.
+
+    Returns its lowest eigenvalue (+inf when B = {0}) and a minimizing vector
+    of B when that eigenvalue is below −tol·max(1, ‖F‖), else None.
+    """
+    F = 0.5 * (F + F.conj().T)
+    ev, V = herm_eigen(restrict_form(F, B))
+    if not ev.size:
+        return np.inf, None
+    if ev[0] < -tol * max(1.0, float(np.linalg.norm(F))):
+        return float(ev[0]), B.basis @ V[:, 0]
+    return float(ev[0]), None
+
+
 def violation_witness(sys, bc, q, tol=1e-9):
     """Vector in B with ⟨σ(n♭)v, v⟩ < −tol, or None when the form is ≥ 0."""
     G = sys.metric_at(q.t, q.x[None, :])[0]
-    sigma_n = boundary_symbol(sys, q)
-    B = bc.kernel_space(sys.chart, q)
-    F = G @ sigma_n
-    F = 0.5 * (F + F.conj().T)
-    ev, V = herm_eigen(restrict_form(F, B))
-    scale = max(1.0, float(np.linalg.norm(F)))
-    if ev.size and ev[0] < -tol * scale:
-        return B.basis @ V[:, 0]
-    return None
+    F = G @ boundary_symbol(sys, q)
+    return _form_on_boundary_space(F, bc.kernel_space(sys.chart, q), tol)[1]
 
 
 def adjoint_boundary_space(sys, bc, q, tol=RANK_TOL):

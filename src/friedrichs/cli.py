@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary, clifford, geometry, reduction, solver, system
-from .errors import ConfigError
+from .errors import ConfigError, NotAdmissibleError
 
 
 def config_digest(cfg):
@@ -227,19 +227,25 @@ def build_source(cfg, sys_):
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# Each subcommand returns (exit code, report text) and writes its own data
+# files; ``main`` prefixes the config digest, writes report.txt and prints it.
+
+
+def build_problem(cfg):
+    """System and boundary conditions (one per face, or a face map) of a config."""
+    sys_, rep = build_system(cfg, build_chart(cfg))
+    return sys_, build_bcs(cfg, sys_, rep)
 
 
 def cmd_check(cfg, out, force, seed):
-    chart = build_chart(cfg)
-    sys_, rep = build_system(cfg, chart)
-    bcs = build_bcs(cfg, sys_, rep)
+    sys_, bcs = build_problem(cfg)
     bc_map = solver._as_bc_map(sys_, bcs)
     sym = system.check_symmetric(sys_)
     hyp = system.check_hyperbolic(sys_, seed=seed) if sym.verdict else None
     pos = system.check_positive(sys_) if sym.verdict else None
     cc = system.constant_characteristic(sys_)
-    lines = [f"config: {config_digest(cfg)}",
-             f"system: {sys_.name} (N={sys_.fiber_rank})",
+    lines = [f"system: {sys_.name} (N={sys_.fiber_rank})",
              f"symmetric: {sym.verdict} (max asymmetry {_fmt(sym.max_asymmetry)})",
              f"hyperbolic: {bool(hyp and hyp.oriented_verdict)} "
              f"(time sign {hyp.time_sign if hyp else 0}, "
@@ -262,10 +268,8 @@ def cmd_check(cfg, out, force, seed):
             spectrum_rows.append((face_name, bc.name, ev))
         overall = overall and rep_adm.admissible
     lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
     write_csv(out / "spectrum.csv", ["face", "bc", "eigenvalue"], spectrum_rows)
-    print("\n".join(lines))
-    return 0 if overall else 1
+    return (0 if overall else 1), "\n".join(lines) + "\n"
 
 
 def cmd_reduce(cfg, out, force, seed):
@@ -286,86 +290,49 @@ def cmd_reduce(cfg, out, force, seed):
     write_csv(out / "coefficients.csv",
               ["t", "x", "matrix", "row", "col", "re", "im"], rows)
     cls = sys_.classify()
-    summary = (f"config: {config_digest(cfg)}\nsystem: {sys_.name} N={sys_.fiber_rank} "
+    return 0, (f"system: {sys_.name} N={sys_.fiber_rank} "
                f"symmetric={cls.symmetric} hyperbolic={cls.hyperbolic} "
                f"positive={cls.positive} char_dim={cls.characteristic_dim}\n")
-    (out / "report.txt").write_text(summary)
-    print(summary, end="")
-    return 0
 
 
-def _require_admissible(cfg, sys_, bcs, force, orient_form=False):
-    bc_map = solver._as_bc_map(sys_, bcs)
-    for face, bc in bc_map.items():
-        rep_adm = boundary.admissibility(sys_, bc, n_time=4, n_tang=2, faces=[face],
-                                         orient_form=orient_form)
-        if not rep_adm.admissible and not force:
-            print(f"refusing to run: bc '{bc.name}' not admissible on face {face} "
-                  f"(use --force for counterexample studies)")
-            print(rep_adm.summary())
-            return None
-    return bc_map
+def _grid(cfg, sys_):
+    gspec = cfg.get("grid", {})
+    return solver.make_grid(sys_, gspec.get("nx", 128), gspec.get("cfl", 0.5))
 
 
 def cmd_solve(cfg, out, force, seed):
-    chart = build_chart(cfg)
-    sys_, rep = build_system(cfg, chart)
-    bcs = build_bcs(cfg, sys_, rep)
-    bc_map = _require_admissible(cfg, sys_, bcs, force)
-    if bc_map is None:
-        return 1
-    gspec = cfg.get("grid", {})
-    grid = solver.make_grid(sys_, gspec.get("nx", 128), gspec.get("cfl", 0.5))
-    fld = solver.solve(sys_, bc_map, f=build_source(cfg, sys_),
+    sys_, bcs = build_problem(cfg)
+    grid = _grid(cfg, sys_)
+    fld = solver.solve(sys_, bcs, f=build_source(cfg, sys_),
                        h=build_initial(cfg, sys_), grid=grid, force=force)
     tr = solver.energy_trace(fld, sys_)
     write_csv(out / "energy.csv", ["t", "E", "flux"],
               list(zip(tr.ts, tr.energy, tr.flux)))
     solver.write_field(out / "field.bin", fld)
-    summary = (f"config: {config_digest(cfg)}\n"
-               f"solve: nx={grid.nx} nt={grid.nt} dt={_fmt(grid.dt)}\n"
-               f"energy ratio E(T)/E(0): {_fmt(tr.final_ratio)}\n"
-               f"max per-step energy growth: {_fmt(tr.max_step_growth)}\n")
+    report = (f"solve: nx={grid.nx} nt={grid.nt} dt={_fmt(grid.dt)}\n"
+              f"energy ratio E(T)/E(0): {_fmt(tr.final_ratio)}\n"
+              f"max per-step energy growth: {_fmt(tr.max_step_growth)}\n")
     if force:
-        summary += "forced run (admissibility not enforced): energy growth is diagnostic\n"
-    (out / "report.txt").write_text(summary)
-    print(summary, end="")
-    return 0
+        report += "forced run (admissibility not enforced): energy growth is diagnostic\n"
+    return 0, report
 
 
 def cmd_green(cfg, out, force, seed):
-    chart = build_chart(cfg)
-    sys_, rep = build_system(cfg, chart)
-    bcs = build_bcs(cfg, sys_, rep)
+    sys_, bcs = build_problem(cfg)
     direction = cfg.get("task", {}).get("direction", "+")
-    # the supplied conditions close the evolution actually run: the retarded
-    # direction is vetted against the time-reversed system with the
-    # orientation-weighted form (equivalent for vanishing boundary forms)
-    probe = sys_ if direction == "+" else solver.time_reversed(sys_)
-    bc_map = _require_admissible(cfg, probe, bcs, force,
-                                 orient_form=direction == "-")
-    if bc_map is None:
-        return 1
-    gspec = cfg.get("grid", {})
-    grid = solver.make_grid(sys_, gspec.get("nx", 128), gspec.get("cfl", 0.5))
+    grid = _grid(cfg, sys_)
     f = build_source(cfg, sys_)
     if f is None:
         raise ConfigError("green task needs task.source")
-    if direction == "+":
-        fld = solver.green_plus(sys_, bc_map, f, grid, force=force)
-    else:
-        fld = solver.green_minus(sys_, bc_map, f, grid, force=force)
+    green = solver.green_plus if direction == "+" else solver.green_minus
+    fld = green(sys_, bcs, f, grid, force=force)
     res = solver.green_residual(sys_, fld, f)
-    c_max = geometry.max_characteristic_speed(chart, sys_, per_axis=8)
+    c_max = geometry.max_characteristic_speed(sys_.chart, sys_, per_axis=8)
     ok, margin = solver.causal_support_ok(fld, f, c_max, cells=2, threshold=1e-3,
                                           future=direction == "+")
     solver.write_field(out / "field.bin", fld)
-    summary = (f"config: {config_digest(cfg)}\n"
-               f"green {direction}: nx={grid.nx} residual={_fmt(res)} "
-               f"causal={ok} margin={_fmt(margin)}\n")
-    (out / "report.txt").write_text(summary)
-    print(summary, end="")
-    return 0 if ok else 1
+    return (0 if ok else 1), (f"green {direction}: nx={grid.nx} residual={_fmt(res)} "
+                              f"causal={ok} margin={_fmt(margin)}\n")
 
 
 def cmd_converge(cfg, out, force, seed):
@@ -406,18 +373,14 @@ def cmd_converge(cfg, out, force, seed):
     rows = [(nx, e, o) for nx, e, o in
             zip(rep_c.nxs, rep_c.errors, np.concatenate([[np.nan], rep_c.orders]))]
     write_csv(out / "errors.csv", ["grid", "error", "order"], rows)
-    summary = (f"config: {config_digest(cfg)}\ncase {case}:\n" + rep_c.summary()
-               + f"\nobserved orders: {[round(float(o), 3) for o in rep_c.orders]}\n")
-    (out / "report.txt").write_text(summary)
-    print(summary, end="")
     ok = np.all((rep_c.orders > 0.8) & (rep_c.orders < 1.2))
-    return 0 if ok else 1
+    return (0 if ok else 1), (
+        f"case {case}:\n" + rep_c.summary()
+        + f"\nobserved orders: {[round(float(o), 3) for o in rep_c.orders]}\n")
 
 
 def cmd_compat(cfg, out, force, seed):
-    chart = build_chart(cfg)
-    sys_, rep = build_system(cfg, chart)
-    bcs = build_bcs(cfg, sys_, rep)
+    sys_, bcs = build_problem(cfg)
     if isinstance(bcs, dict):
         raise ConfigError("compat task uses a single bc for the whole boundary")
     order = cfg.get("task", {}).get("order", 0)
@@ -429,12 +392,9 @@ def cmd_compat(cfg, out, force, seed):
     rows = [(k, fi, rep_c.residuals[k, fi])
             for k in range(order + 1) for fi in range(rep_c.residuals.shape[1])]
     write_csv(out / "residuals.csv", ["order", "face", "residual"], rows)
-    summary = (f"config: {config_digest(cfg)}\n"
-               f"compatibility up to order {order}: max residual "
-               f"{_fmt(rep_c.max_residual)} -> {'PASS' if rep_c.passed else 'FAIL'}\n")
-    (out / "report.txt").write_text(summary)
-    print(summary, end="")
-    return 0 if rep_c.passed else 1
+    return (0 if rep_c.passed else 1), (
+        f"compatibility up to order {order}: max residual "
+        f"{_fmt(rep_c.max_residual)} -> {'PASS' if rep_c.passed else 'FAIL'}\n")
 
 
 COMMANDS = {"check": cmd_check, "reduce": cmd_reduce, "solve": cmd_solve,
@@ -463,10 +423,19 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     np.random.seed(args.seed)
     try:
-        return COMMANDS[args.command](cfg, out, args.force, args.seed)
+        code, report = COMMANDS[args.command](cfg, out, args.force, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NotAdmissibleError as exc:
+        print(f"refusing to run: bc '{exc.bc.name}' not admissible on face {exc.face} "
+              f"(use --force for counterexample studies)")
+        print(exc.report.summary())
+        return 1
+    report = f"config: {config_digest(cfg)}\n" + report
+    (out / "report.txt").write_text(report)
+    print(report, end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -179,5 +179,4 @@ def dirac_system(rep, chart, connection=None):
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=False,
                             name="dirac",
-                            time_independent=chart.time_independent and connection is None,
-                            constant=chart.constant and connection is None)
+                            time_independent=chart.time_independent and connection is None)

@@ -17,6 +17,19 @@ class UnsupportedDimensionError(ContractError):
     """Requested construction does not exist in this dimension."""
 
 
+class NotAdmissibleError(ContractError):
+    """A solve's boundary condition ``bc`` failed admissibility on ``face``;
+    ``report`` is the admissibility report."""
+
+    def __init__(self, bc, face, report):
+        super().__init__(
+            f"boundary condition '{bc.name}' on face {face} is not admissible; "
+            f"pass force=True for counterexample studies\n" + report.summary())
+        self.bc = bc
+        self.face = face
+        self.report = report
+
+
 class BoundaryClosureError(RuntimeError):
     """The characteristic boundary closure is not uniquely solvable."""
 

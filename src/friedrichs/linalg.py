@@ -57,21 +57,12 @@ class Subspace:
             raise ContractError("subspace basis must be a 2D array")
 
     @property
-    def ambient_dim(self):
-        return self.basis.shape[0]
-
-    @property
     def rank(self):
         return self.basis.shape[1]
 
     def gram_residual(self):
         gram = self.basis.conj().T @ self.basis
         return float(np.linalg.norm(gram - np.eye(self.rank)))
-
-    def contains(self, v, tol=1e-9):
-        v = np.asarray(v, dtype=complex)
-        proj = self.basis @ (self.basis.conj().T @ v)
-        return np.linalg.norm(proj - v) <= tol * max(1.0, np.linalg.norm(v))
 
     def projector(self):
         return self.basis @ self.basis.conj().T
@@ -100,13 +91,17 @@ def matrix_rank(M, tol=RANK_TOL):
     return int(np.sum(s > tol * s[0]))
 
 
-def column_space(M, tol=RANK_TOL):
-    """Orthonormal basis of the range of M."""
-    M = np.asarray(M, dtype=complex)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(np.zeros((M.shape[0], 0), dtype=complex))
-    return Subspace(U[:, s > tol * s[0]])
+def row_reduce(GB, tol=RANK_TOL):
+    """SVD row reduction of a square boundary matrix G_B.
+
+    Returns ``(R, V1, V2)``: the r = rank G_B independent constraint rows
+    R = U_r* G_B (ker R = ker G_B), and orthonormal bases of the constrained
+    directions V1 (the row space) and the unconstrained directions V2 = ker G_B.
+    """
+    U, s, Vh = np.linalg.svd(GB)
+    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    V = Vh.conj().T
+    return U[:, :r].conj().T @ GB, V[:, :r], V[:, r:]
 
 
 def restrict_form(M, W):

@@ -148,10 +148,7 @@ def wave_to_first_order(prob):
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=True,
                             name="wave_reduction", layout=layout,
-                            time_independent=prob.time_independent,
-                            constant=chart.constant and prob.c is None
-                            and prob.b0 is None and prob.b is None
-                            and prob.curvature is None)
+                            time_independent=prob.time_independent)
 
 
 def kg_to_first_order(prob):
@@ -197,8 +194,7 @@ def kg_to_first_order(prob):
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=False,
                             name="kg_reduction", layout=layout,
-                            time_independent=chart.time_independent,
-                            constant=chart.constant)
+                            time_independent=chart.time_independent)
 
 
 def reaction_diffusion_to_first_order(prob, lam=0.0):
@@ -238,8 +234,7 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
 
     base = FriedrichsSystem(chart, N, coeff, metric, metric_positive=True,
                             name="reaction_diffusion", layout=layout,
-                            time_independent=prob.time_independent,
-                            constant=chart.constant and prob.c is None)
+                            time_independent=prob.time_independent)
     return lambda_shift(base, lam) if lam else base
 
 

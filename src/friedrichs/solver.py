@@ -26,8 +26,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import geometry
-from .errors import BoundaryClosureError, ConfigError, ContractError, NotHyperbolicError
-from .linalg import RANK_TOL, eigh_pencil, pairwise_sum
+from .errors import (BoundaryClosureError, ConfigError, ContractError,
+                     NotAdmissibleError, NotHyperbolicError)
+from .linalg import eigh_pencil, pairwise_sum, row_reduce
 from .boundary import admissibility
 
 #: relative threshold below which a characteristic counts as tangent
@@ -197,10 +198,8 @@ def _boundary_closure(sys, bc, t, face, force=False):
     scale = max(1.0, float(np.max(np.abs(lam))))
     nonneg = lam >= -ZERO_MODE_TOL * scale
     W_oz = V[:, nonneg].conj().T @ P
-    GB = bc.matrix(chart, q)
-    U, s, _ = np.linalg.svd(GB)
-    r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    R = U[:, :r].conj().T @ GB
+    R, _, _ = row_reduce(bc.matrix(chart, q))
+    r = R.shape[0]
     K = np.vstack([W_oz, R])
     rhs_map = np.vstack([W_oz, -R])
     n_in = int(np.sum(~nonneg))
@@ -222,14 +221,13 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = h0
-    static = sys.time_independent and sys.chart.time_independent
-    tables = _ExplicitTables(sys, bc_map, grid, grid.t0, force) if static else None
     dt, dx = grid.dt, grid.dx
     psi = out[0].copy()
     pad = np.empty((nx + 2, N), dtype=complex)
     for m in range(grid.nt):
         t = grid.ts[m]
-        tb = tables if static else _ExplicitTables(sys, bc_map, grid, t, force)
+        if m == 0 or not sys.static:
+            tb = _ExplicitTables(sys, bc_map, grid, t, force)
         T_left, T_right = tb.closures[0], tb.closures[1]
         pad[0] = T_left @ psi[0]
         pad[-1] = T_right @ psi[-1]
@@ -272,13 +270,7 @@ def _implicit_matrix(sys, bc_map, grid, t):
         node = 0 if face[1] == 0 else npts - 1
         pos = chart.face_position(face)
         q = geometry.BoundaryPoint(t, face, np.array([pos]))
-        GB = bc_map[face].matrix(chart, q)
-        U, s, Vh = np.linalg.svd(GB)
-        r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-        R = U[:, :r].conj().T @ GB
-        V1 = Vh.conj().T[:, :r]   # constrained directions
-        V2 = Vh.conj().T[:, r:]   # unconstrained directions
-        boundary_rows[node] = (R, V1, V2)
+        boundary_rows[node] = row_reduce(bc_map[face].matrix(chart, q))
 
     for i in range(npts):
         blocks = {}
@@ -310,16 +302,12 @@ def _implicit_matrix(sys, bc_map, grid, t):
 def _solve_implicit(sys, bc_map, f, h0, grid, force):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
-    A, _ = sys.coeff_at(grid.t0, xs[:, None])
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = h0
-    static = sys.time_independent and sys.chart.time_independent
-    mat, brows = _implicit_matrix(sys, bc_map, grid, grid.t0 + grid.dt)
-    lu = scipy.sparse.linalg.splu(mat.tocsc())
     psi = out[0].copy()
     for m in range(grid.nt):
         t1 = grid.ts[m + 1]
-        if not static:
+        if m == 0 or not sys.static:
             mat, brows = _implicit_matrix(sys, bc_map, grid, t1)
             lu = scipy.sparse.linalg.splu(mat.tocsc())
             A, _ = sys.coeff_at(t1, xs[:, None])
@@ -334,25 +322,36 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
     return out
 
 
+def enforce_admissibility(sys, bc_map, orient_form=False):
+    """The refusal policy of every solve: each face's condition must pass the
+    admissibility check sampled at 4 times × 2 tangential points.
+
+    Raises NotAdmissibleError with the condition, the face and the report of
+    the first face that fails.  ``orient_form`` is passed to ``admissibility``
+    (time-reversed solves).
+    """
+    for face, bc in bc_map.items():
+        rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face],
+                            orient_form=orient_form)
+        if not rep.admissible:
+            raise NotAdmissibleError(bc, face, rep)
+
+
 def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=False):
     """Advance S Ψ = f, Ψ(t₀) = h, Ψ|∂ ∈ ker G_B over the grid.
 
     Hyperbolic systems use the explicit characteristic upwind scheme;
     symmetric positive systems with singular σ(dt) are stepped implicitly.
-    Unless ``force`` is given, the boundary conditions must pass the
-    admissibility check (counterexample studies pass force=True).
+    Unless ``force`` is given, the boundary conditions must pass
+    ``enforce_admissibility`` — the one refusal policy, shared with the CLI — or
+    NotAdmissibleError is raised; ``force=True`` (counterexample studies)
+    skips the check entirely.
     """
     if grid is None:
         raise ConfigError("solve requires a grid (make_grid)")
     bc_map = _as_bc_map(sys, bcs)
     if check_admissible and not force:
-        for face, bc in bc_map.items():
-            rep = admissibility(sys, bc, n_time=3, n_tang=2, faces=[face])
-            if not rep.admissible:
-                raise ContractError(
-                    f"boundary condition '{bc.name}' on face {face} is not "
-                    f"admissible; pass force=True for counterexample studies\n"
-                    + rep.summary())
+        enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
     if grid.staggered:
         if sys.time_sign == 0:
@@ -394,20 +393,17 @@ def energy_trace(fld, sys):
     grid = fld.grid
     chart = sys.chart
     xs2 = grid.xs[:, None]
-    sdens = geometry.spatial_density(chart, grid.t0, xs2)
     weights = np.full(grid.xs.size, grid.dx)
     if not grid.staggered:
         weights[0] = weights[-1] = grid.dx / 2
-    static = sys.time_independent and sys.chart.time_independent
-    P = sys.positive_metric_at(grid.t0, xs2)
-    if P is None:
-        P = sys.metric_at(grid.t0, xs2)
     s = sys.time_sign if sys.time_sign != 0 else 1
     energy = np.empty(grid.nt + 1)
     flux = np.empty(grid.nt + 1)
     for m, t in enumerate(grid.ts):
-        if not static:
+        if m == 0 or not sys.static:
             P = sys.positive_metric_at(t, xs2)
+            if P is None:
+                P = sys.metric_at(t, xs2)
             sdens = geometry.spatial_density(chart, t, xs2)
         psi = fld.values[m]
         dens = np.real(np.einsum("pi,pij,pj->p", psi.conj(), P, psi))
@@ -498,10 +494,8 @@ def apply_operator(sys, fld):
     dpsi_dt = np.gradient(vals, grid.dt, axis=0)
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
     out = np.empty_like(vals)
-    static = sys.time_independent and sys.chart.time_independent
-    A, C = sys.coeff_at(grid.t0, xs2)
     for m, t in enumerate(grid.ts):
-        if not static:
+        if m == 0 or not sys.static:
             A, C = sys.coeff_at(t, xs2)
         out[m] = (np.einsum("pij,pj->pi", A[:, 0], dpsi_dt[m])
                   + np.einsum("pij,pj->pi", A[:, 1], dpsi_dx[m])
@@ -566,8 +560,7 @@ def time_reversed(sys):
         rev_chart, sys.fiber_rank, coeff,
         lambda t, xs: sys.metric_at(flip(t), xs),
         metric_positive=sys.metric_positive, name=sys.name + "_reversed",
-        layout=sys.layout, time_independent=sys.time_independent,
-        constant=sys.constant)
+        layout=sys.layout, time_independent=sys.time_independent)
 
 
 def green_minus(sys, bcs, f, grid, force=False):
@@ -576,8 +569,10 @@ def green_minus(sys, bcs, f, grid, force=False):
     ``bcs`` are imposed on the reversed evolution: conditions with vanishing
     boundary form (MIT, chirality, Neumann-like, Dirichlet) transfer verbatim;
     for transport-like systems pass the conditions of the reversed problem.
-    The admissibility refusal policy applies to the original system, so the
-    internal reversed solve only validates closure solvability.
+    Unless ``force`` is given, ``enforce_admissibility`` vets them against the
+    time-reversed system with the orientation-weighted form — the
+    energy-dissipation criterion of the evolution actually run — and raises
+    NotAdmissibleError on failure.
     """
     if not grid.staggered:
         raise ContractError("the retarded Green operator needs a hyperbolic "
@@ -586,6 +581,9 @@ def green_minus(sys, bcs, f, grid, force=False):
     if levels.size and levels[-1] == grid.nt:
         raise ContractError("supp f touches the final slice; shrink the support")
     rev = time_reversed(sys)
+    bc_map = _as_bc_map(rev, bcs)
+    if not force:
+        enforce_admissibility(rev, bc_map, orient_form=True)
     t0, t1 = sys.chart.t_range
 
     def f_rev(t, xs2):
@@ -593,7 +591,7 @@ def green_minus(sys, bcs, f, grid, force=False):
 
     rev_grid = Grid(grid.nx, grid.dx, grid.dt, grid.nt, grid.cfl,
                     grid.xs.copy(), grid.ts.copy(), grid.staggered)
-    fld = solve(rev, _as_bc_map(rev, bcs), f=f_rev, h=None, grid=rev_grid,
+    fld = solve(rev, bc_map, f=f_rev, h=None, grid=rev_grid,
                 check_admissible=False, force=force)
     return GridField(fld.values[::-1].copy(), grid, sys.name + "_green_minus")
 

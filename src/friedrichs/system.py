@@ -66,12 +66,17 @@ class FriedrichsSystem:
     name: str = "custom"
     layout: Optional[GradientLayout] = None
     time_independent: bool = True
-    constant: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim_space(self):
         return self.chart.dim_space
+
+    @property
+    def static(self):
+        """Coefficients and chart are both time independent: one evaluation
+        serves every time level."""
+        return self.time_independent and self.chart.time_independent
 
     def coeff_at(self, t, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -95,11 +100,6 @@ class FriedrichsSystem:
             raise ContractError(f"covector must have {self.dim_space + 1} components")
         A, _ = self.coeff_at(t, np.atleast_2d(x))
         return np.einsum("m,mij->ij", xi, A[0])
-
-    def symbol_batch(self, t, xs, xi):
-        A, _ = self.coeff_at(t, xs)
-        xi = np.asarray(xi, dtype=complex)
-        return np.einsum("m,pmij->pij", xi, A)
 
     @property
     def time_sign(self):
@@ -184,10 +184,6 @@ class PositivityReport:
     interpretation: str = ("c_t = smallest eigenvalue of the pointwise Hermitian "
                            "part of the zero-order endomorphism of S + S† over "
                            "the slice")
-
-
-def symbol(sys, t, x, xi):
-    return sys.symbol(t, x, xi)
 
 
 def check_symmetric(sys, per_axis=16, tol=1e-9):
@@ -290,7 +286,7 @@ def formal_adjoint(sys):
     return FriedrichsSystem(
         chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=sys.metric,
         metric_positive=sys.metric_positive, name=sys.name + "_adjoint",
-        layout=sys.layout, time_independent=sys.time_independent, constant=False)
+        layout=sys.layout, time_independent=sys.time_independent)
 
 
 def zero_order_symmetrization(sys, t, xs):
@@ -380,7 +376,7 @@ def beta_normalize(sys):
     return FriedrichsSystem(
         chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=metric,
         metric_positive=s != 0, name=sys.name + "_normalized", layout=sys.layout,
-        time_independent=sys.time_independent, constant=sys.constant and chart.constant)
+        time_independent=sys.time_independent)
 
 
 def lambda_shift(sys, lam):
@@ -392,7 +388,7 @@ def lambda_shift(sys, lam):
     return FriedrichsSystem(
         chart=sys.chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=sys.metric,
         metric_positive=sys.metric_positive, name=f"{sys.name}_shift{lam}",
-        layout=sys.layout, time_independent=sys.time_independent, constant=sys.constant)
+        layout=sys.layout, time_independent=sys.time_independent)
 
 
 def find_lambda(sys, lam_max=64):
@@ -422,7 +418,7 @@ def advection_system(chart, speed=1.0):
         return np.ones((xs.shape[0], 1, 1), dtype=complex)
 
     return FriedrichsSystem(chart, 1, coeff, metric, metric_positive=True,
-                            name="advection", constant=True)
+                            name="advection")
 
 
 def constant_system(chart, A_list, C, gram=None, name="custom", metric_positive=None):
@@ -443,4 +439,4 @@ def constant_system(chart, A_list, C, gram=None, name="custom", metric_positive=
         return np.broadcast_to(G_const, (xs.shape[0], N, N))
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=metric_positive,
-                            name=name, constant=True)
+                            name=name)

@@ -1,6 +1,10 @@
 import json
+from collections import Counter
 
-from friedrichs import cli
+import pytest
+
+from friedrichs import boundary, cli, solver
+from friedrichs.geometry import LEFT, RIGHT
 
 
 def run(tmp_path, cfg, command, extra=()):
@@ -165,3 +169,68 @@ def test_custom_system_config(tmp_path):
     }
     code, out = run(tmp_path, cfg, "solve")
     assert code == 0
+
+
+GREEN_DIRAC = {
+    "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},
+    "system": {"builder": "dirac"},
+    "bc": {"name": "mit_bag", "params": {"sign": -1}},
+    "grid": {"nx": 64},
+    "task": {"source": {"profile": "bump", "center": 0.4, "width": 0.15,
+                        "t_center": 0.45, "t_width": 0.15, "component": 0}},
+}
+
+GREEN_ADVECTION_MINUS = {
+    "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},
+    "system": {"builder": "advection"},
+    "bc": {"left": {"name": "no_condition"}, "right": {"name": "zero_trace"}},
+    "grid": {"nx": 128},
+    "task": {"source": {"profile": "bump", "center": 0.5, "width": 0.12,
+                        "t_center": 0.6, "t_width": 0.15, "component": 0},
+             "direction": "-"},
+}
+
+
+@pytest.mark.parametrize("cfg, command, extra, per_face", [
+    (DIRAC_MIT, "solve", (), 1),
+    (GREEN_DIRAC, "green", (), 1),
+    (GREEN_ADVECTION_MINUS, "green", (), 1),
+    (DIRAC_MIT, "solve", ("--force",), 0),
+])
+def test_one_admissibility_check_per_face(tmp_path, monkeypatch, cfg, command,
+                                          extra, per_face):
+    faces = Counter()
+    real = boundary.admissibility
+
+    def counting(*args, **kwargs):
+        faces.update(kwargs.get("faces") or [LEFT, RIGHT])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "admissibility", counting)
+    monkeypatch.setattr(solver, "admissibility", counting)
+    code, _ = run(tmp_path, cfg, command, extra)
+    assert code == 0
+    assert faces == Counter({LEFT: per_face, RIGHT: per_face})
+
+
+def test_green_minus_refusal_text(tmp_path, capsys):
+    cfg = {
+        "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},
+        "system": {"builder": "wave_reduction", "params": {"k": 1}},
+        "bc": {"name": "transparent", "params": {"b": 1.0}},
+        "grid": {"nx": 32},
+        "task": {"source": {"profile": "bump", "center": 0.5, "width": 0.2,
+                            "t_center": 0.5, "t_width": 0.2, "component": 0},
+                 "direction": "-"},
+    }
+    code, out = run(tmp_path, cfg, "green")
+    assert code == 1
+    assert not (out / "report.txt").exists()
+    assert capsys.readouterr().out == (
+        "refusing to run: bc 'transparent' not admissible on face (0, 0) "
+        "(use --force for counterexample studies)\n"
+        "admissible: False\n"
+        "  (i)   rank constant: True  ranks={(0, 0): [2]}\n"
+        "  (ii)  semidefinite:  False  min form eigenvalue -1.000e+00\n"
+        "  (iii) rank B = 2, nonneg eigenvalues = 2: True\n"
+        "  witness: [0.7071+0.j 0.7071+0.j 0.    +0.j]  form value -1.000e+00\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs import boundary, clifford, geometry, reduction, solver, system
-from friedrichs.errors import ConfigError, ContractError
+from friedrichs.errors import ConfigError, ContractError, NotAdmissibleError
 from friedrichs.geometry import LEFT, RIGHT
 from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                convergence_study, energy_trace,
@@ -244,6 +244,22 @@ def test_green_minus_mirror(strip):
     assert ok
 
 
+def test_green_minus_refuses_non_admissible(strip):
+    # transparent(+1) dissipates forward in time; the reversed evolution the
+    # retarded operator runs gains energy through it, so the library refuses
+    # exactly as the CLI does
+    sys_, _ = wave_setup(strip)
+    bc = boundary.transparent(1.0, sys_.layout)
+    grid = make_grid(sys_, 32)
+    with pytest.raises(NotAdmissibleError) as exc:
+        green_minus(sys_, bc, spacetime_source(3, tc=0.5), grid)
+    err = exc.value
+    assert err.bc is bc and err.face == LEFT
+    assert not err.report.admissible
+    assert err.report.summary() in str(err)
+    assert "admissible: False" in str(err)
+
+
 def test_green_minus_rejects_parabolic(strip):
     prob = reduction.SecondOrderProblem("reaction_diffusion", strip, k=1)
     rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
@@ -408,3 +424,47 @@ def test_apply_operator_on_exact_solution_small(strip):
     fld = GridField(vals[:, :, None], grid)
     res = l2_norm(apply_operator(sys_, fld).values, grid)
     assert res < 0.2
+
+
+def test_energy_trace_time_dependent_without_positive_metric():
+    # Klein-Gordon has singular σ(dt), hence no positive companion metric;
+    # on a time-dependent chart the trace falls back to the fiber metric at
+    # every level, as it does for static systems
+    chart = geometry.named_profile_chart(
+        (0.0, 0.3), (1.0,),
+        beta={"profile": "sine", "base": 1.3, "amplitude": 0.2, "waves": 1,
+              "waves_t": 1.0})
+    kg = reduction.kg_to_first_order(
+        reduction.SecondOrderProblem("klein_gordon", chart, k=1, mass=1.0))
+    assert not kg.static
+    grid = make_grid(kg, 32)
+    xs2 = grid.xs[:, None]
+    assert kg.positive_metric_at(grid.t1, xs2) is None
+    fld = solve(kg, boundary.dirichlet(kg.layout),
+                h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
+    tr = energy_trace(fld, kg)
+    psi = fld.values[-1]
+    G = kg.metric_at(grid.t1, xs2)
+    dens = np.real(np.einsum("pi,pij,pj->p", psi.conj(), G, psi))
+    weights = np.full(grid.xs.size, grid.dx)
+    weights[0] = weights[-1] = grid.dx / 2
+    expected = np.sum(dens * geometry.spatial_density(chart, grid.t1, xs2) * weights)
+    assert tr.energy[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_implicit_time_dependent_assembles_once_per_step(strip, monkeypatch):
+    prob = reduction.SecondOrderProblem(
+        "reaction_diffusion", strip, k=1,
+        c=lambda t, xs: 0.3 * np.sin(2 * np.pi * t), static_coeffs=False)
+    rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
+    grid = make_grid(rd, 24, t_final=0.1)
+    assembled = []
+    real = solver._implicit_matrix
+
+    def counting(sys_, bc_map, grid_, t):
+        assembled.append(t)
+        return real(sys_, bc_map, grid_, t)
+
+    monkeypatch.setattr(solver, "_implicit_matrix", counting)
+    solve(rd, boundary.robin(0.0, 1.0, rd.layout), grid=grid)
+    assert assembled == list(grid.ts[1:])

@@ -127,7 +127,7 @@ def test_adjoint_integration_by_parts():
 
     sys_ = system.FriedrichsSystem(
         chart, 1, coeff, lambda t, xs: np.ones((xs.shape[0], 1, 1), dtype=complex),
-        metric_positive=True, time_independent=False, constant=False)
+        metric_positive=True, time_independent=False)
     adj = formal_adjoint(sys_)
     defects = []
     for nx in (32, 64):
