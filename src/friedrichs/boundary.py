@@ -88,19 +88,31 @@ def boundary_symbol(sys, q):
     return sys.symbol(q.t, q.x, nb)
 
 
-def _nonneg_count(sys, q, sigma_n, G, tol):
-    """Eigenvalues of σ(n♭) counted in the beta-normalized system.
+def characteristic_split(sys, q, sigma_n):
+    """Eigenvalues (characteristic speeds), P-orthonormal eigenvectors and the
+    positive companion metric P of σ(dt)⁻¹σ(n♭) at a boundary point.
 
-    For an invertible time symbol these are the (real) eigenvalues of
-    σ(dt)⁻¹σ(n♭), Hermitian with respect to the positive normalized metric;
-    they are exactly the characteristic in/out speeds of the boundary
-    closure.  With singular σ(dt) the endomorphism σ(n♭) is used directly.
+    Condition (iii) and the solver's boundary closure both split these with
+    ``nonneg_mask``, so admissibility implies a square closure.
     """
+    A, _ = sys.coeff_at(q.t, q.x[None, :])
+    M = np.linalg.inv(A[0, 0]) @ sigma_n
+    P = sys.positive_metric_at(q.t, q.x[None, :])[0]
+    lam, V = eigh_pencil(P @ M, P)
+    return lam, V, P
+
+
+def nonneg_mask(ev, tol=RANK_TOL):
+    """ev ≥ −tol·max(1, |ev|): characteristic directions count as nonnegative."""
+    scale = max(1.0, float(np.max(np.abs(ev))))
+    return ev >= -tol * scale
+
+
+def _nonneg_count(sys, q, sigma_n, G, tol):
+    """Eigenvalues of σ(n♭) counted in the beta-normalized system: those of
+    ``characteristic_split``, or of σ(n♭) itself when σ(dt) is singular."""
     if sys.time_sign != 0:
-        A, _ = sys.coeff_at(q.t, q.x[None, :])
-        M = np.linalg.solve(A[0, 0], sigma_n)
-        P = sys.positive_metric_at(q.t, q.x[None, :])[0]
-        ev, _ = eigh_pencil(P @ M, P)
+        ev, _, _ = characteristic_split(sys, q, sigma_n)
     elif sys.metric_positive:
         F = G @ sigma_n
         ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G)
@@ -110,8 +122,7 @@ def _nonneg_count(sys, q, sigma_n, G, tol):
             raise ContractError("boundary symbol has genuinely complex spectrum; "
                                 "no positive companion metric available")
         ev = np.sort(ev.real)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    return int(np.sum(ev >= -tol * scale)), ev
+    return int(np.sum(nonneg_mask(ev, tol))), ev
 
 
 def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,

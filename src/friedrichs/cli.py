@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary, clifford, geometry, reduction, solver, system
-from .errors import ConfigError, NotAdmissibleError
+from .errors import ConfigError, ContractError, NotAdmissibleError
 
 
 def config_digest(cfg):
@@ -312,6 +312,9 @@ def cmd_solve(cfg, out, force, seed):
     report = (f"solve: nx={grid.nx} nt={grid.nt} dt={_fmt(grid.dt)}\n"
               f"energy ratio E(T)/E(0): {_fmt(tr.final_ratio)}\n"
               f"max per-step energy growth: {_fmt(tr.max_step_growth)}\n")
+    if sys_.positive_metric_at(grid.t0, grid.xs[:1, None]) is None:
+        report += ("note: E(t) is the indefinite fiber form (the system has no "
+                   "positive companion metric), not a norm\n")
     if force:
         report += "forced run (admissibility not enforced): energy growth is diagnostic\n"
     return 0, report
@@ -320,6 +323,8 @@ def cmd_solve(cfg, out, force, seed):
 def cmd_green(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
     direction = cfg.get("task", {}).get("direction", "+")
+    if direction not in ("+", "-"):
+        raise ConfigError(f"task.direction must be '+' or '-', got {direction!r}")
     grid = _grid(cfg, sys_)
     f = build_source(cfg, sys_)
     if f is None:
@@ -424,14 +429,14 @@ def main(argv=None):
     np.random.seed(args.seed)
     try:
         code, report = COMMANDS[args.command](cfg, out, args.force, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NotAdmissibleError as exc:
         print(f"refusing to run: bc '{exc.bc.name}' not admissible on face {exc.face} "
               f"(use --force for counterexample studies)")
         print(exc.report.summary())
         return 1
+    except (ConfigError, ContractError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report = f"config: {config_digest(cfg)}\n" + report
     (out / "report.txt").write_text(report)
     print(report, end="")

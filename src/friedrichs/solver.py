@@ -19,6 +19,7 @@ row-reduced G_B in the constrained directions.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,8 @@ from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError)
 from .linalg import eigh_pencil, pairwise_sum, row_reduce
-from .boundary import admissibility
-
-#: relative threshold below which a characteristic counts as tangent
-ZERO_MODE_TOL = 1e-10
+from .boundary import (admissibility, boundary_symbol, characteristic_split,
+                       nonneg_mask)
 
 
 @dataclass
@@ -61,8 +60,10 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
     """
-    if cfl > 0.9:
-        raise ConfigError(f"CFL must be ≤ 0.9, got {cfl}")
+    if not isinstance(nx, numbers.Integral) or nx < 1:
+        raise ConfigError(f"nx must be a positive integer, got {nx!r}")
+    if not isinstance(cfl, numbers.Real) or not 0 < cfl <= 0.9:
+        raise ConfigError(f"CFL must be in (0, 0.9], got {cfl!r}")
     chart = sys.chart
     L = chart.space_extent[0]
     if chart.dim_space != 1:
@@ -159,55 +160,56 @@ def _eval_initial(h, xs, N):
     return arr
 
 
+def _levels(sys, ts, tables):
+    """Yield (t, tables(t)) for each time level in ``ts``.
+
+    The one place that decides when coefficients are evaluated: every level
+    for time-dependent systems, once in total for static ones.
+    """
+    tb = None
+    for t in ts:
+        if tb is None or not sys.static:
+            tb = tables(t)
+        yield t, tb
+
+
 # -- explicit characteristic upwind -----------------------------------------
 
 
-class _ExplicitTables:
-    """Frozen-time coefficient tables for one upwind step."""
-
-    def __init__(self, sys, bc_map, grid, t, force=False):
-        xs2 = grid.xs[:, None]
-        A, C = sys.coeff_at(t, xs2)
-        self.a0inv = np.linalg.inv(A[:, 0])
-        self.Atil = self.a0inv @ A[:, 1]
-        self.Ctil = self.a0inv @ C
-        faces = (np.arange(grid.nx + 1) * grid.dx)[:, None]
-        Af, _ = sys.coeff_at(t, faces)
-        Atil_f = np.linalg.inv(Af[:, 0]) @ Af[:, 1]
-        Pf = sys.positive_metric_at(t, faces)
-        self.Aabs = np.empty_like(Atil_f)
-        for i in range(Atil_f.shape[0]):
-            lam, V = eigh_pencil(Pf[i] @ Atil_f[i], Pf[i])
-            self.Aabs[i] = (V * np.abs(lam)) @ V.conj().T @ Pf[i]
-        self.closures = [
-            _boundary_closure(sys, bc_map[face], t, face, force=force)
-            for face in sys.chart.faces()
-        ]
+def _explicit_tables(sys, bc_map, grid, t, force):
+    """Frozen-time tables of one upwind step: σ(dt)⁻¹, Ã and C̃ at the cells,
+    |Ã| at the faces, and the ghost-cell closure of each boundary face."""
+    A, C = sys.coeff_at(t, grid.xs[:, None])
+    a0inv = np.linalg.inv(A[:, 0])
+    faces = (np.arange(grid.nx + 1) * grid.dx)[:, None]
+    Af, _ = sys.coeff_at(t, faces)
+    Atil_f = np.linalg.inv(Af[:, 0]) @ Af[:, 1]
+    Pf = sys.positive_metric_at(t, faces)
+    Aabs = np.empty_like(Atil_f)
+    for i in range(Atil_f.shape[0]):
+        lam, V = eigh_pencil(Pf[i] @ Atil_f[i], Pf[i])
+        Aabs[i] = (V * np.abs(lam)) @ V.conj().T @ Pf[i]
+    closures = [_boundary_closure(sys, bc_map[face], t, face, force=force)
+                for face in sys.chart.faces()]
+    return a0inv, a0inv @ A[:, 1], a0inv @ C, Aabs, closures
 
 
 def _boundary_closure(sys, bc, t, face, force=False):
     """Matrix T with ghost = T @ Ψ_edge implementing the characteristic closure."""
     chart = sys.chart
-    pos = chart.face_position(face)
-    q = geometry.BoundaryPoint(t, face, np.array([pos]))
-    nb = geometry.outward_normal(chart, q)
-    A, _ = sys.coeff_at(t, np.array([[pos]]))
-    M = np.linalg.inv(A[0, 0]) @ sys.symbol(t, q.x, nb)
-    P = sys.positive_metric_at(t, np.array([[pos]]))[0]
-    lam, V = eigh_pencil(P @ M, P)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    nonneg = lam >= -ZERO_MODE_TOL * scale
-    W_oz = V[:, nonneg].conj().T @ P
+    q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+    lam, V, P = characteristic_split(sys, q, boundary_symbol(sys, q))
+    keep = nonneg_mask(lam)
+    W_oz = V[:, keep].conj().T @ P
     R, _, _ = row_reduce(bc.matrix(chart, q))
-    r = R.shape[0]
-    K = np.vstack([W_oz, R])
+    r, n_in = R.shape[0], int(np.sum(~keep))
+    K = np.vstack([W_oz, R])                # square exactly when r == n_in
     rhs_map = np.vstack([W_oz, -R])
-    n_in = int(np.sum(~nonneg))
-    if K.shape[0] != K.shape[1] or r != n_in:
-        msg = (f"boundary closure at face {face}: {n_in} incoming characteristics "
-               f"vs rank-{r} condition (admissibility (iii) defect)")
+    if r != n_in:
         if not force:
-            raise BoundaryClosureError(msg)
+            raise BoundaryClosureError(
+                f"boundary closure at face {face}: {n_in} incoming characteristics "
+                f"vs rank-{r} condition (admissibility (iii) defect)")
         return np.linalg.pinv(K) @ rhs_map
     try:
         return np.linalg.solve(K, rhs_map)
@@ -224,23 +226,21 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
     dt, dx = grid.dt, grid.dx
     psi = out[0].copy()
     pad = np.empty((nx + 2, N), dtype=complex)
-    for m in range(grid.nt):
-        t = grid.ts[m]
-        if m == 0 or not sys.static:
-            tb = _ExplicitTables(sys, bc_map, grid, t, force)
-        T_left, T_right = tb.closures[0], tb.closures[1]
+    levels = _levels(sys, grid.ts[:-1],
+                     lambda t: _explicit_tables(sys, bc_map, grid, t, force))
+    for m, (t, (a0inv, Atil, Ctil, Aabs, (T_left, T_right))) in enumerate(levels):
         pad[0] = T_left @ psi[0]
         pad[-1] = T_right @ psi[-1]
         pad[1:-1] = psi
         jump = pad[1:] - pad[:-1]                       # (nx+1, N)
-        diss = np.einsum("fij,fj->fi", tb.Aabs, jump)   # |Ã|·jump at faces
+        diss = np.einsum("fij,fj->fi", Aabs, jump)      # |Ã|·jump at faces
         central = (pad[2:] - pad[:-2]) / (2 * dx)
-        rhs = -np.einsum("pij,pj->pi", tb.Atil, central)
+        rhs = -np.einsum("pij,pj->pi", Atil, central)
         rhs += (diss[1:] - diss[:-1]) / (2 * dx)
-        rhs -= np.einsum("pij,pj->pi", tb.Ctil, psi)
+        rhs -= np.einsum("pij,pj->pi", Ctil, psi)
         src = _eval_forcing(f, t, grid.xs, N)
         if src is not None:
-            rhs += np.einsum("pij,pj->pi", tb.a0inv, src)
+            rhs += np.einsum("pij,pj->pi", a0inv, src)
         psi = psi + dt * rhs
         out[m + 1] = psi
     return out
@@ -251,52 +251,41 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
 
 def _implicit_matrix(sys, bc_map, grid, t):
     """Backward-Euler operator with boundary rows replaced in constrained
-    directions by the row-reduced G_B."""
+    directions by the row-reduced G_B.
+
+    Returns its sparse LU factor, the boundary rows {node: (R, V1, V2)} of
+    ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
+    """
     chart = sys.chart
-    xs = grid.xs
-    npts, N = xs.size, sys.fiber_rank
-    A, C = sys.coeff_at(t, xs[:, None])
+    npts, N = grid.xs.size, sys.fiber_rank
+    A, C = sys.coeff_at(t, grid.xs[:, None])
     dt, dx = grid.dt, grid.dx
-    rows, cols, vals = [], [], []
-
-    def add_block(i, j, B):
-        ii, jj = np.nonzero(np.abs(B) > 0)
-        rows.extend((i * N + ii).tolist())
-        cols.extend((j * N + jj).tolist())
-        vals.extend(B[ii, jj].tolist())
-
+    # lower, diagonal and upper block of each block row: centred differences
+    # inside, one-sided at the two edge nodes
+    B = np.zeros((npts, 3, N, N), dtype=complex)
+    B[:, 1] = A[:, 0] / dt + C
+    B[1:-1, 0] = -A[1:-1, 1] / (2 * dx)
+    B[1:-1, 2] = A[1:-1, 1] / (2 * dx)
+    B[0, 1] -= A[0, 1] / dx
+    B[0, 2] = A[0, 1] / dx
+    B[-1, 1] += A[-1, 1] / dx
+    B[-1, 0] = -A[-1, 1] / dx
     boundary_rows = {}
-    for fi, face in enumerate(chart.faces()):
+    for face in chart.faces():
         node = 0 if face[1] == 0 else npts - 1
-        pos = chart.face_position(face)
-        q = geometry.BoundaryPoint(t, face, np.array([pos]))
-        boundary_rows[node] = row_reduce(bc_map[face].matrix(chart, q))
-
-    for i in range(npts):
-        blocks = {}
-        M0 = A[i, 0] / dt + C[i]
-        if i == 0:
-            blocks[0] = M0 - A[i, 1] / dx
-            blocks[1] = A[i, 1] / dx
-        elif i == npts - 1:
-            blocks[i] = M0 + A[i, 1] / dx
-            blocks[i - 1] = -A[i, 1] / dx
-        else:
-            blocks[i] = M0
-            blocks[i + 1] = A[i, 1] / (2 * dx)
-            blocks[i - 1] = -A[i, 1] / (2 * dx)
-        if i in boundary_rows:
-            # drop the PDE equations along the constrained directions and
-            # install the constraint rows there instead
-            R, V1, V2 = boundary_rows[i]
-            proj = V2 @ V2.conj().T
-            blocks = {j: proj @ B for j, B in blocks.items()}
-            blocks[i] = blocks.get(i, 0) + V1 @ R
-        for j, B in blocks.items():
-            add_block(i, j, B)
-    mat = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(npts * N, npts * N))
-    return mat, boundary_rows
+        q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+        R, V1, V2 = boundary_rows[node] = row_reduce(bc_map[face].matrix(chart, q))
+        # drop the PDE equations along the constrained directions and
+        # install the constraint rows there instead
+        B[node] = V2 @ V2.conj().T @ B[node]
+        B[node, 1] += V1 @ R
+    i = np.arange(npts)[:, None, None, None]
+    ii = np.arange(N)[:, None]
+    rows = np.broadcast_to(i * N + ii, B.shape)
+    cols = np.broadcast_to((i + np.arange(-1, 2)[:, None, None]) * N + ii.T, B.shape)
+    nz = np.abs(B) > 0
+    mat = scipy.sparse.csr_matrix((B[nz], (rows[nz], cols[nz])), shape=(npts * N,) * 2)
+    return scipy.sparse.linalg.splu(mat.tocsc()), boundary_rows, A[:, 0]
 
 
 def _solve_implicit(sys, bc_map, f, h0, grid, force):
@@ -305,13 +294,9 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = h0
     psi = out[0].copy()
-    for m in range(grid.nt):
-        t1 = grid.ts[m + 1]
-        if m == 0 or not sys.static:
-            mat, brows = _implicit_matrix(sys, bc_map, grid, t1)
-            lu = scipy.sparse.linalg.splu(mat.tocsc())
-            A, _ = sys.coeff_at(t1, xs[:, None])
-        rhs = np.einsum("pij,pj->pi", A[:, 0], psi) / grid.dt
+    levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
+    for m, (t1, (lu, brows, A0)) in enumerate(levels):
+        rhs = np.einsum("pij,pj->pi", A0, psi) / grid.dt
         src = _eval_forcing(f, t1, xs, N)
         if src is not None:
             rhs += src
@@ -383,41 +368,49 @@ class EnergyTrace:
         return float(np.max(e[1:][ok] / prev[ok])) if np.any(ok) else 1.0
 
 
+def _energy_tables(sys, grid, t):
+    """Tables of one energy_trace level: the energy metric (P, or G when the
+    system has no positive companion metric), √det h, and per face the edge
+    index, s*·β, G and σ(n♭)."""
+    chart = sys.chart
+    xs2 = grid.xs[:, None]
+    P = sys.positive_metric_at(t, xs2)
+    if P is None:
+        P = sys.metric_at(t, xs2)
+    s = sys.time_sign if sys.time_sign != 0 else 1
+    faces = []
+    for face in chart.faces():
+        q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+        G = sys.metric_at(t, q.x[None, :])[0]
+        beta = chart.beta_at(t, q.x[None, :])[0]
+        faces.append((0 if face[1] == 0 else -1, s * beta, G, boundary_symbol(sys, q)))
+    return P, geometry.spatial_density(chart, t, xs2), faces
+
+
 def energy_trace(fld, sys):
     """E(t) = Σ_x ⟨Ψ, Ψ⟩_P √det(h) Δx, the discrete ∫_Σ |Ψ|²_β dμ_t.
 
     The flux column logs the boundary form s*·β·⟨σ(n♭)Ψ, Ψ⟩ summed over
     faces, evaluated at the edge sample; for conditions with vanishing
     boundary form it is an O(Δx) discretization artifact around zero.
+    Systems without a positive companion metric sum the indefinite fiber
+    form G instead, which is not a norm.
     """
     grid = fld.grid
-    chart = sys.chart
-    xs2 = grid.xs[:, None]
     weights = np.full(grid.xs.size, grid.dx)
     if not grid.staggered:
         weights[0] = weights[-1] = grid.dx / 2
-    s = sys.time_sign if sys.time_sign != 0 else 1
     energy = np.empty(grid.nt + 1)
     flux = np.empty(grid.nt + 1)
-    for m, t in enumerate(grid.ts):
-        if m == 0 or not sys.static:
-            P = sys.positive_metric_at(t, xs2)
-            if P is None:
-                P = sys.metric_at(t, xs2)
-            sdens = geometry.spatial_density(chart, t, xs2)
+    levels = _levels(sys, grid.ts, lambda t: _energy_tables(sys, grid, t))
+    for m, (_, (P, sdens, faces)) in enumerate(levels):
         psi = fld.values[m]
         dens = np.real(np.einsum("pi,pij,pj->p", psi.conj(), P, psi))
         energy[m] = pairwise_sum(dens * sdens * weights)
         phi = 0.0
-        for face in chart.faces():
-            pos = chart.face_position(face)
-            q = geometry.BoundaryPoint(t, face, np.array([pos]))
-            nb = geometry.outward_normal(chart, q)
-            sn = sys.symbol(t, q.x, nb)
-            G = sys.metric_at(t, q.x[None, :])[0]
-            beta = chart.beta_at(t, q.x[None, :])[0]
-            trace = psi[0] if face[1] == 0 else psi[-1]
-            phi += s * beta * float(np.real(trace.conj() @ G @ sn @ trace))
+        for edge, sbeta, G, sn in faces:
+            trace = psi[edge]
+            phi += sbeta * float(np.real(trace.conj() @ G @ sn @ trace))
         flux[m] = phi
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
@@ -490,13 +483,11 @@ def apply_operator(sys, fld):
     """Discrete S Ψ: centered differences inside, one-sided at edges."""
     grid = fld.grid
     vals = fld.values
-    xs2 = grid.xs[:, None]
     dpsi_dt = np.gradient(vals, grid.dt, axis=0)
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
     out = np.empty_like(vals)
-    for m, t in enumerate(grid.ts):
-        if m == 0 or not sys.static:
-            A, C = sys.coeff_at(t, xs2)
+    levels = _levels(sys, grid.ts, lambda t: sys.coeff_at(t, grid.xs[:, None]))
+    for m, (_, (A, C)) in enumerate(levels):
         out[m] = (np.einsum("pij,pj->pi", A[:, 0], dpsi_dt[m])
                   + np.einsum("pij,pj->pi", A[:, 1], dpsi_dx[m])
                   + np.einsum("pij,pj->pi", C, vals[m]))

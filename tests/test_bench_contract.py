@@ -1,0 +1,45 @@
+"""The benchmark tracer's contract with the package, checked in the main suite.
+
+``bench/tracing.py`` wraps package functions under the names their callers
+look up, so a renamed or moved function would silently drop out of the
+traced numbers.  One tiny traced solve checks the counts the benchmark
+relies on, and that every wrapped name is restored afterwards.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
+
+from friedrichs import boundary, geometry, solver, system  # noqa: E402
+
+
+def wrapped_names():
+    """(owner id, attribute) -> the object now found under that name."""
+    return {(id(owner), attr): tracing._get(owner, attr)
+            for owners, attr, _, _ in tracing._hooks() for owner in owners}
+
+
+def test_tracer_counts_a_solve_and_restores_every_name():
+    chart = geometry.minkowski_strip((0.0, 0.25), (1.0,))
+    adv = system.advection_system(chart)
+    bcs = {geometry.LEFT: boundary.zero_trace(1), geometry.RIGHT: boundary.no_condition(1)}
+    before = wrapped_names()
+    tracer = tracing.Tracer()
+    with tracer.installed("study"):
+        during = wrapped_names()
+        grid = solver.make_grid(adv, 16)
+        fld = solver.solve(adv, bcs, h=lambda xs: np.exp(-50 * (xs[:, None] - 0.5) ** 2),
+                           grid=grid)
+        solver.energy_trace(fld, adv)
+    after = wrapped_names()
+    assert all(during[key] is not fn for key, fn in before.items())
+    assert all(after[key] is fn for key, fn in before.items())
+    counts = tracer.counts["study"]
+    assert counts["solver.solve.cell_steps"] == grid.nx * grid.nt > 0
+    assert counts["system.coeff_at.calls"] > 0
+    assert counts["solver.energy_trace.calls"] == 1

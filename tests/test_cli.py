@@ -1,5 +1,7 @@
+import copy
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +236,50 @@ def test_green_minus_refusal_text(tmp_path, capsys):
         "  (ii)  semidefinite:  False  min form eigenvalue -1.000e+00\n"
         "  (iii) rank B = 2, nonneg eigenvalues = 2: True\n"
         "  witness: [0.7071+0.j 0.7071+0.j 0.    +0.j]  form value -1.000e+00\n")
+
+
+HEAT = json.loads((Path(__file__).parent.parent / "configs" /
+                   "heat_dirichlet_solve.json").read_text())
+
+
+def assert_config_error(capsys, code, out):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not (out / "report.txt").exists()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+def test_green_rejects_unknown_direction(tmp_path, capsys):
+    cfg = copy.deepcopy(GREEN_ADVECTION_MINUS)
+    cfg["task"]["direction"] = "backward"
+    assert_config_error(capsys, *run(tmp_path, cfg, "green"))
+
+
+@pytest.mark.parametrize("grid", [{"nx": 64, "cfl": -0.5}, {"nx": 0}, {"nx": 2.5}])
+def test_solve_rejects_bad_grid(tmp_path, capsys, grid):
+    assert_config_error(capsys, *run(tmp_path, dict(DIRAC_MIT, grid=grid), "solve"))
+
+
+def test_contract_error_is_a_config_error(tmp_path, capsys):
+    # the retarded Green operator refuses a parabolic (implicit) system
+    cfg = copy.deepcopy(HEAT)
+    cfg["task"].update(direction="-", source=GREEN_DIRAC["task"]["source"])
+    assert_config_error(capsys, *run(tmp_path, cfg, "green"))
+
+
+def test_solve_marks_indefinite_energy(tmp_path):
+    cfg = {
+        "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},
+        "system": {"builder": "kg_reduction", "params": {"k": 1, "mass": 1.0}},
+        "bc": {"name": "dirichlet"},
+        "grid": {"nx": 32},
+        "task": {"initial": {"profile": "bump", "component": 0}},
+    }
+    mark = "E(t) is the indefinite fiber form"
+    code, out = run(tmp_path / "kg", cfg, "solve")
+    assert code == 0
+    assert mark in (out / "report.txt").read_text()
+    code, out = run(tmp_path / "heat", HEAT, "solve")
+    assert code == 0
+    assert mark not in (out / "report.txt").read_text()

@@ -468,3 +468,16 @@ def test_implicit_time_dependent_assembles_once_per_step(strip, monkeypatch):
     monkeypatch.setattr(solver, "_implicit_matrix", counting)
     solve(rd, boundary.robin(0.0, 1.0, rd.layout), grid=grid)
     assert assembled == list(grid.ts[1:])
+
+
+@pytest.mark.parametrize("eps", [5e-10, -5e-10])
+def test_admissible_pair_has_a_solvable_closure(strip, eps):
+    # a near-tangent characteristic of speed ε, inside the rank tolerance:
+    # condition (iii) counts it as nonnegative, so the closure must too
+    sys_ = system.constant_system(strip, [np.eye(2), np.diag([1.0, eps])], None)
+    bcs = {LEFT: boundary.custom_bc(np.diag([1.0, 0.0])), RIGHT: boundary.no_condition(2)}
+    for face, bc in bcs.items():
+        assert boundary.admissibility(sys_, bc, faces=[face]).admissible
+    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 2),
+                grid=make_grid(sys_, 16))
+    assert np.all(np.isfinite(fld.values))
