@@ -428,55 +428,49 @@ def estimate_energy_constant(sys, n_samples=16):
         if P is None:
             P = G
         for i in range(0, xs.shape[0], max(1, xs.shape[0] // 8)):
-            W = P[i] @ (np.linalg.inv(sys.metric_at(t, xs)[i]) @ (G[i] @ Z_h[i]))
+            W = P[i] @ (np.linalg.inv(G[i]) @ (G[i] @ Z_h[i]))
             ev, _ = eigh_pencil(0.5 * (W + W.conj().T), P[i])
             worst = max(worst, float(np.max(-ev)))
     return worst
 
 
+def _support_mask(fld, threshold):
+    """The table {(level, x) : |Ψ| > threshold · max|Ψ|} from one pointwise
+    norm table; all False for a zero field."""
+    norms = fld.pointwise_norm()
+    return norms > threshold * float(norms.max())
+
+
+def _row_hulls(mask):
+    """Per row of a boolean table: whether any entry is set, and the first and
+    last set index (meaningful only on rows where one is set)."""
+    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    return mask.any(axis=1), mask.argmax(axis=1), last
+
+
 def support_radius(fld, level, threshold=1e-8):
     """Intervals covering {x : |Ψ(t_level, x)| > threshold · max|Ψ|}."""
-    norms = fld.pointwise_norm()
-    ref = float(norms.max())
-    if ref == 0.0:
-        return []
-    mask = norms[level] > threshold * ref
-    if not mask.any():
+    idx = np.flatnonzero(_support_mask(fld, threshold)[level])
+    if not idx.size:
         return []
     xs = fld.grid.xs
-    intervals = []
-    idx = np.flatnonzero(mask)
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            intervals.append((float(xs[start]), float(xs[prev])))
-            start = i
-        prev = i
-    intervals.append((float(xs[start]), float(xs[prev])))
-    return intervals
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
+    return [(float(xs[run[0]]), float(xs[run[-1]])) for run in runs]
 
 
 def support_growth_margins(fld, c_max, threshold=1e-8):
     """Per-step slack of |support growth| ≤ c_max·Δt + 2Δx (per side).
 
     Nonnegative margins mean finite propagation speed holds at every step.
+    Levels with empty support are skipped: growth is measured from the last
+    level that had one.
     """
     grid = fld.grid
     allowed = c_max * grid.dt + 2 * grid.dx
-    margins = []
-    prev = None
-    for m in range(grid.nt + 1):
-        iv = support_radius(fld, m, threshold)
-        hull = (iv[0][0], iv[-1][1]) if iv else None
-        if prev is not None and hull is not None:
-            growth_right = hull[1] - prev[1]
-            growth_left = prev[0] - hull[0]
-            margins.append(allowed - max(0.0, growth_right))
-            margins.append(allowed - max(0.0, growth_left))
-        if hull is not None:
-            prev = hull
-    return np.asarray(margins)
+    found, first, last = _row_hulls(_support_mask(fld, threshold))
+    lo, hi = grid.xs[first[found]], grid.xs[last[found]]
+    growth = np.stack([hi[1:] - hi[:-1], lo[:-1] - lo[1:]], axis=1)
+    return (allowed - np.where(growth > 0.0, growth, 0.0)).ravel()
 
 
 def apply_operator(sys, fld):
@@ -507,11 +501,17 @@ def l2_norm(fld_values, grid):
 # -- Green operators ---------------------------------------------------------
 
 
+def _forcing_table(f, grid, N):
+    """The forcing f of a Green operator stacked over the time levels:
+    shape (nt+1, n_x, N)."""
+    if f is None:
+        raise ConfigError("a Green operator needs a source f")
+    return np.stack([_eval_forcing(f, t, grid.xs, N) for t in grid.ts])
+
+
 def forcing_support_levels(f, grid, N, threshold=1e-14):
     """Time levels where the forcing is active (threshold=0: strictly nonzero)."""
-    norms = np.array([
-        0.0 if (arr := _eval_forcing(f, t, grid.xs, N)) is None
-        else float(np.linalg.norm(arr)) for t in grid.ts])
+    norms = np.array([float(np.linalg.norm(arr)) for arr in _forcing_table(f, grid, N)])
     nz = np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
     return nz
 
@@ -591,8 +591,7 @@ def green_residual(sys, fld, f):
     """‖S(G f) − f‖₂ / ‖f‖₂ over the full grid."""
     grid = fld.grid
     res = apply_operator(sys, fld).values.copy()
-    f_vals = np.stack([
-        _eval_forcing(f, t, grid.xs, sys.fiber_rank) for t in grid.ts])
+    f_vals = _forcing_table(f, grid, sys.fiber_rank)
     res -= f_vals
     return l2_norm(res, grid) / max(l2_norm(f_vals, grid), 1e-300)
 
@@ -600,27 +599,26 @@ def green_residual(sys, fld, f):
 def causal_support_ok(fld, f, c_max, cells=2, threshold=1e-8, future=True):
     """supp(G±f) ⊂ J±(supp f) within a ``cells``-cell tolerance."""
     grid = fld.grid
-    N = fld.values.shape[2]
-    f_vals = np.stack([_eval_forcing(f, t, grid.xs, N) for t in grid.ts])
-    fnorm = np.linalg.norm(f_vals, axis=2)
-    fref = fnorm.max()
+    xs = grid.xs
+    fnorm = np.linalg.norm(_forcing_table(f, grid, fld.values.shape[2]), axis=2)
+    src, src_lo, src_hi = _row_hulls(fnorm > 1e-10 * fnorm.max())
+    found, first, last = _row_hulls(_support_mask(fld, threshold))
     levels = range(grid.nt + 1) if future else range(grid.nt, -1, -1)
     lo, hi = np.inf, -np.inf
     have_src = False
     slack = cells * grid.dx
     worst = np.inf
     for m in levels:
-        t_idx = np.flatnonzero(fnorm[m] > 1e-10 * fref)
-        if t_idx.size:
+        if src[m]:
             have_src = True
-            lo = min(lo, grid.xs[t_idx[0]])
-            hi = max(hi, grid.xs[t_idx[-1]])
-        iv = support_radius(fld, m, threshold)
-        if iv:
+            lo = min(lo, xs[src_lo[m]])
+            hi = max(hi, xs[src_hi[m]])
+        if found[m]:
             if not have_src:
                 return False, -np.inf
-            worst = min(worst, iv[0][0] - (lo - slack), (hi + slack) - iv[-1][1])
-            if iv[0][0] < lo - slack - 1e-12 or iv[-1][1] > hi + slack + 1e-12:
+            left, right = float(xs[first[m]]), float(xs[last[m]])
+            worst = min(worst, left - (lo - slack), (hi + slack) - right)
+            if left < lo - slack - 1e-12 or right > hi + slack + 1e-12:
                 return False, float(worst)
         lo -= c_max * grid.dt
         hi += c_max * grid.dt

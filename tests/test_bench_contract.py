@@ -43,3 +43,26 @@ def test_tracer_counts_a_solve_and_restores_every_name():
     assert counts["solver.solve.cell_steps"] == grid.nx * grid.nt > 0
     assert counts["system.coeff_at.calls"] > 0
     assert counts["solver.energy_trace.calls"] == 1
+
+
+def test_support_diagnostics_take_one_norm_table_each():
+    # each diagnostic reads every level's support from one pointwise norm
+    # table, so the count stays 2 whatever nt is; a per-level scan reads
+    # 2·(nt+1)
+    chart = geometry.minkowski_strip((0.0, 0.5), (1.0,))
+    adv = system.advection_system(chart)
+    bcs = {geometry.LEFT: boundary.zero_trace(1), geometry.RIGHT: boundary.no_condition(1)}
+    grid = solver.make_grid(adv, 32)
+
+    def f(t, xs2):
+        return np.exp(-50 * (xs2 - 0.4) ** 2 - 50 * (t - 0.25) ** 2).astype(complex)
+
+    fld = solver.solve(adv, bcs, f=f, grid=grid)
+    tracer = tracing.Tracer()
+    with tracer.installed("study"):
+        solver.support_growth_margins(fld, 1.0)
+        solver.causal_support_ok(fld, f, 1.0)
+    counts = tracer.counts["study"]
+    assert grid.nt > 1
+    assert counts["solver.support.calls"] == 2
+    assert counts["solver.pointwise_norm.calls"] == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.errors import ConfigError, ContractError, NotAdmissibleError
@@ -165,6 +167,125 @@ def test_finite_speed_margins(short_strip, setup):
     assert margins.min() >= 0.0
 
 
+def reference_support_radius(fld, level, threshold=1e-8):
+    """Per-level support intervals as first written: the whole norm table per
+    call and a Python loop over the indices."""
+    norms = fld.pointwise_norm()
+    ref = float(norms.max())
+    if ref == 0.0:
+        return []
+    mask = norms[level] > threshold * ref
+    if not mask.any():
+        return []
+    xs = fld.grid.xs
+    intervals = []
+    idx = np.flatnonzero(mask)
+    start = idx[0]
+    prev = idx[0]
+    for i in idx[1:]:
+        if i != prev + 1:
+            intervals.append((float(xs[start]), float(xs[prev])))
+            start = i
+        prev = i
+    intervals.append((float(xs[start]), float(xs[prev])))
+    return intervals
+
+
+def reference_support_growth_margins(fld, c_max, threshold=1e-8):
+    grid = fld.grid
+    allowed = c_max * grid.dt + 2 * grid.dx
+    margins = []
+    prev = None
+    for m in range(grid.nt + 1):
+        iv = reference_support_radius(fld, m, threshold)
+        hull = (iv[0][0], iv[-1][1]) if iv else None
+        if prev is not None and hull is not None:
+            growth_right = hull[1] - prev[1]
+            growth_left = prev[0] - hull[0]
+            margins.append(allowed - max(0.0, growth_right))
+            margins.append(allowed - max(0.0, growth_left))
+        if hull is not None:
+            prev = hull
+    return np.asarray(margins)
+
+
+def reference_causal_support_ok(fld, f_vals, c_max, cells, threshold, future):
+    grid = fld.grid
+    fnorm = np.linalg.norm(f_vals, axis=2)
+    fref = fnorm.max()
+    levels = range(grid.nt + 1) if future else range(grid.nt, -1, -1)
+    lo, hi = np.inf, -np.inf
+    have_src = False
+    slack = cells * grid.dx
+    worst = np.inf
+    for m in levels:
+        t_idx = np.flatnonzero(fnorm[m] > 1e-10 * fref)
+        if t_idx.size:
+            have_src = True
+            lo = min(lo, grid.xs[t_idx[0]])
+            hi = max(hi, grid.xs[t_idx[-1]])
+        iv = reference_support_radius(fld, m, threshold)
+        if iv:
+            if not have_src:
+                return False, -np.inf
+            worst = min(worst, iv[0][0] - (lo - slack), (hi + slack) - iv[-1][1])
+            if iv[0][0] < lo - slack - 1e-12 or iv[-1][1] > hi + slack + 1e-12:
+                return False, float(worst)
+        lo -= c_max * grid.dt
+        hi += c_max * grid.dt
+    return True, float(worst if np.isfinite(worst) else 0.0)
+
+
+def random_table(rng, nt1, nx, N, density, zero_rows):
+    """Complex values over decades of magnitude, with gaps (entries dropped
+    at random) and all-zero levels."""
+    vals = (rng.standard_normal((nt1, nx, N)) + 1j * rng.standard_normal((nt1, nx, N)))
+    vals *= 10.0 ** rng.uniform(-12, 0, (nt1, nx, 1))
+    vals *= (rng.random((nt1, nx)) < density)[:, :, None]
+    vals[rng.random(nt1) < zero_rows] = 0
+    return vals
+
+
+thresholds = st.one_of(st.sampled_from([0.0, 1e-10, 1e-8, 1e-3, 1.0]),
+                       st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(nt=st.integers(0, 39), nx=st.integers(1, 40), N=st.integers(1, 3),
+       density=st.floats(0.0, 1.0), zero_rows=st.floats(0.0, 1.0),
+       zero_field=st.booleans(), threshold=thresholds, c_max=st.floats(0.0, 3.0),
+       cells=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_support_diagnostics_match_the_per_level_scan(nt, nx, N, density, zero_rows,
+                                                      zero_field, threshold, c_max,
+                                                      cells, seed):
+    rng = np.random.default_rng(seed)
+    dx, dt = 1.0 / nx, 0.5 / nx
+    grid = solver.Grid(nx, dx, dt, nt, 0.5, (np.arange(nx) + 0.5) * dx,
+                       dt * np.arange(nt + 1), True)
+    vals = random_table(rng, nt + 1, nx, N, density, zero_rows)
+    if zero_field:
+        vals[:] = 0
+    fld = GridField(vals, grid)
+    f_vals = random_table(rng, nt + 1, nx, N, rng.random(), rng.random())
+    by_time = dict(zip(grid.ts, f_vals))
+
+    def f(t, xs2):
+        return by_time[t]
+
+    found, first, last = solver._row_hulls(solver._support_mask(fld, threshold))
+    for m in range(nt + 1):
+        iv = reference_support_radius(fld, m, threshold)
+        assert support_radius(fld, m, threshold) == iv
+        assert found[m] == bool(iv)
+        if iv:
+            assert (float(grid.xs[first[m]]), float(grid.xs[last[m]])) == (iv[0][0], iv[-1][1])
+    assert np.array_equal(support_growth_margins(fld, c_max, threshold),
+                          reference_support_growth_margins(fld, c_max, threshold))
+    for future in (True, False):
+        assert (causal_support_ok(fld, f, c_max, cells, threshold, future)
+                == reference_causal_support_ok(fld, f_vals, c_max, cells, threshold, future))
+
+
 def test_solve_deterministic(short_strip):
     sys_, bcs = advection_setup(short_strip)
     h = lambda xs: smooth_bump(xs, 0.3, 0.15)[:, None]
@@ -199,6 +320,20 @@ def test_green_zero_source(strip):
     grid = make_grid(sys_, 64)
     fld = green_plus(sys_, bcs, lambda t, xs2: np.zeros((xs2.shape[0], 1)), grid)
     assert np.all(fld.values == 0)
+
+
+def test_green_operators_reject_a_missing_source(strip):
+    sys_, bcs = advection_setup(strip)
+    grid = make_grid(sys_, 16)
+    fld = green_plus(sys_, bcs, spacetime_source(1), grid)
+    with pytest.raises(ConfigError):
+        green_plus(sys_, bcs, None, grid)
+    with pytest.raises(ConfigError):
+        green_minus(sys_, bcs, None, grid)
+    with pytest.raises(ConfigError):
+        green_residual(sys_, fld, None)
+    with pytest.raises(ConfigError):
+        causal_support_ok(fld, None, 1.0)
 
 
 def test_green_source_on_initial_slice_rejected(strip):
