@@ -42,163 +42,227 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# -- the config schema and its reader ---------------------------------------
+#
+# A spec is a default, a (default, test, what it must be) range check, a dict
+# of specs or a reader fn(value, path).  A default's type is its key's: a float
+# takes an int too, a list a list of its entry's type, None an optional table.
+
+_MISSING = object()
+_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          dict: "an object", type(None): "a number or numeric table"}
+
+
+def _is(value, default):
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_is(v, default[0]) for v in value)
+    if default is None:
+        try:
+            return value is None or np.asarray(value).dtype.kind in "iuf"
+        except ValueError:  # a ragged table
+            return False
+    kinds = (int, float) if type(default) is float else type(default)
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _pick(key, table, default, spec_of):
+    """Spec of an object whose ``key`` names an entry of ``table``; ``spec_of``
+    gives the object's spec for that entry.  An absent object reads as None."""
+    def read(value, path):
+        if not isinstance(value, dict):  # absent, or refused as not an object
+            return None if value is _MISSING else read_config(value, {}, path)
+        name = value[key] if key in value else default
+        if not isinstance(name, str) or name not in table:
+            raise ConfigError(f"{path}.{key} must be one of {sorted(table)}, got {name!r}")
+        return read_config(value, spec_of(name), path)
+
+    return read
+
+
+def _initial(value, path):
+    """One profile or a list of them, read as a list."""
+    items = [] if value is _MISSING else [value] if isinstance(value, dict) else value
+    if not isinstance(items, list):
+        raise ConfigError(f"{path} must be a profile or a list of them, got {value!r}")
+    return [INITIAL(item, f"{path}[{i}]") for i, item in enumerate(items)]
+
+
+def _bcs(value, path):
+    """One condition for every face, or {"left": ..., "right": ...}."""
+    if isinstance(value, dict) and value and "name" not in value:
+        return read_config(value, {"left": BC, "right": BC}, path)
+    return BC(value, path)
+
+
+def _need(value, message):
+    if value is None:
+        raise ConfigError(message)
+    return value
+
+
+def _bump(s):
+    """exp(1 − 1/(1 − s²)) on |s| < 1, zero elsewhere."""
+    out = np.zeros_like(s)
+    m = np.abs(s) < 1
+    out[m] = np.exp(1.0 - 1.0 / (1.0 - s[m] ** 2))
+    return out
+
+
+def _c(p):
+    """The zero-order term c(t, xs) of params c: a number (times I_k) or a k×k table."""
+    return None if p["c"] is None else lambda t, xs: p["c"]
+
+
+def _custom_bc(sys_, rep, p):
+    if np.shape(p["matrix"]) != (sys_.fiber_rank,) * 2:
+        raise ConfigError(f"custom bc params.matrix must be {sys_.fiber_rank}×{sys_.fiber_rank}")
+    return boundary.custom_bc(np.array(p["matrix"], dtype=complex))
+
+
+# Each table entry pairs the keys that one profile, system builder or boundary
+# condition reads, with their defaults, and the function that builds it.
+WIDTH = (0.2, lambda w: w > 0, "> 0")
+PROFILES = {
+    "bump": ({"center": 0.5, "width": WIDTH, "amplitude": 1.0}, lambda p: lambda xs:
+             p["amplitude"] * _bump((xs - p["center"]) / p["width"])),
+    "sine": ({"amplitude": 1.0, "waves": 1.0},
+             lambda p: lambda xs: p["amplitude"] * np.sin(2 * np.pi * p["waves"] * xs)),
+    "cosine": ({"amplitude": 1.0, "waves": 1.0},
+               lambda p: lambda xs: p["amplitude"] * np.cos(np.pi * p["waves"] * xs)),
+    "zero": ({}, lambda p: np.zeros_like),
+}
+INITIAL = _pick("profile", PROFILES, "bump",
+                lambda kind: {"profile": kind, "component": 0, **PROFILES[kind][0]})
+SOURCE = _pick("profile", PROFILES, "bump", lambda kind: {
+    "profile": kind, "component": 0, "t_center": 0.5, "t_width": WIDTH, **PROFILES[kind][0]})
+K = (1, lambda k: k >= 1, ">= 1")
+TABLE = (None, lambda v: v is not None, "a numeric table")
+SYSTEMS = {
+    "advection": ({"speed": 1.0},
+                  lambda chart, p: (system.advection_system(chart, speed=p["speed"]), None)),
+    "dirac": ({}, lambda chart, p: (
+        clifford.dirac_system(rep := clifford.build_rep(chart.dim_space + 1), chart), rep)),
+    "wave_reduction": ({"k": K, "c": None}, lambda chart, p: (reduction.wave_to_first_order(
+        reduction.SecondOrderProblem("normally_hyperbolic", chart, k=p["k"], c=_c(p))), None)),
+    "kg_reduction": ({"k": K, "mass": 1.0}, lambda chart, p: (reduction.kg_to_first_order(
+        reduction.SecondOrderProblem("klein_gordon", chart, k=p["k"], mass=p["mass"])), None)),
+    "reaction_diffusion": ({"k": K, "c": None, "lambda": 0.0}, lambda chart, p: (
+        reduction.reaction_diffusion_to_first_order(reduction.SecondOrderProblem(
+            "reaction_diffusion", chart, k=p["k"], c=_c(p)), p["lambda"]), None)),
+    "custom": ({"A": TABLE, "C": None, "gram": None},
+               lambda chart, p: (system.constant_system(chart, p["A"], p["C"], p["gram"]), None)),
+}
+DIRAC = "this boundary condition needs a dirac system"
+REDUCED = "this boundary condition needs a reduced (wave/kg/reaction-diffusion) system"
+BCS = {
+    "mit_bag": ({"sign": -1}, lambda s, r, p: boundary.mit_bag(_need(r, DIRAC), p["sign"])),
+    "chirality": ({"sign": -1}, lambda s, r, p: boundary.chirality(_need(r, DIRAC), p["sign"])),
+    "riemannian_mit": ({"sign": -1},
+                       lambda s, r, p: boundary.riemannian_mit(_need(r, DIRAC), p["sign"])),
+    "riemannian_chirality": ({"sign": 1}, lambda s, r, p: boundary.riemannian_chirality(
+        _need(r, DIRAC), p["sign"])),
+    "robin": ({"a": 1.0, "b": 0.0},
+              lambda s, r, p: boundary.robin(p["a"], p["b"], _need(s.layout, REDUCED))),
+    "neumann_like": ({}, lambda s, r, p: boundary.neumann_like(_need(s.layout, REDUCED))),
+    "transparent": ({"b": 1.0},
+                    lambda s, r, p: boundary.transparent(p["b"], _need(s.layout, REDUCED))),
+    "dirichlet": ({}, lambda s, r, p: boundary.dirichlet(_need(s.layout, REDUCED))),
+    "zero_trace": ({}, lambda s, r, p: boundary.zero_trace(s.fiber_rank)),
+    "no_condition": ({}, lambda s, r, p: boundary.no_condition(s.fiber_rank)),
+    "custom": ({"matrix": TABLE}, _custom_bc),
+}
+BC = _pick("name", BCS, None, lambda name: {"name": name, "params": BCS[name][0]})
+CHART_PROFILE = _pick("profile", geometry.SCALAR_PROFILES, "constant",
+                      lambda kind: {"profile": kind, **geometry.SCALAR_PROFILES[kind]})
+#: chart -> the params geometry.CHART_BUILDERS[chart] reads
+CHARTS = {"minkowski_strip": {}, "ultrastatic": {"eps": 0.2, "waves": 1.0},
+          "custom": {"beta": CHART_PROFILE, "h_scale": CHART_PROFILE}}
+#: the top-level sections; ``task`` holds the keys of every subcommand
+SECTIONS = {
+    "chart": _pick("name", CHARTS, "minkowski_strip", lambda name: {
+        "name": name, "params": CHARTS[name], "lengths": [1.0],
+        "t_range": ([0.0, 1.0], lambda r: len(r) == 2, "[t_start, t_end]")}),
+    "system": _pick("builder", SYSTEMS, None,
+                    lambda name: {"builder": name, "params": SYSTEMS[name][0]}),
+    "bc": _bcs,
+    "grid": {"nx": 128, "cfl": 0.5},
+    "task": {"initial": _initial, "constrain_gradient": False, "source": SOURCE,
+             "direction": ("+", lambda d: d in ("+", "-"), "'+' or '-'"),
+             "case": ("advection_sine", lambda c: c in ("advection_sine", "wave_cosine"),
+                      "'advection_sine' or 'wave_cosine'"),
+             "grids": ([64, 128, 256], lambda g: len(g) >= 2 and g[0] >= 1 and all(
+                 b == 2 * a for a, b in zip(g, g[1:])), "two or more sizes >= 1, each twice "
+                 "the last"),
+             "order": (0, lambda k: k >= 0, ">= 0"), "nx": (128, lambda n: n >= 2, ">= 2"),
+             "tol": 1e-8},
+}
+
+
+def read_config(value, spec=SECTIONS, path=""):
+    """``value`` checked against ``spec``, by default a whole config against the
+    schema, with the defaults filled in."""
+    if callable(spec):
+        return spec(value, path)
+    if isinstance(spec, tuple):
+        value = read_config(value, spec[0], path)
+        if not spec[1](value):
+            raise ConfigError(f"{path} must be {spec[2]}, got {value!r}")
+    elif isinstance(spec, dict) and isinstance(value, dict):
+        prefix = f"{path}." if path else ""
+        unknown = sorted(value.keys() - spec.keys())
+        if unknown:
+            raise ConfigError(f"unknown key '{prefix}{unknown[0]}'")
+        value = {key: read_config(value[key] if key in value else _MISSING, sub, prefix + key)
+                 for key, sub in spec.items()}
+    elif value is _MISSING:
+        value = read_config({}, spec, path) if isinstance(spec, dict) else spec
+    elif isinstance(spec, dict) or not _is(value, spec):
+        what = _TYPES[type(spec)] if type(spec) in _TYPES else f"a list like {spec}"
+        raise ConfigError(f"{path or 'the config'} must be {what}, got {value!r}")
+    return value
+
+
 # -- config -> objects -------------------------------------------------------
 
 
 def build_chart(cfg):
-    spec = cfg.get("chart")
-    if not spec:
-        raise ConfigError("config needs a 'chart' section")
-    name = spec.get("name", "minkowski_strip")
-    if name not in geometry.CHART_BUILDERS:
-        raise ConfigError(f"unknown chart '{name}'; have {sorted(geometry.CHART_BUILDERS)}")
-    kwargs = dict(spec.get("params", {}))
-    kwargs["t_range"] = tuple(spec.get("t_range", (0.0, 1.0)))
-    kwargs["lengths"] = tuple(spec.get("lengths", (1.0,)))
-    try:
-        return geometry.CHART_BUILDERS[name](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad chart parameters for '{name}': {exc}") from exc
+    spec = _need(cfg["chart"], "config needs a 'chart' section")
+    return geometry.CHART_BUILDERS[spec["name"]](spec["t_range"], spec["lengths"],
+                                                 **spec["params"])
 
 
 def build_system(cfg, chart):
-    spec = cfg.get("system")
-    if not spec or "builder" not in spec:
-        raise ConfigError("config needs system.builder")
-    builder = spec["builder"]
-    params = dict(spec.get("params", {}))
-    if builder == "advection":
-        return system.advection_system(chart, speed=params.get("speed", 1.0)), None
-    if builder == "dirac":
-        rep = clifford.build_rep(chart.dim_space + 1)
-        return clifford.dirac_system(rep, chart), rep
-    if builder == "wave_reduction":
-        prob = reduction.SecondOrderProblem(
-            "normally_hyperbolic", chart, k=params.get("k", 1),
-            c=_const_matrix_fn(params.get("c"), params.get("k", 1)))
-        return reduction.wave_to_first_order(prob), None
-    if builder == "kg_reduction":
-        prob = reduction.SecondOrderProblem(
-            "klein_gordon", chart, k=params.get("k", 1), mass=params.get("mass", 1.0))
-        return reduction.kg_to_first_order(prob), None
-    if builder == "reaction_diffusion":
-        prob = reduction.SecondOrderProblem(
-            "reaction_diffusion", chart, k=params.get("k", 1),
-            c=_const_matrix_fn(params.get("c"), params.get("k", 1)))
-        return reduction.reaction_diffusion_to_first_order(
-            prob, params.get("lambda", 0.0)), None
-    if builder == "custom":
-        try:
-            A = [np.array(a, dtype=complex) for a in params["A"]]
-            C = np.array(params["C"], dtype=complex) if "C" in params else None
-            gram = np.array(params["gram"], dtype=complex) if "gram" in params else None
-        except KeyError as exc:
-            raise ConfigError(f"custom system needs coefficient tables: {exc}") from exc
-        return system.constant_system(chart, A, C, gram), None
-    raise ConfigError(f"unknown system builder '{builder}'")
-
-
-def _const_matrix_fn(value, k):
-    if value is None:
-        return None
-    arr = np.array(value, dtype=complex) * (np.eye(k) if np.ndim(value) == 0 else 1.0)
-
-    def fn(t, xs):
-        return np.broadcast_to(arr, (xs.shape[0], k, k))
-
-    return fn
-
-
-def build_bc(spec, sys_, rep):
-    name = spec.get("name")
-    params = dict(spec.get("params", {}))
-    spinor = {"mit_bag": boundary.mit_bag, "chirality": boundary.chirality,
-              "riemannian_mit": boundary.riemannian_mit,
-              "riemannian_chirality": boundary.riemannian_chirality}
-    if name in spinor:
-        if rep is None:
-            raise ConfigError(f"boundary condition '{name}' needs a dirac system")
-        kwargs = {"sign": params.get("sign", -1)} if "mit" in name else \
-                 {"sign": params.get("sign", -1 if name == "chirality" else 1)}
-        return spinor[name](rep, **kwargs)
-    if name == "robin":
-        return boundary.robin(params.get("a", 1.0), params.get("b", 0.0), _layout(sys_))
-    if name == "neumann_like":
-        return boundary.neumann_like(_layout(sys_))
-    if name == "transparent":
-        return boundary.transparent(params.get("b", 1.0), _layout(sys_))
-    if name == "dirichlet":
-        return boundary.dirichlet(_layout(sys_))
-    if name == "zero_trace":
-        return boundary.zero_trace(sys_.fiber_rank)
-    if name == "no_condition":
-        return boundary.no_condition(sys_.fiber_rank)
-    if name == "custom":
-        return boundary.custom_bc(np.array(params["matrix"], dtype=complex))
-    raise ConfigError(f"unknown boundary condition '{name}'")
+    spec = _need(cfg["system"], "config needs system.builder")
+    return SYSTEMS[spec["builder"]][1](chart, spec["params"])
 
 
 def build_bcs(cfg, sys_, rep):
-    spec = cfg.get("bc")
-    if not spec:
-        raise ConfigError("config needs a 'bc' section")
+    spec = _need(cfg["bc"], "config needs a 'bc' section")
     if "name" in spec:
-        return build_bc(spec, sys_, rep)
-    names = {"left": geometry.LEFT, "right": geometry.RIGHT}
-    out = {}
-    for key, sub in spec.items():
-        if key not in names:
-            raise ConfigError(f"unknown face '{key}' (use left/right)")
-        out[names[key]] = build_bc(sub, sys_, rep)
-    return out
+        return BCS[spec["name"]][1](sys_, rep, spec["params"])
+    faces = {"left": geometry.LEFT, "right": geometry.RIGHT}
+    return {faces[key]: BCS[sub["name"]][1](sys_, rep, sub["params"])
+            for key, sub in spec.items() if sub is not None}
 
 
-def _layout(sys_):
-    if sys_.layout is None:
-        raise ConfigError("this boundary condition needs a reduced system "
-                          "(wave/kg/reaction-diffusion builder)")
-    return sys_.layout
-
-
-def _profile(spec):
-    kind = spec.get("profile", "bump")
-    center = spec.get("center", 0.5)
-    width = spec.get("width", 0.2)
-    amp = spec.get("amplitude", 1.0)
-    waves = spec.get("waves", 1)
-    if kind == "bump":
-        def fn(xs):
-            s = (xs - center) / width
-            out = np.zeros_like(xs)
-            m = np.abs(s) < 1
-            out[m] = amp * np.exp(1.0 - 1.0 / (1.0 - s[m] ** 2))
-            return out
-    elif kind == "sine":
-        def fn(xs):
-            return amp * np.sin(2 * np.pi * waves * xs)
-    elif kind == "cosine":
-        def fn(xs):
-            return amp * np.cos(np.pi * waves * xs)
-    elif kind == "zero":
-        def fn(xs):
-            return np.zeros_like(xs)
-    else:
-        raise ConfigError(f"unknown profile '{kind}'")
-    return fn
+def _profile(spec, sys_, path):
+    """fn(xs) of an initial or source profile, whose component must be in the fiber."""
+    if not 0 <= spec["component"] < sys_.fiber_rank:
+        raise ConfigError(f"{path}.component must be in [0, {sys_.fiber_rank}), got "
+                          f"{spec['component']}")
+    return PROFILES[spec["profile"]][1](spec)
 
 
 def build_initial(cfg, sys_):
-    spec = cfg.get("task", {}).get("initial", [])
-    if isinstance(spec, dict):
-        spec = [spec]
-    constrain = cfg.get("task", {}).get("constrain_gradient", False)
+    task = cfg["task"]
+    items = [(item["component"], _profile(item, sys_, f"task.initial[{i}]"))
+             for i, item in enumerate(task["initial"])]
 
     def h(xs):
         out = np.zeros((xs.size, sys_.fiber_rank), dtype=complex)
-        for item in spec:
-            comp = item.get("component", 0)
-            out[:, comp] += _profile(item)(xs)
-        if constrain and sys_.layout is not None:
+        for comp, fn in items:
+            out[:, comp] += fn(xs)
+        if task["constrain_gradient"] and sys_.layout is not None:
             L = sys_.layout
             src = out[:, L.tail_start:] if L.tail_start is not None else out[:, :L.k]
             out[:, L.grad_slot(0)] = np.gradient(src, xs, axis=0)
@@ -208,13 +272,11 @@ def build_initial(cfg, sys_):
 
 
 def build_source(cfg, sys_):
-    spec = cfg.get("task", {}).get("source")
+    spec = cfg["task"]["source"]
     if spec is None:
         return None
-    fx = _profile(spec)
-    tc = spec.get("t_center", 0.5)
-    tw = spec.get("t_width", 0.2)
-    comp = spec.get("component", 0)
+    fx = _profile(spec, sys_, "task.source")
+    tc, tw, comp = spec["t_center"], spec["t_width"], spec["component"]
 
     def f(t, xs2):
         out = np.zeros((xs2.shape[0], sys_.fiber_rank), dtype=complex)
@@ -295,14 +357,9 @@ def cmd_reduce(cfg, out, force, seed):
                f"positive={cls.positive} char_dim={cls.characteristic_dim}\n")
 
 
-def _grid(cfg, sys_):
-    gspec = cfg.get("grid", {})
-    return solver.make_grid(sys_, gspec.get("nx", 128), gspec.get("cfl", 0.5))
-
-
 def cmd_solve(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
-    grid = _grid(cfg, sys_)
+    grid = solver.make_grid(sys_, **cfg["grid"])
     fld = solver.solve(sys_, bcs, f=build_source(cfg, sys_),
                        h=build_initial(cfg, sys_), grid=grid, force=force)
     tr = solver.energy_trace(fld, sys_)
@@ -322,13 +379,9 @@ def cmd_solve(cfg, out, force, seed):
 
 def cmd_green(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
-    direction = cfg.get("task", {}).get("direction", "+")
-    if direction not in ("+", "-"):
-        raise ConfigError(f"task.direction must be '+' or '-', got {direction!r}")
-    grid = _grid(cfg, sys_)
-    f = build_source(cfg, sys_)
-    if f is None:
-        raise ConfigError("green task needs task.source")
+    direction = cfg["task"]["direction"]
+    grid = solver.make_grid(sys_, **cfg["grid"])
+    f = _need(build_source(cfg, sys_), "green task needs task.source")
     green = solver.green_plus if direction == "+" else solver.green_minus
     fld = green(sys_, bcs, f, grid, force=force)
     res = solver.green_residual(sys_, fld, f)
@@ -342,8 +395,7 @@ def cmd_green(cfg, out, force, seed):
 
 def cmd_converge(cfg, out, force, seed):
     chart = build_chart(cfg)
-    case = cfg.get("task", {}).get("case", "advection_sine")
-    nxs = cfg.get("task", {}).get("grids", [64, 128, 256])
+    case = cfg["task"]["case"]
     if case == "advection_sine":
         sys_ = system.advection_system(chart)
         bcs = {geometry.LEFT: boundary.zero_trace(1),
@@ -357,7 +409,7 @@ def cmd_converge(cfg, out, force, seed):
             return ((-np.sin(2 * np.pi * xs) + 2 * np.pi * np.cos(2 * np.pi * xs))
                     * np.exp(-t))[:, None]
 
-    elif case == "wave_cosine":
+    else:
         prob = reduction.SecondOrderProblem("normally_hyperbolic", chart, k=1)
         sys_ = reduction.wave_to_first_order(prob)
         bcs = boundary.neumann_like(sys_.layout)
@@ -367,14 +419,12 @@ def cmd_converge(cfg, out, force, seed):
             return np.stack([-np.pi * np.cos(np.pi * xs) * np.sin(np.pi * t),
                              -np.pi * np.sin(np.pi * xs) * np.cos(np.pi * t),
                              np.cos(np.pi * xs) * np.cos(np.pi * t)], axis=1)
-    else:
-        raise ConfigError(f"unknown convergence case '{case}'")
 
     def factory(nx):
-        grid = solver.make_grid(sys_, nx, cfg.get("grid", {}).get("cfl", 0.5))
+        grid = solver.make_grid(sys_, nx, cfg["grid"]["cfl"])
         return sys_, bcs, f, lambda xs: exact(chart.t_range[0], xs), grid
 
-    rep_c = solver.convergence_study(factory, nxs, exact)
+    rep_c = solver.convergence_study(factory, cfg["task"]["grids"], exact)
     rows = [(nx, e, o) for nx, e, o in
             zip(rep_c.nxs, rep_c.errors, np.concatenate([[np.nan], rep_c.orders]))]
     write_csv(out / "errors.csv", ["grid", "error", "order"], rows)
@@ -388,12 +438,11 @@ def cmd_compat(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
     if isinstance(bcs, dict):
         raise ConfigError("compat task uses a single bc for the whole boundary")
-    order = cfg.get("task", {}).get("order", 0)
-    nx = cfg.get("task", {}).get("nx", 128)
+    order = cfg["task"]["order"]
     h = build_initial(cfg, sys_)
     f = build_source(cfg, sys_)
-    rep_c = reduction.compatibility_check(sys_, bcs, f, h, order, nx=nx,
-                                          tol=cfg.get("task", {}).get("tol", 1e-8))
+    rep_c = reduction.compatibility_check(sys_, bcs, f, h, order, nx=cfg["task"]["nx"],
+                                          tol=cfg["task"]["tol"])
     rows = [(k, fi, rep_c.residuals[k, fi])
             for k in range(order + 1) for fi in range(rep_c.residuals.shape[1])]
     write_csv(out / "residuals.csv", ["order", "face", "residual"], rows)
@@ -426,9 +475,8 @@ def main(argv=None):
         parser.error(f"cannot read config: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(args.seed)
     try:
-        code, report = COMMANDS[args.command](cfg, out, args.force, args.seed)
+        code, report = COMMANDS[args.command](read_config(cfg), out, args.force, args.seed)
     except NotAdmissibleError as exc:
         print(f"refusing to run: bc '{exc.bc.name}' not admissible on face {exc.face} "
               f"(use --force for counterexample studies)")

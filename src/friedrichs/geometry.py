@@ -237,26 +237,26 @@ def custom_chart(t_range, lengths, beta, h, time_independent=False):
                           name="custom", time_independent=time_independent)
 
 
-#: named closed-form scalar profiles a(t, x) for config-declared charts
+#: the keys, with their defaults, of each named scalar profile a(t, x) of a chart
+SCALAR_PROFILES = {"constant": {"value": 1.0},
+                   "sine": {"base": 1.0, "amplitude": 0.2, "waves": 1.0, "waves_t": 0.0}}
+
+
 def _scalar_profile(spec, lengths):
-    spec = dict(spec or {"profile": "constant"})
-    kind = spec.get("profile", "constant")
+    p = {"profile": "constant", **(spec or {})}
+    kind = p.pop("profile")
+    if kind not in SCALAR_PROFILES or p.keys() - SCALAR_PROFILES[kind].keys():
+        raise ConfigError(f"chart profile {spec} is not one of {SCALAR_PROFILES}")
+    values = [float(v) for v in {**SCALAR_PROFILES[kind], **p}.values()]
     if kind == "constant":
-        value = float(spec.get("value", 1.0))
-        return (lambda t, xs: np.full(xs.shape[0], value)), True
-    if kind == "sine":
-        base = float(spec.get("base", 1.0))
-        amp = float(spec.get("amplitude", 0.2))
-        waves = float(spec.get("waves", 1.0))
-        waves_t = float(spec.get("waves_t", 0.0))
+        return (lambda t, xs: np.full(xs.shape[0], values[0])), True
+    base, amp, waves, waves_t = values
 
-        def fn(t, xs):
-            phase = sum(2 * np.pi * waves * xs[:, j] / lengths[j]
-                        for j in range(len(lengths)))
-            return base + amp * np.sin(phase + 2 * np.pi * waves_t * t)
+    def fn(t, xs):
+        phase = sum(2 * np.pi * waves * xs[:, j] / L for j, L in enumerate(lengths))
+        return base + amp * np.sin(phase + 2 * np.pi * waves_t * t)
 
-        return fn, waves_t == 0.0
-    raise ConfigError(f"unknown chart profile '{kind}'")
+    return fn, waves_t == 0.0
 
 
 def named_profile_chart(t_range=(0.0, 1.0), lengths=(1.0,), beta=None, h_scale=None):

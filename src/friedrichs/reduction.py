@@ -56,7 +56,11 @@ class SecondOrderProblem:
         out = np.asarray(self.c(t, xs), dtype=complex)
         if out.ndim == 0:
             out = out * np.broadcast_to(np.eye(self.k), (xs.shape[0], self.k, self.k))
-        return np.broadcast_to(out, (xs.shape[0], self.k, self.k))
+        try:
+            return np.broadcast_to(out, (xs.shape[0], self.k, self.k))
+        except ValueError as exc:
+            raise ContractError(f"c must be a number or k×k matrices (k = {self.k}), "
+                                f"got shape {out.shape}") from exc
 
 
 def _weingarten(chart, t, xs):

@@ -60,9 +60,9 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
     """
-    if not isinstance(nx, numbers.Integral) or nx < 1:
+    if isinstance(nx, bool) or not isinstance(nx, numbers.Integral) or nx < 1:
         raise ConfigError(f"nx must be a positive integer, got {nx!r}")
-    if not isinstance(cfl, numbers.Real) or not 0 < cfl <= 0.9:
+    if isinstance(cfl, bool) or not isinstance(cfl, numbers.Real) or not 0 < cfl <= 0.9:
         raise ConfigError(f"CFL must be in (0, 0.9], got {cfl!r}")
     chart = sys.chart
     L = chart.space_extent[0]

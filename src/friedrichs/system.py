@@ -424,9 +424,13 @@ def advection_system(chart, speed=1.0):
 def constant_system(chart, A_list, C, gram=None, name="custom", metric_positive=None):
     """System with constant coefficient matrices (CLI custom tables, tests)."""
     A_const = np.asarray(A_list, dtype=complex)
-    N = A_const.shape[-1]
+    N = A_const.shape[-1] if A_const.ndim == 3 else 0
     C_const = np.zeros((N, N), dtype=complex) if C is None else np.asarray(C, dtype=complex)
     G_const = np.eye(N, dtype=complex) if gram is None else np.asarray(gram, dtype=complex)
+    if N == 0 or (A_const.shape, C_const.shape, G_const.shape) != (
+            (chart.dim_space + 1, N, N), (N, N), (N, N)):
+        raise ContractError(f"A must be {chart.dim_space + 1} N×N matrices and C, gram N×N; "
+                            f"got shapes {A_const.shape}, {C_const.shape}, {G_const.shape}")
     if metric_positive is None:
         metric_positive = definiteness_sign(G_const) == 1
 

@@ -1,21 +1,25 @@
-"""The benchmark tracer's contract with the package, checked in the main suite.
+"""The benchmark's contract with the package, checked in the main suite.
 
 ``bench/tracing.py`` wraps package functions under the names their callers
 look up, so a renamed or moved function would silently drop out of the
 traced numbers.  One tiny traced solve checks the counts the benchmark
-relies on, and that every wrapped name is restored afterwards.
+relies on, and that every wrapped name is restored afterwards.  The configs
+the benchmark's ``config_sweep`` runs must pass the CLI's config reader.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
+import studies  # noqa: E402
 import tracing  # noqa: E402
 
-from friedrichs import boundary, geometry, solver, system  # noqa: E402
+from friedrichs import boundary, cli, geometry, solver, system  # noqa: E402
 
 
 def wrapped_names():
@@ -66,3 +70,12 @@ def test_support_diagnostics_take_one_norm_table_each():
     assert grid.nt > 1
     assert counts["solver.support.calls"] == 2
     assert counts["solver.pointwise_norm.calls"] == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_config_sweep_configs_pass_the_reader(seed):
+    # the jittered configs of the benchmark's config_sweep, drawn in its order
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    rng = np.random.default_rng(seed)
+    for name in sorted({run[0] for run in studies.CLI_RUNS}):
+        cli.read_config(studies.jitter_profiles(json.loads((configs / name).read_text()), rng))

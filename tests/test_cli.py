@@ -1,12 +1,22 @@
+import contextlib
 import copy
+import io
 import json
+import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs import boundary, cli, solver
 from friedrichs.geometry import LEFT, RIGHT
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import studies  # noqa: E402
 
 
 def run(tmp_path, cfg, command, extra=()):
@@ -248,6 +258,7 @@ def assert_config_error(capsys, code, out):
     assert not (out / "report.txt").exists()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_green_rejects_unknown_direction(tmp_path, capsys):
@@ -256,7 +267,8 @@ def test_green_rejects_unknown_direction(tmp_path, capsys):
     assert_config_error(capsys, *run(tmp_path, cfg, "green"))
 
 
-@pytest.mark.parametrize("grid", [{"nx": 64, "cfl": -0.5}, {"nx": 0}, {"nx": 2.5}])
+@pytest.mark.parametrize("grid", [{"nx": 64, "cfl": -0.5}, {"nx": 0}, {"nx": 2.5},
+                                  {"nx": True}])
 def test_solve_rejects_bad_grid(tmp_path, capsys, grid):
     assert_config_error(capsys, *run(tmp_path, dict(DIRAC_MIT, grid=grid), "solve"))
 
@@ -283,3 +295,152 @@ def test_solve_marks_indefinite_energy(tmp_path):
     code, out = run(tmp_path / "heat", HEAT, "solve")
     assert code == 0
     assert mark not in (out / "report.txt").read_text()
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def shipped(name, key=None, value=None):
+    """Shipped config ``name``, with the dotted ``key`` set to ``value``."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    if key is not None:
+        *parents, last = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = value
+    return cfg
+
+
+CUSTOM_CHART = {"name": "custom", "params": {"beta": {"profile": "sine", "amplitud": 0.3}}}
+
+#: (shipped config, subcommand, dotted key, value it is set to, key path the
+#: error names); a None key runs the config wrapped in a JSON list
+PROBES = [
+    ("dirac_mit_check.json", "solve", "grid.nX", 8, "grid.nX"),
+    ("dirac_mit_check.json", "solve", "gird", {"nx": 8}, "gird"),
+    ("dirac_mit_check.json", "check", "bc.params.sing", 1, "bc.params.sing"),
+    ("dirac_mit_check.json", "check", "system.params.speed", 2.0, "system.params.speed"),
+    ("heat_dirichlet_solve.json", "solve", "system.params.lamda", 2.0,
+     "system.params.lamda"),
+    ("kg_robin_check.json", "check", "bc.params.c", 1.0, "bc.params.c"),
+    ("dirac_mit_check.json", "solve", "task.initial.centre", 0.4, "task.initial[0].centre"),
+    ("dirac_mit_check.json", "solve", "task.initial.component", 5,
+     "task.initial[0].component"),
+    ("dirac_mit_check.json", "solve", "task.initial.component", -1,
+     "task.initial[0].component"),
+    ("dirac_mit_check.json", "solve", "task.initial.width", 0, "task.initial[0].width"),
+    ("dirac_mit_check.json", "solve", "task.initial", "bump", "task.initial"),
+    ("dirac_mit_check.json", "solve", "grid.nx", True, "grid.nx"),
+    ("dirac_mit_check.json", "check", "chart.t_range", [0.0], "chart.t_range"),
+    ("dirac_mit_check.json", "check", "chart.lengths", 1.0, "chart.lengths"),
+    ("advection_green.json", "green", "bc", {"name": "custom"}, "bc.params.matrix"),
+    ("advection_green.json", "green", "bc",
+     {"name": "custom", "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}, "params.matrix"),
+    ("advection_green.json", "green", "system.params.speed", "fast", "system.params.speed"),
+    ("heat_dirichlet_solve.json", "solve", "system.params.k", 0, "system.params.k"),
+    ("ultrastatic_wave_compat.json", "compat", "task.order", -1, "task.order"),
+    ("ultrastatic_wave_compat.json", "compat", "task.order", 2.5, "task.order"),
+    ("ultrastatic_wave_compat.json", "compat", "task.nx", 1, "task.nx"),
+    ("ultrastatic_wave_compat.json", "compat", "task.tol", "tight", "task.tol"),
+    ("advection_green.json", "green", "task.source.t_width", 0, "task.source.t_width"),
+    ("advection_green.json", "green", "task.source.component", 3, "task.source.component"),
+    ("dirac_mit_check.json", "check", "chart", CUSTOM_CHART, "chart.params.beta.amplitud"),
+    ("dirac_mit_check.json", "check", None, None, "config"),
+    ("wave_neumann_converge.json", "converge", "task.grids", [64], "task.grids"),
+    ("wave_neumann_converge.json", "converge", "task.grids", [], "task.grids"),
+    ("wave_neumann_converge.json", "converge", "task.grids", [64, 256], "task.grids"),
+]
+
+
+@pytest.mark.parametrize("name, command, key, value, named", PROBES)
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, command, key,
+                                                 value, named):
+    cfg = shipped(name, key, value) if key is not None else [shipped(name)]
+    err = assert_config_error(capsys, *run(tmp_path, cfg, command))
+    assert named in err
+
+
+@pytest.mark.parametrize("system", [
+    {"builder": "wave_reduction", "params": {"c": [1.0, 2.0]}},
+    {"builder": "custom", "params": {"A": [1.0, 2.0]}},
+    {"builder": "custom", "params": {"A": [[[1.0]], [[1.0]]], "gram": [[1.0, 0.0]]}},
+])
+def test_misshapen_coefficient_tables_exit_2(tmp_path, capsys, system):
+    cfg = {"system": system, "bc": {"name": "zero_trace"}, "grid": {"nx": 16},
+           "chart": {"t_range": [0.0, 0.2]}}
+    assert_config_error(capsys, *run(tmp_path, cfg, "solve"))
+
+
+def test_config_defaults(tmp_path):
+    # the CLI's own defaults, some of which differ from the library's
+    def bc_line(cfg, condition):
+        cfg["bc"] = {"name": condition}
+        code, out = run(tmp_path / condition, cfg, "check")
+        assert code in (0, 1)
+        report = (out / "report.txt").read_text()
+        return next(line for line in report.splitlines() if line.startswith("face left"))
+
+    dirac, kg = shipped("dirac_mit_check.json"), shipped("kg_robin_check.json")
+    for condition, sign in [("mit_bag", -1), ("chirality", -1), ("riemannian_mit", -1),
+                            ("riemannian_chirality", 1)]:
+        assert bc_line(dirac, condition) == f"face left: bc {condition} {{'sign': {sign}}}"
+    assert bc_line(kg, "robin") == "face left: bc robin {'a': 1.0, 'b': 0.0}"
+    assert bc_line(kg, "transparent") == "face left: bc transparent {'b': 1.0}"
+    del kg["system"]["params"]["mass"]
+    code, out = run(tmp_path / "reduce", kg, "reduce")
+    assert code == 0
+    rows = [row.split(",") for row in (out / "coefficients.csv").read_text().splitlines()]
+    assert {float(r[5]) for r in rows if r[2:5] == ["C", "0", "0"]} == {1.0}  # m² = 1
+
+
+def slots(node):
+    """(container, key) of every value in a config, nested ones included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from slots(value)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+MUTATIONS = {
+    "drop": lambda node, key: True,
+    "rename": lambda node, key: isinstance(node, dict),
+    "retype": lambda node, key: True,
+    "scale": lambda node, key: is_number(node[key]),
+}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_shipped_configs_survive_mutation(data):
+    # one key of a shipped config dropped, renamed, retyped or rescaled: the
+    # CLI exits 0, 1 or 2 and never raises, and an unknown key exits 2
+    name, command, extra, _, _ = data.draw(st.sampled_from(studies.CLI_RUNS))
+    cfg = shipped(name)
+    how = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    node, key = data.draw(st.sampled_from(
+        [slot for slot in slots(cfg) if MUTATIONS[how](*slot)]))
+    if how == "drop":
+        node.pop(key)
+    elif how == "rename":
+        node[key + "_x"] = node.pop(key)
+    elif how == "retype":
+        value = node[key]
+        node[key] = data.draw(st.sampled_from([
+            v for v in (value if is_number(value) else 1.0, str(value), [value], True)
+            if type(v) is not type(value)]))
+    else:
+        node[key] *= data.draw(st.sampled_from([-1, 0, 0.5, 2]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(path), "--out", tmp, *extra])
+    assert code in (0, 1, 2)
+    if how == "rename":
+        assert code == 2

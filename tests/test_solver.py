@@ -50,6 +50,14 @@ def test_grid_cfl_relation(short_strip):
         make_grid(sys_, 64, cfl=0.95)
 
 
+def test_grid_refuses_booleans(short_strip):
+    # True is an Integral and a Real; neither is a grid size or a CFL number
+    sys_, _ = advection_setup(short_strip)
+    for nx, cfl in [(True, 0.5), (64, True)]:
+        with pytest.raises(ConfigError):
+            make_grid(sys_, nx, cfl)
+
+
 def test_zero_problem_zero_solution(short_strip):
     sys_, bcs = advection_setup(short_strip)
     grid = make_grid(sys_, 64)
