@@ -88,31 +88,24 @@ def boundary_symbol(sys, q):
     return sys.symbol(q.t, q.x, nb)
 
 
-def characteristic_split(sys, q, sigma_n):
-    """Eigenvalues (characteristic speeds), P-orthonormal eigenvectors and the
-    positive companion metric P of σ(dt)⁻¹σ(n♭) at a boundary point.
-
-    Condition (iii) and the solver's boundary closure both split these with
-    ``nonneg_mask``, so admissibility implies a square closure.
-    """
-    A, _ = sys.coeff_at(q.t, q.x[None, :])
-    M = np.linalg.inv(A[0, 0]) @ sigma_n
-    P = sys.positive_metric_at(q.t, q.x[None, :])[0]
-    lam, V = eigh_pencil(P @ M, P)
-    return lam, V, P
-
-
 def nonneg_mask(ev, tol=RANK_TOL):
-    """ev ≥ −tol·max(1, |ev|): characteristic directions count as nonnegative."""
+    """ev ≥ −tol·max(1, |ev|): characteristic directions count as nonnegative.
+
+    Condition (iii) and the solver's boundary closure both split the speeds
+    of ``FriedrichsSystem.characteristics`` with it, so admissibility implies
+    a square closure.
+    """
     scale = max(1.0, float(np.max(np.abs(ev))))
     return ev >= -tol * scale
 
 
 def _nonneg_count(sys, q, sigma_n, G, tol):
-    """Eigenvalues of σ(n♭) counted in the beta-normalized system: those of
-    ``characteristic_split``, or of σ(n♭) itself when σ(dt) is singular."""
+    """Eigenvalues of σ(n♭) counted in the beta-normalized system: the speeds
+    of σ(dt)⁻¹σ(n♭), or the eigenvalues of σ(n♭) itself when σ(dt) is
+    singular."""
     if sys.time_sign != 0:
-        ev, _, _ = characteristic_split(sys, q, sigma_n)
+        nb = geometry.outward_normal(sys.chart, q)
+        ev = sys.characteristics(q.t, q.x[None, :], nb)[0][0]
     elif sys.metric_positive:
         F = G @ sigma_n
         ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G)

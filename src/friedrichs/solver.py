@@ -30,8 +30,7 @@ from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError)
 from .linalg import eigh_pencil, pairwise_sum, row_reduce
-from .boundary import (admissibility, boundary_symbol, characteristic_split,
-                       nonneg_mask)
+from .boundary import admissibility, boundary_symbol, nonneg_mask
 
 
 @dataclass
@@ -69,12 +68,8 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     if chart.dim_space != 1:
         raise ContractError("the solver supports one spatial dimension")
     dx = L / nx
-    try:
-        speed = geometry.max_characteristic_speed(chart, sys, per_axis=8)
-        staggered = True
-    except NotHyperbolicError:
-        speed = 1.0
-        staggered = False
+    staggered = sys.time_sign != 0
+    speed = geometry.max_characteristic_speed(chart, sys, per_axis=8) if staggered else 1.0
     t0 = chart.t_range[0]
     t1 = chart.t_range[1] if t_final is None else t_final
     T = t1 - t0
@@ -178,17 +173,22 @@ def _levels(sys, ts, tables):
 
 def _explicit_tables(sys, bc_map, grid, t, force):
     """Frozen-time tables of one upwind step: σ(dt)⁻¹, Ã and C̃ at the cells,
-    |Ã| at the faces, and the ghost-cell closure of each boundary face."""
+    |Ã| at the faces, and the ghost-cell closure of each boundary face.
+
+    Raises ContractError when the realised CFL max|λ|·Δt/Δx at the faces
+    exceeds 1, the stability bound of the upwind step.
+    """
     A, C = sys.coeff_at(t, grid.xs[:, None])
     a0inv = np.linalg.inv(A[:, 0])
-    faces = (np.arange(grid.nx + 1) * grid.dx)[:, None]
-    Af, _ = sys.coeff_at(t, faces)
-    Atil_f = np.linalg.inv(Af[:, 0]) @ Af[:, 1]
-    Pf = sys.positive_metric_at(t, faces)
-    Aabs = np.empty_like(Atil_f)
-    for i in range(Atil_f.shape[0]):
-        lam, V = eigh_pencil(Pf[i] @ Atil_f[i], Pf[i])
-        Aabs[i] = (V * np.abs(lam)) @ V.conj().T @ Pf[i]
+    faces = np.arange(grid.nx + 1) * grid.dx
+    lam, V, P = sys.characteristics(t, faces[:, None], (0.0, 1.0))
+    speed = np.max(np.abs(lam), axis=1)
+    worst = int(np.argmax(speed))
+    cfl = speed[worst] * grid.dt / grid.dx
+    if cfl > 1.0:
+        raise ContractError(f"realised CFL {cfl:.4g} > 1 at t={t:.6g}, "
+                            f"x={faces[worst]:.6g}: lower the grid's cfl")
+    Aabs = (V * np.abs(lam)[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
     closures = [_boundary_closure(sys, bc_map[face], t, face, force=force)
                 for face in sys.chart.faces()]
     return a0inv, a0inv @ A[:, 1], a0inv @ C, Aabs, closures
@@ -198,7 +198,8 @@ def _boundary_closure(sys, bc, t, face, force=False):
     """Matrix T with ghost = T @ Ψ_edge implementing the characteristic closure."""
     chart = sys.chart
     q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-    lam, V, P = characteristic_split(sys, q, boundary_symbol(sys, q))
+    lam, V, P = (a[0] for a in sys.characteristics(
+        t, q.x[None, :], geometry.outward_normal(chart, q)))
     keep = nonneg_mask(lam)
     W_oz = V[:, keep].conj().T @ P
     R, _, _ = row_reduce(bc.matrix(chart, q))

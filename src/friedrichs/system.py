@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .errors import ContractError, NormalizationError
+from .errors import ContractError, NormalizationError, NotHyperbolicError
 from .linalg import definiteness_sign, eigh_pencil, matrix_rank
 
 #: finite-difference step scale for coefficient derivatives
@@ -116,19 +116,40 @@ class FriedrichsSystem:
             self._cache["time_sign"] = signs.pop() if len(signs) == 1 else 0
         return self._cache["time_sign"]
 
-    def positive_metric_at(self, t, xs):
-        """Positive-definite companion metric: G itself, or s*·β·G·σ(dt)."""
-        G = self.metric_at(t, xs)
-        if self.metric_positive:
-            return G
-        s = self.time_sign
-        if s == 0:
-            return None
-        xs2 = np.atleast_2d(np.asarray(xs, dtype=float))
-        beta = self.chart.beta_at(t, xs2)
-        A, _ = self.coeff_at(t, xs2)
-        P = s * beta[:, None, None] * np.einsum("pij,pjk->pik", G, A[:, 0])
+    def _dt_metric(self, t, xs, A0, sign):
+        """Hermitian part of sign·β·G·σ(dt), σ(dt) the table ``A0`` at ``xs``:
+        the companion metric, and the fiber metric of σ(dt)⁻¹·S."""
+        P = (sign * self.chart.beta_at(t, xs)[:, None, None]
+             * np.einsum("pij,pjk->pik", self.metric_at(t, xs), A0))
         return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
+
+    def positive_metric_at(self, t, xs):
+        """Positive companion metric P: s*·β·G·σ(dt) when σ(dt) is definite
+        (s* ≠ 0), G when σ(dt) is singular and G ≻ 0, None otherwise."""
+        if self.time_sign != 0:
+            return self._dt_metric(t, xs, self.coeff_at(t, xs)[0][:, 0], self.time_sign)
+        return self.metric_at(t, xs) if self.metric_positive else None
+
+    def characteristics(self, t, xs, xi):
+        """Speeds λ (m, N), ascending, P-orthonormal eigenvectors V and the
+        companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points: the one
+        characteristic split, read by condition (iii), the ghost-cell closure,
+        |Ã| and the time step.  NotHyperbolicError where P is not ≻ 0."""
+        if self.time_sign == 0:
+            raise NotHyperbolicError("σ(dt)-form singular or indefinite at samples")
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        A, _ = self.coeff_at(t, xs)
+        P = self._dt_metric(t, xs, A[:, 0], self.time_sign)
+        lam, V, i = np.empty(P.shape[:2]), np.empty_like(P), None
+        try:
+            M = np.linalg.inv(A[:, 0]) @ np.einsum("m,pmij->pij", np.asarray(xi, complex), A)
+            for i in range(len(xs)):
+                lam[i], V[i] = eigh_pencil(P[i] @ M[i], P[i])
+        except np.linalg.LinAlgError as exc:
+            where = "" if i is None else f", x={xs[i]}"
+            raise NotHyperbolicError(
+                f"σ(dt)-form singular or indefinite at t={t}{where}") from exc
+        return lam, V, P
 
     def classify(self):
         if "classification" not in self._cache:
@@ -359,22 +380,13 @@ def beta_normalize(sys):
         C_new = np.einsum("pij,pjk->pik", a0inv, C)
         return A_new, C_new
 
-    sign = s if s != 0 else 1
-
-    def metric(t, xs):
-        xs2 = np.atleast_2d(np.asarray(xs, dtype=float))
-        A, _ = sys.coeff_at(t, xs2)
-        G = sys.metric_at(t, xs2)
-        beta = chart.beta_at(t, xs2)
-        P = sign * beta[:, None, None] * np.einsum("pij,pjk->pik", G, A[:, 0])
-        return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
-
     # fail fast on singular σ(dt)
     _, xs_probe = chart.sample_interior(4)
     coeff(chart.sample_times(3)[1], xs_probe[:2])
 
     return FriedrichsSystem(
-        chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=metric,
+        chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff,
+        metric=lambda t, xs: sys._dt_metric(t, xs, sys.coeff_at(t, xs)[0][:, 0], s or 1),
         metric_positive=s != 0, name=sys.name + "_normalized", layout=sys.layout,
         time_independent=sys.time_independent)
 

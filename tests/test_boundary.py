@@ -298,3 +298,20 @@ def test_constant_characteristic_guard(strip):
     r = admissibility(sys_, boundary.custom_bc(np.zeros((2, 2))), n_time=3)
     assert not r.admissible
     assert "constant-characteristic" in (r.cause or "")
+
+
+def test_rank_one_condition_on_an_all_outgoing_face_is_refused(strip):
+    # σ(dt) = [[1, −2], [−2, 5]], σ(dx) = diag(0.1, 0.3), G = I: both speeds
+    # 0.4 ± √0.13 are positive, so the right face needs no condition and the
+    # left face prescribes both characteristics
+    sys_ = system.constant_system(strip, [[[1.0, -2.0], [-2.0, 5.0]], np.diag([0.1, 0.3])],
+                                  None)
+    speeds = 0.4 + np.array([-1.0, 1.0]) * np.sqrt(0.13)
+    right = admissibility(sys_, boundary.custom_bc(np.diag([1.0, 0.0])),
+                          faces=[geometry.RIGHT])
+    assert not right.admissible
+    assert (right.rank_B, right.nonneg_count) == (1, 2)
+    assert right.spectra[geometry.RIGHT] == pytest.approx(speeds, abs=1e-12)
+    left = admissibility(sys_, boundary.zero_trace(2), faces=[geometry.LEFT])
+    assert left.admissible
+    assert left.spectra[geometry.LEFT] == pytest.approx(-speeds[::-1], abs=1e-12)

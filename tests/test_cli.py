@@ -2,11 +2,13 @@ import contextlib
 import copy
 import io
 import json
+import re
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -444,3 +446,51 @@ def test_shipped_configs_survive_mutation(data):
     assert code in (0, 1, 2)
     if how == "rename":
         assert code == 2
+
+
+def spectrum(out):
+    """face -> the eigenvalues that ``check`` wrote to spectrum.csv."""
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    found = {}
+    for face, _, ev in (row.split(",") for row in rows):
+        found.setdefault(face, []).append(float(ev))
+    return found
+
+
+RIGHT_MOVING = {
+    "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5], "lengths": [1.0]},
+    "system": {"builder": "custom",
+               "params": {"A": [[[1.0, -2.0], [-2.0, 5.0]], [[0.1, 0.0], [0.0, 0.3]]]}},
+    "bc": {"left": {"name": "zero_trace"}, "right": {"name": "no_condition"}},
+    "grid": {"nx": 64},
+    "task": {"initial": {"profile": "bump", "component": 0}},
+}
+
+
+def test_right_moving_system_takes_the_inflow_outflow_pair(tmp_path):
+    # σ(dt) = [[1, −2], [−2, 5]], σ(dx) = diag(0.1, 0.3), G = I: both speeds
+    # 0.4 ± √0.13 are positive, so zero_trace inflow / no_condition outflow
+    # is the admissible pair
+    speeds = 0.4 + np.array([-1.0, 1.0]) * np.sqrt(0.13)
+    code, out = run(tmp_path / "check", RIGHT_MOVING, "check")
+    assert code == 0
+    assert "overall: PASS" in (out / "report.txt").read_text()
+    found = spectrum(out)
+    assert found["left"] == pytest.approx(-speeds[::-1], abs=1e-12)
+    assert found["right"] == pytest.approx(speeds, abs=1e-12)
+    code, out = run(tmp_path / "solve", RIGHT_MOVING, "solve")
+    assert code == 0
+    growth = re.search(r"^max per-step energy growth: (\S+)$",
+                       (out / "report.txt").read_text(), re.MULTILINE)
+    assert float(growth.group(1)) <= 1.0
+
+
+def test_wave_speeds_follow_the_lapse(tmp_path):
+    # on a chart with constant β = 2 the wave reduction's speeds are ±β
+    cfg = {"chart": {"name": "custom", "t_range": [0.0, 0.5],
+                     "params": {"beta": {"profile": "constant", "value": 2.0}}},
+           "system": {"builder": "wave_reduction"}, "bc": {"name": "neumann_like"}}
+    code, out = run(tmp_path, cfg, "check")
+    assert code == 0
+    for face in ("left", "right"):
+        assert spectrum(out)[face] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-12)

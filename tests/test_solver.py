@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -624,3 +625,87 @@ def test_admissible_pair_has_a_solvable_closure(strip, eps):
     fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 2),
                 grid=make_grid(sys_, 16))
     assert np.all(np.isfinite(fld.values))
+
+
+def test_cfl_guard_refuses_an_unresolved_speed_peak():
+    # the speed peaks at 4 at x = 0.125, between the 8 samples that size Δt
+    # (they read 1), so the grid runs at a realised CFL of 2 there
+    chart = geometry.minkowski_strip((0.0, 0.2), (1.0,))
+
+    def coeff(t, xs):
+        A = np.zeros((xs.shape[0], 2, 1, 1), dtype=complex)
+        A[:, 0] = 1.0
+        A[:, 1, 0, 0] = 1.0 + 3.0 * np.exp(-((xs[:, 0] - 0.125) / 0.01) ** 2)
+        return A, np.zeros((xs.shape[0], 1, 1), dtype=complex)
+
+    sys_ = system.FriedrichsSystem(chart, 1, coeff,
+                                   lambda t, xs: np.ones((xs.shape[0], 1, 1)),
+                                   metric_positive=True)
+    assert geometry.max_characteristic_speed(chart, sys_, per_axis=8) == 1.0
+    grid = make_grid(sys_, 512, cfl=0.5)
+    steps = []
+
+    def f(t, xs2):
+        steps.append(t)
+        return np.zeros((xs2.shape[0], 1), dtype=complex)
+
+    bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
+    with pytest.raises(ContractError, match=r"realised CFL \S+ > 1 at t=0, x=0\.125"
+                       ) as err:
+        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    cfl = float(str(err.value).split()[2])
+    assert cfl == pytest.approx(4.0 * grid.dt / grid.dx, rel=1e-3)
+    assert cfl == pytest.approx(2.0, rel=1e-2)
+    assert steps == []
+
+
+ENTRIES = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def symmetric_hyperbolic(draw):
+    """(G, S⁰, S¹): Hermitian positive G and S⁰ and Hermitian S¹, N ≤ 3."""
+    N = draw(st.integers(1, 3))
+
+    def matrix():
+        re, im = (np.array(draw(st.lists(ENTRIES, min_size=N * N, max_size=N * N)))
+                  for _ in range(2))
+        return (re + 1j * im).reshape(N, N)
+
+    X, Y, Z = matrix(), matrix(), matrix()
+    eye = np.eye(N)
+    return (X @ X.conj().T + 0.5 * eye, Y @ Y.conj().T + 0.5 * eye,
+            0.5 * (Z + Z.conj().T))
+
+
+def maximal_nonnegative(S1, S0):
+    """G_B whose kernel is the span of the eigenvectors of the pencil
+    (S¹, S⁰) with nonnegative eigenvalue (zero speeds within 1e-9 count),
+    and those eigenvalues: a maximal nonnegative boundary space."""
+    lam, U = scipy.linalg.eigh(S1, S0)
+    keep = lam >= -1e-9 * max(1.0, float(np.max(np.abs(lam))))
+    complement = np.linalg.qr(U[:, keep], mode="complete")[0][:, int(keep.sum()):]
+    return complement @ complement.conj().T, lam
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(symmetric_hyperbolic())
+def test_maximal_nonnegative_conditions_are_admissible_and_dissipative(matrices):
+    # A^μ = G⁻¹S^μ: G·A^μ = S^μ is Hermitian and s* = +1, so σ(dt)⁻¹σ(±dx)
+    # has the speeds of the pencil (±S¹, S⁰) in the companion metric S⁰
+    G, S0, S1 = matrices
+    N = G.shape[0]
+    chart = geometry.minkowski_strip((0.0, 0.25), (1.0,))
+    Ginv = np.linalg.inv(G)
+    sys_ = system.constant_system(chart, [Ginv @ S0, Ginv @ S1], None, gram=G)
+    bcs = {}
+    for face, sign in ((LEFT, -1.0), (RIGHT, 1.0)):
+        GB, speeds = maximal_nonnegative(sign * S1, S0)
+        bcs[face] = boundary.custom_bc(GB)
+        rep = boundary.admissibility(sys_, bcs[face], faces=[face])
+        assert rep.admissible
+        assert np.max(np.abs(rep.spectra[face] - speeds)) <= 1e-10
+    # data nonzero at both faces, so both closures act from the first step
+    fld = solve(sys_, bcs, h=lambda xs: np.outer(1.5 + np.cos(3 * xs), np.arange(1, N + 1)),
+                grid=make_grid(sys_, 32))
+    assert energy_trace(fld, sys_).max_step_growth <= 1 + 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from friedrichs import geometry, reduction, solver, system
-from friedrichs.errors import ContractError
+from friedrichs import boundary, geometry, reduction, solver, system
+from friedrichs.errors import ContractError, NotHyperbolicError
 from friedrichs.system import (advection_system, beta_normalize, check_hyperbolic,
                                check_positive, check_symmetric, constant_system,
                                constant_characteristic, find_lambda,
@@ -272,3 +272,37 @@ def test_classification_cache(strip):
     assert cls.symmetric and cls.hyperbolic and cls.constant_characteristic
     assert cls.characteristic_dim == 1
     assert wave.classify() is cls
+
+
+def test_characteristics_split_in_the_companion_metric(strip):
+    # σ(dt) ≠ Id: the speeds are the eigenvalues of σ(dt)⁻¹σ(dx), the
+    # eigenvectors are orthonormal in P = s*·β·G·σ(dt) = σ(dt) (G = I, β = 1)
+    A0 = np.array([[1.0, -2.0], [-2.0, 5.0]])
+    sys_ = constant_system(strip, [A0, np.diag([0.1, 0.3])], None)
+    lam, V, P = sys_.characteristics(0.2, np.array([[0.3], [0.7]]), (0.0, 1.0))
+    assert lam == pytest.approx(np.tile(0.4 + np.array([-1.0, 1.0]) * np.sqrt(0.13), (2, 1)),
+                                abs=1e-12)
+    assert np.allclose(P, A0)
+    assert np.allclose(np.conj(np.swapaxes(V, 1, 2)) @ P @ V, np.eye(2))
+    assert np.allclose(sys_.positive_metric_at(0.2, [[0.5]])[0], A0)
+
+
+def test_characteristics_refuse_a_point_where_the_dt_form_is_indefinite(strip):
+    # σ(dt) = diag(1, ±1) is definite at the samples behind the time sign
+    # (x ≤ 0.94) and indefinite past x = 0.97
+    def coeff(t, xs):
+        A = np.zeros((xs.shape[0], 2, 2, 2), dtype=complex)
+        A[:, 0, 0, 0] = 1.0
+        A[:, 0, 1, 1] = np.where(xs[:, 0] > 0.97, -1.0, 1.0)
+        A[:, 1] = np.eye(2)
+        return A, np.zeros((xs.shape[0], 2, 2), dtype=complex)
+
+    sys_ = system.FriedrichsSystem(
+        strip, 2, coeff, lambda t, xs: np.broadcast_to(np.eye(2), (xs.shape[0], 2, 2)),
+        metric_positive=True)
+    assert sys_.time_sign == 1
+    with pytest.raises(NotHyperbolicError, match=r"x=\[0\.99\]"):
+        sys_.characteristics(0.0, np.array([[0.5], [0.99]]), (0.0, 1.0))
+    with pytest.raises(NotHyperbolicError):
+        solver.solve(sys_, boundary.no_condition(2), grid=solver.make_grid(sys_, 16),
+                     check_admissible=False)
