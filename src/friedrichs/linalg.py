@@ -1,17 +1,16 @@
 """Small dense complex linear algebra for fiber-wise computations.
 
 Everything here operates on N×N matrices with N ≲ 64: plain dense
-eigendecompositions, SVD-based kernels and orthocomplements, and Hermitian
-definite pencils (A, B) with B positive definite.  Subspaces are stored with
-orthonormal spanning columns in the standard inner product; orthogonality
-*relative to a Gram matrix* is a property of the span and is taken where the
-operation says so.
+eigendecompositions, SVD-based kernels and orthocomplements, and stacks of
+Hermitian definite pencils (A, B) with B positive definite.  Subspaces are
+stored with orthonormal spanning columns in the standard inner product;
+orthogonality *relative to a Gram matrix* is a property of the span and is
+taken where the operation says so.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError
 
@@ -34,15 +33,22 @@ def herm_eigen(M, tol=1e-10):
     return w, V
 
 
-def eigh_pencil(A, B):
-    """Real eigenvalues/vectors of the Hermitian pencil A v = λ B v, B ≻ 0.
+def _herm(M):
+    M = np.asarray(M, dtype=complex)
+    return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
 
-    Eigenvectors are B-orthonormal columns.
+
+def eigh_pencil(A, B):
+    """Real eigenvalues (ascending) and B-orthonormal eigenvector columns of the
+    Hermitian pencils A v = λ B v, B ≻ 0, over stacks of shape (..., N, N).
+
+    Cholesky reduction B = LLᴴ, C = L⁻¹AL⁻ᴴ, V = L⁻ᴴU (Golub & Van Loan,
+    *Matrix Computations*, §8.7); LinAlgError when some B is not ≻ 0.
     """
-    A = 0.5 * (np.asarray(A, dtype=complex) + np.asarray(A, dtype=complex).conj().T)
-    B = 0.5 * (np.asarray(B, dtype=complex) + np.asarray(B, dtype=complex).conj().T)
-    w, V = scipy.linalg.eigh(A, B)
-    return w, V
+    Linv = np.linalg.inv(np.linalg.cholesky(_herm(B)))
+    LinvH = np.conj(np.swapaxes(Linv, -1, -2))
+    w, U = np.linalg.eigh(_herm(Linv @ _herm(A) @ LinvH))
+    return w, LinvH @ U
 
 
 @dataclass

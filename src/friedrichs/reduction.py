@@ -63,20 +63,19 @@ class SecondOrderProblem:
                                 f"got shape {out.shape}") from exc
 
 
-def _weingarten(chart, t, xs):
-    """½ h⁻¹ ∂_t h at the sampled points (zero on static charts)."""
+def _weingarten(chart, t, xs, hinv):
+    """½ h⁻¹ ∂_t h at the sampled points, given h⁻¹ (zero on static charts)."""
     if chart.time_independent:
         return np.zeros((xs.shape[0], chart.dim_space, chart.dim_space))
     ht = FD_STEP * (1.0 + abs(t))
     dh = (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
-    return 0.5 * np.einsum("pij,pjk->pik", chart.h_inv_at(t, xs), dh)
+    return 0.5 * np.einsum("pij,pjk->pik", hinv, dh)
 
 
-def _wave_drift(prob, t, xs):
+def _wave_drift(prob, t, xs, beta2, hinv):
     """Default b₀ = (1/2β²)(tr_h ∂_t h − ∂_t β²/β²) and b = −(1/2β²)grad_h β²."""
     chart = prob.chart
     m, n = xs.shape
-    beta2 = chart.beta_at(t, xs) ** 2
     if prob.b0 is not None:
         b0 = np.broadcast_to(np.asarray(prob.b0(t, xs), dtype=complex), (m,))
     elif chart.time_independent:
@@ -84,7 +83,7 @@ def _wave_drift(prob, t, xs):
     else:
         ht = FD_STEP * (1.0 + abs(t))
         dh = (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
-        trh = np.einsum("pij,pji->p", chart.h_inv_at(t, xs), dh)
+        trh = np.einsum("pij,pji->p", hinv, dh)
         db2 = (chart.beta_at(t + ht, xs) ** 2 - chart.beta_at(t - ht, xs) ** 2) / (2 * ht)
         b0 = (trh - db2 / beta2) / (2 * beta2)
     if prob.b is not None:
@@ -92,11 +91,11 @@ def _wave_drift(prob, t, xs):
     else:
         grad = np.zeros((m, n))
         for a in range(n):
-            hx = FD_STEP * (1.0 + float(np.max(np.abs(xs[:, a]))))
+            hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
             dx = np.zeros_like(xs)
             dx[:, a] = hx
             grad[:, a] = (chart.beta_at(t, xs + dx) ** 2 - chart.beta_at(t, xs - dx) ** 2) / (2 * hx)
-        b = -np.einsum("pij,pj->pi", chart.h_inv_at(t, xs), grad) / (2 * beta2[:, None])
+        b = -np.einsum("pij,pj->pi", hinv, grad) / (2 * beta2[:, None])
     return b0, b
 
 
@@ -123,12 +122,12 @@ def wave_to_first_order(prob):
                 A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
             A[:, 1 + i, layout.grad_slot(i), :k] = -Ik
         C = np.zeros((m, N, N), dtype=complex)
-        b0, b = _wave_drift(prob, t, xs)
+        b0, b = _wave_drift(prob, t, xs, beta2, hinv)
         C[:, :k, :k] = b0[:, None, None] * Ik
         for j in range(n):
             C[:, :k, layout.grad_slot(j)] = b[:, j, None, None] * Ik
         C[:, :k, layout.tail_start:] = prob.c_at(t, xs)
-        W = _weingarten(chart, t, xs)
+        W = _weingarten(chart, t, xs, hinv)
         for i in range(n):
             for j in range(n):
                 C[:, layout.grad_slot(i), layout.grad_slot(j)] = W[:, i, j, None, None] * Ik

@@ -23,8 +23,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
@@ -95,11 +93,6 @@ class GridField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise BoundaryClosureError("solution contains NaN/Inf samples")
-        return self
-
     def level(self, m):
         return self.values[m]
 
@@ -155,6 +148,13 @@ def _eval_initial(h, xs, N):
     return arr
 
 
+def _finite(psi, m, t):
+    """``psi``, the solution at level m (time t), unless it holds NaN or Inf."""
+    if not np.isfinite(psi).all():
+        raise BoundaryClosureError(f"solution is not finite at level m={m}, t={t:.6g}")
+    return psi
+
+
 def _levels(sys, ts, tables):
     """Yield (t, tables(t)) for each time level in ``ts``.
 
@@ -175,13 +175,23 @@ def _explicit_tables(sys, bc_map, grid, t, force):
     """Frozen-time tables of one upwind step: σ(dt)⁻¹, Ã and C̃ at the cells,
     |Ã| at the faces, and the ghost-cell closure of each boundary face.
 
-    Raises ContractError when the realised CFL max|λ|·Δt/Δx at the faces
-    exceeds 1, the stability bound of the upwind step.
+    The coefficients are evaluated once, on the cells and the faces together,
+    and one characteristic split serves the faces (covector dx) and the two
+    boundary faces (their outward conormals).  Raises ContractError when the
+    realised CFL max|λ|·Δt/Δx at the faces exceeds 1, the stability bound of
+    the upwind step.
     """
-    A, C = sys.coeff_at(t, grid.xs[:, None])
-    a0inv = np.linalg.inv(A[:, 0])
-    faces = np.arange(grid.nx + 1) * grid.dx
-    lam, V, P = sys.characteristics(t, faces[:, None], (0.0, 1.0))
+    chart, nx = sys.chart, grid.nx
+    faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
+    A, C = sys.coeff_at(t, np.concatenate([grid.xs, faces])[:, None])
+    a0inv = np.linalg.inv(A[:nx, 0])
+    ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+            for face in chart.faces()]
+    xi = np.vstack([np.broadcast_to((0.0, 1.0), (nx + 1, 2))]
+                   + [geometry.outward_normal(chart, q) for q in ends])
+    rows = np.r_[0:nx + 1, 0, nx]
+    split = sys.characteristics(t, faces[rows, None], xi, A[nx:][rows])
+    lam, V, P = (a[:-2] for a in split)
     speed = np.max(np.abs(lam), axis=1)
     worst = int(np.argmax(speed))
     cfl = speed[worst] * grid.dt / grid.dx
@@ -189,17 +199,14 @@ def _explicit_tables(sys, bc_map, grid, t, force):
         raise ContractError(f"realised CFL {cfl:.4g} > 1 at t={t:.6g}, "
                             f"x={faces[worst]:.6g}: lower the grid's cfl")
     Aabs = (V * np.abs(lam)[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
-    closures = [_boundary_closure(sys, bc_map[face], t, face, force=force)
-                for face in sys.chart.faces()]
-    return a0inv, a0inv @ A[:, 1], a0inv @ C, Aabs, closures
+    closures = [_boundary_closure(bc_map[q.face], chart, q, *(a[i] for a in split), force)
+                for q, i in zip(ends, (-2, -1))]
+    return a0inv, a0inv @ A[:nx, 1], a0inv @ C[:nx], Aabs, closures
 
 
-def _boundary_closure(sys, bc, t, face, force=False):
-    """Matrix T with ghost = T @ Ψ_edge implementing the characteristic closure."""
-    chart = sys.chart
-    q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-    lam, V, P = (a[0] for a in sys.characteristics(
-        t, q.x[None, :], geometry.outward_normal(chart, q)))
+def _boundary_closure(bc, chart, q, lam, V, P, force):
+    """Matrix T with ghost = T @ Ψ_edge implementing the characteristic closure
+    at the boundary point q, from the split (λ, V, P) of its outward conormal."""
     keep = nonneg_mask(lam)
     W_oz = V[:, keep].conj().T @ P
     R, _, _ = row_reduce(bc.matrix(chart, q))
@@ -209,7 +216,7 @@ def _boundary_closure(sys, bc, t, face, force=False):
     if r != n_in:
         if not force:
             raise BoundaryClosureError(
-                f"boundary closure at face {face}: {n_in} incoming characteristics "
+                f"boundary closure at face {q.face}: {n_in} incoming characteristics "
                 f"vs rank-{r} condition (admissibility (iii) defect)")
         return np.linalg.pinv(K) @ rhs_map
     try:
@@ -217,13 +224,13 @@ def _boundary_closure(sys, bc, t, face, force=False):
     except np.linalg.LinAlgError as exc:
         if force:
             return np.linalg.pinv(K) @ rhs_map
-        raise BoundaryClosureError(f"singular closure at face {face}") from exc
+        raise BoundaryClosureError(f"singular closure at face {q.face}") from exc
 
 
 def _solve_explicit(sys, bc_map, f, h0, grid, force):
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
-    out[0] = h0
+    out[0] = _finite(h0, 0, grid.t0)
     dt, dx = grid.dt, grid.dx
     psi = out[0].copy()
     pad = np.empty((nx + 2, N), dtype=complex)
@@ -243,7 +250,7 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
         if src is not None:
             rhs += np.einsum("pij,pj->pi", a0inv, src)
         psi = psi + dt * rhs
-        out[m + 1] = psi
+        out[m + 1] = _finite(psi, m + 1, grid.ts[m + 1])
     return out
 
 
@@ -257,6 +264,9 @@ def _implicit_matrix(sys, bc_map, grid, t):
     Returns its sparse LU factor, the boundary rows {node: (R, V1, V2)} of
     ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     chart = sys.chart
     npts, N = grid.xs.size, sys.fiber_rank
     A, C = sys.coeff_at(t, grid.xs[:, None])
@@ -293,7 +303,7 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
-    out[0] = h0
+    out[0] = _finite(h0, 0, grid.t0)
     psi = out[0].copy()
     levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
     for m, (t1, (lu, brows, A0)) in enumerate(levels):
@@ -304,7 +314,7 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
         for node, (R, V1, V2) in brows.items():
             rhs[node] = V2 @ (V2.conj().T @ rhs[node])
         psi = lu.solve(rhs.ravel()).reshape(npts, N)
-        out[m + 1] = psi
+        out[m + 1] = _finite(psi, m + 1, t1)
     return out
 
 
@@ -345,7 +355,7 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
         vals = _solve_explicit(sys, bc_map, f, h0, grid, force)
     else:
         vals = _solve_implicit(sys, bc_map, f, h0, grid, force)
-    return GridField(vals, grid, sys.name).check_finite()
+    return GridField(vals, grid, sys.name)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -428,10 +438,10 @@ def estimate_energy_constant(sys, n_samples=16):
         P = sys.positive_metric_at(t, xs)
         if P is None:
             P = G
-        for i in range(0, xs.shape[0], max(1, xs.shape[0] // 8)):
-            W = P[i] @ (np.linalg.inv(G[i]) @ (G[i] @ Z_h[i]))
-            ev, _ = eigh_pencil(0.5 * (W + W.conj().T), P[i])
-            worst = max(worst, float(np.max(-ev)))
+        pick = slice(None, None, max(1, xs.shape[0] // 8))
+        P, G = P[pick], G[pick]
+        ev, _ = eigh_pencil(P @ (np.linalg.inv(G) @ (G @ Z_h[pick])), P)
+        worst = max(worst, float(np.max(-ev)))
     return worst
 
 

@@ -130,23 +130,25 @@ class FriedrichsSystem:
             return self._dt_metric(t, xs, self.coeff_at(t, xs)[0][:, 0], self.time_sign)
         return self.metric_at(t, xs) if self.metric_positive else None
 
-    def characteristics(self, t, xs, xi):
+    def characteristics(self, t, xs, xi, A=None):
         """Speeds λ (m, N), ascending, P-orthonormal eigenvectors V and the
-        companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points: the one
-        characteristic split, read by condition (iii), the ghost-cell closure,
-        |Ã| and the time step.  NotHyperbolicError where P is not ≻ 0."""
+        companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points, for one
+        covector ξ or one per point: the one characteristic split, read by
+        condition (iii), the ghost-cell closure, |Ã| and the time step.  A
+        caller holding the coefficient table ``A`` at ``xs`` passes it in.
+        NotHyperbolicError, naming the first such point, where P is not ≻ 0."""
         if self.time_sign == 0:
             raise NotHyperbolicError("σ(dt)-form singular or indefinite at samples")
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        A, _ = self.coeff_at(t, xs)
+        A = self.coeff_at(t, xs)[0] if A is None else A
         P = self._dt_metric(t, xs, A[:, 0], self.time_sign)
-        lam, V, i = np.empty(P.shape[:2]), np.empty_like(P), None
+        xi = np.broadcast_to(np.asarray(xi, complex), A.shape[:2])
         try:
-            M = np.linalg.inv(A[:, 0]) @ np.einsum("m,pmij->pij", np.asarray(xi, complex), A)
-            for i in range(len(xs)):
-                lam[i], V[i] = eigh_pencil(P[i] @ M[i], P[i])
+            M = np.linalg.inv(A[:, 0]) @ np.einsum("pm,pmij->pij", xi, A)
+            lam, V = eigh_pencil(P @ M, P)
         except np.linalg.LinAlgError as exc:
-            where = "" if i is None else f", x={xs[i]}"
+            bad = np.flatnonzero(np.linalg.eigvalsh(P)[:, 0] <= 0)
+            where = f", x={xs[bad[0]]}" if bad.size else ""
             raise NotHyperbolicError(
                 f"σ(dt)-form singular or indefinite at t={t}{where}") from exc
         return lam, V, P
@@ -297,10 +299,11 @@ def formal_adjoint(sys):
         ht = FD_STEP * (1.0 + abs(t))
         div += (weighted(t + ht, xs)[:, 0] - weighted(t - ht, xs)[:, 0]) / (2 * ht)
         for a in range(n):
-            hx = FD_STEP * (1.0 + float(np.max(np.abs(xs[:, a]))))
+            hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
             dx = np.zeros_like(xs)
             dx[:, a] = hx
-            div += (weighted(t, xs + dx)[:, 1 + a] - weighted(t, xs - dx)[:, 1 + a]) / (2 * hx)
+            div += ((weighted(t, xs + dx)[:, 1 + a] - weighted(t, xs - dx)[:, 1 + a])
+                    / (2 * hx[:, None, None]))
         C_adj -= np.einsum("pij,pjk->pik", Ginv, div) / mu[:, None, None]
         return A_adj, C_adj
 
@@ -336,16 +339,12 @@ def check_positive(sys, n_slices=9, per_axis=24, pos_tol=1e-10):
     max_imag = 0.0
     for k, t in enumerate(ts):
         Z_h, G = zero_order_symmetrization(sys, t, xs)
-        c_slice = np.inf
-        for i in range(xs.shape[0]):
-            if sys.metric_positive:
-                ev, _ = eigh_pencil(G[i] @ Z_h[i], G[i])
-            else:
-                ev = np.linalg.eigvals(Z_h[i])
-                max_imag = max(max_imag, float(np.max(np.abs(ev.imag))))
-                ev = np.sort(ev.real)
-            c_slice = min(c_slice, float(ev[0]))
-        c_by_slice[k] = c_slice
+        if sys.metric_positive:
+            ev, _ = eigh_pencil(G @ Z_h, G)
+        else:
+            ev = np.linalg.eigvals(Z_h)
+            max_imag = max(max_imag, float(np.max(np.abs(ev.imag))))
+        c_by_slice[k] = float(np.min(ev.real))
     c_min = float(np.min(c_by_slice))
     return PositivityReport(ts, c_by_slice, c_min, c_min > pos_tol, max_imag)
 

@@ -2,7 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import friedrichs
 from friedrichs import boundary, cli, solver
 from friedrichs.geometry import LEFT, RIGHT
 
@@ -494,3 +497,12 @@ def test_wave_speeds_follow_the_lapse(tmp_path):
     assert code == 0
     for face in ("left", "right"):
         assert spectrum(out)[face] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-12)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by the implicit solver path only, on its first call
+    src = str(Path(friedrichs.__file__).resolve().parent.parent)
+    code = "import sys, friedrichs.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs.errors import ContractError
 from friedrichs.linalg import (Subspace, eigh_pencil, full_space, herm_eigen,
@@ -116,6 +119,40 @@ def test_eigh_pencil_matches_transformed_problem():
     w, V = eigh_pencil(A, B)
     assert np.linalg.norm(A @ V - B @ V @ np.diag(w)) < 1e-9
     assert np.linalg.norm(V.conj().T @ B @ V - np.eye(4)) < 1e-10
+
+
+@st.composite
+def pencil_stacks(draw):
+    """Stacks (batch ≤ 8, N ≤ 4) of random Hermitian A and B ≻ 0 with
+    cond(B) ≤ 1e6, and an index into the stack."""
+    batch, N = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.stack([random_hermitian(N, rng) for _ in range(batch)])
+    Q = np.linalg.qr(rng.standard_normal((batch, N, N))
+                     + 1j * rng.standard_normal((batch, N, N)))[0]
+    spectrum = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 6.0)), (batch, N))
+    B = (Q * spectrum[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2))
+    return A, B, Q, spectrum, draw(st.integers(0, batch - 1))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pencil_stacks())
+def test_batched_pencil_matches_scipy_per_slice(stack):
+    # eigenvalues on the scale ‖A‖‖B⁻¹‖ that bounds them, and AV = BVΛ on the
+    # normwise scale ‖A‖ + |λ|‖B‖: the entries of BVΛ reach cond(B)
+    A, B, Q, spectrum, j = stack
+    w, V = eigh_pencil(A, B)
+    for a, b, wi, vi, s in zip(A, B, w, V, spectrum):
+        expect = scipy.linalg.eigh(a, b, eigvals_only=True)
+        norm_a = np.linalg.norm(a, 2)
+        assert np.max(np.abs(wi - expect)) <= 1e-10 * norm_a / s.min()
+        resid = np.max(np.abs(a @ vi - b @ vi * wi))
+        assert resid <= 1e-10 * (norm_a + np.max(np.abs(wi)) * s.max())
+    Vh = np.conj(np.swapaxes(V, 1, 2))
+    assert np.max(np.abs(Vh @ B @ V - np.eye(A.shape[1]))) <= 1e-10
+    spectrum[j, 0] = -spectrum[j, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        eigh_pencil(A, (Q * spectrum[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2)))
 
 
 def test_matrix_rank_tolerance():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friedrichs import boundary, clifford, geometry, reduction, solver, system
-from friedrichs.errors import ConfigError, ContractError, NotAdmissibleError
+from friedrichs.errors import (BoundaryClosureError, ConfigError, ContractError,
+                               NotAdmissibleError)
 from friedrichs.geometry import LEFT, RIGHT
 from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                convergence_study, energy_trace,
@@ -657,6 +658,30 @@ def test_cfl_guard_refuses_an_unresolved_speed_peak():
     assert cfl == pytest.approx(4.0 * grid.dt / grid.dx, rel=1e-3)
     assert cfl == pytest.approx(2.0, rel=1e-2)
     assert steps == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("setup", ["explicit", "implicit"])
+def test_solve_stops_at_the_first_non_finite_level(strip, setup):
+    # the forcing blows up at t_5: the explicit step carries it into level 6,
+    # the implicit step into level 5, and no later forcing is evaluated
+    if setup == "explicit":
+        sys_, bcs = advection_setup(strip)
+    else:
+        sys_ = reduction.reaction_diffusion_to_first_order(
+            reduction.SecondOrderProblem("reaction_diffusion", strip, k=1), 1.0)
+        bcs = boundary.robin(0.0, 1.0, sys_.layout)
+    grid = make_grid(sys_, 16)
+    calls = []
+
+    def f(t, xs2):
+        calls.append(t)
+        return np.full((xs2.shape[0], sys_.fiber_rank), np.inf if t == grid.ts[5] else 0.0)
+
+    m = 6 if setup == "explicit" else 5
+    with pytest.raises(BoundaryClosureError, match=rf"level m={m}, t={grid.ts[m]:.6g}$"):
+        solve(sys_, bcs, f=f, grid=grid)
+    assert max(calls) == grid.ts[5]
 
 
 ENTRIES = st.floats(-1.0, 1.0)

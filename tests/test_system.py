@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from friedrichs import boundary, geometry, reduction, solver, system
+from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.errors import ContractError, NotHyperbolicError
 from friedrichs.system import (advection_system, beta_normalize, check_hyperbolic,
                                check_positive, check_symmetric, constant_system,
@@ -306,3 +308,35 @@ def test_characteristics_refuse_a_point_where_the_dt_form_is_indefinite(strip):
     with pytest.raises(NotHyperbolicError):
         solver.solve(sys_, boundary.no_condition(2), grid=solver.make_grid(sys_, 16),
                      check_admissible=False)
+
+
+def _catalog():
+    """Catalog builders on charts whose coefficients vary in x (and in t),
+    and the formal adjoint of each."""
+    chart = geometry.named_profile_chart(
+        (0.0, 1.0), (1.0,),
+        beta={"profile": "sine", "base": 1.3, "amplitude": 0.2, "waves": 1, "waves_t": 1.0},
+        h_scale={"profile": "sine", "amplitude": 0.1, "waves": 2, "waves_t": 0.5})
+    heat = reduction.SecondOrderProblem("reaction_diffusion", chart, k=1, c=lambda t, xs: -1.0)
+    base = {"wave": wave_system(chart), "kg": kg_system(chart, 1.0),
+            "heat": reduction.reaction_diffusion_to_first_order(heat, 2.0),
+            "dirac": clifford.dirac_system(clifford.build_rep(2),
+                                           geometry.ultrastatic((0.0, 1.0), (1.0,), eps=0.3))}
+    return {**base, **{name + "_adjoint": formal_adjoint(s) for name, s in base.items()}}
+
+
+CATALOG = _catalog()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12), st.data())
+def test_a_coefficient_row_does_not_depend_on_the_rest_of_the_batch(name, t, xs, data):
+    # the solver slices one table on cells ∪ faces, so every row must be
+    # exactly what evaluating at that point alone gives
+    xs = np.array(xs)[:, None]
+    i = data.draw(st.integers(0, len(xs) - 1))
+    A, C = CATALOG[name].coeff_at(t, xs)
+    A1, C1 = CATALOG[name].coeff_at(t, xs[i:i + 1])
+    assert A[i].tobytes() == A1[0].tobytes()
+    assert C[i].tobytes() == C1[0].tobytes()
