@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary, clifford, geometry, reduction, solver, system
-from .errors import ConfigError, ContractError, NotAdmissibleError
+from .errors import BoundaryClosureError, ConfigError, ContractError, NotAdmissibleError
 
 
 def config_digest(cfg):
@@ -303,10 +303,7 @@ def build_problem(cfg):
 def cmd_check(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
     bc_map = solver._as_bc_map(sys_, bcs)
-    sym = system.check_symmetric(sys_)
-    hyp = system.check_hyperbolic(sys_, seed=seed) if sym.verdict else None
-    pos = system.check_positive(sys_) if sym.verdict else None
-    cc = system.constant_characteristic(sys_)
+    sym, hyp, pos, cc = system.check_conditions(sys_, seed)
     lines = [f"system: {sys_.name} (N={sys_.fiber_rank})",
              f"symmetric: {sym.verdict} (max asymmetry {_fmt(sym.max_asymmetry)})",
              f"hyperbolic: {bool(hyp and hyp.oriented_verdict)} "
@@ -351,10 +348,10 @@ def cmd_reduce(cfg, out, force, seed):
                                      M[i, j].real, M[i, j].imag))
     write_csv(out / "coefficients.csv",
               ["t", "x", "matrix", "row", "col", "re", "im"], rows)
-    cls = sys_.classify()
+    sym, hyp, pos, cc = system.check_conditions(sys_, seed)
     return 0, (f"system: {sys_.name} N={sys_.fiber_rank} "
-               f"symmetric={cls.symmetric} hyperbolic={cls.hyperbolic} "
-               f"positive={cls.positive} char_dim={cls.characteristic_dim}\n")
+               f"symmetric={sym.verdict} hyperbolic={bool(hyp and hyp.oriented_verdict)} "
+               f"positive={bool(pos and pos.passed)} char_dim={cc[1]}\n")
 
 
 def cmd_solve(cfg, out, force, seed):
@@ -482,7 +479,7 @@ def main(argv=None):
               f"(use --force for counterexample studies)")
         print(exc.report.summary())
         return 1
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, BoundaryClosureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = f"config: {config_digest(cfg)}\n" + report

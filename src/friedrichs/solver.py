@@ -591,9 +591,7 @@ def green_minus(sys, bcs, f, grid, force=False):
     def f_rev(t, xs2):
         return f(t0 + t1 - t, xs2)
 
-    rev_grid = Grid(grid.nx, grid.dx, grid.dt, grid.nt, grid.cfl,
-                    grid.xs.copy(), grid.ts.copy(), grid.staggered)
-    fld = solve(rev, bc_map, f=f_rev, h=None, grid=rev_grid,
+    fld = solve(rev, bc_map, f=f_rev, h=None, grid=grid,
                 check_admissible=False, force=force)
     return GridField(fld.values[::-1].copy(), grid, sys.name + "_green_minus")
 

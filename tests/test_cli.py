@@ -285,6 +285,13 @@ def test_contract_error_is_a_config_error(tmp_path, capsys):
     assert_config_error(capsys, *run(tmp_path, cfg, "green"))
 
 
+def test_non_finite_solution_is_a_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(HEAT)
+    cfg["task"]["initial"]["amplitude"] = 1e308
+    err = assert_config_error(capsys, *run(tmp_path, cfg, "solve"))
+    assert err == "config error: solution is not finite at level m=0, t=0\n"
+
+
 def test_solve_marks_indefinite_energy(tmp_path):
     cfg = {
         "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},
@@ -315,6 +322,20 @@ def shipped(name, key=None, value=None):
             node = node.setdefault(part, {})
         node[last] = value
     return cfg
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                        if "system" in json.loads(p.read_text())))
+def test_check_and_reduce_certify_alike(tmp_path, name, seed):
+    verdicts = {}
+    for command, pattern in [("check", r"^(\w+): (True|False)"),
+                             ("reduce", r"(\w+)=(True|False)")]:
+        _, out = run(tmp_path / command, shipped(name), command, ("--seed", seed))
+        found = dict(re.findall(pattern, (out / "report.txt").read_text(), re.M))
+        verdicts[command] = {key: found[key] for key in ("symmetric", "hyperbolic",
+                                                         "positive")}
+    assert verdicts["check"] == verdicts["reduce"]
 
 
 CUSTOM_CHART = {"name": "custom", "params": {"beta": {"profile": "sine", "amplitud": 0.3}}}

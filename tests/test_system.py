@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.errors import ContractError, NotHyperbolicError
-from friedrichs.system import (advection_system, beta_normalize, check_hyperbolic,
-                               check_positive, check_symmetric, constant_system,
+from friedrichs.system import (HyperbolicReport, advection_system, beta_normalize,
+                               check_conditions, check_hyperbolic, check_positive,
+                               check_symmetric, constant_system,
                                constant_characteristic, find_lambda,
                                formal_adjoint, lambda_shift)
 
@@ -268,12 +269,79 @@ def test_positivity_monotone_in_lambda(strip):
         assert check_positive(lambda_shift(base, lam)).passed
 
 
-def test_classification_cache(strip):
+def test_check_conditions_of_the_wave(strip):
+    sym, hyp, pos, (constant, char_dim) = check_conditions(wave_system(strip))
+    assert sym.verdict and hyp.oriented_verdict and constant
+    assert char_dim == 1
+    assert pos is not None
+
+
+def hyperbolic_reference(sys_, seed, per_axis=8, n_cone=16, tol=1e-10):
+    """check_hyperbolic point by point, from the same seeded stream: one
+    ``symbol`` call per covector and one ``eigvalsh`` call per matrix."""
+    rng = np.random.default_rng(seed)
+    ts, xs = sys_.chart.sample_interior(per_axis)
+    n, s = sys_.dim_space, sys_.time_sign
+    eigs, dt_eigs = [], []
+    for t in ts[:: max(1, len(ts) // 4)]:
+        for x in xs[:: max(1, xs.shape[0] // 16)]:
+            G = sys_.metric_at(t, x[None])[0]
+            hinv = sys_.chart.h_inv_at(t, x[None])[0]
+            beta = sys_.chart.beta_at(t, x[None])[0]
+            taus = [np.eye(n + 1)[0]]
+            for _ in range(n_cone):
+                u = rng.standard_normal(n)
+                rho = rng.uniform(0.0, 0.95) / beta
+                taus.append(np.concatenate([[1.0], rho * u / np.sqrt(u @ hinv @ u)]))
+            for j, tau in enumerate(taus):
+                W = G @ sys_.symbol(t, x, tau)
+                eigs.append(np.linalg.eigvalsh(0.5 * (W + W.conj().T)))
+                if j == 0:
+                    dt_eigs.append(eigs[-1][0])
+    eigs = np.array(eigs)
+    min_eig = float(eigs[:, 0].min())
+    return HyperbolicReport(min_eig > tol, bool(s != 0 and (s * eigs).min() > tol),
+                            min_eig, s, bool(min(dt_eigs) > tol))
+
+
+def hyperbolic_catalog():
+    strip = geometry.minkowski_strip((0.0, 1.0), (1.0,))
+    sine_beta = geometry.named_profile_chart(
+        (0.0, 0.4), (1.0,), beta={"profile": "sine", "base": 1.3, "amplitude": 0.2,
+                                  "waves": 1, "waves_t": 1.0})
+    square = geometry.minkowski_strip((0.0, 1.0), (1.0, 1.0))
+    return {
+        "wave": wave_system(strip),
+        "dirac": clifford.dirac_system(clifford.build_rep(2), strip),
+        "kg": kg_system(strip, 1.0),
+        "advection": advection_system(strip),
+        "wave_sine_beta": wave_system(sine_beta),
+        "dirac_2+1": clifford.dirac_system(clifford.build_rep(3), square),
+        "wave_ultrastatic_2+1": wave_system(
+            geometry.ultrastatic((0.0, 1.0), (1.0, 1.0), eps=0.25)),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(hyperbolic_catalog()))
+def test_check_hyperbolic_matches_the_pointwise_reference(name, seed):
+    sys_ = hyperbolic_catalog()[name]
+    rep, ref = check_hyperbolic(sys_, seed=seed), hyperbolic_reference(sys_, seed)
+    assert (rep.verdict, rep.oriented_verdict, rep.time_sign, rep.dt_form_positive) == (
+        ref.verdict, ref.oriented_verdict, ref.time_sign, ref.dt_form_positive)
+    assert rep.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=1e-12)
+
+
+def test_check_hyperbolic_evaluates_coefficients_once_per_slice(strip, monkeypatch):
+    # 8 slices of check_symmetric's guard and 4 of the cone, with s* cached
     wave = wave_system(strip)
-    cls = wave.classify()
-    assert cls.symmetric and cls.hyperbolic and cls.constant_characteristic
-    assert cls.characteristic_dim == 1
-    assert wave.classify() is cls
+    assert wave.time_sign == 1
+    calls = []
+    coeff_at = system.FriedrichsSystem.coeff_at
+    monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",
+                        lambda self, t, xs: calls.append(t) or coeff_at(self, t, xs))
+    check_hyperbolic(wave, per_axis=8)
+    assert len(calls) == 12
 
 
 def test_characteristics_split_in_the_companion_metric(strip):
