@@ -260,12 +260,14 @@ def build_initial(cfg, sys_):
 
     def h(xs):
         out = np.zeros((xs.size, sys_.fiber_rank), dtype=complex)
-        for comp, fn in items:
-            out[:, comp] += fn(xs)
-        if task["constrain_gradient"] and sys_.layout is not None:
-            L = sys_.layout
-            src = out[:, L.tail_start:] if L.tail_start is not None else out[:, :L.k]
-            out[:, L.grad_slot(0)] = np.gradient(src, xs, axis=0)
+        # data that overflows is left to the solver's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for comp, fn in items:
+                out[:, comp] += fn(xs)
+            if task["constrain_gradient"] and sys_.layout is not None:
+                L = sys_.layout
+                src = out[:, L.tail_start:] if L.tail_start is not None else out[:, :L.k]
+                out[:, L.grad_slot(0)] = np.gradient(src, xs, axis=0)
         return out
 
     return h

@@ -142,13 +142,12 @@ def definiteness_sign(W, tol=1e-12):
 
 
 def pairwise_sum(values):
-    """Deterministic pairwise summation (fixed reduction order)."""
+    """Deterministic pairwise summation along the last axis: neighbours add in
+    pairs, an odd last entry carried, until one is left (the same order per row)."""
     vals = np.asarray(values)
-    if vals.size == 0:
-        return vals.dtype.type(0)
-    vals = vals.ravel().copy()
-    while vals.size > 1:
-        half = vals.size // 2
-        head = vals[: 2 * half].reshape(half, 2).sum(axis=1)
-        vals = np.concatenate([head, vals[2 * half:]])
-    return vals[0]
+    if vals.shape[-1] == 0:
+        return np.zeros(vals.shape[:-1], vals.dtype)[()]
+    while (n := vals.shape[-1]) > 1:
+        head = vals[..., 0:n - 1:2] + vals[..., 1:n:2]
+        vals = head if n % 2 == 0 else np.concatenate([head, vals[..., -1:]], axis=-1)
+    return vals[..., 0][()]

@@ -18,6 +18,7 @@ sparse solve per step) on a node grid, with boundary rows replaced by the
 row-reduced G_B in the constrained directions.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError)
 from .linalg import eigh_pencil, pairwise_sum, row_reduce
-from .boundary import admissibility, boundary_symbol, nonneg_mask
+from .boundary import admissibility, nonneg_mask
+from .system import companion_metric
 
 
 @dataclass
@@ -93,9 +95,6 @@ class GridField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
 
-    def level(self, m):
-        return self.values[m]
-
     def pointwise_norm(self):
         return np.linalg.norm(self.values, axis=2)
 
@@ -141,8 +140,7 @@ def _eval_forcing(f, t, xs, N):
 def _eval_initial(h, xs, N):
     if h is None:
         return np.zeros((xs.size, N), dtype=complex)
-    arr = h(xs) if callable(h) else np.asarray(h, dtype=complex)
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.asarray(h(xs) if callable(h) else h, dtype=complex)
     if arr.shape != (xs.size, N):
         raise ConfigError(f"initial data must have shape ({xs.size}, {N})")
     return arr
@@ -172,16 +170,16 @@ def _levels(sys, ts, tables):
 
 
 def _explicit_tables(sys, bc_map, grid, t, force):
-    """Frozen-time tables of one upwind step: σ(dt)⁻¹, Ã and C̃ at the cells,
-    |Ã| at the faces, and the ghost-cell closure of each boundary face.
-
-    The coefficients are evaluated once, on the cells and the faces together,
-    and one characteristic split serves the faces (covector dx) and the two
-    boundary faces (their outward conormals).  Raises ContractError when the
-    realised CFL max|λ|·Δt/Δx at the faces exceeds 1, the stability bound of
-    the upwind step.
-    """
-    chart, nx = sys.chart, grid.nx
+    """The frozen upwind step as block rows B (nx, N, 3N) and the forcing map
+    Δt·σ(dt)⁻¹: Ψ_p(t + Δt) = Ψ_p + B_p·[Ψ_{p−1}; Ψ_p; Ψ_{p+1}] + Δt·σ(dt)⁻¹f_p,
+    the blocks k(Ã + |Ã|_{p−½}), −k(|Ã|_{p+½} + |Ã|_{p−½}) − ΔtC̃ and
+    k(|Ã|_{p+½} − Ã) with k = Δt/2Δx (LeVeque, *Finite Volume Methods for
+    Hyperbolic Problems*, 2002, ch. 4 and 8) and the ghost-cell closures folded
+    into the edge rows' middle blocks.  B is the increment, so rounding stays
+    relative to it.  One coefficient evaluation and one characteristic split
+    serve the cells, the faces (covector dx) and the two boundary faces (their
+    conormals).  ContractError when the realised CFL at the faces exceeds 1."""
+    chart, nx, N = sys.chart, grid.nx, sys.fiber_rank
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
     A, C = sys.coeff_at(t, np.concatenate([grid.xs, faces])[:, None])
     a0inv = np.linalg.inv(A[:nx, 0])
@@ -198,10 +196,18 @@ def _explicit_tables(sys, bc_map, grid, t, force):
     if cfl > 1.0:
         raise ContractError(f"realised CFL {cfl:.4g} > 1 at t={t:.6g}, "
                             f"x={faces[worst]:.6g}: lower the grid's cfl")
-    Aabs = (V * np.abs(lam)[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
-    closures = [_boundary_closure(bc_map[q.face], chart, q, *(a[i] for a in split), force)
-                for q, i in zip(ends, (-2, -1))]
-    return a0inv, a0inv @ A[:nx, 1], a0inv @ C[:nx], Aabs, closures
+    k = grid.dt / (2 * grid.dx)
+    kAabs = (V * (k * np.abs(lam))[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
+    T_left, T_right = (_boundary_closure(bc_map[q.face], chart, q, *(a[i] for a in split), force)
+                       for q, i in zip(ends, (-2, -1)))
+    kAdtC = a0inv @ np.concatenate([k * A[:nx, 1], grid.dt * C[:nx]], axis=2)
+    kA, dtC = kAdtC[..., :N], kAdtC[..., N:]
+    B = np.concatenate([kA + kAabs[:-1], -(kAabs[1:] + kAabs[:-1] + dtC), kAabs[1:] - kA], axis=2)
+    left, diag, right = B[..., :N], B[..., N:2 * N], B[..., 2 * N:]
+    diag[0] += left[0] @ T_left
+    diag[-1] += right[-1] @ T_right
+    left[0] = right[-1] = 0.0
+    return B, grid.dt * a0inv
 
 
 def _boundary_closure(bc, chart, q, lam, V, P, force):
@@ -231,26 +237,19 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
-    dt, dx = grid.dt, grid.dx
-    psi = out[0].copy()
-    pad = np.empty((nx + 2, N), dtype=complex)
+    pad = np.zeros((nx + 2) * N, dtype=complex)     # Ψ and a zero ghost cell each side
+    window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
     levels = _levels(sys, grid.ts[:-1],
                      lambda t: _explicit_tables(sys, bc_map, grid, t, force))
-    for m, (t, (a0inv, Atil, Ctil, Aabs, (T_left, T_right))) in enumerate(levels):
-        pad[0] = T_left @ psi[0]
-        pad[-1] = T_right @ psi[-1]
-        pad[1:-1] = psi
-        jump = pad[1:] - pad[:-1]                       # (nx+1, N)
-        diss = np.einsum("fij,fj->fi", Aabs, jump)      # |Ã|·jump at faces
-        central = (pad[2:] - pad[:-2]) / (2 * dx)
-        rhs = -np.einsum("pij,pj->pi", Atil, central)
-        rhs += (diss[1:] - diss[:-1]) / (2 * dx)
-        rhs -= np.einsum("pij,pj->pi", Ctil, psi)
+    for m, (t, (B, dt_a0inv)) in enumerate(levels):
+        psi, new = out[m], out[m + 1]
+        pad[N:-N] = psi.ravel()
+        np.einsum("pij,pj->pi", B, window, out=new)
         src = _eval_forcing(f, t, grid.xs, N)
         if src is not None:
-            rhs += np.einsum("pij,pj->pi", a0inv, src)
-        psi = psi + dt * rhs
-        out[m + 1] = _finite(psi, m + 1, grid.ts[m + 1])
+            new += np.einsum("pij,pj->pi", dt_a0inv, src)
+        new += psi
+        _finite(new, m + 1, grid.ts[m + 1])
     return out
 
 
@@ -304,17 +303,15 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
-    psi = out[0].copy()
     levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
     for m, (t1, (lu, brows, A0)) in enumerate(levels):
-        rhs = np.einsum("pij,pj->pi", A0, psi) / grid.dt
+        rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
         src = _eval_forcing(f, t1, xs, N)
         if src is not None:
             rhs += src
         for node, (R, V1, V2) in brows.items():
             rhs[node] = V2 @ (V2.conj().T @ rhs[node])
-        psi = lu.solve(rhs.ravel()).reshape(npts, N)
-        out[m + 1] = _finite(psi, m + 1, t1)
+        out[m + 1] = _finite(lu.solve(rhs.ravel()).reshape(npts, N), m + 1, t1)
     return out
 
 
@@ -360,6 +357,8 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
 
 # -- diagnostics -------------------------------------------------------------
 
+_BLOCK = 8      # time levels per block of energy_trace
+
 
 @dataclass
 class EnergyTrace:
@@ -380,22 +379,41 @@ class EnergyTrace:
 
 
 def _energy_tables(sys, grid, t):
-    """Tables of one energy_trace level: the energy metric (P, or G when the
-    system has no positive companion metric), √det h, and per face the edge
-    index, s*·β, G and σ(n♭)."""
-    chart = sys.chart
-    xs2 = grid.xs[:, None]
-    P = sys.positive_metric_at(t, xs2)
-    if P is None:
-        P = sys.metric_at(t, xs2)
-    s = sys.time_sign if sys.time_sign != 0 else 1
-    faces = []
-    for face in chart.faces():
-        q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-        G = sys.metric_at(t, q.x[None, :])[0]
-        beta = chart.beta_at(t, q.x[None, :])[0]
-        faces.append((0 if face[1] == 0 else -1, s * beta, G, boundary_symbol(sys, q)))
-    return P, geometry.spatial_density(chart, t, xs2), faces
+    """One energy_trace level from one evaluation on the samples and the two
+    boundary points: the energy metric (the companion metric, or G when σ(dt)
+    is not definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
+    chart, n = sys.chart, grid.xs.size
+    ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+            for face in chart.faces()]
+    xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends]])[:, None]
+    A, G, beta = sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2), chart.beta_at(t, xs2)
+    s = sys.time_sign
+    P = companion_metric(s, beta[:n], G[:n], A[:n, 0]) if s != 0 else G[:n]
+    xi = np.array([geometry.outward_normal(chart, q) for q in ends], dtype=complex)
+    return (P, geometry.spatial_density(chart, t, xs2[:n]), (s or 1) * beta[n:], G[n:],
+            np.einsum("fm,fmij->fij", xi, A[n:]))
+
+
+def _quadratic_density(psi, P):
+    """Re ⟨Ψ, PΨ⟩ for Ψ (L, n, N) and P broadcasting to (L, n, N, N), term by
+    term in the (i, j) order and real arithmetic of ``np.einsum("pi,pij,pj->p",
+    Ψ̄, P, Ψ)``: bitwise that einsum's on each level, at a fraction of its cost."""
+    x = np.moveaxis(psi, -1, 0)
+    xr, xi = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    M = np.moveaxis(P, (-2, -1), (0, 1))
+    Mr, Mi = np.ascontiguousarray(M.real), np.ascontiguousarray(M.imag)
+    dens = np.zeros(psi.shape[:-1])
+    re, im, tmp = (np.empty_like(dens) for _ in range(3))
+    for i, j in itertools.product(range(psi.shape[-1]), repeat=2):
+        np.multiply(xr[i], Mr[i, j], out=re)            # Ψ̄_i·P_ij
+        re += np.multiply(xi[i], Mi[i, j], out=tmp)
+        np.multiply(xr[i], Mi[i, j], out=im)
+        im -= np.multiply(xi[i], Mr[i, j], out=tmp)
+        re *= xr[j]                                     # Re of its product with Ψ_j
+        im *= xi[j]
+        re -= im
+        dens += re
+    return dens
 
 
 def energy_trace(fld, sys):
@@ -405,24 +423,24 @@ def energy_trace(fld, sys):
     faces, evaluated at the edge sample; for conditions with vanishing
     boundary form it is an O(Δx) discretization artifact around zero.
     Systems without a positive companion metric sum the indefinite fiber
-    form G instead, which is not a norm.
+    form G instead, which is not a norm.  Levels go in blocks of ``_BLOCK``.
     """
     grid = fld.grid
     weights = np.full(grid.xs.size, grid.dx)
     if not grid.staggered:
         weights[0] = weights[-1] = grid.dx / 2
-    energy = np.empty(grid.nt + 1)
-    flux = np.empty(grid.nt + 1)
+    energy, flux = np.empty((2, grid.nt + 1))
     levels = _levels(sys, grid.ts, lambda t: _energy_tables(sys, grid, t))
-    for m, (_, (P, sdens, faces)) in enumerate(levels):
-        psi = fld.values[m]
-        dens = np.real(np.einsum("pi,pij,pj->p", psi.conj(), P, psi))
-        energy[m] = pairwise_sum(dens * sdens * weights)
-        phi = 0.0
-        for edge, sbeta, G, sn in faces:
-            trace = psi[edge]
-            phi += sbeta * float(np.real(trace.conj() @ G @ sn @ trace))
-        flux[m] = phi
+    for start in range(0, grid.nt + 1, _BLOCK):
+        block = [tb for _, tb in itertools.islice(levels, _BLOCK)]
+        P, sdens, sbeta, G, sn = ([a[None] for a in block[0]] if sys.static
+                                  else map(np.stack, zip(*block)))
+        rows = slice(start, start + len(block))
+        psi = fld.values[rows]
+        energy[rows] = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
+        trace = psi[:, [0, -1]]                 # the edge samples of the two faces
+        form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
+        flux[rows] = sum((sbeta * form).T)     # 0.0 + face 0 + face 1
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
 
@@ -436,8 +454,7 @@ def estimate_energy_constant(sys, n_samples=16):
     for t in chart.sample_times(5):
         Z_h, G = zero_order_symmetrization(sys, t, xs)
         P = sys.positive_metric_at(t, xs)
-        if P is None:
-            P = G
+        P = G if P is None else P
         pick = slice(None, None, max(1, xs.shape[0] // 8))
         P, G = P[pick], G[pick]
         ev, _ = eigh_pencil(P @ (np.linalg.inv(G) @ (G @ Z_h[pick])), P)
@@ -523,8 +540,7 @@ def _forcing_table(f, grid, N):
 def forcing_support_levels(f, grid, N, threshold=1e-14):
     """Time levels where the forcing is active (threshold=0: strictly nonzero)."""
     norms = np.array([float(np.linalg.norm(arr)) for arr in _forcing_table(f, grid, N)])
-    nz = np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
-    return nz
+    return np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
 
 
 def green_plus(sys, bcs, f, grid, force=False):

@@ -116,18 +116,12 @@ class FriedrichsSystem:
             self._cache["time_sign"] = signs.pop() if len(signs) == 1 else 0
         return self._cache["time_sign"]
 
-    def _dt_metric(self, t, xs, A0, sign):
-        """Hermitian part of sign·β·G·σ(dt), σ(dt) the table ``A0`` at ``xs``:
-        the companion metric, and the fiber metric of σ(dt)⁻¹·S."""
-        P = (sign * self.chart.beta_at(t, xs)[:, None, None]
-             * np.einsum("pij,pjk->pik", self.metric_at(t, xs), A0))
-        return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
-
     def positive_metric_at(self, t, xs):
         """Positive companion metric P: s*·β·G·σ(dt) when σ(dt) is definite
         (s* ≠ 0), G when σ(dt) is singular and G ≻ 0, None otherwise."""
         if self.time_sign != 0:
-            return self._dt_metric(t, xs, self.coeff_at(t, xs)[0][:, 0], self.time_sign)
+            return companion_metric(self.time_sign, self.chart.beta_at(t, xs),
+                                    self.metric_at(t, xs), self.coeff_at(t, xs)[0][:, 0])
         return self.metric_at(t, xs) if self.metric_positive else None
 
     def characteristics(self, t, xs, xi, A=None):
@@ -141,7 +135,8 @@ class FriedrichsSystem:
             raise NotHyperbolicError("σ(dt)-form singular or indefinite at samples")
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         A = self.coeff_at(t, xs)[0] if A is None else A
-        P = self._dt_metric(t, xs, A[:, 0], self.time_sign)
+        P = companion_metric(self.time_sign, self.chart.beta_at(t, xs), self.metric_at(t, xs),
+                             A[:, 0])
         xi = np.broadcast_to(np.asarray(xi, complex), A.shape[:2])
         try:
             M = np.linalg.inv(A[:, 0]) @ np.einsum("pm,pmij->pij", xi, A)
@@ -152,6 +147,13 @@ class FriedrichsSystem:
             raise NotHyperbolicError(
                 f"σ(dt)-form singular or indefinite at t={t}{where}") from exc
         return lam, V, P
+
+
+def companion_metric(sign, beta, G, A0):
+    """Hermitian part of sign·β·G·σ(dt) from tables of β, G and σ(dt) = A0:
+    the companion metric, and the fiber metric of σ(dt)⁻¹·S."""
+    P = sign * beta[:, None, None] * np.einsum("pij,pjk->pik", G, A0)
+    return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
 
 
 @dataclass
@@ -206,9 +208,13 @@ def check_hyperbolic(sys, per_axis=8, n_cone=16, tol=1e-10, seed=0):
     ``dt_form_positive`` reports the weaker hypothesis that ⟨σ(dt)·,·⟩ alone
     is positive definite.
     """
-    sym = check_symmetric(sys)
-    if not sym.verdict:
+    if not check_symmetric(sys).verdict:
         raise ContractError("check_hyperbolic requires a symmetric system")
+    return _hyperbolic(sys, per_axis, n_cone, tol, seed)
+
+
+def _hyperbolic(sys, per_axis=8, n_cone=16, tol=1e-10, seed=0):
+    """The body of ``check_hyperbolic``, for callers that certified (S)."""
     rng = np.random.default_rng(seed)
     ts, xs = sys.chart.sample_interior(per_axis)
     xs = xs[:: max(1, xs.shape[0] // 16)]
@@ -240,7 +246,7 @@ def check_conditions(sys, seed=0):
     """The Friedrichs conditions of ``sys``: the (S) report, the (H) and (P)
     reports (None unless (S) holds) and ``constant_characteristic``."""
     sym = check_symmetric(sys)
-    hyp = check_hyperbolic(sys, seed=seed) if sym.verdict else None
+    hyp = _hyperbolic(sys, seed=seed) if sym.verdict else None
     pos = check_positive(sys) if sym.verdict else None
     return sym, hyp, pos, constant_characteristic(sys)
 
@@ -359,7 +365,8 @@ def beta_normalize(sys):
 
     return FriedrichsSystem(
         chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff,
-        metric=lambda t, xs: sys._dt_metric(t, xs, sys.coeff_at(t, xs)[0][:, 0], s or 1),
+        metric=lambda t, xs: companion_metric(s or 1, chart.beta_at(t, xs), sys.metric_at(t, xs),
+                                              sys.coeff_at(t, xs)[0][:, 0]),
         metric_positive=s != 0, name=sys.name + "_normalized", layout=sys.layout,
         time_independent=sys.time_independent)
 

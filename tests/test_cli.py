@@ -292,6 +292,23 @@ def test_non_finite_solution_is_a_config_error(tmp_path, capsys):
     assert err == "config error: solution is not finite at level m=0, t=0\n"
 
 
+def test_non_finite_solve_as_a_process_prints_one_line(tmp_path):
+    # the constrained gradient of the 1e308 bump overflows: numpy's warnings
+    # about it must not reach stderr ahead of the one config error line
+    cfg = copy.deepcopy(HEAT)
+    cfg["task"]["initial"]["amplitude"] = 1e308
+    cfg_path, out = tmp_path / "run.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(friedrichs.__file__).resolve().parent.parent)
+    code = "import sys; from friedrichs.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--config", str(cfg_path), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["config error: solution is not finite at level m=0, t=0"]
+    assert not (out / "report.txt").exists()
+
+
 def test_solve_marks_indefinite_energy(tmp_path):
     cfg = {
         "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},

@@ -171,3 +171,12 @@ def test_pairwise_sum_deterministic_and_accurate():
     s2 = pairwise_sum(vals.copy())
     assert s1 == s2
     assert abs(s1 - np.sum(vals, dtype=np.longdouble)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1025])
+def test_pairwise_sum_along_the_last_axis_is_bitwise_the_row_sums(n):
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((3, 4, n)) * 10.0 ** rng.integers(-8, 8, (3, 4, n))
+    rows = pairwise_sum(vals)
+    assert rows.shape == (3, 4)
+    assert np.array_equal(rows, [[pairwise_sum(row) for row in block] for block in vals])

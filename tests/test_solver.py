@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +13,7 @@ from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.errors import (BoundaryClosureError, ConfigError, ContractError,
                                NotAdmissibleError)
 from friedrichs.geometry import LEFT, RIGHT
+from friedrichs.linalg import pairwise_sum
 from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                convergence_study, energy_trace,
                                estimate_energy_constant, green_minus,
@@ -734,3 +740,164 @@ def test_maximal_nonnegative_conditions_are_admissible_and_dissipative(matrices)
     fld = solve(sys_, bcs, h=lambda xs: np.outer(1.5 + np.cos(3 * xs), np.arange(1, N + 1)),
                 grid=make_grid(sys_, 32))
     assert energy_trace(fld, sys_).max_step_growth <= 1 + 1e-12
+
+
+def reference_explicit_solve(sys_, bcs, f, h0, grid):
+    """The explicit upwind solve step by step as three einsums over a padded
+    field: ghost cells from the closures, |Ã|·jump at the faces, the central
+    difference of ÃΨ, C̃Ψ and σ(dt)⁻¹f at the cells."""
+    chart, bc_map = sys_.chart, solver._as_bc_map(sys_, bcs)
+    nx, N, dt, dx = grid.nx, sys_.fiber_rank, grid.dt, grid.dx
+    faces = np.append(np.arange(nx) * dx, chart.space_extent[0])[:, None]
+    out = [h0]
+    for t in grid.ts[:-1]:
+        A, C = sys_.coeff_at(t, grid.xs[:, None])
+        a0inv = np.linalg.inv(A[:, 0])
+        lam, V, P = sys_.characteristics(t, faces, (0.0, 1.0))
+        Aabs = (V * np.abs(lam)[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
+        psi = out[-1]
+        pad = np.empty((nx + 2, N), dtype=complex)
+        pad[1:-1] = psi
+        for face, edge in ((LEFT, 0), (RIGHT, -1)):      # the ghost beside each edge cell
+            q = geometry.BoundaryPoint(t, face, [chart.face_position(face)])
+            split = sys_.characteristics(t, q.x[None], geometry.outward_normal(chart, q))
+            T = solver._boundary_closure(bc_map[face], chart, q, *(a[0] for a in split), False)
+            pad[edge] = T @ psi[edge]
+        diss = np.einsum("fij,fj->fi", Aabs, pad[1:] - pad[:-1])
+        rhs = -np.einsum("pij,pj->pi", a0inv @ A[:, 1], (pad[2:] - pad[:-2]) / (2 * dx))
+        rhs += (diss[1:] - diss[:-1]) / (2 * dx)
+        rhs -= np.einsum("pij,pj->pi", a0inv @ C, psi)
+        if f is not None:
+            rhs += np.einsum("pij,pj->pi", a0inv, f(t, grid.xs[:, None]))
+        out.append(psi + dt * rhs)
+    return np.stack(out)
+
+
+def lapse_scaled_system(chart, G, S0, S1, C):
+    """A^0 = G⁻¹S⁰, A^1 = β·G⁻¹S¹: speeds scale with the lapse, so on a
+    chart with β(t, x) every level has its own step."""
+    N = G.shape[0]
+    Ginv = np.linalg.inv(G)
+
+    def coeff(t, xs):
+        A = np.empty((xs.shape[0], 2, N, N), dtype=complex)
+        A[:, 0] = Ginv @ S0
+        A[:, 1] = chart.beta_at(t, xs)[:, None, None] * (Ginv @ S1)
+        return A, np.broadcast_to(C, (xs.shape[0], N, N))
+
+    return system.FriedrichsSystem(
+        chart, N, coeff, lambda t, xs: np.broadcast_to(G, (xs.shape[0], N, N)),
+        metric_positive=True, time_independent=chart.time_independent)
+
+
+SINE_BETA = {"profile": "sine", "base": 1.2, "amplitude": 0.2, "waves": 1, "waves_t": 1.0}
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(symmetric_hyperbolic())
+def test_block_row_step_matches_the_einsum_step(matrices):
+    G, S0, S1 = matrices
+    N = G.shape[0]
+    C = 0.3 * np.linalg.inv(G) @ (S1 - S0)
+    bcs = {face: boundary.custom_bc(maximal_nonnegative(sign * S1, S0)[0])
+           for face, sign in ((LEFT, -1.0), (RIGHT, 1.0))}
+
+    def h(xs):
+        return np.outer(1.5 + np.cos(3 * xs), np.arange(1, N + 1))
+
+    def f(t, xs2):
+        return np.sin(3 * xs2 + 2 * t) * np.arange(1, N + 1)
+
+    for chart in (geometry.minkowski_strip((0.0, 0.25), (1.0,)),
+                  geometry.named_profile_chart((0.0, 0.25), (1.0,), beta=SINE_BETA)):
+        sys_ = lapse_scaled_system(chart, G, S0, S1, C)
+        assert sys_.static == chart.time_independent
+        dt = make_grid(sys_, 16).dt
+        grid = make_grid(sys_, 16, t_final=20 * dt, nt=20)
+        for forcing in (None, f):
+            new = solve(sys_, bcs, f=forcing, h=h, grid=grid, check_admissible=False).values
+            ref = reference_explicit_solve(sys_, bcs, forcing, h(grid.xs).astype(complex), grid)
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def reference_energy_trace(fld, sys_):
+    """energy_trace level by level: the 3-operand einsum, one pairwise sum
+    per level and ``boundary_symbol`` at each face."""
+    grid, chart = fld.grid, sys_.chart
+    weights = np.full(grid.xs.size, grid.dx)
+    if not grid.staggered:
+        weights[0] = weights[-1] = grid.dx / 2
+    xs2 = grid.xs[:, None]
+    s = sys_.time_sign or 1
+    energy, flux = [], []
+    for t, psi in zip(grid.ts, fld.values):
+        P = sys_.positive_metric_at(t, xs2)
+        P = sys_.metric_at(t, xs2) if P is None else P
+        dens = np.real(np.einsum("pi,pij,pj->p", psi.conj(), P, psi))
+        energy.append(pairwise_sum(dens * geometry.spatial_density(chart, t, xs2) * weights))
+        phi = 0.0
+        for face in chart.faces():
+            q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+            G = sys_.metric_at(t, q.x[None, :])[0]
+            sbeta = s * chart.beta_at(t, q.x[None, :])[0]
+            trace = psi[0 if face[1] == 0 else -1]
+            sn = boundary.boundary_symbol(sys_, q)
+            phi += sbeta * float(np.real(trace.conj() @ G @ sn @ trace))
+        flux.append(phi)
+    return np.array(energy), np.array(flux)
+
+
+def energy_cases():
+    strip = geometry.minkowski_strip((0.0, 0.4), (1.0,))
+    sine = geometry.named_profile_chart((0.0, 0.3), (1.0,),
+                                        beta=dict(SINE_BETA, base=1.3))
+    heat = reduction.reaction_diffusion_to_first_order(
+        reduction.SecondOrderProblem("reaction_diffusion", strip, k=1), 1.0)
+    kg = reduction.kg_to_first_order(
+        reduction.SecondOrderProblem("klein_gordon", sine, k=1, mass=1.0))
+    return {"advection": (system.advection_system(strip), 40),
+            "dirac": (dirac_setup(strip)[0], 40),
+            "heat": (heat, 40),
+            "wave_sine_beta": (wave_setup(sine)[0], 24),
+            "kg_sine_beta": (kg, 32)}
+
+
+@pytest.mark.parametrize("case", sorted(energy_cases()))
+def test_energy_trace_is_bitwise_the_per_level_trace(case):
+    sys_, nx = energy_cases()[case]
+    grid = make_grid(sys_, nx)
+    assert (grid.nt + 1) % solver._BLOCK != 0     # a partial last block
+    rng = np.random.default_rng(11)
+    shape = (grid.nt + 1, grid.xs.size, sys_.fiber_rank)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[3] = 0.0
+    tr = energy_trace(GridField(vals, grid), sys_)
+    energy, flux = reference_energy_trace(GridField(vals, grid), sys_)
+    assert np.array_equal(tr.energy, energy)
+    assert np.array_equal(tr.flux, flux)
+
+
+def test_explicit_path_loads_no_scipy():
+    # scipy.sparse costs ~18 MB of RSS; only the implicit solver may load it
+    src = str(Path(solver.__file__).resolve().parent.parent)
+    code = """if True:
+        import sys
+        import numpy as np
+        from friedrichs import boundary, geometry, solver, system
+        chart = geometry.minkowski_strip((0.0, 0.5), (1.0,))
+        adv = system.advection_system(chart)
+        bcs = {geometry.LEFT: boundary.zero_trace(1), geometry.RIGHT: boundary.no_condition(1)}
+        grid = solver.make_grid(adv, 64)
+        fld = solver.solve(adv, bcs, h=lambda xs: np.exp(-(xs - 0.5) ** 2 / 0.01)[:, None],
+                           grid=grid)
+        solver.energy_trace(fld, adv)
+
+        def f(t, xs2):
+            return (abs(t - 0.25) < 0.1) * np.exp(-(xs2 - 0.5) ** 2 / 0.01)
+
+        solver.green_plus(adv, bcs, f, grid)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -276,6 +276,31 @@ def test_check_conditions_of_the_wave(strip):
     assert pos is not None
 
 
+def test_check_conditions_certifies_symmetry_once(strip, monkeypatch):
+    # check_hyperbolic certifies (S) as its guard; check_conditions has just
+    # certified it and must not repeat the 8-slice (S) loop
+    sys_ = clifford.dirac_system(clifford.build_rep(2), strip)
+    assert sys_.time_sign == -1      # cached before counting
+    calls = []
+    coeff_at = system.FriedrichsSystem.coeff_at
+    monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",
+                        lambda self, t, xs: calls.append(t) or coeff_at(self, t, xs))
+
+    def counted(check, *args, **kwargs):
+        calls.clear()
+        return check(*args, **kwargs), len(calls)
+
+    _, n_sym = counted(check_symmetric, sys_)
+    hyp, n_hyp = counted(check_hyperbolic, sys_, seed=3)
+    pos, n_pos = counted(check_positive, sys_)
+    char, n_char = counted(constant_characteristic, sys_)
+    (sym2, hyp2, pos2, char2), n_all = counted(check_conditions, sys_, seed=3)
+    assert n_sym == 8
+    assert n_all == n_hyp + n_pos + n_char       # one (S), not two
+    assert sym2.verdict and hyp2 == hyp and char2 == char
+    assert np.array_equal(pos2.c_by_slice, pos.c_by_slice) and pos2.c_min == pos.c_min
+
+
 def hyperbolic_reference(sys_, seed, per_axis=8, n_cone=16, tol=1e-10):
     """check_hyperbolic point by point, from the same seeded stream: one
     ``symbol`` call per covector and one ``eigvalsh`` call per matrix."""
