@@ -99,16 +99,15 @@ def nonneg_mask(ev, tol=RANK_TOL):
     return ev >= -tol * scale
 
 
-def _nonneg_count(sys, q, sigma_n, G, tol):
+def _nonneg_count(sys, q, nb, A, G, sigma_n, tol):
     """Eigenvalues of σ(n♭) counted in the beta-normalized system: the speeds
     of σ(dt)⁻¹σ(n♭), or the eigenvalues of σ(n♭) itself when σ(dt) is
-    singular."""
+    singular.  A and G are the coefficient and metric tables at q."""
     if sys.time_sign != 0:
-        nb = geometry.outward_normal(sys.chart, q)
-        ev = sys.characteristics(q.t, q.x[None, :], nb)[0][0]
+        ev = sys._split(q.t, q.x[None, :], nb, A, G)[0][0]
     elif sys.metric_positive:
-        F = G @ sigma_n
-        ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G)
+        F = G[0] @ sigma_n
+        ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G[0])
     else:
         ev = np.linalg.eigvals(sigma_n)
         if np.max(np.abs(ev.imag)) > 1e-8 * max(1.0, np.max(np.abs(ev))):
@@ -147,18 +146,19 @@ def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
     sign = sys.time_sign if (orient_form and sys.time_sign != 0) else 1
     for face in (chart.faces() if faces is None else faces):
         for q in geometry.boundary_points(chart, face, n_time, n_tang):
-            G = sys.metric_at(q.t, q.x[None, :])[0]
-            sigma_n = boundary_symbol(sys, q)
+            nb = geometry.outward_normal(chart, q)
+            A, G = sys.coeff_at(q.t, q.x[None, :])[0], sys.metric_at(q.t, q.x[None, :])
+            sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A[0])
             ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n, tol=tol))
             B = bc.kernel_space(chart, q, tol=tol)
             ranks_by_face.setdefault(face, set()).add(B.rank)
             ranks.add(B.rank)
-            lowest, v = _form_on_boundary_space(sign * (G @ sigma_n), B, semidef_tol)
+            lowest, v = _form_on_boundary_space(sign * (G[0] @ sigma_n), B, semidef_tol)
             if lowest < min_form:
                 min_form = lowest
                 if v is not None:
                     witness, witness_val = v, lowest
-            count, spec = _nonneg_count(sys, q, sigma_n, G, tol)
+            count, spec = _nonneg_count(sys, q, nb, A, G, sigma_n, tol)
             counts.add(count)
             spectra.setdefault(face, spec)
     ranks_by_face = {f: sorted(r) for f, r in ranks_by_face.items()}

@@ -384,7 +384,7 @@ def cmd_green(cfg, out, force, seed):
     green = solver.green_plus if direction == "+" else solver.green_minus
     fld = green(sys_, bcs, f, grid, force=force)
     res = solver.green_residual(sys_, fld, f)
-    c_max = geometry.max_characteristic_speed(sys_.chart, sys_, per_axis=8)
+    c_max = geometry.max_characteristic_speed(sys_.chart, sys_, per_axis=grid.nx)
     ok, margin = solver.causal_support_ok(fld, f, c_max, cells=2, threshold=1e-3,
                                           future=direction == "+")
     solver.write_field(out / "field.bin", fld)

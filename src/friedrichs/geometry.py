@@ -119,13 +119,8 @@ def all_boundary_points(chart, n_time=8, n_tang=4):
     return pts
 
 
-def outward_normal(chart, q):
-    """Unit outward conormal n♭ at a boundary point, as an (n+1)-covector.
-
-    The dt-component is zero (the temporal gradient is tangent to the
-    boundary); the spatial part is the conormal dx^a of the face, normalised
-    to g⁻¹(n♭, n♭) = 1 and signed to point out of the strip.
-    """
+def _conormal(chart, q):
+    """h⁻¹ at the boundary point q and the outward conormal n♭ built from it."""
     axis, side = q.face
     pos = chart.face_position(q.face)
     if abs(q.x[axis] - pos) > 1e-9 * max(1.0, chart.space_extent[axis]):
@@ -135,13 +130,22 @@ def outward_normal(chart, q):
     sign = -1.0 if side == 0 else 1.0
     nb = np.zeros(chart.dim_space + 1)
     nb[1 + axis] = sign * scale
-    return nb
+    return hinv, nb
+
+
+def outward_normal(chart, q):
+    """Unit outward conormal n♭ at a boundary point, as an (n+1)-covector.
+
+    The dt-component is zero (the temporal gradient is tangent to the
+    boundary); the spatial part is the conormal dx^a of the face, normalised
+    to g⁻¹(n♭, n♭) = 1 and signed to point out of the strip.
+    """
+    return _conormal(chart, q)[1]
 
 
 def normal_vector(chart, q):
     """Outward unit normal vector n = (n♭)♯; spatial components only, shape (n,)."""
-    nb = outward_normal(chart, q)
-    hinv = chart.h_inv_at(q.t, q.x[None, :])[0]
+    hinv, nb = _conormal(chart, q)
     return hinv @ nb[1:]
 
 
@@ -162,19 +166,19 @@ def spatial_density(chart, t, xs):
 
 
 def max_characteristic_speed(chart, system, per_axis=16):
-    """sup over samples of |λ|, λ the speeds of σ(dt)⁻¹σ(dxʲ) from
-    ``system.characteristics``.
+    """sup |λ| over the speeds λ of σ(dt)⁻¹σ(dxʲ) from ``system.characteristics``
+    at the nodes of the uniform ``per_axis``-cell lattice: in one dimension
+    the faces that an explicit step on ``per_axis`` cells splits at.  Once, at
+    t₀, for a static system; otherwise at ``chart.sample_times(8)``.
 
     Raises NotHyperbolicError when the σ(dt)-form is singular or indefinite
-    at a sample (either definite sign is the system's time orientation).
+    at a node (either definite sign is the system's time orientation).
     """
-    ts, xs = chart.sample_interior(per_axis)
-    speed = 0.0
-    for t in ts[:: max(1, len(ts) // 8)]:
-        for dx in np.eye(chart.dim_space + 1)[1:]:
-            lam, _, _ = system.characteristics(t, xs, dx)
-            speed = max(speed, float(np.max(np.abs(lam))))
-    return speed
+    axes = [np.linspace(0.0, L, per_axis + 1) for L in chart.space_extent]
+    xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    ts = chart.sample_times(1 if system.static else 8)
+    return max(float(np.max(np.abs(system.characteristics(t, xs, dx)[0])))
+               for t in ts for dx in np.eye(chart.dim_space + 1)[1:])
 
 
 # -- chart builders --------------------------------------------------------

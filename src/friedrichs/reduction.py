@@ -99,6 +99,26 @@ def _wave_drift(prob, t, xs, beta2, hinv):
     return b0, b
 
 
+def _gradient_blocks(layout, hinv, N, metric=False):
+    """The blocks every reduction shares, from h⁻¹: for ``metric`` the fiber
+    metric (m, N, N) with I and h⁻¹ᵢⱼ·I on the value and gradient slots, else
+    A (m, n+1, N, N) with −h⁻¹ᵢⱼ·I at (value, slot j) and −I at (slot i, value) of Aⁱ."""
+    m, k, n, Ik = hinv.shape[0], layout.k, layout.n, np.eye(layout.k)
+    if metric:
+        G = np.zeros((m, N, N), dtype=complex)
+        G[:, :k, :k] = Ik
+        for i in range(n):
+            for j in range(n):
+                G[:, layout.grad_slot(i), layout.grad_slot(j)] = hinv[:, i, j, None, None] * Ik
+        return G
+    A = np.zeros((m, n + 1, N, N), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
+        A[:, 1 + i, layout.grad_slot(i), :k] = -Ik
+    return A
+
+
 def wave_to_first_order(prob):
     """Normally hyperbolic P = (1/β²)∇²_t + b₀∇_t + (∇^Σ)*∇^Σ + ∇_b + c → system."""
     if prob.kind != "normally_hyperbolic":
@@ -113,14 +133,10 @@ def wave_to_first_order(prob):
         m = xs.shape[0]
         beta2 = chart.beta_at(t, xs) ** 2
         hinv = chart.h_inv_at(t, xs)
-        A = np.zeros((m, n + 1, N, N), dtype=complex)
+        A = _gradient_blocks(layout, hinv, N)
         A[:, 0, :k, :k] = (1.0 / beta2)[:, None, None] * Ik
         idx = np.arange(k, N)
         A[:, 0, idx, idx] = 1.0
-        for i in range(n):
-            for j in range(n):
-                A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
-            A[:, 1 + i, layout.grad_slot(i), :k] = -Ik
         C = np.zeros((m, N, N), dtype=complex)
         b0, b = _wave_drift(prob, t, xs, beta2, hinv)
         C[:, :k, :k] = b0[:, None, None] * Ik
@@ -139,13 +155,7 @@ def wave_to_first_order(prob):
         return A, C
 
     def metric(t, xs):
-        m = xs.shape[0]
-        hinv = chart.h_inv_at(t, xs)
-        G = np.zeros((m, N, N), dtype=complex)
-        G[:, :k, :k] = Ik
-        for i in range(n):
-            for j in range(n):
-                G[:, layout.grad_slot(i), layout.grad_slot(j)] = hinv[:, i, j, None, None] * Ik
+        G = _gradient_blocks(layout, chart.h_inv_at(t, xs), N, metric=True)
         G[:, layout.tail_start:, layout.tail_start:] = Ik
         return G
 
@@ -163,19 +173,14 @@ def kg_to_first_order(prob):
     layout = GradientLayout(k=k, n=n, value_start=0, grad_start=k, has_time_slot=True)
     Ik = np.eye(k)
     m2 = prob.mass ** 2
+    tslot = slice(layout.grad_start, layout.grad_start + k)
 
     def coeff(t, xs):
         m = xs.shape[0]
         beta2 = chart.beta_at(t, xs) ** 2
-        hinv = chart.h_inv_at(t, xs)
-        A = np.zeros((m, n + 1, N, N), dtype=complex)
-        tslot = slice(layout.grad_start, layout.grad_start + k)
+        A = _gradient_blocks(layout, chart.h_inv_at(t, xs), N)
         A[:, 0, :k, tslot] = (1.0 / beta2)[:, None, None] * Ik
         A[:, 0, tslot, :k] = -Ik
-        for i in range(n):
-            for j in range(n):
-                A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
-            A[:, 1 + i, layout.grad_slot(i), :k] = -Ik
         C = np.zeros((m, N, N), dtype=complex)
         C[:, :k, :k] = m2 * Ik
         idx = np.arange(k, N)
@@ -183,16 +188,9 @@ def kg_to_first_order(prob):
         return A, C
 
     def metric(t, xs):
-        m = xs.shape[0]
         beta2 = chart.beta_at(t, xs) ** 2
-        hinv = chart.h_inv_at(t, xs)
-        G = np.zeros((m, N, N), dtype=complex)
-        G[:, :k, :k] = Ik
-        tslot = slice(layout.grad_start, layout.grad_start + k)
+        G = _gradient_blocks(layout, chart.h_inv_at(t, xs), N, metric=True)
         G[:, tslot, tslot] = -(1.0 / beta2)[:, None, None] * Ik
-        for i in range(n):
-            for j in range(n):
-                G[:, layout.grad_slot(i), layout.grad_slot(j)] = hinv[:, i, j, None, None] * Ik
         return G
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=False,
@@ -212,13 +210,8 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
 
     def coeff(t, xs):
         m = xs.shape[0]
-        hinv = chart.h_inv_at(t, xs)
-        A = np.zeros((m, n + 1, N, N), dtype=complex)
+        A = _gradient_blocks(layout, chart.h_inv_at(t, xs), N)
         A[:, 0, :k, :k] = Ik
-        for i in range(n):
-            for j in range(n):
-                A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
-            A[:, 1 + i, layout.grad_slot(i), :k] = -Ik
         C = np.zeros((m, N, N), dtype=complex)
         C[:, :k, :k] = prob.c_at(t, xs)
         idx = np.arange(k, N)
@@ -226,14 +219,7 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
         return A, C
 
     def metric(t, xs):
-        m = xs.shape[0]
-        hinv = chart.h_inv_at(t, xs)
-        G = np.zeros((m, N, N), dtype=complex)
-        G[:, :k, :k] = Ik
-        for i in range(n):
-            for j in range(n):
-                G[:, layout.grad_slot(i), layout.grad_slot(j)] = hinv[:, i, j, None, None] * Ik
-        return G
+        return _gradient_blocks(layout, chart.h_inv_at(t, xs), N, metric=True)
 
     base = FriedrichsSystem(chart, N, coeff, metric, metric_positive=True,
                             name="reaction_diffusion", layout=layout,

@@ -54,7 +54,10 @@ class Grid:
 
 
 def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
-    """Uniform grid with Δt = CFL·Δx / max characteristic speed.
+    """Uniform grid with Δt = CFL·Δx / max characteristic speed, the
+    ``geometry.max_characteristic_speed`` of the grid's nx + 1 faces: exactly
+    the explicit step's speeds for a static system; for a time-dependent one,
+    the step's CFL guard checks the levels between the chart's sample times.
 
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
@@ -69,7 +72,7 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
         raise ContractError("the solver supports one spatial dimension")
     dx = L / nx
     staggered = sys.time_sign != 0
-    speed = geometry.max_characteristic_speed(chart, sys, per_axis=8) if staggered else 1.0
+    speed = geometry.max_characteristic_speed(chart, sys, per_axis=nx) if staggered else 1.0
     t0 = chart.t_range[0]
     t1 = chart.t_range[1] if t_final is None else t_final
     T = t1 - t0
@@ -188,7 +191,7 @@ def _explicit_tables(sys, bc_map, grid, t, force):
     xi = np.vstack([np.broadcast_to((0.0, 1.0), (nx + 1, 2))]
                    + [geometry.outward_normal(chart, q) for q in ends])
     rows = np.r_[0:nx + 1, 0, nx]
-    split = sys.characteristics(t, faces[rows, None], xi, A[nx:][rows])
+    split = sys._split(t, faces[rows, None], xi, A[nx:][rows], sys.metric_at(t, faces[rows, None]))
     lam, V, P = (a[:-2] for a in split)
     speed = np.max(np.abs(lam), axis=1)
     worst = int(np.argmax(speed))

@@ -124,19 +124,21 @@ class FriedrichsSystem:
                                     self.metric_at(t, xs), self.coeff_at(t, xs)[0][:, 0])
         return self.metric_at(t, xs) if self.metric_positive else None
 
-    def characteristics(self, t, xs, xi, A=None):
+    def characteristics(self, t, xs, xi):
         """Speeds λ (m, N), ascending, P-orthonormal eigenvectors V and the
         companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points, for one
         covector ξ or one per point: the one characteristic split, read by
-        condition (iii), the ghost-cell closure, |Ã| and the time step.  A
-        caller holding the coefficient table ``A`` at ``xs`` passes it in.
+        condition (iii), the ghost-cell closure, |Ã| and the time step.
         NotHyperbolicError, naming the first such point, where P is not ≻ 0."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return self._split(t, xs, xi, self.coeff_at(t, xs)[0], self.metric_at(t, xs))
+
+    def _split(self, t, xs, xi, A, G):
+        """``characteristics`` for a caller that holds the coefficient table A
+        and the metric table G at ``xs``."""
         if self.time_sign == 0:
             raise NotHyperbolicError("σ(dt)-form singular or indefinite at samples")
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        A = self.coeff_at(t, xs)[0] if A is None else A
-        P = companion_metric(self.time_sign, self.chart.beta_at(t, xs), self.metric_at(t, xs),
-                             A[:, 0])
+        P = companion_metric(self.time_sign, self.chart.beta_at(t, xs), G, A[:, 0])
         xi = np.broadcast_to(np.asarray(xi, complex), A.shape[:2])
         try:
             M = np.linalg.inv(A[:, 0]) @ np.einsum("pm,pmij->pij", xi, A)

@@ -79,3 +79,16 @@ def test_config_sweep_configs_pass_the_reader(seed):
     rng = np.random.default_rng(seed)
     for name in sorted({run[0] for run in studies.CLI_RUNS}):
         cli.read_config(studies.jitter_profiles(json.loads((configs / name).read_text()), rng))
+
+
+#: (nx, nt) of every grid a workload's study solves on, from its seed-0 set-up:
+#: the benchmark times this much work, whatever sizes Δt
+BENCH_GRIDS = {"static_solves": [(1024, 2048), (2048, 1229)],
+               "timedep_solves": [(128, 154), (256, 154)],
+               "green_causal": [(256, 512), (256, 512), (256, 512)]}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GRIDS))
+def test_benchmark_workloads_keep_their_grid_sizes(name, tmp_path):
+    workload = studies.build(name, 0, tmp_path, Path(studies.__file__).resolve().parent.parent)
+    assert [(grid.nx, grid.nt) for grid in workload.grids] == BENCH_GRIDS[name]

@@ -139,13 +139,28 @@ def test_rank_plus_negative_count_fills_fiber(dirac, wave):
              (wave, boundary.transparent(1.0, wave.layout))]
     for sys_, bc in cases:
         r = admissibility(sys_, bc, n_time=4)
-        q = geometry.BoundaryPoint(0.5, geometry.RIGHT,
-                                   [sys_.chart.space_extent[0]])
-        _, spec = boundary._nonneg_count(
-            sys_, q, boundary_symbol(sys_, q),
-            sys_.metric_at(q.t, q.x[None, :])[0], 1e-9)
+        spec = r.spectra[geometry.RIGHT]
         n_neg = int(np.sum(spec < -1e-9 * max(1, np.max(np.abs(spec)))))
         assert r.rank_B + n_neg == sys_.fiber_rank
+
+
+@pytest.mark.parametrize("case", ["dirac_mit", "wave_neumann", "heat_robin"])
+def test_admissibility_evaluates_each_sampled_point_once(case, dirac, wave, strip, monkeypatch):
+    # one coeff_at and one metric_at per point: σ(n♭), the form of (ii) and
+    # the count of (iii) read the same tables
+    rep, dsys = dirac
+    heat = reduction.reaction_diffusion_to_first_order(
+        reduction.SecondOrderProblem("reaction_diffusion", strip, k=1), 1.0)
+    sys_, bc = {"dirac_mit": (dsys, boundary.mit_bag(rep, -1)),
+                "wave_neumann": (wave, boundary.neumann_like(wave.layout)),
+                "heat_robin": (heat, boundary.robin(1.0, 1.0, heat.layout))}[case]
+    sys_.time_sign                          # cached before counting
+    calls = []
+    for name in ("coeff_at", "metric_at"):
+        monkeypatch.setattr(sys_, name, lambda *args, fn=getattr(sys_, name), name=name:
+                            calls.append(name) or fn(*args))
+    assert admissibility(sys_, bc, n_time=8).admissible
+    assert sorted(calls) == ["coeff_at"] * 16 + ["metric_at"] * 16     # 8 times × 2 faces
 
 
 def test_kernel_of_symbol_inside_boundary_space(wave, strip):
@@ -276,9 +291,7 @@ def test_mit_rank_is_half_fiber_rank_3plus1():
     q = geometry.boundary_points(chart, (0, 1), n_time=1, n_tang=1)[0]
     B = bc.kernel_space(chart, q)
     assert B.rank == rep.rank // 2 == 2
-    _, spec = boundary._nonneg_count(
-        sys_, q, boundary_symbol(sys_, q),
-        sys_.metric_at(q.t, q.x[None, :])[0], 1e-9)
+    spec = admissibility(sys_, bc, n_time=1, n_tang=1, faces=[(0, 1)]).spectra[(0, 1)]
     assert int(np.sum(spec >= -1e-9)) == 2
 
 

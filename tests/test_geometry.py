@@ -80,6 +80,23 @@ def test_volume_density_matches_expansion_on_random_charts():
         assert np.max(np.abs(got / expect - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_normal_vector_inverts_h_once_and_is_bitwise_h_inverse_of_the_conormal(
+        curved_strip, dims, monkeypatch):
+    chart = curved_strip if dims == 1 else geometry.ultrastatic((0.0, 1.0), (1.0, 2.0), eps=0.3)
+    points = geometry.all_boundary_points(chart, n_time=3, n_tang=3)
+    expected = [chart.h_inv_at(q.t, q.x[None, :])[0] @ outward_normal(chart, q)[1:]
+                for q in points]
+    calls = []
+    h_inv_at = chart.h_inv_at
+    monkeypatch.setattr(chart, "h_inv_at", lambda t, xs: calls.append(t) or h_inv_at(t, xs))
+    for q, n in zip(points, expected):
+        assert geometry.normal_vector(chart, q).tobytes() == n.tobytes()
+    assert len(calls) == len(points)
+    with pytest.raises(ContractError, match="does not lie on face"):
+        geometry.normal_vector(chart, BoundaryPoint(0.5, RIGHT, [0.5] * dims))
+
+
 def test_volume_density_continuous_in_time(curved_strip):
     xs = np.array([[0.3], [0.7]])
     vals = [volume_density(curved_strip, t, xs) for t in (0.5, 0.5 + 1e-7)]

@@ -130,6 +130,73 @@ def test_reaction_diffusion_not_hyperbolic(strip):
     assert not system.check_hyperbolic(rd).verdict
 
 
+def reference_tables(kind, prob, t, xs):
+    """A, C and G of a reduction written out block by block, each gradient
+    block filled by its own loop as the three reductions once did."""
+    chart, k, n = prob.chart, prob.k, prob.chart.dim_space
+    N, Ik = k * (n + 1 if kind == "reaction_diffusion" else n + 2), np.eye(k)
+    layout = {"normally_hyperbolic": wave_to_first_order, "klein_gordon": kg_to_first_order,
+              "reaction_diffusion": reaction_diffusion_to_first_order}[kind](prob).layout
+    m, slot = xs.shape[0], layout.grad_slot
+    beta2, hinv = chart.beta_at(t, xs) ** 2, chart.h_inv_at(t, xs)
+    A = np.zeros((m, n + 1, N, N), dtype=complex)
+    C = np.zeros((m, N, N), dtype=complex)
+    G = np.zeros((m, N, N), dtype=complex)
+    G[:, :k, :k] = Ik
+    for i in range(n):
+        for j in range(n):
+            A[:, 1 + i, :k, slot(j)] = -hinv[:, i, j, None, None] * Ik
+            G[:, slot(i), slot(j)] = hinv[:, i, j, None, None] * Ik
+        A[:, 1 + i, slot(i), :k] = -Ik
+    rest = np.arange(k, N)
+    if kind == "normally_hyperbolic":
+        A[:, 0, :k, :k] = (1.0 / beta2)[:, None, None] * Ik
+        A[:, 0, rest, rest] = 1.0
+        b0, b = reduction._wave_drift(prob, t, xs, beta2, hinv)
+        C[:, :k, :k] = b0[:, None, None] * Ik
+        for j in range(n):
+            C[:, :k, slot(j)] = b[:, j, None, None] * Ik
+        C[:, :k, layout.tail_start:] = prob.c_at(t, xs)
+        W = reduction._weingarten(chart, t, xs, hinv)
+        for i in range(n):
+            for j in range(n):
+                C[:, slot(i), slot(j)] = W[:, i, j, None, None] * Ik
+        C[:, layout.tail_start:, :k] = -Ik
+        G[:, layout.tail_start:, layout.tail_start:] = Ik
+        return A, C, G
+    C[:, rest, rest] = 1.0
+    if kind == "klein_gordon":
+        tslot = slice(k, 2 * k)
+        A[:, 0, :k, tslot] = (1.0 / beta2)[:, None, None] * Ik
+        A[:, 0, tslot, :k] = -Ik
+        C[:, :k, :k] = prob.mass ** 2 * Ik
+        G[:, tslot, tslot] = -(1.0 / beta2)[:, None, None] * Ik
+    else:
+        A[:, 0, :k, :k] = Ik
+        C[:, :k, :k] = prob.c_at(t, xs)
+    return A, C, G
+
+
+@pytest.mark.parametrize("kind", ["normally_hyperbolic", "klein_gordon", "reaction_diffusion"])
+@pytest.mark.parametrize("chart_name", ["sine_beta_and_h_in_time", "ultrastatic_2d"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_reductions_are_bitwise_the_block_by_block_tables(kind, chart_name, k):
+    sine = {"profile": "sine", "amplitude": 0.2, "waves_t": 1.0}
+    chart = {"sine_beta_and_h_in_time": geometry.named_profile_chart(
+                 (0.0, 0.5), (1.0,), beta=dict(sine, base=1.3), h_scale=sine),
+             "ultrastatic_2d": geometry.ultrastatic((0.0, 1.0), (1.0, 2.0), eps=0.3)}[chart_name]
+    c = 0.7 * np.eye(k) - 0.1
+    prob = SecondOrderProblem(kind, chart, k=k, mass=1.3,
+                              c=lambda t, xs: np.broadcast_to(c, (xs.shape[0], k, k)))
+    sys_ = {"normally_hyperbolic": wave_to_first_order, "klein_gordon": kg_to_first_order,
+            "reaction_diffusion": reaction_diffusion_to_first_order}[kind](prob)
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, (13, chart.dim_space))
+    for t in (0.0, 0.37):
+        got = (*sys_.coeff_at(t, xs), sys_.metric_at(t, xs))
+        for new, ref in zip(got, reference_tables(kind, prob, t, xs)):
+            assert new.tobytes() == ref.tobytes()
+
+
 # -- initial data --------------------------------------------------------------
 
 

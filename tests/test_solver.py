@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friedrichs import boundary, clifford, geometry, reduction, solver, system
+from friedrichs import boundary, cli, clifford, geometry, reduction, solver, system
 from friedrichs.errors import (BoundaryClosureError, ConfigError, ContractError,
                                NotAdmissibleError)
 from friedrichs.geometry import LEFT, RIGHT
@@ -23,6 +25,8 @@ from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                write_field)
 
 from conftest import smooth_bump
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def advection_setup(chart):
@@ -634,22 +638,45 @@ def test_admissible_pair_has_a_solvable_closure(strip, eps):
     assert np.all(np.isfinite(fld.values))
 
 
-def test_cfl_guard_refuses_an_unresolved_speed_peak():
-    # the speed peaks at 4 at x = 0.125, between the 8 samples that size Δt
-    # (they read 1), so the grid runs at a realised CFL of 2 there
-    chart = geometry.minkowski_strip((0.0, 0.2), (1.0,))
-
+def peaked_advection(chart, speed, time_independent=True):
+    """Scalar transport ∂_t + a(t, x)∂_x with the speed profile a."""
     def coeff(t, xs):
         A = np.zeros((xs.shape[0], 2, 1, 1), dtype=complex)
         A[:, 0] = 1.0
-        A[:, 1, 0, 0] = 1.0 + 3.0 * np.exp(-((xs[:, 0] - 0.125) / 0.01) ** 2)
+        A[:, 1, 0, 0] = speed(t, xs[:, 0])
         return A, np.zeros((xs.shape[0], 1, 1), dtype=complex)
 
-    sys_ = system.FriedrichsSystem(chart, 1, coeff,
-                                   lambda t, xs: np.ones((xs.shape[0], 1, 1)),
-                                   metric_positive=True)
-    assert geometry.max_characteristic_speed(chart, sys_, per_axis=8) == 1.0
+    return system.FriedrichsSystem(chart, 1, coeff, lambda t, xs: np.ones((xs.shape[0], 1, 1)),
+                                   metric_positive=True, time_independent=time_independent)
+
+
+def realised_cfl(sys_, grid, t):
+    """max |λ|·Δt/Δx over the faces of the grid at time t."""
+    faces = np.linspace(0.0, sys_.chart.space_extent[0], grid.nx + 1)[:, None]
+    return float(np.max(np.abs(sys_.characteristics(t, faces, (0.0, 1.0))[0]))) * grid.dt / grid.dx
+
+
+def test_static_speed_peak_sizes_the_grid():
+    # the speed peaks at 4 at x = 0.125, a face of the grid: Δt is sized from
+    # it, so the solve runs to the end at a realised CFL of at most 0.5
+    sys_ = peaked_advection(geometry.minkowski_strip((0.0, 0.2), (1.0,)),
+                            lambda t, x: 1.0 + 3.0 * np.exp(-((x - 0.125) / 0.01) ** 2))
     grid = make_grid(sys_, 512, cfl=0.5)
+    assert geometry.max_characteristic_speed(sys_.chart, sys_, per_axis=512) == 4.0
+    assert 0.499 < realised_cfl(sys_, grid, grid.t0) <= 0.5
+    bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
+    fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert np.isfinite(fld.values).all()
+
+
+def test_cfl_guard_refuses_an_unresolved_speed_peak():
+    # the speed peaks at 4 at t = 0.05, between the chart's sample times that
+    # size Δt (they read 1): the per-level guard refuses the level before it
+    chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
+    sys_ = peaked_advection(chart, lambda t, x: np.full_like(
+        x, 1.0 + 3.0 * np.exp(-((t - 0.05) / 0.005) ** 2)), time_independent=False)
+    grid = make_grid(sys_, 128, cfl=0.5)
+    assert geometry.max_characteristic_speed(chart, sys_, per_axis=128) == pytest.approx(1.0)
     steps = []
 
     def f(t, xs2):
@@ -657,13 +684,45 @@ def test_cfl_guard_refuses_an_unresolved_speed_peak():
         return np.zeros((xs2.shape[0], 1), dtype=complex)
 
     bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
-    with pytest.raises(ContractError, match=r"realised CFL \S+ > 1 at t=0, x=0\.125"
-                       ) as err:
+    with pytest.raises(ContractError, match=r"realised CFL \S+ > 1 at t=") as err:
         solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    m = int(np.argmin(np.abs(grid.ts - float(re.search(r"at t=([^,]+),", str(err.value))[1]))))
+    assert grid.ts[m] == pytest.approx(0.047, abs=1e-3)
+    assert steps == list(grid.ts[:m])           # the levels before it were stepped
     cfl = float(str(err.value).split()[2])
-    assert cfl == pytest.approx(4.0 * grid.dt / grid.dx, rel=1e-3)
-    assert cfl == pytest.approx(2.0, rel=1e-2)
-    assert steps == []
+    assert cfl == pytest.approx(realised_cfl(sys_, grid, grid.ts[m]), rel=1e-3)
+    assert cfl == pytest.approx(1.455, abs=1e-3)
+
+
+#: the static shipped configs whose systems are solved explicitly
+STATIC_EXPLICIT_CONFIGS = ["advection_green.json", "dirac_mit_check.json",
+                           "riemannian_mit_counterexample.json", "ultrastatic_wave_compat.json",
+                           "wave_neumann_converge.json"]
+
+
+@pytest.mark.parametrize("name", STATIC_EXPLICIT_CONFIGS)
+def test_grid_speed_is_the_speed_the_first_level_splits_at(name, monkeypatch):
+    cfg = cli.read_config(json.loads((CONFIGS / name).read_text()))
+    if cfg["system"] is None:                   # converge: the wave_cosine case
+        (sys_, bcs), sizes = wave_setup(cli.build_chart(cfg)), cfg["task"]["grids"]
+    else:
+        (sys_, bcs), sizes = cli.build_problem(cfg), [cfg["grid"]["nx"]]
+    assert sys_.static and sys_.time_sign != 0
+    sized = []
+    speed = geometry.max_characteristic_speed
+    monkeypatch.setattr(geometry, "max_characteristic_speed",
+                        lambda *args, **kw: sized.append(speed(*args, **kw)) or sized[-1])
+    split_tables = sys_._split
+    for nx in sizes:
+        split = []
+        grid = make_grid(sys_, nx, cfg["grid"]["cfl"])
+        monkeypatch.setattr(sys_, "_split",
+                            lambda *args: split.append(split_tables(*args)) or split[-1])
+        solver._explicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, grid.t0, force=True)
+        monkeypatch.setattr(sys_, "_split", split_tables)
+        (lam, _, _), = split
+        assert np.max(np.abs(lam[:-2])) == pytest.approx(sized[-1], rel=1e-12)
+    assert len(sized) == len(sizes)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
