@@ -165,18 +165,20 @@ def spatial_density(chart, t, xs):
     return np.sqrt(np.linalg.det(chart.h_at(t, xs)))
 
 
-def max_characteristic_speed(chart, system, per_axis=16):
+def max_characteristic_speed(chart, system, per_axis=16, t_range=None):
     """sup |λ| over the speeds λ of σ(dt)⁻¹σ(dxʲ) from ``system.characteristics``
     at the nodes of the uniform ``per_axis``-cell lattice: in one dimension
     the faces that an explicit step on ``per_axis`` cells splits at.  Once, at
-    t₀, for a static system; otherwise at ``chart.sample_times(8)``.
+    the start of ``t_range`` (default: the chart's), for a static system;
+    otherwise at 8 evenly spaced times of ``t_range``.
 
     Raises NotHyperbolicError when the σ(dt)-form is singular or indefinite
     at a node (either definite sign is the system's time orientation).
     """
     axes = [np.linspace(0.0, L, per_axis + 1) for L in chart.space_extent]
     xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    ts = chart.sample_times(1 if system.static else 8)
+    ts = np.linspace(*(chart.t_range if t_range is None else t_range),
+                     1 if system.static else 8)
     return max(float(np.max(np.abs(system.characteristics(t, xs, dx)[0])))
                for t in ts for dx in np.eye(chart.dim_space + 1)[1:])
 

@@ -131,14 +131,13 @@ def orthogonal_complement_of_image(M, W, gram=None, tol=RANK_TOL):
 
 
 def definiteness_sign(W, tol=1e-12):
-    """+1 / −1 for a definite Hermitian matrix, 0 if singular or indefinite."""
-    ev = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
-    scale = max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
-    if np.all(ev > tol * scale):
-        return 1
-    if np.all(ev < -tol * scale):
-        return -1
-    return 0
+    """+1 / −1 for a definite Hermitian matrix, 0 if singular or indefinite,
+    with eigenvalues compared against tol·max(1, max|λ|); one sign per matrix
+    of a stack (..., N, N)."""
+    ev = np.linalg.eigvalsh(0.5 * (W + np.conj(np.swapaxes(W, -1, -2))))
+    scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1, initial=0.0))[..., None]
+    sign = np.all(ev > tol * scale, axis=-1).astype(int) - np.all(ev < -tol * scale, axis=-1)
+    return sign if sign.ndim else int(sign)
 
 
 def pairwise_sum(values):

@@ -55,9 +55,10 @@ class Grid:
 
 def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     """Uniform grid with Δt = CFL·Δx / max characteristic speed, the
-    ``geometry.max_characteristic_speed`` of the grid's nx + 1 faces: exactly
-    the explicit step's speeds for a static system; for a time-dependent one,
-    the step's CFL guard checks the levels between the chart's sample times.
+    ``geometry.max_characteristic_speed`` of the grid's nx + 1 faces over the
+    run's interval [t₀, t_final]: exactly the explicit step's speeds for a
+    static system; for a time-dependent one, the step's CFL guard checks the
+    levels between the sample times.
 
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
@@ -72,9 +73,10 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
         raise ContractError("the solver supports one spatial dimension")
     dx = L / nx
     staggered = sys.time_sign != 0
-    speed = geometry.max_characteristic_speed(chart, sys, per_axis=nx) if staggered else 1.0
     t0 = chart.t_range[0]
     t1 = chart.t_range[1] if t_final is None else t_final
+    speed = (geometry.max_characteristic_speed(chart, sys, per_axis=nx, t_range=(t0, t1))
+             if staggered else 1.0)
     T = t1 - t0
     if nt is None:
         nt = max(1, math.ceil(T * speed / (cfl * dx)))
@@ -89,11 +91,13 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
 
 @dataclass
 class GridField:
-    """Sampled space-time section: values of shape (nt+1, n_x, N)."""
+    """Sampled space-time section: values of shape (nt+1, n_x, N).  A Green
+    operator's field carries its source as ``(f, forcing table)``."""
 
     values: np.ndarray
     grid: Grid
     system_name: str = ""
+    source: tuple = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -138,6 +142,21 @@ def _eval_forcing(f, t, xs, N):
     if out.shape != (xs.size, N):
         raise ConfigError(f"forcing must return shape ({xs.size}, {N})")
     return out
+
+
+def _source(f, grid, N):
+    """The forcing of a solve as a function of (level m, time t): read from a
+    table of shape (nt+1, n_x, N), evaluated from a callable f(t, xs), or None
+    without forcing."""
+    if f is None:
+        return lambda m, t: None
+    if callable(f):
+        return lambda m, t: _eval_forcing(f, t, grid.xs, N)
+    table = np.asarray(f, dtype=complex)
+    if table.shape != (grid.nt + 1, grid.xs.size, N):
+        raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = "
+                          f"{(grid.nt + 1, grid.xs.size, N)}, got {table.shape}")
+    return lambda m, t: table[m]
 
 
 def _eval_initial(h, xs, N):
@@ -236,7 +255,7 @@ def _boundary_closure(bc, chart, q, lam, V, P, force):
         raise BoundaryClosureError(f"singular closure at face {q.face}") from exc
 
 
-def _solve_explicit(sys, bc_map, f, h0, grid, force):
+def _solve_explicit(sys, bc_map, source, h0, grid, force):
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
@@ -248,7 +267,7 @@ def _solve_explicit(sys, bc_map, f, h0, grid, force):
         psi, new = out[m], out[m + 1]
         pad[N:-N] = psi.ravel()
         np.einsum("pij,pj->pi", B, window, out=new)
-        src = _eval_forcing(f, t, grid.xs, N)
+        src = source(m, t)
         if src is not None:
             new += np.einsum("pij,pj->pi", dt_a0inv, src)
         new += psi
@@ -301,7 +320,7 @@ def _implicit_matrix(sys, bc_map, grid, t):
     return scipy.sparse.linalg.splu(mat.tocsc()), boundary_rows, A[:, 0]
 
 
-def _solve_implicit(sys, bc_map, f, h0, grid, force):
+def _solve_implicit(sys, bc_map, source, h0, grid, force):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
@@ -309,7 +328,7 @@ def _solve_implicit(sys, bc_map, f, h0, grid, force):
     levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
     for m, (t1, (lu, brows, A0)) in enumerate(levels):
         rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
-        src = _eval_forcing(f, t1, xs, N)
+        src = source(m + 1, t1)
         if src is not None:
             rhs += src
         for node, (R, V1, V2) in brows.items():
@@ -336,8 +355,10 @@ def enforce_admissibility(sys, bc_map, orient_form=False):
 def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=False):
     """Advance S Ψ = f, Ψ(t₀) = h, Ψ|∂ ∈ ker G_B over the grid.
 
-    Hyperbolic systems use the explicit characteristic upwind scheme;
-    symmetric positive systems with singular σ(dt) are stepped implicitly.
+    ``f`` is a callable f(t, xs) or its table over the grid's levels, shape
+    (nt+1, n_x, N); ``h`` a callable h(xs) or its array.  Hyperbolic
+    systems use the explicit characteristic upwind scheme; symmetric
+    positive systems with singular σ(dt) are stepped implicitly.
     Unless ``force`` is given, the boundary conditions must pass
     ``enforce_admissibility`` — the one refusal policy, shared with the CLI — or
     NotAdmissibleError is raised; ``force=True`` (counterexample studies)
@@ -349,18 +370,30 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
     if check_admissible and not force:
         enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
+    source = _source(f, grid, sys.fiber_rank)
     if grid.staggered:
         if sys.time_sign == 0:
             raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
-        vals = _solve_explicit(sys, bc_map, f, h0, grid, force)
+        vals = _solve_explicit(sys, bc_map, source, h0, grid, force)
     else:
-        vals = _solve_implicit(sys, bc_map, f, h0, grid, force)
+        vals = _solve_implicit(sys, bc_map, source, h0, grid, force)
     return GridField(vals, grid, sys.name)
 
 
 # -- diagnostics -------------------------------------------------------------
 
-_BLOCK = 8      # time levels per block of energy_trace
+_BLOCK = 8      # time levels per block of energy_trace and apply_operator
+
+
+def _level_blocks(sys, grid, tables):
+    """Yield (rows, block) over the grid's levels in blocks of ``_BLOCK``: the
+    arrays of ``tables(t)`` stacked over the block's levels, or, for a static
+    system, its one evaluation with a leading axis of length 1."""
+    levels = _levels(sys, grid.ts, tables)
+    for start in range(0, grid.nt + 1, _BLOCK):
+        block = [tb for _, tb in itertools.islice(levels, _BLOCK)]
+        yield (slice(start, start + len(block)),
+               [a[None] for a in block[0]] if sys.static else [np.stack(a) for a in zip(*block)])
 
 
 @dataclass
@@ -433,12 +466,8 @@ def energy_trace(fld, sys):
     if not grid.staggered:
         weights[0] = weights[-1] = grid.dx / 2
     energy, flux = np.empty((2, grid.nt + 1))
-    levels = _levels(sys, grid.ts, lambda t: _energy_tables(sys, grid, t))
-    for start in range(0, grid.nt + 1, _BLOCK):
-        block = [tb for _, tb in itertools.islice(levels, _BLOCK)]
-        P, sdens, sbeta, G, sn = ([a[None] for a in block[0]] if sys.static
-                                  else map(np.stack, zip(*block)))
-        rows = slice(start, start + len(block))
+    for rows, (P, sdens, sbeta, G, sn) in _level_blocks(
+            sys, grid, lambda t: _energy_tables(sys, grid, t)):
         psi = fld.values[rows]
         energy[rows] = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
         trace = psi[:, [0, -1]]                 # the edge samples of the two faces
@@ -505,17 +534,17 @@ def support_growth_margins(fld, c_max, threshold=1e-8):
 
 
 def apply_operator(sys, fld):
-    """Discrete S Ψ: centered differences inside, one-sided at edges."""
+    """Discrete S Ψ: centered differences inside, one-sided at edges; levels
+    go in blocks of ``_BLOCK``."""
     grid = fld.grid
     vals = fld.values
     dpsi_dt = np.gradient(vals, grid.dt, axis=0)
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
     out = np.empty_like(vals)
-    levels = _levels(sys, grid.ts, lambda t: sys.coeff_at(t, grid.xs[:, None]))
-    for m, (_, (A, C)) in enumerate(levels):
-        out[m] = (np.einsum("pij,pj->pi", A[:, 0], dpsi_dt[m])
-                  + np.einsum("pij,pj->pi", A[:, 1], dpsi_dx[m])
-                  + np.einsum("pij,pj->pi", C, vals[m]))
+    for rows, (A, C) in _level_blocks(sys, grid, lambda t: sys.coeff_at(t, grid.xs[:, None])):
+        out[rows] = (np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
+                     + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
+                     + np.einsum("lpij,lpj->lpi", C, vals[rows]))
     return GridField(out, grid, sys.name + "_residual")
 
 
@@ -540,18 +569,35 @@ def _forcing_table(f, grid, N):
     return np.stack([_eval_forcing(f, t, grid.xs, N) for t in grid.ts])
 
 
-def forcing_support_levels(f, grid, N, threshold=1e-14):
-    """Time levels where the forcing is active (threshold=0: strictly nonzero)."""
-    norms = np.array([float(np.linalg.norm(arr)) for arr in _forcing_table(f, grid, N)])
+def _active_levels(table, threshold=1e-14):
+    """Levels of a forcing table whose norm exceeds threshold · the largest."""
+    norms = np.array([float(np.linalg.norm(arr)) for arr in table])
     return np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
 
 
+def forcing_support_levels(f, grid, N, threshold=1e-14):
+    """Time levels where the forcing is active (threshold=0: strictly nonzero)."""
+    return _active_levels(_forcing_table(f, grid, N), threshold)
+
+
+def _source_table(fld, f, N):
+    """The forcing table of f on fld's grid: the one fld carries when f is the
+    source of the Green operator that made it, else a fresh one."""
+    if fld.source is not None and fld.source[0] is f:
+        return fld.source[1]
+    return _forcing_table(f, fld.grid, N)
+
+
 def green_plus(sys, bcs, f, grid, force=False):
-    """Advanced Green operator: solve forward with zero data before supp f."""
-    levels = forcing_support_levels(f, grid, sys.fiber_rank)
+    """Advanced Green operator: solve forward with zero data before supp f,
+    stepping from f's table, which the field carries."""
+    table = _forcing_table(f, grid, sys.fiber_rank)
+    levels = _active_levels(table)
     if levels.size and levels[0] == 0:
         raise ContractError("supp f touches the initial slice; shrink the support")
-    return solve(sys, bcs, f=f, h=None, grid=grid, force=force)
+    fld = solve(sys, bcs, f=table, h=None, grid=grid, force=force)
+    fld.source = (f, table)
+    return fld
 
 
 def time_reversed(sys):
@@ -593,12 +639,15 @@ def green_minus(sys, bcs, f, grid, force=False):
     Unless ``force`` is given, ``enforce_admissibility`` vets them against the
     time-reversed system with the orientation-weighted form — the
     energy-dissipation criterion of the evolution actually run — and raises
-    NotAdmissibleError on failure.
+    NotAdmissibleError on failure.  The reversed solve evaluates f at
+    t₀ + t₁ − t, which need not equal the grid's times bitwise; the field
+    carries f's table on the grid.
     """
     if not grid.staggered:
         raise ContractError("the retarded Green operator needs a hyperbolic "
                             "system; reversing a parabolic solve is ill-posed")
-    levels = forcing_support_levels(f, grid, sys.fiber_rank)
+    table = _forcing_table(f, grid, sys.fiber_rank)
+    levels = _active_levels(table)
     if levels.size and levels[-1] == grid.nt:
         raise ContractError("supp f touches the final slice; shrink the support")
     rev = time_reversed(sys)
@@ -612,14 +661,14 @@ def green_minus(sys, bcs, f, grid, force=False):
 
     fld = solve(rev, bc_map, f=f_rev, h=None, grid=grid,
                 check_admissible=False, force=force)
-    return GridField(fld.values[::-1].copy(), grid, sys.name + "_green_minus")
+    return GridField(fld.values[::-1].copy(), grid, sys.name + "_green_minus", (f, table))
 
 
 def green_residual(sys, fld, f):
     """‖S(G f) − f‖₂ / ‖f‖₂ over the full grid."""
     grid = fld.grid
-    res = apply_operator(sys, fld).values.copy()
-    f_vals = _forcing_table(f, grid, sys.fiber_rank)
+    res = apply_operator(sys, fld).values
+    f_vals = _source_table(fld, f, sys.fiber_rank)
     res -= f_vals
     return l2_norm(res, grid) / max(l2_norm(f_vals, grid), 1e-300)
 
@@ -628,7 +677,7 @@ def causal_support_ok(fld, f, c_max, cells=2, threshold=1e-8, future=True):
     """supp(G±f) ⊂ J±(supp f) within a ``cells``-cell tolerance."""
     grid = fld.grid
     xs = grid.xs
-    fnorm = np.linalg.norm(_forcing_table(f, grid, fld.values.shape[2]), axis=2)
+    fnorm = np.linalg.norm(_source_table(fld, f, fld.values.shape[2]), axis=2)
     src, src_lo, src_hi = _row_hulls(fnorm > 1e-10 * fnorm.max())
     found, first, last = _row_hulls(_support_mask(fld, threshold))
     levels = range(grid.nt + 1) if future else range(grid.nt, -1, -1)

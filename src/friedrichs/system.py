@@ -106,13 +106,13 @@ class FriedrichsSystem:
         """Sign s* with s*·G·σ(dt) ≻ 0 at samples; 0 if indefinite/singular."""
         if "time_sign" not in self._cache:
             ts, xs = self.chart.sample_interior(8)
+            pick = slice(None, None, max(1, xs.shape[0] // 16))
             signs = set()
             for t in ts[::3]:
                 A, _ = self.coeff_at(t, xs)
                 G = self.metric_at(t, xs)
                 W = np.einsum("pij,pjk->pik", G, A[:, 0])
-                for i in range(0, xs.shape[0], max(1, xs.shape[0] // 16)):
-                    signs.add(definiteness_sign(W[i]))
+                signs.update(definiteness_sign(W[pick]).tolist())
             self._cache["time_sign"] = signs.pop() if len(signs) == 1 else 0
         return self._cache["time_sign"]
 

@@ -72,6 +72,27 @@ def test_support_diagnostics_take_one_norm_table_each():
     assert counts["solver.pointwise_norm.calls"] == 2
 
 
+def test_green_study_evaluates_each_source_once():
+    # G⁺ builds one forcing table and steps from it; G⁻ builds one table and
+    # its reversed solve evaluates f once per step; the residual and the
+    # causal check read the table the field carries
+    study = studies.GreenCausal(np.random.default_rng(0))
+    counts = {"plus": 0, "minus": 0}
+
+    def counted(f, key):
+        def wrapped(t, xs2):
+            counts[key] += 1
+            return f(t, xs2)
+
+        return wrapped
+
+    study.plus_f, study.minus_f = counted(study.plus_f, "plus"), counted(study.minus_f, "minus")
+    result = study.study()
+    assert studies.GreenCausal.check(result) == []
+    nt = study.adv_grid.nt
+    assert counts == {"plus": nt + 1, "minus": 2 * nt + 1} == {"plus": 513, "minus": 1025}
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_config_sweep_configs_pass_the_reader(seed):
     # the jittered configs of the benchmark's config_sweep, drawn in its order

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -960,3 +961,110 @@ def test_explicit_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_grid_is_sized_over_the_run_not_the_chart():
+    # the speed peaks at 4 at t = 0.9, outside a run to t_final = 0.2: only
+    # the speeds inside [0, 0.2] (≈ 1) size Δt, and the run stays resolved
+    chart = geometry.minkowski_strip((0.0, 1.0), (1.0,))
+    sys_ = peaked_advection(chart, lambda t, x: np.full_like(
+        x, 1.0 + 3.0 * np.exp(-((t - 0.9) / 0.05) ** 2)), time_independent=False)
+    assert geometry.max_characteristic_speed(chart, sys_, per_axis=128) > 2.0
+    grid = make_grid(sys_, 128, cfl=0.5, t_final=0.2)
+    assert grid.nt <= 52
+    bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
+    fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert np.isfinite(fld.values).all()
+    assert max(realised_cfl(sys_, grid, t) for t in grid.ts) <= grid.cfl
+
+
+def forcing_cases():
+    strip = geometry.minkowski_strip((0.0, 0.4), (1.0,))
+    sine = geometry.named_profile_chart((0.0, 0.3), (1.0,), beta=dict(SINE_BETA, base=1.3))
+
+    def heat(chart):
+        return reduction.reaction_diffusion_to_first_order(
+            reduction.SecondOrderProblem("reaction_diffusion", chart, k=1), 1.0)
+
+    return {"explicit_static": (*wave_setup(strip), 24),
+            "explicit_sine_beta": (*wave_setup(sine), 24),
+            "implicit_static": (heat(strip), boundary.robin(0.0, 1.0, heat(strip).layout), 24),
+            "implicit_sine_beta": (heat(sine), boundary.robin(0.0, 1.0, heat(sine).layout), 24)}
+
+
+@pytest.mark.parametrize("case", sorted(forcing_cases()))
+def test_solving_from_a_table_is_bitwise_solving_from_the_callable(case):
+    sys_, bcs, nx = forcing_cases()[case]
+    assert sys_.static == case.endswith("static")
+    N = sys_.fiber_rank
+    grid = make_grid(sys_, nx)
+
+    def f(t, xs2):
+        return np.sin(3 * xs2 + 2 * t) * np.arange(1, N + 1)
+
+    def h(xs):
+        return np.outer(np.cos(2 * xs), np.arange(1, N + 1))
+
+    table = np.stack([f(t, grid.xs[:, None]) for t in grid.ts])
+    from_callable = solve(sys_, bcs, f=f, h=h, grid=grid).values
+    assert np.array_equal(solve(sys_, bcs, f=table, h=h, grid=grid).values, from_callable)
+    for wrong in (table[:-1], table[:, 1:], table[..., None], table[0]):
+        with pytest.raises(ConfigError, match="forcing table"):
+            solve(sys_, bcs, f=wrong, h=h, grid=grid)
+
+
+def reference_apply_operator(sys_, fld):
+    """apply_operator level by level: three einsums per level."""
+    grid, vals = fld.grid, fld.values
+    dpsi_dt = np.gradient(vals, grid.dt, axis=0)
+    dpsi_dx = np.gradient(vals, grid.dx, axis=1)
+    out = np.empty_like(vals)
+    for m, t in enumerate(grid.ts):
+        A, C = sys_.coeff_at(t, grid.xs[:, None])
+        out[m] = (np.einsum("pij,pj->pi", A[:, 0], dpsi_dt[m])
+                  + np.einsum("pij,pj->pi", A[:, 1], dpsi_dx[m])
+                  + np.einsum("pij,pj->pi", C, vals[m]))
+    return out
+
+
+def operator_cases():
+    strip = geometry.minkowski_strip((0.0, 0.4), (1.0,))
+    sine = geometry.named_profile_chart((0.0, 0.4), (1.0,), beta=dict(SINE_BETA, base=1.3))
+    return {"advection": (system.advection_system(strip), 40),
+            "dirac_mit": (dirac_setup(strip)[0], 40),
+            "wave_sine_beta": (wave_setup(sine)[0], 24)}
+
+
+@pytest.mark.parametrize("case", sorted(operator_cases()))
+def test_apply_operator_is_bitwise_the_per_level_operator(case):
+    sys_, nx = operator_cases()[case]
+    grid = make_grid(sys_, nx)
+    assert (grid.nt + 1) % solver._BLOCK != 0     # a partial last block
+    rng = np.random.default_rng(5)
+    shape = (grid.nt + 1, grid.xs.size, sys_.fiber_rank)
+    fld = GridField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+    assert np.array_equal(apply_operator(sys_, fld).values, reference_apply_operator(sys_, fld))
+
+
+@pytest.mark.parametrize("direction", ["+", "-"])
+def test_green_diagnostics_read_the_carried_table_as_a_fresh_one(strip, direction):
+    # the field's own f reads the table it carries; an equal-valued other
+    # callable builds a fresh one: both give the same numbers
+    sys_, bcs = advection_setup(strip)
+    grid = make_grid(sys_, 64)
+    if direction == "+":
+        f, op, future = spacetime_source(1), green_plus, True
+    else:
+        f, op, future = spacetime_source(1, tc=0.6), green_minus, False
+        bcs = {LEFT: boundary.no_condition(1), RIGHT: boundary.zero_trace(1)}
+    fld = op(sys_, bcs, f, grid)
+    assert fld.source[0] is f
+    assert np.array_equal(fld.source[1], np.stack([f(t, grid.xs[:, None]) for t in grid.ts]))
+
+    def other(t, xs2):
+        return f(t, xs2)
+
+    assert green_residual(sys_, fld, f) == green_residual(sys_, fld, other)
+    for cells, threshold in itertools.product((0, 2), (1e-8, 1e-3)):
+        assert (causal_support_ok(fld, f, 1.0, cells, threshold, future)
+                == causal_support_ok(fld, other, 1.0, cells, threshold, future))

@@ -433,3 +433,45 @@ def test_a_coefficient_row_does_not_depend_on_the_rest_of_the_batch(name, t, xs,
     A1, C1 = CATALOG[name].coeff_at(t, xs[i:i + 1])
     assert A[i].tobytes() == A1[0].tobytes()
     assert C[i].tobytes() == C1[0].tobytes()
+
+
+def time_sign_reference(sys_):
+    """The time sign point by point: one eigvalsh per subsampled point."""
+    ts, xs = sys_.chart.sample_interior(8)
+    signs = set()
+    for t in ts[::3]:
+        A, _ = sys_.coeff_at(t, xs)
+        W = np.einsum("pij,pjk->pik", sys_.metric_at(t, xs), A[:, 0])
+        for i in range(0, xs.shape[0], max(1, xs.shape[0] // 16)):
+            ev = np.linalg.eigvalsh(0.5 * (W[i] + W[i].conj().T))
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(ev))))
+            signs.add(1 if np.all(ev > tol) else -1 if np.all(ev < -tol) else 0)
+    return signs.pop() if len(signs) == 1 else 0
+
+
+def time_sign_cases():
+    strip = geometry.minkowski_strip((0.0, 1.0), (1.0,))
+
+    def split_dt_form(t, xs):
+        # σ(dt) = diag(1, ±1): definite at every point, with both signs
+        A = np.zeros((xs.shape[0], 2, 2, 2), dtype=complex)
+        A[:, 0, 0, 0] = 1.0
+        A[:, 0, 1, 1] = np.where(xs[:, 0] > 0.5, -1.0, 1.0)
+        A[:, 1] = np.eye(2)
+        return A, np.zeros((xs.shape[0], 2, 2), dtype=complex)
+
+    custom = {
+        "custom_indefinite": constant_system(strip, [np.diag([1.0, -1.0]), np.eye(2)], None),
+        "custom_split": system.FriedrichsSystem(
+            strip, 2, split_dt_form,
+            lambda t, xs: np.broadcast_to(np.eye(2), (xs.shape[0], 2, 2)),
+            metric_positive=True)}
+    catalog = {**hyperbolic_catalog(), **CATALOG}
+    return {**catalog, **{name + "_reversed": solver.time_reversed(s)
+                          for name, s in catalog.items() if s.chart.dim_space == 1}, **custom}
+
+
+@pytest.mark.parametrize("name", sorted(time_sign_cases()))
+def test_time_sign_matches_the_per_point_reference(name):
+    sys_ = time_sign_cases()[name]
+    assert sys_.time_sign == time_sign_reference(sys_)
