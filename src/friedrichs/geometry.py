@@ -60,7 +60,10 @@ class SpacetimeChart:
         return np.broadcast_to(np.asarray(self.h(t, xs), dtype=float), (xs.shape[0], n, n)).copy()
 
     def h_inv_at(self, t, xs):
-        return np.linalg.inv(self.h_at(t, xs))
+        """h⁻¹ at the points; in one dimension the reciprocal of the 1×1 h,
+        bitwise ``np.linalg.inv``'s at a fraction of its cost."""
+        h = self.h_at(t, xs)
+        return 1.0 / h if self.dim_space == 1 else np.linalg.inv(h)
 
     def faces(self):
         return [(a, s) for a in range(self.dim_space) for s in (0, 1)]

@@ -63,17 +63,24 @@ class SecondOrderProblem:
                                 f"got shape {out.shape}") from exc
 
 
-def _weingarten(chart, t, xs, hinv):
-    """½ h⁻¹ ∂_t h at the sampled points, given h⁻¹ (zero on static charts)."""
+def _dt_h(chart, t, xs):
+    """∂_t h at the sampled points by a centred difference."""
+    ht = FD_STEP * (1.0 + abs(t))
+    return (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
+
+
+def _weingarten(chart, t, xs, hinv, dh=None):
+    """½ h⁻¹ ∂_t h at the sampled points, given h⁻¹ and, when the caller has
+    it, ∂_t h (zero on static charts)."""
     if chart.time_independent:
         return np.zeros((xs.shape[0], chart.dim_space, chart.dim_space))
-    ht = FD_STEP * (1.0 + abs(t))
-    dh = (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
+    dh = _dt_h(chart, t, xs) if dh is None else dh
     return 0.5 * np.einsum("pij,pjk->pik", hinv, dh)
 
 
-def _wave_drift(prob, t, xs, beta2, hinv):
-    """Default b₀ = (1/2β²)(tr_h ∂_t h − ∂_t β²/β²) and b = −(1/2β²)grad_h β²."""
+def _wave_drift(prob, t, xs, beta2, hinv, dh=None):
+    """Default b₀ = (1/2β²)(tr_h ∂_t h − ∂_t β²/β²) and b = −(1/2β²)grad_h β²,
+    given h⁻¹ and, when the caller has it, ∂_t h."""
     chart = prob.chart
     m, n = xs.shape
     if prob.b0 is not None:
@@ -82,7 +89,7 @@ def _wave_drift(prob, t, xs, beta2, hinv):
         b0 = np.zeros(m)
     else:
         ht = FD_STEP * (1.0 + abs(t))
-        dh = (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
+        dh = _dt_h(chart, t, xs) if dh is None else dh
         trh = np.einsum("pij,pji->p", hinv, dh)
         db2 = (chart.beta_at(t + ht, xs) ** 2 - chart.beta_at(t - ht, xs) ** 2) / (2 * ht)
         b0 = (trh - db2 / beta2) / (2 * beta2)
@@ -138,12 +145,13 @@ def wave_to_first_order(prob):
         idx = np.arange(k, N)
         A[:, 0, idx, idx] = 1.0
         C = np.zeros((m, N, N), dtype=complex)
-        b0, b = _wave_drift(prob, t, xs, beta2, hinv)
+        dh = None if chart.time_independent else _dt_h(chart, t, xs)  # one difference, two terms
+        b0, b = _wave_drift(prob, t, xs, beta2, hinv, dh)
         C[:, :k, :k] = b0[:, None, None] * Ik
         for j in range(n):
             C[:, :k, layout.grad_slot(j)] = b[:, j, None, None] * Ik
         C[:, :k, layout.tail_start:] = prob.c_at(t, xs)
-        W = _weingarten(chart, t, xs, hinv)
+        W = _weingarten(chart, t, xs, hinv, dh)
         for i in range(n):
             for j in range(n):
                 C[:, layout.grad_slot(i), layout.grad_slot(j)] = W[:, i, j, None, None] * Ik

@@ -92,15 +92,20 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
 @dataclass
 class GridField:
     """Sampled space-time section: values of shape (nt+1, n_x, N).  A Green
-    operator's field carries its source as ``(f, forcing table)``."""
+    operator's field carries its source as ``(f, forcing table)``; a
+    time-dependent explicit solve's field carries its energy trace as
+    ``(sys, EnergyTrace)``, and then its values are read-only."""
 
     values: np.ndarray
     grid: Grid
     system_name: str = ""
     source: tuple = None
+    energy: tuple = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
+        if self.energy is not None:
+            self.values.flags.writeable = False
 
     def pointwise_norm(self):
         return np.linalg.norm(self.values, axis=2)
@@ -192,25 +197,30 @@ def _levels(sys, ts, tables):
 
 
 def _explicit_tables(sys, bc_map, grid, t, force):
-    """The frozen upwind step as block rows B (nx, N, 3N) and the forcing map
-    Δt·σ(dt)⁻¹: Ψ_p(t + Δt) = Ψ_p + B_p·[Ψ_{p−1}; Ψ_p; Ψ_{p+1}] + Δt·σ(dt)⁻¹f_p,
+    """The frozen upwind step as block rows B (nx, N, 3N), the forcing map
+    Δt·σ(dt)⁻¹ and, for a time-dependent system, the level's
+    ``_energy_tables`` (else None):
+    Ψ_p(t + Δt) = Ψ_p + B_p·[Ψ_{p−1}; Ψ_p; Ψ_{p+1}] + Δt·σ(dt)⁻¹f_p,
     the blocks k(Ã + |Ã|_{p−½}), −k(|Ã|_{p+½} + |Ã|_{p−½}) − ΔtC̃ and
     k(|Ã|_{p+½} − Ã) with k = Δt/2Δx (LeVeque, *Finite Volume Methods for
     Hyperbolic Problems*, 2002, ch. 4 and 8) and the ghost-cell closures folded
     into the edge rows' middle blocks.  B is the increment, so rounding stays
-    relative to it.  One coefficient evaluation and one characteristic split
-    serve the cells, the faces (covector dx) and the two boundary faces (their
-    conormals).  ContractError when the realised CFL at the faces exceeds 1."""
+    relative to it.  One evaluation of the coefficients, the metric and the
+    lapse and one characteristic split serve the cells, the faces (covector
+    dx) and the two boundary faces (their conormals).  ContractError when the
+    realised CFL at the faces exceeds 1."""
     chart, nx, N = sys.chart, grid.nx, sys.fiber_rank
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
-    A, C = sys.coeff_at(t, np.concatenate([grid.xs, faces])[:, None])
+    pts = np.concatenate([grid.xs, faces])[:, None]
+    A, C = sys.coeff_at(t, pts)
+    G, beta = sys.metric_at(t, pts), chart.beta_at(t, pts)
     a0inv = np.linalg.inv(A[:nx, 0])
     ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
             for face in chart.faces()]
     xi = np.vstack([np.broadcast_to((0.0, 1.0), (nx + 1, 2))]
                    + [geometry.outward_normal(chart, q) for q in ends])
-    rows = np.r_[0:nx + 1, 0, nx]
-    split = sys._split(t, faces[rows, None], xi, A[nx:][rows], sys.metric_at(t, faces[rows, None]))
+    rows = nx + np.r_[0:nx + 1, 0, nx]
+    split = sys._split(t, pts[rows], xi, A[rows], G[rows], beta[rows])
     lam, V, P = (a[:-2] for a in split)
     speed = np.max(np.abs(lam), axis=1)
     worst = int(np.argmax(speed))
@@ -229,7 +239,11 @@ def _explicit_tables(sys, bc_map, grid, t, force):
     diag[0] += left[0] @ T_left
     diag[-1] += right[-1] @ T_right
     left[0] = right[-1] = 0.0
-    return B, grid.dt * a0inv
+    if sys.static:
+        return B, grid.dt * a0inv, None
+    cells_ends = np.r_[0:nx, rows[-2:]]      # the cells, then the two boundary faces
+    return B, grid.dt * a0inv, _energy_level(sys, t, *(a[cells_ends] for a in (pts, A, G, beta)),
+                                             xi[-2:])
 
 
 def _boundary_closure(bc, chart, q, lam, V, P, force):
@@ -256,6 +270,9 @@ def _boundary_closure(bc, chart, q, lam, V, P, force):
 
 
 def _solve_explicit(sys, bc_map, source, h0, grid, force):
+    """The field, and for a time-dependent system its EnergyTrace (else None),
+    recorded in blocks of ``_BLOCK`` levels from the tables the steps build
+    and the last level's ``_energy_tables``."""
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
@@ -263,7 +280,21 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
     window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
     levels = _levels(sys, grid.ts[:-1],
                      lambda t: _explicit_tables(sys, bc_map, grid, t, force))
-    for m, (t, (B, dt_a0inv)) in enumerate(levels):
+    energy, flux = np.empty((2, grid.nt + 1))
+    weights, block = _weights(grid), []
+
+    def record(m, tables):
+        """Keep level m's energy tables; trace the block once it is full or m is the last."""
+        block.append(tables)
+        if len(block) == _BLOCK or m == grid.nt:
+            rows = slice(m + 1 - len(block), m + 1)
+            energy[rows], flux[rows] = _energy_block(
+                out[rows], [np.stack(a) for a in zip(*block)], weights)
+            block.clear()
+
+    for m, (t, (B, dt_a0inv, energy_tables)) in enumerate(levels):
+        if energy_tables is not None:
+            record(m, energy_tables)
         psi, new = out[m], out[m + 1]
         pad[N:-N] = psi.ravel()
         np.einsum("pij,pj->pi", B, window, out=new)
@@ -272,7 +303,10 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
             new += np.einsum("pij,pj->pi", dt_a0inv, src)
         new += psi
         _finite(new, m + 1, grid.ts[m + 1])
-    return out
+    if sys.static:
+        return out, None
+    record(grid.nt, _energy_tables(sys, grid, grid.ts[-1]))
+    return out, EnergyTrace(grid.ts.copy(), energy, flux)
 
 
 # -- implicit positive systems -----------------------------------------------
@@ -311,13 +345,24 @@ def _implicit_matrix(sys, bc_map, grid, t):
         # install the constraint rows there instead
         B[node] = V2 @ V2.conj().T @ B[node]
         B[node, 1] += V1 @ R
-    i = np.arange(npts)[:, None, None, None]
-    ii = np.arange(N)[:, None]
-    rows = np.broadcast_to(i * N + ii, B.shape)
-    cols = np.broadcast_to((i + np.arange(-1, 2)[:, None, None]) * N + ii.T, B.shape)
-    nz = np.abs(B) > 0
-    mat = scipy.sparse.csr_matrix((B[nz], (rows[nz], cols[nz])), shape=(npts * N,) * 2)
-    return scipy.sparse.linalg.splu(mat.tocsc()), boundary_rows, A[:, 0]
+    mat = scipy.sparse.csc_matrix(_block_csc(B), shape=(npts * N,) * 2)
+    return scipy.sparse.linalg.splu(mat), boundary_rows, A[:, 0]
+
+
+def _block_csc(B):
+    """(data, indices, indptr) in CSC of the block-tridiagonal matrix whose
+    block row i holds B[i, d + 1] at block column i + d (d = −1, 0, 1),
+    without exact zeros: column (J, b) lists the entries of block rows J − 1,
+    J, J + 1 that exist, each top to bottom."""
+    npts, _, N, _ = B.shape
+    T = np.zeros_like(B)                    # T[J, k] = B[J − 1 + k, 2 − k]
+    T[1:, 0], T[:, 1], T[:-1, 2] = B[:-1, 2], B[:, 1], B[1:, 0]
+    data = T.transpose(0, 3, 1, 2)          # (J, b, k, a): column-major
+    blk = np.arange(npts)[:, None, None, None] + np.arange(-1, 2)[:, None]
+    keep = (blk >= 0) & (blk < npts) & (np.abs(data) > 0)
+    indices = np.broadcast_to(blk * N + np.arange(N), data.shape)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.reshape(npts * N, -1).sum(axis=1))])
+    return data[keep], indices.astype(np.int32), indptr.astype(np.int32)
 
 
 def _solve_implicit(sys, bc_map, source, h0, grid, force):
@@ -374,10 +419,9 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
     if grid.staggered:
         if sys.time_sign == 0:
             raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
-        vals = _solve_explicit(sys, bc_map, source, h0, grid, force)
-    else:
-        vals = _solve_implicit(sys, bc_map, source, h0, grid, force)
-    return GridField(vals, grid, sys.name)
+        vals, trace = _solve_explicit(sys, bc_map, source, h0, grid, force)
+        return GridField(vals, grid, sys.name, energy=None if trace is None else (sys, trace))
+    return GridField(_solve_implicit(sys, bc_map, source, h0, grid, force), grid, sys.name)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -416,18 +460,25 @@ class EnergyTrace:
 
 def _energy_tables(sys, grid, t):
     """One energy_trace level from one evaluation on the samples and the two
-    boundary points: the energy metric (the companion metric, or G when σ(dt)
-    is not definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
-    chart, n = sys.chart, grid.xs.size
+    boundary points (``_energy_level``)."""
+    chart = sys.chart
     ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
             for face in chart.faces()]
     xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends]])[:, None]
-    A, G, beta = sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2), chart.beta_at(t, xs2)
-    s = sys.time_sign
+    xi = np.array([geometry.outward_normal(chart, q) for q in ends])
+    return _energy_level(sys, t, xs2, sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2),
+                         chart.beta_at(t, xs2), xi)
+
+
+def _energy_level(sys, t, xs2, A, G, beta, xi):
+    """The tables of one energy_trace level from the tables A, G and β at the
+    samples followed by the two boundary points, whose conormals are the rows
+    of ``xi``: the energy metric (the companion metric, or G when σ(dt) is not
+    definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
+    n, s = xs2.shape[0] - 2, sys.time_sign
     P = companion_metric(s, beta[:n], G[:n], A[:n, 0]) if s != 0 else G[:n]
-    xi = np.array([geometry.outward_normal(chart, q) for q in ends], dtype=complex)
-    return (P, geometry.spatial_density(chart, t, xs2[:n]), (s or 1) * beta[n:], G[n:],
-            np.einsum("fm,fmij->fij", xi, A[n:]))
+    return (P, geometry.spatial_density(sys.chart, t, xs2[:n]), (s or 1) * beta[n:], G[n:],
+            np.einsum("fm,fmij->fij", np.asarray(xi, complex), A[n:]))
 
 
 def _quadratic_density(psi, P):
@@ -452,6 +503,24 @@ def _quadratic_density(psi, P):
     return dens
 
 
+def _weights(grid):
+    """Quadrature weights of the samples: Δx, halved at the two edge nodes."""
+    weights = np.full(grid.xs.size, grid.dx)
+    if not grid.staggered:
+        weights[0] = weights[-1] = grid.dx / 2
+    return weights
+
+
+def _energy_block(psi, tables, weights):
+    """Energies and fluxes of the levels Ψ (L, n, N) from their energy tables
+    stacked over the L levels (or with a leading axis of length 1)."""
+    P, sdens, sbeta, G, sn = tables
+    energy = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
+    trace = psi[:, [0, -1]]                     # the edge samples of the two faces
+    form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
+    return energy, sum((sbeta * form).T)        # 0.0 + face 0 + face 1
+
+
 def energy_trace(fld, sys):
     """E(t) = Σ_x ⟨Ψ, Ψ⟩_P √det(h) Δx, the discrete ∫_Σ |Ψ|²_β dμ_t.
 
@@ -460,19 +529,17 @@ def energy_trace(fld, sys):
     boundary form it is an O(Δx) discretization artifact around zero.
     Systems without a positive companion metric sum the indefinite fiber
     form G instead, which is not a norm.  Levels go in blocks of ``_BLOCK``.
+    A field that carries the trace of ``sys`` (a time-dependent explicit
+    solve) returns a copy of it: the same numbers, recorded by the solve.
     """
+    if fld.energy is not None and fld.energy[0] is sys:
+        tr = fld.energy[1]
+        return EnergyTrace(tr.ts.copy(), tr.energy.copy(), tr.flux.copy())
     grid = fld.grid
-    weights = np.full(grid.xs.size, grid.dx)
-    if not grid.staggered:
-        weights[0] = weights[-1] = grid.dx / 2
     energy, flux = np.empty((2, grid.nt + 1))
-    for rows, (P, sdens, sbeta, G, sn) in _level_blocks(
-            sys, grid, lambda t: _energy_tables(sys, grid, t)):
-        psi = fld.values[rows]
-        energy[rows] = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
-        trace = psi[:, [0, -1]]                 # the edge samples of the two faces
-        form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
-        flux[rows] = sum((sbeta * form).T)     # 0.0 + face 0 + face 1
+    weights = _weights(grid)
+    for rows, tables in _level_blocks(sys, grid, lambda t: _energy_tables(sys, grid, t)):
+        energy[rows], flux[rows] = _energy_block(fld.values[rows], tables, weights)
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
 
@@ -549,9 +616,7 @@ def apply_operator(sys, fld):
 
 
 def l2_norm(fld_values, grid):
-    w = np.full(grid.xs.size, grid.dx)
-    if not grid.staggered:
-        w[0] = w[-1] = grid.dx / 2
+    w = _weights(grid)
     dens = np.sum(np.abs(fld_values) ** 2, axis=-1)
     if dens.ndim == 2:
         return float(np.sqrt(np.sum(dens @ w) * grid.dt))
@@ -571,7 +636,7 @@ def _forcing_table(f, grid, N):
 
 def _active_levels(table, threshold=1e-14):
     """Levels of a forcing table whose norm exceeds threshold · the largest."""
-    norms = np.array([float(np.linalg.norm(arr)) for arr in table])
+    norms = np.linalg.norm(table, axis=(1, 2))
     return np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
 
 

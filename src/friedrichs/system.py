@@ -133,16 +133,21 @@ class FriedrichsSystem:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self._split(t, xs, xi, self.coeff_at(t, xs)[0], self.metric_at(t, xs))
 
-    def _split(self, t, xs, xi, A, G):
-        """``characteristics`` for a caller that holds the coefficient table A
-        and the metric table G at ``xs``."""
+    def _split(self, t, xs, xi, A, G, beta=None):
+        """``characteristics`` for a caller that holds the coefficient table A,
+        the metric table G and, optionally, the lapse table β at ``xs``.
+
+        Under (S), P·σ(dt)⁻¹σ(ξ) = s*·β·G·σ(ξ) is Hermitian, so the pencil
+        (s*·β·G·σ(ξ), P) gives the speeds without inverting σ(dt) (Golub &
+        Van Loan, *Matrix Computations*, §8.7)."""
         if self.time_sign == 0:
             raise NotHyperbolicError("σ(dt)-form singular or indefinite at samples")
-        P = companion_metric(self.time_sign, self.chart.beta_at(t, xs), G, A[:, 0])
+        s = self.time_sign
+        beta = self.chart.beta_at(t, xs) if beta is None else beta
+        P = companion_metric(s, beta, G, A[:, 0])
         xi = np.broadcast_to(np.asarray(xi, complex), A.shape[:2])
         try:
-            M = np.linalg.inv(A[:, 0]) @ np.einsum("pm,pmij->pij", xi, A)
-            lam, V = eigh_pencil(P @ M, P)
+            lam, V = eigh_pencil(companion_metric(s, beta, G, np.einsum("pm,pmij->pij", xi, A)), P)
         except np.linalg.LinAlgError as exc:
             bad = np.flatnonzero(np.linalg.eigvalsh(P)[:, 0] <= 0)
             where = f", x={xs[bad[0]]}" if bad.size else ""
@@ -152,8 +157,9 @@ class FriedrichsSystem:
 
 
 def companion_metric(sign, beta, G, A0):
-    """Hermitian part of sign·β·G·σ(dt) from tables of β, G and σ(dt) = A0:
-    the companion metric, and the fiber metric of σ(dt)⁻¹·S."""
+    """Hermitian part of sign·β·G·A0 from tables of β, G and A0.  For A0 =
+    σ(dt) it is the companion metric, and the fiber metric of σ(dt)⁻¹·S; for
+    A0 = σ(ξ), the left side of the characteristic pencil."""
     P = sign * beta[:, None, None] * np.einsum("pij,pjk->pik", G, A0)
     return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
 

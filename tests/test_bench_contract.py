@@ -113,3 +113,23 @@ BENCH_GRIDS = {"static_solves": [(1024, 2048), (2048, 1229)],
 def test_benchmark_workloads_keep_their_grid_sizes(name, tmp_path):
     workload = studies.build(name, 0, tmp_path, Path(studies.__file__).resolve().parent.parent)
     assert [(grid.nx, grid.nt) for grid in workload.grids] == BENCH_GRIDS[name]
+
+
+def test_time_dependent_wave_solve_and_trace_evaluate_each_level_once(monkeypatch):
+    # the explicit solve records its energy trace from the tables its steps
+    # build: one coefficient evaluation per level (nt steps and the last
+    # level), beside the admissibility sampling, and none in energy_trace
+    study = studies.TimedepSolves(np.random.default_rng(0))
+    wave, bcs = study.wave, study.neumann
+    grid = solver.make_grid(wave, 32)
+    calls = []
+    coeff_at = system.FriedrichsSystem.coeff_at
+    monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",
+                        lambda self, t, xs: calls.append(t) or coeff_at(self, t, xs))
+    solver.enforce_admissibility(wave, solver._as_bc_map(wave, bcs))
+    admissibility = len(calls)
+    calls.clear()
+    h = studies.first_component(wave, grid.xs, studies.bump(grid.xs, 0.5, 0.2))
+    trace = solver.energy_trace(solver.solve(wave, bcs, h=h, grid=grid), wave)
+    assert not wave.static and admissibility > 0 and np.isfinite(trace.energy).all()
+    assert len(calls) == grid.nt + 1 + admissibility

@@ -133,3 +133,15 @@ def test_speed_rejects_singular_time_symbol(strip):
 def test_boundary_points_lie_on_face(curved_strip):
     for q in boundary_points(curved_strip, RIGHT, n_time=5):
         assert q.x[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_h_inverse_in_one_dimension_is_bitwise_the_matrix_inverse(seed):
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-8, 8, 257)
+    chart = geometry.custom_chart((0.0, 1.0), (1.0,), beta=lambda t, xs: np.ones(xs.shape[0]),
+                                  h=lambda t, xs: values[:xs.shape[0], None, None])
+    xs = np.linspace(0.0, 1.0, 257)[:, None]
+    hinv = chart.h_inv_at(0.5, xs)
+    assert hinv.shape == (257, 1, 1)
+    assert hinv.tobytes() == np.linalg.inv(chart.h_at(0.5, xs)).tobytes()

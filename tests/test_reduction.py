@@ -396,3 +396,26 @@ def test_compat_oracle_smooth_coefficients_within_fd_truncation(strip):
     for k in range(4):
         scale = max(1.0, float(np.max(np.abs(oracle[k]))))
         assert np.max(np.abs(hs[k] - oracle[k])) / scale < 2e-4, k
+
+
+@pytest.mark.parametrize("chart_name", ["sine_beta_in_time", "sine_h_in_time"])
+def test_wave_tables_take_one_time_difference_of_h(chart_name):
+    # b₀ and the Weingarten block share one ∂_t h: h is evaluated three times
+    # per coefficient call (h⁻¹ and h(t ± ht)), and A, C are bitwise the
+    # tables of two separate differences
+    sine = {"profile": "sine", "base": 1.3, "amplitude": 0.2, "waves": 1, "waves_t": 1.0}
+    chart = {"sine_beta_in_time": geometry.named_profile_chart((0.0, 0.4), (1.0,), beta=sine),
+             "sine_h_in_time": geometry.named_profile_chart(
+                 (0.0, 0.4), (1.0,), h_scale=dict(sine, base=1.0))}[chart_name]
+    prob = SecondOrderProblem("normally_hyperbolic", chart, k=1)
+    sys_ = wave_to_first_order(prob)
+    xs = np.linspace(0.0, 1.0, 33)[:, None]
+    h, calls = chart.h, []
+    chart.h = lambda t, xs2: calls.append(t) or h(t, xs2)
+    for t in (0.0, 0.17, 0.4):
+        calls.clear()
+        A, C = sys_.coeff_at(t, xs)
+        assert len(calls) == 3
+        ref_A, ref_C, _ = reference_tables("normally_hyperbolic", prob, t, xs)
+        assert A.tobytes() == ref_A.tobytes() and C.tobytes() == ref_C.tobytes()
+    assert np.any(C[:, 1, 1] != 0) == (chart_name == "sine_h_in_time")

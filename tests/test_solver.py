@@ -1068,3 +1068,197 @@ def test_green_diagnostics_read_the_carried_table_as_a_fresh_one(strip, directio
     for cells, threshold in itertools.product((0, 2), (1e-8, 1e-3)):
         assert (causal_support_ok(fld, f, 1.0, cells, threshold, future)
                 == causal_support_ok(fld, other, 1.0, cells, threshold, future))
+
+
+def sine_beta_wave():
+    return wave_setup(geometry.named_profile_chart((0.0, 0.3), (1.0,),
+                                                   beta=dict(SINE_BETA, base=1.3)))
+
+
+@pytest.mark.parametrize("nt", [None, 15, 5])   # a partial last block, two full ones, one short one
+def test_explicit_solve_records_the_per_level_trace(nt):
+    # a time-dependent explicit solve records its trace from its own tables;
+    # energy_trace returns a copy of it, bitwise the level-by-level trace
+    sys_, bcs = sine_beta_wave()
+    grid = make_grid(sys_, 24)
+    if nt is None:
+        assert (grid.nt + 1) % solver._BLOCK != 0 and grid.nt + 1 > solver._BLOCK
+    else:                                       # the same step, fewer levels
+        grid = make_grid(sys_, 24, t_final=nt * grid.dt, nt=nt)
+    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0), 2: (0.4, 0.2, 0.5)}, 3),
+                grid=grid)
+    assert fld.energy[0] is sys_
+    tr = energy_trace(fld, sys_)
+    energy, flux = reference_energy_trace(fld, sys_)
+    assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
+    assert np.array_equal(tr.ts, grid.ts)
+    tr.energy[:] = 0.0                          # a copy: the carried trace is untouched
+    assert np.array_equal(energy_trace(fld, sys_).energy, energy)
+
+
+def counted_energy_tables(monkeypatch):
+    calls = []
+    real = solver._energy_tables
+
+    def counting(sys_, grid, t):
+        calls.append(t)
+        return real(sys_, grid, t)
+
+    monkeypatch.setattr(solver, "_energy_tables", counting)
+    return calls
+
+
+def test_energy_trace_of_another_system_evaluates_its_own_tables(monkeypatch):
+    sys_, bcs = sine_beta_wave()
+    grid = make_grid(sys_, 24)
+    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
+    calls = counted_energy_tables(monkeypatch)
+    energy_trace(fld, sys_)
+    assert calls == []
+    shifted = system.lambda_shift(sys_, 0.5)
+    tr = energy_trace(fld, shifted)
+    assert calls == list(grid.ts)
+    energy, flux = reference_energy_trace(fld, shifted)
+    assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
+
+
+def test_a_field_that_carries_its_trace_is_read_only():
+    sys_, bcs = sine_beta_wave()
+    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3),
+                grid=make_grid(sys_, 16))
+    with pytest.raises(ValueError, match="read-only"):
+        fld.values[1, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fld.values *= 2.0
+
+
+@pytest.mark.parametrize("case", ["kg_sine_beta", "dirac"])
+def test_implicit_and_static_fields_carry_no_trace(case, monkeypatch):
+    # a time-dependent implicit solve and a static explicit one record
+    # nothing: energy_trace evaluates their tables as before
+    sys_, nx = energy_cases()[case]
+    bcs = boundary.dirichlet(sys_.layout) if case == "kg_sine_beta" else dirac_setup(sys_.chart)[1]
+    grid = make_grid(sys_, nx)
+    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank),
+                grid=grid)
+    assert fld.energy is None and fld.values.flags.writeable
+    calls = counted_energy_tables(monkeypatch)
+    tr = energy_trace(fld, sys_)
+    assert calls == (list(grid.ts) if case == "kg_sine_beta" else [grid.t0])
+    energy, flux = reference_energy_trace(fld, sys_)
+    assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
+
+
+def reference_split(sys_, t, xs, xi):
+    """The characteristic split through σ(dt)⁻¹: the pencil (P·σ(dt)⁻¹σ(ξ), P)."""
+    A, G, beta = sys_.coeff_at(t, xs)[0], sys_.metric_at(t, xs), sys_.chart.beta_at(t, xs)
+    P = system.companion_metric(sys_.time_sign, beta, G, A[:, 0])
+    M = np.linalg.inv(A[:, 0]) @ np.einsum("m,pmij->pij", np.asarray(xi, complex), A)
+    return (*solver.eigh_pencil(P @ M, P), P)
+
+
+def characteristic_abs(lam, V, P):
+    """|Ã| = V·|λ|·Vᴴ·P."""
+    return (V * np.abs(lam)[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(symmetric_hyperbolic())
+def test_the_split_without_the_inverse_matches_the_split_through_it(matrices):
+    G, S0, S1 = matrices
+    chart = geometry.named_profile_chart((0.0, 0.25), (1.0,), beta=SINE_BETA)
+    sys_ = lapse_scaled_system(chart, G, S0, S1, np.zeros_like(G))
+    xs = np.linspace(0.0, 1.0, 9)[:, None]
+    for t, xi in itertools.product((0.0, 0.13), ((0.0, 1.0), (0.0, -0.7), (0.4, 1.3))):
+        lam, V, P = sys_.characteristics(t, xs, xi)
+        ref = reference_split(sys_, t, xs, xi)
+        assert np.array_equal(P, ref[2])
+        scale = max(1.0, float(np.max(np.abs(ref[0]))))
+        assert np.max(np.abs(lam - ref[0])) <= 1e-12 * scale
+        ref_abs = characteristic_abs(*ref)
+        assert (np.max(np.abs(characteristic_abs(lam, V, P) - ref_abs))
+                <= 1e-12 * max(1.0, float(np.max(np.abs(ref_abs)))))
+
+
+def reference_csc(B):
+    """The block-tridiagonal operator of B through scipy: COO → CSR → CSC."""
+    import scipy.sparse
+
+    npts, _, N, _ = B.shape
+    i = np.arange(npts)[:, None, None, None]
+    ii = np.arange(N)[:, None]
+    rows = np.broadcast_to(i * N + ii, B.shape)
+    cols = np.broadcast_to((i + np.arange(-1, 2)[:, None, None]) * N + ii.T, B.shape)
+    nz = np.abs(B) > 0
+    return scipy.sparse.csr_matrix((B[nz], (rows[nz], cols[nz])), shape=(npts * N,) * 2).tocsc()
+
+
+def implicit_cases():
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+    sine_h = geometry.named_profile_chart((0.0, 0.3), (1.0,), h_scale=SINE_BETA)
+
+    def heat(chart):
+        sys_ = reduction.reaction_diffusion_to_first_order(
+            reduction.SecondOrderProblem("reaction_diffusion", chart, k=1, c=lambda t, xs: -1.0),
+            2.0)
+        return sys_, boundary.robin(0.0, 1.0, sys_.layout)
+
+    kg = reduction.kg_to_first_order(
+        reduction.SecondOrderProblem("klein_gordon", sine_h, k=2, mass=1.0))
+    return {"heat_static": heat(strip), "heat_sine_h": heat(sine_h),
+            "kg_sine_h": (kg, boundary.dirichlet(kg.layout))}
+
+
+@pytest.mark.parametrize("case", sorted(implicit_cases()))
+def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
+    sys_, bcs = implicit_cases()[case]
+    grid = make_grid(sys_, 32)
+    built = []
+    real = solver._block_csc
+    monkeypatch.setattr(solver, "_block_csc", lambda B: built.append((B, real(B))) or built[-1][1])
+    solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3])
+    (B, (data, indices, indptr)), = built
+    ref = reference_csc(B)
+    assert ref.has_sorted_indices and ref.nnz < B.size
+    assert data.tobytes() == ref.data.tobytes()
+    assert indices.tobytes() == ref.indices.tobytes() and indptr.tobytes() == ref.indptr.tobytes()
+
+
+def test_implicit_csc_masks_the_out_of_range_edge_blocks():
+    # nonzero blocks beyond the two edges have no column and are dropped
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
+    B[2, 1, 0, 1] = 0.0
+    data, indices, indptr = solver._block_csc(B)
+    inner = B.copy()
+    inner[0, 0] = inner[-1, 2] = 0.0
+    ref = reference_csc(inner)
+    assert data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(indices, ref.indices) and np.array_equal(indptr, ref.indptr)
+
+
+def reference_active_levels(table, threshold):
+    norms = np.array([float(np.linalg.norm(arr)) for arr in table])
+    return np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_active_levels_match_the_per_level_norms(seed):
+    rng = np.random.default_rng(seed)
+    table = np.zeros((40, 17, 2), dtype=complex)
+    for m in rng.choice(40, 25, replace=False):
+        scale = 10.0 ** rng.uniform(-18, -2)      # norms below 0.25
+        table[m] = scale * (rng.standard_normal((17, 2)) + 1j * rng.standard_normal((17, 2)))
+    table[5:12] = 0.0
+    table[6, 3, 1] = 1.0                        # one entry: norm exactly 1, the largest
+    table[7, 9, 0] = 0.25                       # exactly 0.25 · the largest: not active
+    table[8, 2, 1] = np.nextafter(0.25, 1.0)    # just above it: active
+    table[9, 0, 0] = 1e-14                      # exactly the default threshold: not active
+    table[10, 16, 1] = -1e-14j
+    table[11, 4, 0] = np.nextafter(1e-14, 1.0)
+    for threshold in (1e-14, 0.25, 0.0):
+        levels = solver._active_levels(table, threshold)
+        assert np.array_equal(levels, reference_active_levels(table, threshold))
+    assert {6, 8, 11} <= set(solver._active_levels(table)) and not {5, 9, 10} & set(
+        solver._active_levels(table))
+    assert 7 not in solver._active_levels(table, 0.25) and 8 in solver._active_levels(table, 0.25)
