@@ -89,13 +89,14 @@ def boundary_symbol(sys, q):
 
 
 def nonneg_mask(ev, tol=RANK_TOL):
-    """ev ≥ −tol·max(1, |ev|): characteristic directions count as nonnegative.
+    """ev ≥ −tol·max(1, |ev|), the maximum taken over the last axis (one set
+    of speeds per row): characteristic directions count as nonnegative.
 
     Condition (iii) and the solver's boundary closure both split the speeds
     of ``FriedrichsSystem.characteristics`` with it, so admissibility implies
     a square closure.
     """
-    scale = max(1.0, float(np.max(np.abs(ev))))
+    scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1, keepdims=True))
     return ev >= -tol * scale
 
 

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary, clifford, geometry, reduction, solver, system
-from .errors import BoundaryClosureError, ConfigError, ContractError, NotAdmissibleError
+from .errors import (BoundaryClosureError, ConfigError, ContractError, NotAdmissibleError,
+                     NotSymmetricError)
 
 
 def config_digest(cfg):
@@ -480,6 +481,10 @@ def main(argv=None):
         print(f"refusing to run: bc '{exc.bc.name}' not admissible on face {exc.face} "
               f"(use --force for counterexample studies)")
         print(exc.report.summary())
+        return 1
+    except NotSymmetricError as exc:
+        print(f"refusing to run: system '{exc.name}' fails (S), max relative asymmetry "
+              f"{exc.report.max_asymmetry:.3e} (use --force for counterexample studies)")
         return 1
     except (ConfigError, ContractError, BoundaryClosureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,6 +30,18 @@ class NotAdmissibleError(ContractError):
         self.report = report
 
 
+class NotSymmetricError(ContractError):
+    """A solve's system fails condition (S); ``report`` is its
+    ``check_symmetric`` report."""
+
+    def __init__(self, name, report):
+        super().__init__(
+            f"system '{name}' fails (S): G·A^μ is not Hermitian (max relative asymmetry "
+            f"{report.max_asymmetry:.3e}); pass force=True for counterexample studies")
+        self.name = name
+        self.report = report
+
+
 class BoundaryClosureError(RuntimeError):
     """The characteristic boundary closure is not uniquely solvable."""
 

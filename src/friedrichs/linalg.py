@@ -38,17 +38,50 @@ def _herm(M):
     return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
 
 
+def soa(M):
+    """A stack of matrices (..., N, N) in structure-of-arrays layout, the
+    matrix indices leading: contiguous (N, N, ...).  Products of such stacks
+    (``soa_mul``) run as one einsum over the whole stack, without the
+    per-matrix cost of numpy's stacked ``@`` on small N."""
+    return np.ascontiguousarray(M.transpose((M.ndim - 2, M.ndim - 1, *range(M.ndim - 2))))
+
+
+def aos(M):
+    """The stack (..., N, N) of a structure-of-arrays stack (N, N, ...), as a view."""
+    return M.transpose((*range(2, M.ndim), 0, 1))
+
+
+def soa_mul(X, Y):
+    """The matrix products X·Y of two structure-of-arrays stacks."""
+    return np.einsum("ij...,jk...->ik...", X, Y)
+
+
+def _lower_inverse(L):
+    """The inverses of the lower triangular structure-of-arrays stack L by
+    forward substitution, one row of all the matrices at a time."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[0]):
+        X[i, i] = 1.0 / L[i, i]
+        if i:
+            X[i, :i] = -X[i, i] * (L[i, :i, None] * X[:i, :i]).sum(axis=0)
+    return X
+
+
 def eigh_pencil(A, B):
     """Real eigenvalues (ascending) and B-orthonormal eigenvector columns of the
     Hermitian pencils A v = λ B v, B ≻ 0, over stacks of shape (..., N, N).
 
     Cholesky reduction B = LLᴴ, C = L⁻¹AL⁻ᴴ, V = L⁻ᴴU (Golub & Van Loan,
-    *Matrix Computations*, §8.7); LinAlgError when some B is not ≻ 0.
+    *Matrix Computations*, §8.7); LinAlgError when some B is not ≻ 0.  L⁻¹
+    and the products are taken in structure-of-arrays layout (``soa``), and
+    ``np.linalg.eigh`` solves the Hermitian cores C.
     """
-    Linv = np.linalg.inv(np.linalg.cholesky(_herm(B)))
-    LinvH = np.conj(np.swapaxes(Linv, -1, -2))
-    w, U = np.linalg.eigh(_herm(Linv @ _herm(A) @ LinvH))
-    return w, LinvH @ U
+    Linv = _lower_inverse(soa(np.linalg.cholesky(_herm(B))))
+    LinvH = np.conj(Linv.swapaxes(0, 1))
+    A = soa(np.asarray(A, dtype=complex))
+    C = soa_mul(soa_mul(Linv, 0.5 * (A + np.conj(A.swapaxes(0, 1)))), LinvH)
+    w, U = np.linalg.eigh(aos(0.5 * (C + np.conj(C.swapaxes(0, 1)))))
+    return w, aos(soa_mul(LinvH, soa(U)))
 
 
 @dataclass
@@ -98,16 +131,20 @@ def matrix_rank(M, tol=RANK_TOL):
 
 
 def row_reduce(GB, tol=RANK_TOL):
-    """SVD row reduction of a square boundary matrix G_B.
+    """SVD row reduction of a square boundary matrix G_B, or of a stack
+    (..., N, N) of them that share one rank (ContractError otherwise).
 
     Returns ``(R, V1, V2)``: the r = rank G_B independent constraint rows
     R = U_r* G_B (ker R = ker G_B), and orthonormal bases of the constrained
     directions V1 (the row space) and the unconstrained directions V2 = ker G_B.
     """
     U, s, Vh = np.linalg.svd(GB)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    V = Vh.conj().T
-    return U[:, :r].conj().T @ GB, V[:, :r], V[:, r:]
+    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    r = int(ranks.flat[0])
+    if (ranks != r).any():
+        raise ContractError(f"the stacked boundary matrices have ranks {np.unique(ranks)}")
+    V = Vh.conj().swapaxes(-1, -2)
+    return U[..., :r].conj().swapaxes(-1, -2) @ GB, V[..., :r], V[..., r:]
 
 
 def restrict_form(M, W):

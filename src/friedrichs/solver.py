@@ -18,6 +18,7 @@ sparse solve per step) on a node grid, with boundary rows replaced by the
 row-reduced G_B in the constrained directions.
 """
 
+import functools
 import itertools
 import math
 import numbers
@@ -27,10 +28,10 @@ import numpy as np
 
 from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
-                     NotAdmissibleError, NotHyperbolicError)
-from .linalg import eigh_pencil, pairwise_sum, row_reduce
+                     NotAdmissibleError, NotHyperbolicError, NotSymmetricError)
+from .linalg import aos, eigh_pencil, pairwise_sum, row_reduce, soa, soa_mul
 from .boundary import admissibility, nonneg_mask
-from .system import companion_metric
+from .system import check_symmetric, companion_metric
 
 
 @dataclass
@@ -181,7 +182,8 @@ def _finite(psi, m, t):
 
 
 def _levels(sys, ts, tables):
-    """Yield (t, tables(t)) for each time level in ``ts``.
+    """Yield (t, tables(t)) for each t in ``ts``: a time level, or the first
+    level of a block (``_level_blocks``).
 
     The one place that decides when coefficients are evaluated: every level
     for time-dependent systems, once in total for static ones.
@@ -193,72 +195,115 @@ def _levels(sys, ts, tables):
         yield t, tb
 
 
+_BLOCK = 8      # time levels per block of the explicit step, energy_trace and apply_operator
+
+
+def _level_blocks(sys, ts, tables):
+    """Yield (rows, tables(ts[rows])) over the levels ``ts`` in blocks of
+    ``_BLOCK``: the tables of a block's levels, stacked on a leading axis.  A
+    static system's tables are built once, from its first level, and serve
+    every block with a leading axis of length 1."""
+    starts, size = range(0, len(ts), _BLOCK), 1 if sys.static else _BLOCK
+    built = _levels(sys, starts, lambda start: tables(ts[start:start + size]))
+    for start, (_, block) in zip(starts, built):
+        yield slice(start, min(start + _BLOCK, len(ts))), block
+
+
+def _per_level(tables):
+    """The block form of per-level ``tables(t)``: their arrays stacked over
+    the block's times."""
+    return lambda ts: [np.stack(a) for a in zip(*map(tables, ts))]
+
+
 # -- explicit characteristic upwind -----------------------------------------
 
 
-def _explicit_tables(sys, bc_map, grid, t, force):
-    """The frozen upwind step as block rows B (nx, N, 3N), the forcing map
-    Δt·σ(dt)⁻¹ and, for a time-dependent system, the level's
-    ``_energy_tables`` (else None):
+def _explicit_tables(sys, bc_map, grid, ts, force):
+    """The frozen upwind steps of the levels ``ts`` (one time, or a block of
+    them), stacked over the levels: block rows B (L, nx, N, 3N), the forcing
+    maps Δt·σ(dt)⁻¹ (L, nx, N, N) and, for a time-dependent system, the
+    levels' ``_energy_block`` tables (else None):
     Ψ_p(t + Δt) = Ψ_p + B_p·[Ψ_{p−1}; Ψ_p; Ψ_{p+1}] + Δt·σ(dt)⁻¹f_p,
     the blocks k(Ã + |Ã|_{p−½}), −k(|Ã|_{p+½} + |Ã|_{p−½}) − ΔtC̃ and
     k(|Ã|_{p+½} − Ã) with k = Δt/2Δx (LeVeque, *Finite Volume Methods for
     Hyperbolic Problems*, 2002, ch. 4 and 8) and the ghost-cell closures folded
     into the edge rows' middle blocks.  B is the increment, so rounding stays
     relative to it.  One evaluation of the coefficients, the metric and the
-    lapse and one characteristic split serve the cells, the faces (covector
-    dx) and the two boundary faces (their conormals).  ContractError when the
-    realised CFL at the faces exceeds 1."""
-    chart, nx, N = sys.chart, grid.nx, sys.fiber_rank
+    lapse per level, and one characteristic split of all the levels, serve
+    the cells, the faces (covector dx) and the two boundary faces (their
+    conormals).  ContractError when the realised CFL at the faces exceeds 1;
+    each face's closures are solved in one batch."""
+    ts = np.atleast_1d(ts)
+    chart, nx, N, L = sys.chart, grid.nx, sys.fiber_rank, ts.size
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
     pts = np.concatenate([grid.xs, faces])[:, None]
-    A, C = sys.coeff_at(t, pts)
-    G, beta = sys.metric_at(t, pts), chart.beta_at(t, pts)
-    a0inv = np.linalg.inv(A[:nx, 0])
-    ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-            for face in chart.faces()]
-    xi = np.vstack([np.broadcast_to((0.0, 1.0), (nx + 1, 2))]
-                   + [geometry.outward_normal(chart, q) for q in ends])
-    rows = nx + np.r_[0:nx + 1, 0, nx]
-    split = sys._split(t, pts[rows], xi, A[rows], G[rows], beta[rows])
-    lam, V, P = (a[:-2] for a in split)
-    speed = np.max(np.abs(lam), axis=1)
-    worst = int(np.argmax(speed))
-    cfl = speed[worst] * grid.dt / grid.dx
-    if cfl > 1.0:
-        raise ContractError(f"realised CFL {cfl:.4g} > 1 at t={t:.6g}, "
-                            f"x={faces[worst]:.6g}: lower the grid's cfl")
+    rows = nx + np.r_[0:nx + 1, 0, nx]      # the faces, then the two boundary faces
+    A = np.empty((L, pts.shape[0], 2, N, N), complex)
+    C, G = np.empty((L, nx, N, N), complex), np.empty((L, pts.shape[0], N, N), complex)
+    beta, xi = np.empty((L, pts.shape[0])), np.empty((L, rows.size, 2))
+    xi[:, :nx + 1] = (0.0, 1.0)
+    ends = [[geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+             for face in chart.faces()] for t in ts]
+    for level, (t, qs) in enumerate(zip(ts, ends)):
+        A_t, C_t = sys.coeff_at(t, pts)
+        A[level], C[level] = A_t, C_t[:nx]
+        G[level], beta[level] = sys.metric_at(t, pts), chart.beta_at(t, pts)
+        xi[level, nx + 1:] = [geometry.outward_normal(chart, q) for q in qs]
+    split = sys._split(ts[0], np.tile(pts[rows], (L, 1)), xi.reshape(-1, 2),
+                       *(a[:, rows].reshape(-1, *a.shape[2:]) for a in (A, G, beta)))
+    lam, V, P = (a.reshape(L, rows.size, *a.shape[1:]) for a in split)
+    speed = np.max(np.abs(lam[:, :nx + 1]), axis=2)
+    worst = np.argmax(speed, axis=1)
+    cfl = speed[np.arange(L), worst] * grid.dt / grid.dx
+    if np.any(cfl > 1.0):
+        m = int(np.argmax(cfl > 1.0))
+        raise ContractError(f"realised CFL {cfl[m]:.4g} > 1 at t={ts[m]:.6g}, "
+                            f"x={faces[worst[m]]:.6g}: lower the grid's cfl")
+    T = soa(np.stack([_boundary_closure(bc_map[qs[0].face], chart, qs,
+                                        *(a[:, i] for a in (lam, V, P)), force)
+                      for qs, i in zip(zip(*ends), (-2, -1))], axis=1))
+    # the block's products in structure-of-arrays layout: (N, ·, level, cell or face)
     k = grid.dt / (2 * grid.dx)
-    kAabs = (V * (k * np.abs(lam))[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2)) @ P
-    T_left, T_right = (_boundary_closure(bc_map[q.face], chart, q, *(a[i] for a in split), force)
-                       for q, i in zip(ends, (-2, -1)))
-    kAdtC = a0inv @ np.concatenate([k * A[:nx, 1], grid.dt * C[:nx]], axis=2)
-    kA, dtC = kAdtC[..., :N], kAdtC[..., N:]
-    B = np.concatenate([kA + kAabs[:-1], -(kAabs[1:] + kAabs[:-1] + dtC), kAabs[1:] - kA], axis=2)
-    left, diag, right = B[..., :N], B[..., N:2 * N], B[..., 2 * N:]
-    diag[0] += left[0] @ T_left
-    diag[-1] += right[-1] @ T_right
-    left[0] = right[-1] = 0.0
+    V = soa(V[:, :nx + 1])
+    kAabs = soa_mul(soa_mul(V * np.moveaxis(k * np.abs(lam[:, :nx + 1]), -1, 0),
+                            np.conj(V.swapaxes(0, 1))), soa(P[:, :nx + 1]))
+    a0inv = np.linalg.inv(A[:, :nx, 0])
+    kAdtC = soa_mul(soa(a0inv), np.concatenate([k * soa(A[:, :nx, 1]), grid.dt * soa(C)], axis=1))
+    kA, dtC = kAdtC[:, :N], kAdtC[:, N:]
+    B = np.concatenate([kA + kAabs[..., :-1], -(kAabs[..., 1:] + kAabs[..., :-1] + dtC),
+                        kAabs[..., 1:] - kA], axis=1)
+    left, diag, right = B[:, :N], B[:, N:2 * N], B[:, 2 * N:]
+    diag[..., 0] += soa_mul(left[..., 0], T[..., 0])
+    diag[..., -1] += soa_mul(right[..., -1], T[..., 1])
+    left[..., 0] = right[..., -1] = 0.0
+    B = np.ascontiguousarray(aos(B))
     if sys.static:
         return B, grid.dt * a0inv, None
-    cells_ends = np.r_[0:nx, rows[-2:]]      # the cells, then the two boundary faces
-    return B, grid.dt * a0inv, _energy_level(sys, t, *(a[cells_ends] for a in (pts, A, G, beta)),
-                                             xi[-2:])
+    cells_ends = np.r_[0:nx, rows[-2:]]     # the cells, then the two boundary faces
+    return B, grid.dt * a0inv, _energy_level(sys, ts, pts[cells_ends], A[:, cells_ends],
+                                             G[:, cells_ends], beta[:, cells_ends], xi[:, -2:])
 
 
-def _boundary_closure(bc, chart, q, lam, V, P, force):
-    """Matrix T with ghost = T @ Ψ_edge implementing the characteristic closure
-    at the boundary point q, from the split (λ, V, P) of its outward conormal."""
+def _boundary_closure(bc, chart, qs, lam, V, P, force):
+    """Matrices T (L, N, N), ghost = T_l @ Ψ_edge, implementing the
+    characteristic closure at the boundary points qs of one face, one per
+    level, from the splits (λ, V, P) of their outward conormals stacked over
+    the levels, in one batch.  The levels must share their counts of incoming
+    characteristics and of constraint rows (ContractError otherwise); with
+    ``force``, a batch with an unsolvable level is closed by least squares."""
     keep = nonneg_mask(lam)
-    W_oz = V[:, keep].conj().T @ P
-    R, _, _ = row_reduce(bc.matrix(chart, q))
-    r, n_in = R.shape[0], int(np.sum(~keep))
-    K = np.vstack([W_oz, R])                # square exactly when r == n_in
-    rhs_map = np.vstack([W_oz, -R])
+    if np.any(keep != keep[0]):
+        raise ContractError(f"the levels at face {qs[0].face} differ in their incoming "
+                            f"characteristics")
+    W_oz = np.conj(np.swapaxes(V[..., keep[0]], -1, -2)) @ P
+    R, _, _ = row_reduce(np.stack([bc.matrix(chart, q) for q in qs]))
+    r, n_in = R.shape[-2], int(np.sum(~keep[0]))
+    K = np.concatenate([W_oz, R], axis=-2)       # square exactly when r == n_in
+    rhs_map = np.concatenate([W_oz, -R], axis=-2)
     if r != n_in:
         if not force:
             raise BoundaryClosureError(
-                f"boundary closure at face {q.face}: {n_in} incoming characteristics "
+                f"boundary closure at face {qs[0].face}: {n_in} incoming characteristics "
                 f"vs rank-{r} condition (admissibility (iii) defect)")
         return np.linalg.pinv(K) @ rhs_map
     try:
@@ -266,46 +311,57 @@ def _boundary_closure(bc, chart, q, lam, V, P, force):
     except np.linalg.LinAlgError as exc:
         if force:
             return np.linalg.pinv(K) @ rhs_map
-        raise BoundaryClosureError(f"singular closure at face {q.face}") from exc
+        raise BoundaryClosureError(f"singular closure at face {qs[0].face}") from exc
 
 
 def _solve_explicit(sys, bc_map, source, h0, grid, force):
     """The field, and for a time-dependent system its EnergyTrace (else None),
-    recorded in blocks of ``_BLOCK`` levels from the tables the steps build
-    and the last level's ``_energy_tables``."""
+    recorded block by block from the tables the steps build and the last
+    level's ``_energy_tables``.  The tables come in blocks of ``_BLOCK``
+    levels.  A block whose tables refuse (a CFL, hyperbolicity or closure
+    guard, or closures that differ from level to level) is built again one
+    level at a time as it is stepped, so each refusal comes at its own level
+    with its own message, once every earlier level is stepped."""
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
     pad = np.zeros((nx + 2) * N, dtype=complex)     # Ψ and a zero ghost cell each side
     window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
-    levels = _levels(sys, grid.ts[:-1],
-                     lambda t: _explicit_tables(sys, bc_map, grid, t, force))
     energy, flux = np.empty((2, grid.nt + 1))
-    weights, block = _weights(grid), []
+    weights = _weights(grid)
 
-    def record(m, tables):
-        """Keep level m's energy tables; trace the block once it is full or m is the last."""
-        block.append(tables)
-        if len(block) == _BLOCK or m == grid.nt:
-            rows = slice(m + 1 - len(block), m + 1)
+    def tables(ts):
+        try:
+            return _explicit_tables(sys, bc_map, grid, ts, force)
+        except (ValueError, BoundaryClosureError):
+            if len(ts) == 1:
+                raise
+            return None
+
+    for rows, block in _level_blocks(sys, grid.ts[:-1], tables):
+        levels = []
+        for k, m in enumerate(range(rows.start, rows.stop)):
+            if block is None:
+                levels.append(tables(grid.ts[m:m + 1]))
+            B, dt_a0inv, _ = levels[-1] if block is None else block
+            level = min(k, len(B) - 1)          # one level of its own, or a static system's one
+            psi, new = out[m], out[m + 1]
+            pad[N:-N] = psi.ravel()
+            np.einsum("pij,pj->pi", B[level], window, out=new)
+            src = source(m, grid.ts[m])
+            if src is not None:
+                new += np.einsum("pij,pj->pi", dt_a0inv[level], src)
+            new += psi
+            _finite(new, m + 1, grid.ts[m + 1])
+        if not sys.static:
             energy[rows], flux[rows] = _energy_block(
-                out[rows], [np.stack(a) for a in zip(*block)], weights)
-            block.clear()
-
-    for m, (t, (B, dt_a0inv, energy_tables)) in enumerate(levels):
-        if energy_tables is not None:
-            record(m, energy_tables)
-        psi, new = out[m], out[m + 1]
-        pad[N:-N] = psi.ravel()
-        np.einsum("pij,pj->pi", B, window, out=new)
-        src = source(m, t)
-        if src is not None:
-            new += np.einsum("pij,pj->pi", dt_a0inv, src)
-        new += psi
-        _finite(new, m + 1, grid.ts[m + 1])
+                out[rows], block[2] if block else [np.concatenate(a) for a in zip(
+                    *(tb[2] for tb in levels))], weights)
     if sys.static:
         return out, None
-    record(grid.nt, _energy_tables(sys, grid, grid.ts[-1]))
+    last = slice(grid.nt, grid.nt + 1)
+    energy[last], flux[last] = _energy_block(
+        out[last], [a[None] for a in _energy_tables(sys, grid, grid.ts[-1])], weights)
     return out, EnergyTrace(grid.ts.copy(), energy, flux)
 
 
@@ -316,12 +372,9 @@ def _implicit_matrix(sys, bc_map, grid, t):
     """Backward-Euler operator with boundary rows replaced in constrained
     directions by the row-reduced G_B.
 
-    Returns its sparse LU factor, the boundary rows {node: (R, V1, V2)} of
-    ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
+    Returns ``solve(rhs)`` of its ``_factor``, the boundary rows
+    {node: (R, V1, V2)} of ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
     chart = sys.chart
     npts, N = grid.xs.size, sys.fiber_rank
     A, C = sys.coeff_at(t, grid.xs[:, None])
@@ -345,8 +398,38 @@ def _implicit_matrix(sys, bc_map, grid, t):
         # install the constraint rows there instead
         B[node] = V2 @ V2.conj().T @ B[node]
         B[node, 1] += V1 @ R
-    mat = scipy.sparse.csc_matrix(_block_csc(B), shape=(npts * N,) * 2)
-    return scipy.sparse.linalg.splu(mat), boundary_rows, A[:, 0]
+    return _factor(B, sys.static, t), boundary_rows, A[:, 0]
+
+
+def _factor(B, static, t):
+    """``solve(rhs)`` of the block-tridiagonal matrix whose block row i holds
+    B[i, d + 1] at block column i + d (d = −1, 0, 1).
+
+    A static system factors once and solves nt times: SuperLU (``splu`` of
+    ``_block_csc``), whose solve is the faster.  A time-dependent one factors
+    every level: LAPACK's banded LU with partial pivoting (``zgbtrf`` on
+    ``_band``, Golub & Van Loan, *Matrix Computations*, §4.3), an order of
+    magnitude cheaper to factor.  BoundaryClosureError, naming t, when the
+    matrix is exactly singular.
+    """
+    npts, _, N, _ = B.shape
+    singular = f"the implicit operator at t={t:.6g} is singular"
+    if static:
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        try:
+            return scipy.sparse.linalg.splu(
+                scipy.sparse.csc_matrix(_block_csc(B), shape=(npts * N,) * 2)).solve
+        except RuntimeError as exc:             # "Factor is exactly singular"
+            raise BoundaryClosureError(singular) from exc
+    from scipy.linalg import lapack
+
+    kl = 2 * N - 1
+    lu, piv, info = lapack.zgbtrf(_band(B), kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise BoundaryClosureError(singular)
+    return lambda rhs: lapack.zgbtrs(lu, kl, kl, rhs, piv)[0]
 
 
 def _block_csc(B):
@@ -365,31 +448,64 @@ def _block_csc(B):
     return data[keep], indices.astype(np.int32), indptr.astype(np.int32)
 
 
+@functools.lru_cache(maxsize=8)
+def _band_index(npts, N):
+    """Where ``_band`` puts B's entries: their flat positions in B whose block
+    column exists, and the flat positions of those entries in the band."""
+    kl = 2 * N - 1
+    I, d, a, b = np.indices((npts, 3, N, N)).reshape(4, -1)
+    J = I + d - 1                           # block column
+    keep = (J >= 0) & (J < npts)
+    i, j = I * N + a, J * N + b
+    src, dst = np.flatnonzero(keep), (j * (3 * kl + 1) + 2 * kl + i - j)[keep]
+    src.flags.writeable = dst.flags.writeable = False     # shared by every caller
+    return src, dst
+
+
+def _band(B):
+    """The block-tridiagonal matrix of B (as in ``_factor``) in LAPACK band
+    storage for ``gbtrf``, Fortran-ordered (3kl + 1, npts·N): bandwidths
+    kl = ku = 2N − 1, entry (i, j) at row kl + ku + i − j of column j, the
+    first kl rows left for the fill-in; the out-of-range edge blocks B[0, 0]
+    and B[−1, 2] have no column and are dropped."""
+    npts, _, N, _ = B.shape
+    src, dst = _band_index(npts, N)
+    band = np.zeros((npts * N, 3 * (2 * N - 1) + 1), dtype=complex)
+    band.ravel()[dst] = B.ravel()[src]
+    return band.T
+
+
 def _solve_implicit(sys, bc_map, source, h0, grid, force):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
     levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
-    for m, (t1, (lu, brows, A0)) in enumerate(levels):
+    for m, (t1, (solve_level, brows, A0)) in enumerate(levels):
         rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
         src = source(m + 1, t1)
         if src is not None:
             rhs += src
         for node, (R, V1, V2) in brows.items():
             rhs[node] = V2 @ (V2.conj().T @ rhs[node])
-        out[m + 1] = _finite(lu.solve(rhs.ravel()).reshape(npts, N), m + 1, t1)
+        out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
     return out
 
 
 def enforce_admissibility(sys, bc_map, orient_form=False):
-    """The refusal policy of every solve: each face's condition must pass the
-    admissibility check sampled at 4 times × 2 tangential points.
+    """The refusal policy of every solve: the system must satisfy (S), which
+    the characteristic split assumes (``check_symmetric``, once per system),
+    and each face's condition must pass the admissibility check sampled at
+    4 times × 2 tangential points.
 
-    Raises NotAdmissibleError with the condition, the face and the report of
-    the first face that fails.  ``orient_form`` is passed to ``admissibility``
-    (time-reversed solves).
+    Raises NotSymmetricError with the (S) report, or NotAdmissibleError with
+    the condition, the face and the report of the first face that fails.
+    ``orient_form`` is passed to ``admissibility`` (time-reversed solves).
     """
+    if "symmetric" not in sys._cache:
+        sys._cache["symmetric"] = check_symmetric(sys)
+    if not sys._cache["symmetric"].verdict:
+        raise NotSymmetricError(sys.name, sys._cache["symmetric"])
     for face, bc in bc_map.items():
         rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face],
                             orient_form=orient_form)
@@ -404,10 +520,11 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
     (nt+1, n_x, N); ``h`` a callable h(xs) or its array.  Hyperbolic
     systems use the explicit characteristic upwind scheme; symmetric
     positive systems with singular σ(dt) are stepped implicitly.
-    Unless ``force`` is given, the boundary conditions must pass
-    ``enforce_admissibility`` — the one refusal policy, shared with the CLI — or
-    NotAdmissibleError is raised; ``force=True`` (counterexample studies)
-    skips the check entirely.
+    Unless ``force`` is given, the system and its boundary conditions must
+    pass ``enforce_admissibility`` — the one refusal policy, shared with the
+    CLI — or NotSymmetricError or NotAdmissibleError is raised;
+    ``force=True`` (counterexample studies) and ``check_admissible=False``
+    skip the check entirely.
     """
     if grid is None:
         raise ConfigError("solve requires a grid (make_grid)")
@@ -425,20 +542,6 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
 
 
 # -- diagnostics -------------------------------------------------------------
-
-_BLOCK = 8      # time levels per block of energy_trace and apply_operator
-
-
-def _level_blocks(sys, grid, tables):
-    """Yield (rows, block) over the grid's levels in blocks of ``_BLOCK``: the
-    arrays of ``tables(t)`` stacked over the block's levels, or, for a static
-    system, its one evaluation with a leading axis of length 1."""
-    levels = _levels(sys, grid.ts, tables)
-    for start in range(0, grid.nt + 1, _BLOCK):
-        block = [tb for _, tb in itertools.islice(levels, _BLOCK)]
-        yield (slice(start, start + len(block)),
-               [a[None] for a in block[0]] if sys.static else [np.stack(a) for a in zip(*block)])
-
 
 @dataclass
 class EnergyTrace:
@@ -466,19 +569,21 @@ def _energy_tables(sys, grid, t):
             for face in chart.faces()]
     xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends]])[:, None]
     xi = np.array([geometry.outward_normal(chart, q) for q in ends])
-    return _energy_level(sys, t, xs2, sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2),
-                         chart.beta_at(t, xs2), xi)
+    tables = (sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2), chart.beta_at(t, xs2), xi)
+    return [a[0] for a in _energy_level(sys, [t], xs2, *(a[None] for a in tables))]
 
 
-def _energy_level(sys, t, xs2, A, G, beta, xi):
-    """The tables of one energy_trace level from the tables A, G and β at the
-    samples followed by the two boundary points, whose conormals are the rows
-    of ``xi``: the energy metric (the companion metric, or G when σ(dt) is not
-    definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
+def _energy_level(sys, ts, xs2, A, G, beta, xi):
+    """The energy_trace tables of the levels ``ts`` from the tables A, G and β
+    of each level at the samples followed by the two boundary points, whose
+    conormals are the rows of ``xi`` (one leading axis over the levels): the
+    energy metric (the companion metric, or G when σ(dt) is not definite) and
+    √det h on the samples; s*·β, G and σ(n♭) at the ends."""
     n, s = xs2.shape[0] - 2, sys.time_sign
-    P = companion_metric(s, beta[:n], G[:n], A[:n, 0]) if s != 0 else G[:n]
-    return (P, geometry.spatial_density(sys.chart, t, xs2[:n]), (s or 1) * beta[n:], G[n:],
-            np.einsum("fm,fmij->fij", np.asarray(xi, complex), A[n:]))
+    P = companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0 else G[:, :n]
+    sdens = np.stack([geometry.spatial_density(sys.chart, t, xs2[:n]) for t in ts])
+    return (P, sdens, (s or 1) * beta[:, n:], G[:, n:],
+            np.einsum("lfm,lfmij->lfij", np.asarray(xi, complex), A[:, n:]))
 
 
 def _quadratic_density(psi, P):
@@ -538,7 +643,8 @@ def energy_trace(fld, sys):
     grid = fld.grid
     energy, flux = np.empty((2, grid.nt + 1))
     weights = _weights(grid)
-    for rows, tables in _level_blocks(sys, grid, lambda t: _energy_tables(sys, grid, t)):
+    for rows, tables in _level_blocks(sys, grid.ts,
+                                      _per_level(lambda t: _energy_tables(sys, grid, t))):
         energy[rows], flux[rows] = _energy_block(fld.values[rows], tables, weights)
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
@@ -608,7 +714,8 @@ def apply_operator(sys, fld):
     dpsi_dt = np.gradient(vals, grid.dt, axis=0)
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
     out = np.empty_like(vals)
-    for rows, (A, C) in _level_blocks(sys, grid, lambda t: sys.coeff_at(t, grid.xs[:, None])):
+    for rows, (A, C) in _level_blocks(sys, grid.ts,
+                                      _per_level(lambda t: sys.coeff_at(t, grid.xs[:, None]))):
         out[rows] = (np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
                      + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
                      + np.einsum("lpij,lpj->lpi", C, vals[rows]))

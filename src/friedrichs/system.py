@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractError, NormalizationError, NotHyperbolicError
-from .linalg import definiteness_sign, eigh_pencil, matrix_rank
+from .linalg import aos, definiteness_sign, eigh_pencil, matrix_rank, soa, soa_mul
 
 #: finite-difference step scale for coefficient derivatives
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -160,8 +160,8 @@ def companion_metric(sign, beta, G, A0):
     """Hermitian part of sign·β·G·A0 from tables of β, G and A0.  For A0 =
     σ(dt) it is the companion metric, and the fiber metric of σ(dt)⁻¹·S; for
     A0 = σ(ξ), the left side of the characteristic pencil."""
-    P = sign * beta[:, None, None] * np.einsum("pij,pjk->pik", G, A0)
-    return 0.5 * (P + np.conj(np.swapaxes(P, 1, 2)))
+    P = sign * beta * soa_mul(soa(G), soa(A0))
+    return aos(0.5 * (P + np.conj(P.swapaxes(0, 1))))
 
 
 @dataclass

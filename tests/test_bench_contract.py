@@ -118,10 +118,12 @@ def test_benchmark_workloads_keep_their_grid_sizes(name, tmp_path):
 def test_time_dependent_wave_solve_and_trace_evaluate_each_level_once(monkeypatch):
     # the explicit solve records its energy trace from the tables its steps
     # build: one coefficient evaluation per level (nt steps and the last
-    # level), beside the admissibility sampling, and none in energy_trace
+    # level), beside the admissibility sampling, and none in energy_trace;
+    # the refusal policy certifies (S) once per system, before the count
     study = studies.TimedepSolves(np.random.default_rng(0))
     wave, bcs = study.wave, study.neumann
     grid = solver.make_grid(wave, 32)
+    solver.enforce_admissibility(wave, solver._as_bc_map(wave, bcs))
     calls = []
     coeff_at = system.FriedrichsSystem.coeff_at
     monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",

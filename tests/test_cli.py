@@ -544,3 +544,45 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+SINGULAR = {
+    "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.1]},
+    "system": {"builder": "custom", "params": {"A": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+    "bc": {"name": "no_condition"},
+    "grid": {"nx": 8},
+}
+
+
+@pytest.mark.parametrize("chart", [
+    SINGULAR["chart"],
+    {"name": "custom", "t_range": [0.0, 0.1],
+     "params": {"beta": {"profile": "sine", "waves_t": 1.0}}}])
+def test_singular_implicit_operator_is_a_config_error(tmp_path, capsys, chart):
+    # SuperLU (static) and banded LAPACK (time-dependent β) both refuse the
+    # singular backward-Euler operator with one line naming its time
+    err = assert_config_error(capsys, *run(tmp_path, dict(SINGULAR, chart=chart), "solve"))
+    assert err == "config error: the implicit operator at t=0.05 is singular\n"
+
+
+NOT_SYMMETRIC = {
+    "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5]},
+    "system": {"builder": "custom",
+               "params": {"A": [[[1, 0.3], [0, 1]], [[1, 0], [0, -1]]]}},
+    "bc": {"left": {"name": "custom", "params": {"matrix": [[1, 0], [0, 0]]}},
+           "right": {"name": "custom", "params": {"matrix": [[0, 0], [0, 1]]}}},
+    "grid": {"nx": 16},
+    "task": {"initial": {"profile": "bump", "component": 0}},
+}
+
+
+def test_solve_refuses_a_system_that_fails_s(tmp_path, capsys):
+    # its conditions are admissible, but the split assumes (S): refused like
+    # an inadmissible condition, and run under --force
+    code, out = run(tmp_path / "refused", NOT_SYMMETRIC, "solve")
+    assert code == 1 and not (out / "report.txt").exists()
+    assert re.fullmatch(r"refusing to run: system 'custom' fails \(S\), max relative asymmetry "
+                        r"\S+ \(use --force for counterexample studies\)\n",
+                        capsys.readouterr().out)
+    code, out = run(tmp_path / "forced", NOT_SYMMETRIC, "solve", ("--force",))
+    assert code == 0 and "forced run" in (out / "report.txt").read_text()

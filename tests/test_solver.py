@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from friedrichs import boundary, cli, clifford, geometry, reduction, solver, system
 from friedrichs.errors import (BoundaryClosureError, ConfigError, ContractError,
-                               NotAdmissibleError)
+                               NotAdmissibleError, NotHyperbolicError, NotSymmetricError)
 from friedrichs.geometry import LEFT, RIGHT
 from friedrichs.linalg import pairwise_sum
 from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
@@ -821,7 +821,7 @@ def reference_explicit_solve(sys_, bcs, f, h0, grid):
         for face, edge in ((LEFT, 0), (RIGHT, -1)):      # the ghost beside each edge cell
             q = geometry.BoundaryPoint(t, face, [chart.face_position(face)])
             split = sys_.characteristics(t, q.x[None], geometry.outward_normal(chart, q))
-            T = solver._boundary_closure(bc_map[face], chart, q, *(a[0] for a in split), False)
+            T, = solver._boundary_closure(bc_map[face], chart, [q], *split, False)
             pad[edge] = T @ psi[edge]
         diss = np.einsum("fij,fj->fi", Aabs, pad[1:] - pad[:-1])
         rhs = -np.einsum("pij,pj->pi", a0inv @ A[:, 1], (pad[2:] - pad[:-2]) / (2 * dx))
@@ -1214,10 +1214,11 @@ def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
     sys_, bcs = implicit_cases()[case]
     grid = make_grid(sys_, 32)
     built = []
-    real = solver._block_csc
-    monkeypatch.setattr(solver, "_block_csc", lambda B: built.append((B, real(B))) or built[-1][1])
+    real = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda B, *args: built.append(B) or real(B, *args))
     solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3])
-    (B, (data, indices, indptr)), = built
+    B, = built
+    data, indices, indptr = solver._block_csc(B)
     ref = reference_csc(B)
     assert ref.has_sorted_indices and ref.nnz < B.size
     assert data.tobytes() == ref.data.tobytes()
@@ -1262,3 +1263,245 @@ def test_active_levels_match_the_per_level_norms(seed):
     assert {6, 8, 11} <= set(solver._active_levels(table)) and not {5, 9, 10} & set(
         solver._active_levels(table))
     assert 7 not in solver._active_levels(table, 0.25) and 8 in solver._active_levels(table, 0.25)
+
+
+# -- the implicit factor: SuperLU for a static system, banded LAPACK otherwise
+
+
+def reference_band(B):
+    """The LAPACK band (3kl + 1, n) of the block-tridiagonal matrix of B, read
+    entry by entry from its dense form: A[i, j] at row 2kl + i − j."""
+    npts, _, N, _ = B.shape
+    n, kl = npts * N, 2 * N - 1
+    dense = np.zeros((n, n), dtype=complex)
+    for i, d in itertools.product(range(npts), range(3)):
+        if 0 <= i + d - 1 < npts:
+            dense[i * N:(i + 1) * N, (i + d - 1) * N:(i + d) * N] = B[i, d]
+    assert not np.any(np.triu(dense, kl + 1)) and not np.any(np.tril(dense, -kl - 1))
+    band = np.zeros((3 * kl + 1, n), dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        if abs(i - j) <= kl:
+            band[2 * kl + i - j, j] = dense[i, j]
+    return band
+
+
+@pytest.mark.parametrize("npts, N", [(5, 2), (4, 3), (6, 1)])
+def test_band_holds_the_block_rows_entries(npts, N):
+    # the out-of-range edge blocks B[0, 0] and B[-1, 2] are masked; every
+    # other entry lands where LAPACK's gbtrf reads it
+    rng = np.random.default_rng(npts * N)
+    B = rng.standard_normal((npts, 3, N, N)) + 1j * rng.standard_normal((npts, 3, N, N))
+    band = solver._band(B)
+    assert band.flags.f_contiguous
+    assert band.tobytes(order="F") == reference_band(B).tobytes(order="F")
+    inner = B.copy()
+    inner[0, 0] = inner[-1, 2] = 0.0
+    assert np.array_equal(band, reference_band(inner))
+
+
+@pytest.mark.parametrize("case", ["heat_sine_h", "kg_sine_h"])
+def test_banded_implicit_fields_match_superlu(case, monkeypatch):
+    sys_, bcs = implicit_cases()[case]
+    assert not sys_.static
+    grid = make_grid(sys_, 48)
+    h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, sys_.fiber_rank)
+    banded = solve(sys_, bcs, h=h, grid=grid).values
+    real = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda B, static, t: real(B, True, t))
+    superlu = solve(sys_, bcs, h=h, grid=grid).values
+    assert np.max(np.abs(banded - superlu)) <= 1e-12 * np.max(np.abs(superlu))
+    assert not np.array_equal(banded, superlu)      # two factorizations ran
+
+
+@pytest.mark.parametrize("case", sorted(implicit_cases()))
+def test_implicit_factor_kind_follows_static(case, monkeypatch):
+    # a static solve factors once with SuperLU; a time-dependent one never
+    import scipy.sparse.linalg
+
+    sys_, bcs = implicit_cases()[case]
+    grid = make_grid(sys_, 16)
+    calls = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kw: calls.append(1) or splu(*args, **kw))
+    solve(sys_, bcs, h=bump_state(grid.xs, {0: (0.5, 0.25, 1.0)}, sys_.fiber_rank), grid=grid)
+    assert len(calls) == (1 if sys_.static else 0)
+
+
+def singular_system(chart):
+    """σ(dt) = diag(1, 0), σ(dx) = 0, C = 0: every backward-Euler operator is singular."""
+    return system.constant_system(chart, [np.diag([1.0, 0.0]), np.zeros((2, 2))], None)
+
+
+@pytest.mark.parametrize("chart", [
+    geometry.minkowski_strip((0.0, 0.1), (1.0,)),
+    geometry.named_profile_chart((0.0, 0.1), (1.0,), beta=SINE_BETA)])
+def test_a_singular_implicit_operator_names_its_time(chart):
+    sys_ = singular_system(chart)
+    grid = make_grid(sys_, 8)
+    with pytest.raises(BoundaryClosureError,
+                       match=rf"implicit operator at t={grid.ts[1]:.6g} is singular") as err:
+        solve(sys_, boundary.no_condition(2), grid=grid)
+    # SuperLU's RuntimeError for the static one, zgbtrf's info > 0 otherwise
+    assert isinstance(err.value.__cause__, RuntimeError) == sys_.static
+
+
+# -- the explicit level tables, built in blocks of levels
+
+
+def recorded_blocks(monkeypatch):
+    blocks = []
+    real = solver._explicit_tables
+
+    def recording(sys_, bc_map, grid, ts, force):
+        blocks.append([np.atleast_1d(ts).copy(), None])     # None: the block refused
+        blocks[-1][1] = real(sys_, bc_map, grid, ts, force)
+        return blocks[-1][1]
+
+    monkeypatch.setattr(solver, "_explicit_tables", recording)
+    return blocks
+
+
+def assert_close(a, b, rel):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("nt", [None, 16, 5])   # a partial last block, full ones, nt + 1 < _BLOCK
+def test_block_tables_equal_the_per_level_tables(nt, monkeypatch):
+    sys_, bcs = sine_beta_wave()
+    grid = make_grid(sys_, 24)
+    if nt is not None:
+        grid = make_grid(sys_, 24, t_final=nt * grid.dt, nt=nt)
+    bc_map = solver._as_bc_map(sys_, bcs)
+    blocks = recorded_blocks(monkeypatch)
+    solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
+    monkeypatch.undo()
+    sizes = [len(ts) for ts, _ in blocks]
+    assert sum(sizes) == grid.nt and all(s == solver._BLOCK for s in sizes[:-1])
+    assert (sizes[-1] == solver._BLOCK) == (grid.nt % solver._BLOCK == 0)
+    for ts, (B, dt_a0inv, energy_tables) in blocks:
+        for level, t in enumerate(ts):
+            ref = solver._explicit_tables(sys_, bc_map, grid, t, False)
+            assert_close(B[level], ref[0][0], 1e-14)
+            assert_close(dt_a0inv[level], ref[1][0], 1e-14)
+            for table, ref_table in zip(energy_tables, ref[2]):
+                assert_close(table[level], ref_table[0], 1e-14)
+
+
+def dipping_advection(chart, a0, a1):
+    """Scalar ∂_t-coefficient a0(t, x) and ∂_x-coefficient a1(t, x), G = 1."""
+    def coeff(t, xs):
+        A = np.zeros((xs.shape[0], 2, 1, 1), dtype=complex)
+        A[:, 0, 0, 0], A[:, 1, 0, 0] = a0(t, xs[:, 0]), a1(t, xs[:, 0])
+        return A, np.zeros((xs.shape[0], 1, 1), dtype=complex)
+
+    return system.FriedrichsSystem(chart, 1, coeff, lambda t, xs: np.ones((xs.shape[0], 1, 1)),
+                                   metric_positive=True, time_independent=False)
+
+
+def stepped_levels():
+    steps = []
+
+    def f(t, xs2):
+        steps.append(t)
+        return np.zeros((xs2.shape[0], 1), dtype=complex)
+
+    return steps, f
+
+
+def in_window(t):
+    return 0.035 < t < 0.065         # between the times the set-up checks sample
+
+
+def test_not_hyperbolic_level_raises_after_the_levels_before_it():
+    # σ(dt) turns negative on x > 0.5 inside a window of time in the middle of
+    # the first block: its first level raises, naming t and the first bad face,
+    # once the levels before it are stepped
+    chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
+    sys_ = dipping_advection(chart, lambda t, x: np.where(in_window(t) & (x > 0.5), -1.0, 1.0),
+                             lambda t, x: np.zeros_like(x))
+    grid = make_grid(sys_, 16, nt=70)
+    m = next(m for m, t in enumerate(grid.ts) if in_window(t))
+    assert 0 < m < solver._BLOCK
+    steps, f = stepped_levels()
+    bcs = boundary.no_condition(1)
+    faces = np.arange(grid.nx + 1) * grid.dx
+    x = faces[faces > 0.5][0]
+    with pytest.raises(NotHyperbolicError) as err:
+        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert str(err.value) == f"σ(dt)-form singular or indefinite at t={grid.ts[m]}, x=[{x}]"
+    assert steps == list(grid.ts[:m])
+
+
+def test_closure_error_raises_at_its_level_after_the_levels_before_it():
+    # the speed turns negative inside a window of time: the left face's zero
+    # trace then has no incoming characteristic to fix, and that level's
+    # closure refuses once the levels before it are stepped
+    chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
+    sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
+                             lambda t, x: np.full_like(x, -1.0 if in_window(t) else 1.0))
+    grid = make_grid(sys_, 16)
+    m = next(m for m, t in enumerate(grid.ts) if in_window(t))
+    assert 0 < m and m % solver._BLOCK != 0
+    steps, f = stepped_levels()
+    bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
+    with pytest.raises(BoundaryClosureError, match=r"face \(0, 0\): 0 incoming characteristics"):
+        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert steps == list(grid.ts[:m])
+
+
+def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
+    # the flow reverses inside a window, and each face's condition follows
+    # its inflow: every level closes, but not alike within the blocks that
+    # straddle the window, which are built one level at a time instead
+    chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
+    sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
+                             lambda t, x: np.full_like(x, -1.0 if in_window(t) else 1.0))
+    bcs = {face: boundary.custom_bc(lambda chart, q, face=face: np.array(
+        [[float(in_window(q.t) == (face == RIGHT))]])) for face in (LEFT, RIGHT)}
+    grid = make_grid(sys_, 16)
+
+    def run():
+        fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid,
+                    check_admissible=False)
+        return fld.values, fld.energy[1].energy
+
+    blocks = recorded_blocks(monkeypatch)
+    values, energy = run()
+    assert any(tables is None for _, tables in blocks)
+    monkeypatch.setattr(solver, "_BLOCK", 1)
+    ref_values, ref_energy = run()
+    assert_close(values, ref_values, 1e-14)
+    assert_close(energy, ref_energy, 1e-14)
+
+
+def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
+    # one eigh_pencil call per block of levels, not one per level
+    sys_, bcs = sine_beta_wave()
+    grid = make_grid(sys_, 24)
+    calls = []
+    pencil = system.eigh_pencil
+    monkeypatch.setattr(system, "eigh_pencil", lambda *a: calls.append(1) or pencil(*a))
+    solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid,
+          check_admissible=False)
+    assert grid.nt > 2 * solver._BLOCK
+    assert len(calls) == -(-grid.nt // solver._BLOCK)
+
+
+# -- the refusal policy requires (S)
+
+
+def test_solve_refuses_a_system_that_fails_s(strip):
+    sys_ = system.constant_system(strip, [[[1.0, 0.3], [0.0, 1.0]], np.diag([1.0, -1.0])], None)
+    bcs = {LEFT: boundary.custom_bc(np.diag([1.0, 0.0])),
+           RIGHT: boundary.custom_bc(np.diag([0.0, 1.0]))}
+    for face, bc in bcs.items():
+        assert boundary.admissibility(sys_, bc, faces=[face]).admissible
+    assert not system.check_symmetric(sys_).verdict
+    grid = make_grid(sys_, 16)
+    h = lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 2)     # noqa: E731
+    with pytest.raises(NotSymmetricError, match=r"system 'custom' fails \(S\)"):
+        solve(sys_, bcs, h=h, grid=grid)
+    for kwargs in ({"force": True}, {"check_admissible": False}):
+        assert np.isfinite(solve(sys_, bcs, h=h, grid=grid, **kwargs).values).all()
