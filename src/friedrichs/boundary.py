@@ -198,13 +198,6 @@ def _form_on_boundary_space(F, B, tol):
     return float(ev[0]), None
 
 
-def violation_witness(sys, bc, q, tol=1e-9):
-    """Vector in B with ⟨σ(n♭)v, v⟩ < −tol, or None when the form is ≥ 0."""
-    G = sys.metric_at(q.t, q.x[None, :])[0]
-    F = G @ boundary_symbol(sys, q)
-    return _form_on_boundary_space(F, bc.kernel_space(sys.chart, q), tol)[1]
-
-
 def adjoint_boundary_space(sys, bc, q, tol=RANK_TOL):
     """B† = (σ(n♭)(B))^⊥ in the fiber metric; annihilates σ(n♭)B by construction."""
     G = sys.metric_at(q.t, q.x[None, :])[0]

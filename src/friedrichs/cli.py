@@ -234,7 +234,11 @@ def build_chart(cfg):
 
 def build_system(cfg, chart):
     spec = _need(cfg["system"], "config needs system.builder")
-    return SYSTEMS[spec["builder"]][1](chart, spec["params"])
+    sys_, rep = SYSTEMS[spec["builder"]][1](chart, spec["params"])
+    if cfg["task"]["constrain_gradient"] and sys_.layout is None:
+        raise ConfigError(f"task.constrain_gradient needs a reduced (wave/kg/reaction-diffusion) "
+                          f"system, not {spec['builder']}")
+    return sys_, rep
 
 
 def build_bcs(cfg, sys_, rep):
@@ -265,10 +269,8 @@ def build_initial(cfg, sys_):
         with np.errstate(over="ignore", invalid="ignore"):
             for comp, fn in items:
                 out[:, comp] += fn(xs)
-            if task["constrain_gradient"] and sys_.layout is not None:
-                L = sys_.layout
-                src = out[:, L.tail_start:] if L.tail_start is not None else out[:, :L.k]
-                out[:, L.grad_slot(0)] = np.gradient(src, xs, axis=0)
+            if task["constrain_gradient"]:
+                reduction.constrain_gradient(out, sys_.layout, xs)
         return out
 
     return h

@@ -229,12 +229,6 @@ def ultrastatic(t_range=(0.0, 1.0), lengths=(1.0,), eps=0.2, waves=1):
                           name="ultrastatic", params={"eps": eps, "waves": waves})
 
 
-def custom_chart(t_range, lengths, beta, h, time_independent=False):
-    return SpacetimeChart(len(tuple(np.atleast_1d(lengths))), tuple(t_range),
-                          tuple(np.atleast_1d(lengths)), beta, h,
-                          name="custom", time_independent=time_independent)
-
-
 #: the keys, with their defaults, of each named scalar profile a(t, x) of a chart
 SCALAR_PROFILES = {"constant": {"value": 1.0},
                    "sine": {"base": 1.0, "amplitude": 0.2, "waves": 1.0, "waves_t": 0.0}}

@@ -99,10 +99,6 @@ class Subspace:
     def rank(self):
         return self.basis.shape[1]
 
-    def gram_residual(self):
-        gram = self.basis.conj().T @ self.basis
-        return float(np.linalg.norm(gram - np.eye(self.rank)))
-
     def projector(self):
         return self.basis @ self.basis.conj().T
 

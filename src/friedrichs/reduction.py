@@ -238,57 +238,14 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
 # -- initial data -----------------------------------------------------------
 
 
-@dataclass
-class FirstOrderData:
-    """Sampled wave-reduction initial data (h', ∇^Σh, h) on the initial slice."""
-
-    values: np.ndarray     # (m, N) in the wave layout
-    layout: GradientLayout
-    xs: np.ndarray         # (m,) 1D sample positions
-    residual: float        # ‖second block − numeric gradient of third block‖
-
-    def block(self, which):
-        L = self.layout
-        if which == "velocity":
-            return self.values[:, :L.k]
-        if which == "gradient":
-            return self.values[:, L.grad_start:L.grad_start + L.grad_width]
-        return self.values[:, L.tail_start:]
-
-
-def first_order_data_residual(values, layout, xs):
-    """Constraint defect ‖gradient block − D_x(value block)‖∞ of sampled data."""
-    if layout.n != 1:
-        raise ContractError("sampled first-order data is one-dimensional")
-    u = values[:, layout.tail_start:]
-    grad = values[:, layout.grad_start:layout.grad_start + layout.k]
-    num = np.gradient(u, xs, axis=0)
-    scale = max(1.0, float(np.max(np.abs(num))))
-    return float(np.max(np.abs(grad - num))) / scale
-
-
-def constrain_initial_data(h, h_prime, chart, xs):
-    """Assemble Ψ(0) = (h', ∇^Σ h, h) with the gradient taken numerically.
-
-    ``h`` and ``h_prime`` are arrays (m, k) sampled on the 1D grid ``xs`` (or
-    callables of xs).  The returned residual is zero by construction; use
-    :func:`first_order_data_residual` to validate externally supplied data.
-    """
-    if chart.dim_space != 1:
-        raise ContractError("constrain_initial_data supports one spatial dimension")
-    xs = np.asarray(xs, dtype=float)
-    h = np.atleast_2d(h(xs) if callable(h) else np.asarray(h, dtype=complex))
-    h_prime = np.atleast_2d(h_prime(xs) if callable(h_prime) else np.asarray(h_prime, dtype=complex))
-    if h.shape[0] != xs.size:
-        h = h.T
-    if h_prime.shape[0] != xs.size:
-        h_prime = h_prime.T
-    k = h.shape[1]
-    layout = GradientLayout(k=k, n=1, value_start=0, grad_start=k,
-                            has_time_slot=False, tail_start=2 * k)
-    values = np.concatenate([h_prime, np.gradient(h, xs, axis=0), h], axis=1)
-    res = first_order_data_residual(values, layout, xs)
-    return FirstOrderData(values, layout, xs, res)
+def constrain_gradient(values, layout, xs):
+    """Sampled initial data (m, N) on the 1D grid ``xs`` with the gradient
+    slot set, in place, to the numerical x-derivative of the value the layout
+    differentiates: its tail block u when it has one (wave reduction), else
+    its value block."""
+    u = values[:, layout.tail_start:] if layout.tail_start is not None else values[:, :layout.k]
+    values[:, layout.grad_slot(0)] = np.gradient(u, xs, axis=0)
+    return values
 
 
 # -- compatibility conditions ----------------------------------------------

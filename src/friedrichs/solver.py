@@ -64,8 +64,9 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
     """
-    if isinstance(nx, bool) or not isinstance(nx, numbers.Integral) or nx < 1:
-        raise ConfigError(f"nx must be a positive integer, got {nx!r}")
+    for name, n in (("nx", nx), ("nt", 1 if nt is None else nt)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {n!r}")
     if isinstance(cfl, bool) or not isinstance(cfl, numbers.Real) or not 0 < cfl <= 0.9:
         raise ConfigError(f"CFL must be in (0, 0.9], got {cfl!r}")
     chart = sys.chart
@@ -76,6 +77,8 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     staggered = sys.time_sign != 0
     t0 = chart.t_range[0]
     t1 = chart.t_range[1] if t_final is None else t_final
+    if not t1 > t0:
+        raise ConfigError(f"t_final must be later than t0 = {t0!r}, got {t1!r}")
     speed = (geometry.max_characteristic_speed(chart, sys, per_axis=nx, t_range=(t0, t1))
              if staggered else 1.0)
     T = t1 - t0
@@ -99,7 +102,6 @@ class GridField:
 
     values: np.ndarray
     grid: Grid
-    system_name: str = ""
     source: tuple = None
     energy: tuple = None
 
@@ -120,15 +122,6 @@ def write_field(path, fld):
     with open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(vals.tobytes())
-
-
-def read_field(path):
-    with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        fields = dict(tok.split("=") for tok in header.split()[1:])
-        shape = (int(fields["nt1"]), int(fields["nx"]), int(fields["N"]))
-        vals = np.frombuffer(fh.read(), dtype="<c16").reshape(shape)
-    return vals
 
 
 def _as_bc_map(sys, bcs):
@@ -181,32 +174,25 @@ def _finite(psi, m, t):
     return psi
 
 
-def _levels(sys, ts, tables):
-    """Yield (t, tables(t)) for each t in ``ts``: a time level, or the first
-    level of a block (``_level_blocks``).
-
-    The one place that decides when coefficients are evaluated: every level
-    for time-dependent systems, once in total for static ones.
-    """
-    tb = None
-    for t in ts:
-        if tb is None or not sys.static:
-            tb = tables(t)
-        yield t, tb
-
-
 _BLOCK = 8      # time levels per block of the explicit step, energy_trace and apply_operator
 
 
-def _level_blocks(sys, ts, tables):
+def _level_blocks(sys, ts, tables, size=None):
     """Yield (rows, tables(ts[rows])) over the levels ``ts`` in blocks of
-    ``_BLOCK``: the tables of a block's levels, stacked on a leading axis.  A
-    static system's tables are built once, from its first level, and serve
-    every block with a leading axis of length 1."""
-    starts, size = range(0, len(ts), _BLOCK), 1 if sys.static else _BLOCK
-    built = _levels(sys, starts, lambda start: tables(ts[start:start + size]))
-    for start, (_, block) in zip(starts, built):
-        yield slice(start, min(start + _BLOCK, len(ts))), block
+    ``size`` levels (default ``_BLOCK``): the tables of a block's levels,
+    stacked on a leading axis.
+
+    The one place that decides when coefficients are evaluated: every level
+    for time-dependent systems, once in total for static ones, whose tables
+    are built from their first level and serve every block with a leading
+    axis of length 1.
+    """
+    size = size or _BLOCK
+    block = None
+    for start in range(0, len(ts), size):
+        if block is None or not sys.static:
+            block = tables(ts[start:start + (1 if sys.static else size)])
+        yield slice(start, min(start + size, len(ts))), block
 
 
 def _per_level(tables):
@@ -406,60 +392,56 @@ def _factor(B, static, t):
     B[i, d + 1] at block column i + d (d = −1, 0, 1).
 
     A static system factors once and solves nt times: SuperLU (``splu`` of
-    ``_block_csc``), whose solve is the faster.  A time-dependent one factors
-    every level: LAPACK's banded LU with partial pivoting (``zgbtrf`` on
-    ``_band``, Golub & Van Loan, *Matrix Computations*, §4.3), an order of
-    magnitude cheaper to factor.  BoundaryClosureError, naming t, when the
-    matrix is exactly singular.
+    ``_csc``), whose solve is the faster.  A time-dependent one factors every
+    level: LAPACK's banded LU with partial pivoting (``zgbtrf`` on ``_band``,
+    Golub & Van Loan, *Matrix Computations*, §4.3), an order of magnitude
+    cheaper to factor.  BoundaryClosureError, naming t, when the matrix is
+    exactly singular.
     """
-    npts, _, N, _ = B.shape
     singular = f"the implicit operator at t={t:.6g} is singular"
     if static:
-        import scipy.sparse
         import scipy.sparse.linalg
 
         try:
-            return scipy.sparse.linalg.splu(
-                scipy.sparse.csc_matrix(_block_csc(B), shape=(npts * N,) * 2)).solve
+            return scipy.sparse.linalg.splu(_csc(B)).solve
         except RuntimeError as exc:             # "Factor is exactly singular"
             raise BoundaryClosureError(singular) from exc
     from scipy.linalg import lapack
 
-    kl = 2 * N - 1
+    kl = 2 * B.shape[2] - 1
     lu, piv, info = lapack.zgbtrf(_band(B), kl, kl, overwrite_ab=True)
     if info > 0:
         raise BoundaryClosureError(singular)
     return lambda rhs: lapack.zgbtrs(lu, kl, kl, rhs, piv)[0]
 
 
-def _block_csc(B):
-    """(data, indices, indptr) in CSC of the block-tridiagonal matrix whose
-    block row i holds B[i, d + 1] at block column i + d (d = −1, 0, 1),
-    without exact zeros: column (J, b) lists the entries of block rows J − 1,
-    J, J + 1 that exist, each top to bottom."""
-    npts, _, N, _ = B.shape
-    T = np.zeros_like(B)                    # T[J, k] = B[J − 1 + k, 2 − k]
-    T[1:, 0], T[:, 1], T[:-1, 2] = B[:-1, 2], B[:, 1], B[1:, 0]
-    data = T.transpose(0, 3, 1, 2)          # (J, b, k, a): column-major
-    blk = np.arange(npts)[:, None, None, None] + np.arange(-1, 2)[:, None]
-    keep = (blk >= 0) & (blk < npts) & (np.abs(data) > 0)
-    indices = np.broadcast_to(blk * N + np.arange(N), data.shape)[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep.reshape(npts * N, -1).sum(axis=1))])
-    return data[keep], indices.astype(np.int32), indptr.astype(np.int32)
-
-
 @functools.lru_cache(maxsize=8)
-def _band_index(npts, N):
-    """Where ``_band`` puts B's entries: their flat positions in B whose block
-    column exists, and the flat positions of those entries in the band."""
+def _block_index(npts, N):
+    """Where B's entries (as in ``_factor``) go: their flat positions in B
+    whose block column exists, the rows i and columns j of those entries in
+    the matrix, and their flat positions in ``_band``'s storage."""
     kl = 2 * N - 1
     I, d, a, b = np.indices((npts, 3, N, N)).reshape(4, -1)
     J = I + d - 1                           # block column
-    keep = (J >= 0) & (J < npts)
-    i, j = I * N + a, J * N + b
-    src, dst = np.flatnonzero(keep), (j * (3 * kl + 1) + 2 * kl + i - j)[keep]
-    src.flags.writeable = dst.flags.writeable = False     # shared by every caller
-    return src, dst
+    src = np.flatnonzero((J >= 0) & (J < npts))
+    i, j = (I * N + a)[src], (J * N + b)[src]
+    index = src, i, j, j * (3 * kl + 1) + 2 * kl + i - j
+    for arr in index:
+        arr.flags.writeable = False         # shared by every caller
+    return index
+
+
+def _csc(B):
+    """The block-tridiagonal matrix of B (as in ``_factor``) in scipy's CSC,
+    built COO → CSR → CSC without exact zeros; the out-of-range edge blocks
+    B[0, 0] and B[−1, 2] have no column and are dropped."""
+    import scipy.sparse
+
+    npts, _, N, _ = B.shape
+    src, i, j, _ = _block_index(npts, N)
+    entries = B.ravel()[src]
+    nz = np.abs(entries) > 0
+    return scipy.sparse.csr_matrix((entries[nz], (i[nz], j[nz])), shape=(npts * N,) * 2).tocsc()
 
 
 def _band(B):
@@ -469,19 +451,21 @@ def _band(B):
     first kl rows left for the fill-in; the out-of-range edge blocks B[0, 0]
     and B[−1, 2] have no column and are dropped."""
     npts, _, N, _ = B.shape
-    src, dst = _band_index(npts, N)
+    src, _, _, dst = _block_index(npts, N)
     band = np.zeros((npts * N, 3 * (2 * N - 1) + 1), dtype=complex)
     band.ravel()[dst] = B.ravel()[src]
     return band.T
 
 
-def _solve_implicit(sys, bc_map, source, h0, grid, force):
+def _solve_implicit(sys, bc_map, source, h0, grid):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
-    levels = _levels(sys, grid.ts[1:], lambda t: _implicit_matrix(sys, bc_map, grid, t))
-    for m, (t1, (solve_level, brows, A0)) in enumerate(levels):
+    levels = _level_blocks(sys, grid.ts[1:],
+                           lambda ts: _implicit_matrix(sys, bc_map, grid, ts[0]), size=1)
+    for rows, (solve_level, brows, A0) in levels:
+        m, t1 = rows.start, grid.ts[rows.stop]
         rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
         src = source(m + 1, t1)
         if src is not None:
@@ -492,15 +476,16 @@ def _solve_implicit(sys, bc_map, source, h0, grid, force):
     return out
 
 
-def enforce_admissibility(sys, bc_map, orient_form=False):
+def enforce_admissibility(sys, bc_map):
     """The refusal policy of every solve: the system must satisfy (S), which
     the characteristic split assumes (``check_symmetric``, once per system),
     and each face's condition must pass the admissibility check sampled at
-    4 times × 2 tangential points.
+    4 times × 2 tangential points.  A ``time_reversed`` system's conditions
+    are checked with the orientation-weighted form (``orient_form``), the
+    energy-dissipation criterion of the evolution actually run.
 
     Raises NotSymmetricError with the (S) report, or NotAdmissibleError with
     the condition, the face and the report of the first face that fails.
-    ``orient_form`` is passed to ``admissibility`` (time-reversed solves).
     """
     if "symmetric" not in sys._cache:
         sys._cache["symmetric"] = check_symmetric(sys)
@@ -508,12 +493,12 @@ def enforce_admissibility(sys, bc_map, orient_form=False):
         raise NotSymmetricError(sys.name, sys._cache["symmetric"])
     for face, bc in bc_map.items():
         rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face],
-                            orient_form=orient_form)
+                            orient_form=sys._cache.get("time_reversed", False))
         if not rep.admissible:
             raise NotAdmissibleError(bc, face, rep)
 
 
-def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=False):
+def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     """Advance S Ψ = f, Ψ(t₀) = h, Ψ|∂ ∈ ker G_B over the grid.
 
     ``f`` is a callable f(t, xs) or its table over the grid's levels, shape
@@ -522,14 +507,15 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
     positive systems with singular σ(dt) are stepped implicitly.
     Unless ``force`` is given, the system and its boundary conditions must
     pass ``enforce_admissibility`` — the one refusal policy, shared with the
-    CLI — or NotSymmetricError or NotAdmissibleError is raised;
-    ``force=True`` (counterexample studies) and ``check_admissible=False``
-    skip the check entirely.
+    CLI — or NotSymmetricError or NotAdmissibleError is raised.
+    ``force=True`` (counterexample studies), the one override, skips the
+    check and closes the explicit scheme's unsolvable boundary closures by
+    least squares.
     """
     if grid is None:
         raise ConfigError("solve requires a grid (make_grid)")
     bc_map = _as_bc_map(sys, bcs)
-    if check_admissible and not force:
+    if not force:
         enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
     source = _source(f, grid, sys.fiber_rank)
@@ -537,8 +523,8 @@ def solve(sys, bcs, f=None, h=None, grid=None, check_admissible=True, force=Fals
         if sys.time_sign == 0:
             raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
         vals, trace = _solve_explicit(sys, bc_map, source, h0, grid, force)
-        return GridField(vals, grid, sys.name, energy=None if trace is None else (sys, trace))
-    return GridField(_solve_implicit(sys, bc_map, source, h0, grid, force), grid, sys.name)
+        return GridField(vals, grid, energy=None if trace is None else (sys, trace))
+    return GridField(_solve_implicit(sys, bc_map, source, h0, grid), grid)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -659,10 +645,9 @@ def estimate_energy_constant(sys, n_samples=16):
     for t in chart.sample_times(5):
         Z_h, G = zero_order_symmetrization(sys, t, xs)
         P = sys.positive_metric_at(t, xs)
-        P = G if P is None else P
         pick = slice(None, None, max(1, xs.shape[0] // 8))
-        P, G = P[pick], G[pick]
-        ev, _ = eigh_pencil(P @ (np.linalg.inv(G) @ (G @ Z_h[pick])), P)
+        P = (G if P is None else P)[pick]
+        ev, _ = eigh_pencil(P @ Z_h[pick], P)
         worst = max(worst, float(np.max(-ev)))
     return worst
 
@@ -679,16 +664,6 @@ def _row_hulls(mask):
     last set index (meaningful only on rows where one is set)."""
     last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
     return mask.any(axis=1), mask.argmax(axis=1), last
-
-
-def support_radius(fld, level, threshold=1e-8):
-    """Intervals covering {x : |Ψ(t_level, x)| > threshold · max|Ψ|}."""
-    idx = np.flatnonzero(_support_mask(fld, threshold)[level])
-    if not idx.size:
-        return []
-    xs = fld.grid.xs
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
-    return [(float(xs[run[0]]), float(xs[run[-1]])) for run in runs]
 
 
 def support_growth_margins(fld, c_max, threshold=1e-8):
@@ -719,7 +694,7 @@ def apply_operator(sys, fld):
         out[rows] = (np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
                      + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
                      + np.einsum("lpij,lpj->lpi", C, vals[rows]))
-    return GridField(out, grid, sys.name + "_residual")
+    return GridField(out, grid)
 
 
 def l2_norm(fld_values, grid):
@@ -795,11 +770,13 @@ def time_reversed(sys):
 
     from .system import FriedrichsSystem
 
-    return FriedrichsSystem(
+    rev = FriedrichsSystem(
         rev_chart, sys.fiber_rank, coeff,
         lambda t, xs: sys.metric_at(flip(t), xs),
         metric_positive=sys.metric_positive, name=sys.name + "_reversed",
         layout=sys.layout, time_independent=sys.time_independent)
+    rev._cache["time_reversed"] = True      # read by enforce_admissibility
+    return rev
 
 
 def green_minus(sys, bcs, f, grid, force=False):
@@ -808,8 +785,8 @@ def green_minus(sys, bcs, f, grid, force=False):
     ``bcs`` are imposed on the reversed evolution: conditions with vanishing
     boundary form (MIT, chirality, Neumann-like, Dirichlet) transfer verbatim;
     for transport-like systems pass the conditions of the reversed problem.
-    Unless ``force`` is given, ``enforce_admissibility`` vets them against the
-    time-reversed system with the orientation-weighted form — the
+    Unless ``force`` is given, ``solve``'s ``enforce_admissibility`` vets them
+    against the time-reversed system with the orientation-weighted form — the
     energy-dissipation criterion of the evolution actually run — and raises
     NotAdmissibleError on failure.  The reversed solve evaluates f at
     t₀ + t₁ − t, which need not equal the grid's times bitwise; the field
@@ -822,18 +799,13 @@ def green_minus(sys, bcs, f, grid, force=False):
     levels = _active_levels(table)
     if levels.size and levels[-1] == grid.nt:
         raise ContractError("supp f touches the final slice; shrink the support")
-    rev = time_reversed(sys)
-    bc_map = _as_bc_map(rev, bcs)
-    if not force:
-        enforce_admissibility(rev, bc_map, orient_form=True)
     t0, t1 = sys.chart.t_range
 
     def f_rev(t, xs2):
         return f(t0 + t1 - t, xs2)
 
-    fld = solve(rev, bc_map, f=f_rev, h=None, grid=grid,
-                check_admissible=False, force=force)
-    return GridField(fld.values[::-1].copy(), grid, sys.name + "_green_minus", (f, table))
+    fld = solve(time_reversed(sys), bcs, f=f_rev, h=None, grid=grid, force=force)
+    return GridField(fld.values[::-1].copy(), grid, (f, table))
 
 
 def green_residual(sys, fld, f):

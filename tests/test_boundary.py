@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs import boundary, clifford, geometry, reduction, system
-from friedrichs.boundary import (adjoint_boundary_space, admissibility,
-                                 boundary_symbol, violation_witness)
+from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_symbol
 from friedrichs.errors import UnsupportedDimensionError
 from friedrichs.linalg import eigh_pencil, kernel, Subspace
 
@@ -239,14 +238,15 @@ def test_form_nonpositive_on_adjoint_space(dirac, wave, strip):
 
 def test_witness_absent_for_mit(dirac, strip):
     rep, sys_ = dirac
-    q = geometry.BoundaryPoint(0.2, geometry.LEFT, [0.0])
-    assert violation_witness(sys_, boundary.mit_bag(rep, -1), q) is None
+    assert admissibility(sys_, boundary.mit_bag(rep, -1), faces=[geometry.LEFT]).witness is None
 
 
 def test_witness_present_for_riemannian_mit_plus(dirac, strip):
+    # the Minkowski strip is static and flat: the form at one point of the
+    # face is its form at every sampled point
     rep, sys_ = dirac
     q = geometry.BoundaryPoint(0.2, geometry.LEFT, [0.0])
-    v = violation_witness(sys_, boundary.riemannian_mit(rep, +1), q)
+    v = admissibility(sys_, boundary.riemannian_mit(rep, +1), faces=[geometry.LEFT]).witness
     assert v is not None
     sn = boundary_symbol(sys_, q)
     G = sys_.metric_at(q.t, q.x[None, :])[0]
@@ -261,8 +261,7 @@ def test_witness_on_full_negative_eigenspace(wave, strip):
     lam, V = eigh_pencil(0.5 * ((G @ sn) + (G @ sn).conj().T), G)
     neg = Subspace(np.linalg.qr(V[:, lam < -1e-9])[0])
     bc = boundary.custom_bc(np.eye(3) - neg.projector())
-    v = violation_witness(wave, bc, q)
-    assert v is not None
+    assert admissibility(wave, bc, faces=[geometry.RIGHT]).witness is not None
 
 
 def test_oriented_form_for_time_reversed_transport(strip):

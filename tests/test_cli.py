@@ -404,6 +404,24 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, command
     assert named in err
 
 
+CUSTOM_ADVECTION = {"chart": {"t_range": [0.0, 0.2]}, "bc": {"name": "zero_trace"},
+                    "system": {"builder": "custom", "params": {"A": [[[1.0]], [[1.0]]]}}}
+
+
+@pytest.mark.parametrize("cfg, command", [
+    (shipped("dirac_mit_check.json"), "check"), (shipped("dirac_mit_check.json"), "solve"),
+    (shipped("advection_green.json"), "green"), (CUSTOM_ADVECTION, "check")],
+    ids=["dirac-check", "dirac-solve", "advection-green", "custom-check"])
+def test_constrain_gradient_needs_a_gradient_layout(tmp_path, capsys, cfg, command):
+    # dirac, advection and custom systems have no gradient slot to constrain
+    cfg = {**cfg, "task": {**cfg.get("task", {}), "constrain_gradient": True}}
+    err = assert_config_error(capsys, *run(tmp_path, cfg, command))
+    assert "task.constrain_gradient" in err
+    del cfg["task"]["constrain_gradient"]
+    code, _ = run(tmp_path / "without", cfg, command)
+    assert code in (0, 1)
+
+
 @pytest.mark.parametrize("system", [
     {"builder": "wave_reduction", "params": {"c": [1.0, 2.0]}},
     {"builder": "custom", "params": {"A": [1.0, 2.0]}},

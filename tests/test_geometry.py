@@ -15,11 +15,10 @@ def test_flat_left_normal(strip):
 
 def test_scaled_metric_normal_is_unit_normalized():
     # h = a² dx² with a = 2 at the right face: unit conormal is 2·dx
-    chart = geometry.custom_chart(
-        (0.0, 1.0), (1.0,),
+    chart = geometry.SpacetimeChart(
+        1, (0.0, 1.0), (1.0,),
         beta=lambda t, xs: np.ones(xs.shape[0]),
-        h=lambda t, xs: np.full((xs.shape[0], 1, 1), 4.0),
-        time_independent=True)
+        h=lambda t, xs: np.full((xs.shape[0], 1, 1), 4.0))
     q = BoundaryPoint(0.5, RIGHT, [1.0])
     assert np.allclose(outward_normal(chart, q), [0.0, 2.0])
 
@@ -54,10 +53,10 @@ def test_volume_density_flat(strip):
 
 
 def test_volume_density_hand_value():
-    chart = geometry.custom_chart(
-        (0.0, 1.0), (1.0,),
+    chart = geometry.SpacetimeChart(
+        1, (0.0, 1.0), (1.0,),
         beta=lambda t, xs: np.full(xs.shape[0], 2.0),
-        h=lambda t, xs: np.full((xs.shape[0], 1, 1), 9.0))
+        h=lambda t, xs: np.full((xs.shape[0], 1, 1), 9.0), time_independent=False)
     assert np.allclose(volume_density(chart, 0.0, np.array([[0.1]])), 6.0)
 
 
@@ -72,7 +71,7 @@ def test_volume_density_matches_expansion_on_random_charts():
         def h(t, xs, c2=c2):
             return (1.0 + c2 * np.cos(xs[:, 0] - t))[:, None, None] ** 2
 
-        chart = geometry.custom_chart((0.0, 1.0), (1.0,), beta, h)
+        chart = geometry.SpacetimeChart(1, (0.0, 1.0), (1.0,), beta, h, time_independent=False)
         xs = rng.uniform(0, 1, (16, 1))
         t = rng.uniform(0, 1)
         expect = chart.beta_at(t, xs) * np.sqrt(np.linalg.det(chart.h_at(t, xs)))
@@ -139,8 +138,10 @@ def test_boundary_points_lie_on_face(curved_strip):
 def test_h_inverse_in_one_dimension_is_bitwise_the_matrix_inverse(seed):
     rng = np.random.default_rng(seed)
     values = 10.0 ** rng.uniform(-8, 8, 257)
-    chart = geometry.custom_chart((0.0, 1.0), (1.0,), beta=lambda t, xs: np.ones(xs.shape[0]),
-                                  h=lambda t, xs: values[:xs.shape[0], None, None])
+    chart = geometry.SpacetimeChart(1, (0.0, 1.0), (1.0,),
+                                    beta=lambda t, xs: np.ones(xs.shape[0]),
+                                    h=lambda t, xs: values[:xs.shape[0], None, None],
+                                    time_independent=False)
     xs = np.linspace(0.0, 1.0, 257)[:, None]
     hinv = chart.h_inv_at(0.5, xs)
     assert hinv.shape == (257, 1, 1)

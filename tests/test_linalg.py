@@ -160,8 +160,11 @@ def test_matrix_rank_tolerance():
     assert matrix_rank(M) == 1
 
 
-def test_subspace_gram_residual():
-    assert full_space(3).gram_residual() < 1e-12
+def test_subspace_bases_are_orthonormal():
+    M = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+    for space in (full_space(3), kernel(M)):
+        B = space.basis
+        assert np.linalg.norm(B.conj().T @ B - np.eye(space.rank)) < 1e-12
 
 
 def test_pairwise_sum_deterministic_and_accurate():

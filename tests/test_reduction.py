@@ -5,8 +5,7 @@ import pytest
 
 from friedrichs import boundary, geometry, reduction, solver, system
 from friedrichs.reduction import (SecondOrderProblem, compatibility_check,
-                                  constrain_initial_data, corner_derivatives,
-                                  first_order_data_residual, kg_to_first_order,
+                                  constrain_gradient, corner_derivatives, kg_to_first_order,
                                   reaction_diffusion_to_first_order,
                                   taylor_coefficients, wave_to_first_order)
 
@@ -201,28 +200,37 @@ def test_reductions_are_bitwise_the_block_by_block_tables(kind, chart_name, k):
 
 
 def test_constrained_data_constant(strip):
+    # wave layout (h', ∇^Σh, h): the gradient of a constant h is zero
+    layout = wave_to_first_order(SecondOrderProblem("normally_hyperbolic", strip)).layout
     xs = np.linspace(0.0, 1.0, 65)
-    data = constrain_initial_data(np.ones((65, 1)), np.zeros((65, 1)), strip, xs)
-    assert np.max(np.abs(data.block("gradient"))) < 1e-12
-    assert data.residual == 0.0
+    values = np.ones((65, 3), dtype=complex)
+    assert constrain_gradient(values, layout, xs) is values
+    assert np.max(np.abs(values[:, layout.grad_slot(0)])) < 1e-12
+    assert np.array_equal(values[:, [0, 2]], np.ones((65, 2)))
+
+
+def sine_gradient_error(sys_, value_column):
+    """Max error of the constrained gradient of sin(2πx) placed in ``value_column``."""
+    xs = np.linspace(0.0, 1.0, 257)
+    values = np.zeros((xs.size, sys_.fiber_rank), dtype=complex)
+    values[:, value_column] = np.sin(2 * np.pi * xs)
+    grad = constrain_gradient(values, sys_.layout, xs)[:, sys_.layout.grad_slot(0)][:, 0]
+    return np.max(np.abs(grad - 2 * np.pi * np.cos(2 * np.pi * xs)))
 
 
 def test_constrained_data_sine(strip):
-    xs = np.linspace(0.0, 1.0, 257)
-    h = np.sin(2 * np.pi * xs)[:, None]
-    data = constrain_initial_data(h, np.zeros_like(h), strip, xs)
-    assert data.residual < 1e-10
-    expect = 2 * np.pi * np.cos(2 * np.pi * xs)
-    assert np.max(np.abs(data.block("gradient")[:, 0] - expect)) < 5e-3
+    # the wave layout differentiates its tail block h
+    sys_ = wave_to_first_order(SecondOrderProblem("normally_hyperbolic", strip))
+    assert sine_gradient_error(sys_, -1) < 5e-3
 
 
-def test_inconsistent_external_data_flagged(strip):
-    xs = np.linspace(0.0, 1.0, 65)
-    data = constrain_initial_data(np.sin(2 * np.pi * xs)[:, None],
-                                  np.zeros((65, 1)), strip, xs)
-    values = data.values.copy()
-    values[:, 1] = 0.0  # claim a vanishing gradient for a non-constant h
-    assert first_order_data_residual(values, data.layout, xs) > 0.5
+def test_constrained_data_differentiates_the_value_block(strip):
+    # layouts without a tail block differentiate their value block u
+    for sys_ in (kg_to_first_order(SecondOrderProblem("klein_gordon", strip)),
+                 reaction_diffusion_to_first_order(SecondOrderProblem("reaction_diffusion",
+                                                                      strip))):
+        assert sys_.layout.tail_start is None
+        assert sine_gradient_error(sys_, 0) < 5e-3
 
 
 # -- compatibility conditions --------------------------------------------------

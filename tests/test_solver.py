@@ -21,9 +21,8 @@ from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                convergence_study, energy_trace,
                                estimate_energy_constant, green_minus,
                                green_plus, green_residual, l2_norm,
-                               lambda_equivalence_check, make_grid, read_field,
-                               solve, support_growth_margins, support_radius,
-                               write_field)
+                               lambda_equivalence_check, make_grid, solve,
+                               support_growth_margins, write_field)
 
 from conftest import smooth_bump
 
@@ -69,6 +68,17 @@ def test_grid_refuses_booleans(short_strip):
     for nx, cfl in [(True, 0.5), (64, True)]:
         with pytest.raises(ConfigError):
             make_grid(sys_, nx, cfl)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"nt": 0}, "nt"), ({"nt": -3}, "nt"), ({"nt": 2.5}, "nt"), ({"nt": True}, "nt"),
+    ({"t_final": -0.5}, "t_final"), ({"t_final": 0.0}, "t_final")],
+    ids=["nt=0", "nt=-3", "nt=2.5", "nt=True", "t_final=-0.5", "t_final=0"])
+def test_grid_refuses_a_bad_nt_or_t_final(strip, kwargs, name):
+    # an nt that is not a positive integer, or a run that does not go forward
+    sys_, _ = advection_setup(strip)
+    with pytest.raises(ConfigError, match=rf"^{name} must be"):
+        make_grid(sys_, 16, **kwargs)
 
 
 def test_zero_problem_zero_solution(short_strip):
@@ -164,16 +174,18 @@ def test_energy_inequality_with_estimated_constant(short_strip):
     assert np.all(tr.energy <= bound)
 
 
-def test_support_radius_initial_and_zero(short_strip):
+def test_support_of_the_initial_slice_and_of_zero(short_strip):
     sys_, bcs = advection_setup(short_strip)
     grid = make_grid(sys_, 128)
     h = lambda xs: smooth_bump(xs, 0.4, 0.1)[:, None]
     fld = solve(sys_, bcs, h=h, grid=grid)
-    iv = support_radius(fld, 0, threshold=1e-8)
-    assert len(iv) == 1
-    lo, hi = iv[0]
+    mask = solver._support_mask(fld, 1e-8)
+    found, first, last = solver._row_hulls(mask)
+    assert found[0] and mask[0, first[0]:last[0] + 1].all()      # one interval
+    lo, hi = grid.xs[first[0]], grid.xs[last[0]]
     assert abs(lo - 0.3) < 2 * grid.dx and abs(hi - 0.5) < 2 * grid.dx
-    assert support_radius(GridField(np.zeros_like(fld.values), grid), 0) == []
+    zero = GridField(np.zeros_like(fld.values), grid)
+    assert not solver._row_hulls(solver._support_mask(zero, 1e-8))[0].any()
 
 
 @pytest.mark.parametrize("setup", [advection_setup, dirac_setup, wave_setup])
@@ -296,7 +308,6 @@ def test_support_diagnostics_match_the_per_level_scan(nt, nx, N, density, zero_r
     found, first, last = solver._row_hulls(solver._support_mask(fld, threshold))
     for m in range(nt + 1):
         iv = reference_support_radius(fld, m, threshold)
-        assert support_radius(fld, m, threshold) == iv
         assert found[m] == bool(iv)
         if iv:
             assert (float(grid.xs[first[m]]), float(grid.xs[last[m]])) == (iv[0][0], iv[-1][1])
@@ -321,8 +332,11 @@ def test_field_io_roundtrip(tmp_path, short_strip):
     fld = solve(sys_, bcs, h=lambda xs: smooth_bump(xs)[:, None], grid=grid)
     path = tmp_path / "field.bin"
     write_field(path, fld)
-    back = read_field(path)
-    assert np.array_equal(back, fld.values)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    nt1, nx, N = fld.values.shape
+    assert header.decode() == (f"field nt1={nt1} nx={nx} N={N} dtype=complex128 "
+                               f"byteorder=little")
+    assert payload == fld.values.astype("<c16").tobytes()
 
 
 def spacetime_source(N, comp=0, tc=0.35, tw=0.15, xc=0.35, xw=0.12):
@@ -875,7 +889,7 @@ def test_block_row_step_matches_the_einsum_step(matrices):
         dt = make_grid(sys_, 16).dt
         grid = make_grid(sys_, 16, t_final=20 * dt, nt=20)
         for forcing in (None, f):
-            new = solve(sys_, bcs, f=forcing, h=h, grid=grid, check_admissible=False).values
+            new = solve(sys_, bcs, f=forcing, h=h, grid=grid, force=True).values
             ref = reference_explicit_solve(sys_, bcs, forcing, h(grid.xs).astype(complex), grid)
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -1218,11 +1232,11 @@ def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
     monkeypatch.setattr(solver, "_factor", lambda B, *args: built.append(B) or real(B, *args))
     solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3])
     B, = built
-    data, indices, indptr = solver._block_csc(B)
-    ref = reference_csc(B)
+    csc, ref = solver._csc(B), reference_csc(B)
     assert ref.has_sorted_indices and ref.nnz < B.size
-    assert data.tobytes() == ref.data.tobytes()
-    assert indices.tobytes() == ref.indices.tobytes() and indptr.tobytes() == ref.indptr.tobytes()
+    assert csc.data.tobytes() == ref.data.tobytes()
+    assert csc.indices.tobytes() == ref.indices.tobytes()
+    assert csc.indptr.tobytes() == ref.indptr.tobytes()
 
 
 def test_implicit_csc_masks_the_out_of_range_edge_blocks():
@@ -1230,12 +1244,12 @@ def test_implicit_csc_masks_the_out_of_range_edge_blocks():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
     B[2, 1, 0, 1] = 0.0
-    data, indices, indptr = solver._block_csc(B)
+    csc = solver._csc(B)
     inner = B.copy()
     inner[0, 0] = inner[-1, 2] = 0.0
     ref = reference_csc(inner)
-    assert data.tobytes() == ref.data.tobytes()
-    assert np.array_equal(indices, ref.indices) and np.array_equal(indptr, ref.indptr)
+    assert csc.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(csc.indices, ref.indices) and np.array_equal(csc.indptr, ref.indptr)
 
 
 def reference_active_levels(table, threshold):
@@ -1463,8 +1477,7 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     grid = make_grid(sys_, 16)
 
     def run():
-        fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid,
-                    check_admissible=False)
+        fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid, force=True)
         return fld.values, fld.energy[1].energy
 
     blocks = recorded_blocks(monkeypatch)
@@ -1484,7 +1497,7 @@ def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
     pencil = system.eigh_pencil
     monkeypatch.setattr(system, "eigh_pencil", lambda *a: calls.append(1) or pencil(*a))
     solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid,
-          check_admissible=False)
+          force=True)
     assert grid.nt > 2 * solver._BLOCK
     assert len(calls) == -(-grid.nt // solver._BLOCK)
 
@@ -1503,5 +1516,4 @@ def test_solve_refuses_a_system_that_fails_s(strip):
     h = lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 2)     # noqa: E731
     with pytest.raises(NotSymmetricError, match=r"system 'custom' fails \(S\)"):
         solve(sys_, bcs, h=h, grid=grid)
-    for kwargs in ({"force": True}, {"check_admissible": False}):
-        assert np.isfinite(solve(sys_, bcs, h=h, grid=grid, **kwargs).values).all()
+    assert np.isfinite(solve(sys_, bcs, h=h, grid=grid, force=True).values).all()

@@ -113,8 +113,8 @@ def test_adjoint_constant_coefficients_kill_divergence(strip):
 def test_adjoint_integration_by_parts():
     # variable-coefficient symmetric system: the defect of the discrete
     # pairing identity is pure discretization error, O(Δx)
-    chart = geometry.custom_chart(
-        (0.0, 0.5), (1.0,),
+    chart = geometry.SpacetimeChart(
+        1, (0.0, 0.5), (1.0,),
         beta=lambda t, xs: np.ones(xs.shape[0]),
         h=lambda t, xs: (1.0 + 0.4 * np.sin(2 * np.pi * xs[:, 0]))[:, None, None] ** 2,
         time_independent=True)
@@ -400,7 +400,7 @@ def test_characteristics_refuse_a_point_where_the_dt_form_is_indefinite(strip):
         sys_.characteristics(0.0, np.array([[0.5], [0.99]]), (0.0, 1.0))
     with pytest.raises(NotHyperbolicError):
         solver.solve(sys_, boundary.no_condition(2), grid=solver.make_grid(sys_, 16),
-                     check_admissible=False)
+                     force=True)
 
 
 def _catalog():
