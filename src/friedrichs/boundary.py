@@ -46,8 +46,8 @@ class BoundaryCondition:
     def matrix(self, chart, q):
         return np.asarray(self.matrix_fn(chart, q), dtype=complex)
 
-    def kernel_space(self, chart, q, tol=RANK_TOL):
-        return kernel(self.matrix(chart, q), tol=tol)
+    def kernel_space(self, chart, q):
+        return kernel(self.matrix(chart, q))
 
 
 @dataclass
@@ -88,8 +88,8 @@ def boundary_symbol(sys, q):
     return sys.symbol(q.t, q.x, nb)
 
 
-def nonneg_mask(ev, tol=RANK_TOL):
-    """ev ≥ −tol·max(1, |ev|), the maximum taken over the last axis (one set
+def nonneg_mask(ev):
+    """ev ≥ −RANK_TOL·max(1, |ev|), the maximum taken over the last axis (one set
     of speeds per row): characteristic directions count as nonnegative.
 
     Condition (iii) and the solver's boundary closure both split the speeds
@@ -97,10 +97,10 @@ def nonneg_mask(ev, tol=RANK_TOL):
     a square closure.
     """
     scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1, keepdims=True))
-    return ev >= -tol * scale
+    return ev >= -RANK_TOL * scale
 
 
-def _nonneg_count(sys, q, nb, A, G, sigma_n, tol):
+def _nonneg_count(sys, q, nb, A, G, sigma_n):
     """Eigenvalues of σ(n♭) counted in the beta-normalized system: the speeds
     of σ(dt)⁻¹σ(n♭), or the eigenvalues of σ(n♭) itself when σ(dt) is
     singular.  A and G are the coefficient and metric tables at q."""
@@ -115,18 +115,18 @@ def _nonneg_count(sys, q, nb, A, G, sigma_n, tol):
             raise ContractError("boundary symbol has genuinely complex spectrum; "
                                 "no positive companion metric available")
         ev = np.sort(ev.real)
-    return int(np.sum(nonneg_mask(ev, tol))), ev
+    return int(np.sum(nonneg_mask(ev))), ev
 
 
-def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
-                  faces=None, orient_form=False):
+def admissibility(sys, bc, n_time=8, n_tang=4, faces=None, orient_form=False):
     """Verify conditions (i)-(iii) at sampled boundary points.
 
     The quadratic form of condition (ii) is evaluated in the system's own
     fiber metric (beta-normalization rescales it by the positive factor s*β,
     so the verdict is normalization-invariant for time-sign +1 systems).
+    Condition (ii) fails where the form drops below −1e−9·max(1, ‖form‖).
     Eigenvalue counting in (iii) uses the normalized boundary symbol;
-    eigenvalues within −tol·scale count as nonnegative so characteristic
+    eigenvalues within −RANK_TOL·scale count as nonnegative so characteristic
     directions are included.  ``faces`` restricts the sampling when a
     condition is declared per face.
 
@@ -150,16 +150,16 @@ def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
             nb = geometry.outward_normal(chart, q)
             A, G = sys.coeff_at(q.t, q.x[None, :])[0], sys.metric_at(q.t, q.x[None, :])
             sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A[0])
-            ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n, tol=tol))
-            B = bc.kernel_space(chart, q, tol=tol)
+            ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n))
+            B = bc.kernel_space(chart, q)
             ranks_by_face.setdefault(face, set()).add(B.rank)
             ranks.add(B.rank)
-            lowest, v = _form_on_boundary_space(sign * (G[0] @ sigma_n), B, semidef_tol)
+            lowest, v = _form_on_boundary_space(sign * (G[0] @ sigma_n), B)
             if lowest < min_form:
                 min_form = lowest
                 if v is not None:
                     witness, witness_val = v, lowest
-            count, spec = _nonneg_count(sys, q, nb, A, G, sigma_n, tol)
+            count, spec = _nonneg_count(sys, q, nb, A, G, sigma_n)
             counts.add(count)
             spectra.setdefault(face, spec)
     ranks_by_face = {f: sorted(r) for f, r in ranks_by_face.items()}
@@ -183,27 +183,27 @@ def admissibility(sys, bc, n_time=8, n_tang=4, tol=RANK_TOL, semidef_tol=1e-9,
         spectra=spectra)
 
 
-def _form_on_boundary_space(F, B, tol):
+def _form_on_boundary_space(F, B):
     """Condition (ii) at one point: the Hermitian part of the form F on B.
 
     Returns its lowest eigenvalue (+inf when B = {0}) and a minimizing vector
-    of B when that eigenvalue is below −tol·max(1, ‖F‖), else None.
+    of B when that eigenvalue is below −1e−9·max(1, ‖F‖), else None.
     """
     F = 0.5 * (F + F.conj().T)
     ev, V = herm_eigen(restrict_form(F, B))
     if not ev.size:
         return np.inf, None
-    if ev[0] < -tol * max(1.0, float(np.linalg.norm(F))):
+    if ev[0] < -1e-9 * max(1.0, float(np.linalg.norm(F))):
         return float(ev[0]), B.basis @ V[:, 0]
     return float(ev[0]), None
 
 
-def adjoint_boundary_space(sys, bc, q, tol=RANK_TOL):
+def adjoint_boundary_space(sys, bc, q):
     """B† = (σ(n♭)(B))^⊥ in the fiber metric; annihilates σ(n♭)B by construction."""
     G = sys.metric_at(q.t, q.x[None, :])[0]
     sigma_n = boundary_symbol(sys, q)
-    B = bc.kernel_space(sys.chart, q, tol=tol)
-    return orthogonal_complement_of_image(sigma_n, B, gram=G, tol=tol)
+    B = bc.kernel_space(sys.chart, q)
+    return orthogonal_complement_of_image(sigma_n, B, gram=G)
 
 
 # -- catalog ---------------------------------------------------------------
@@ -231,9 +231,9 @@ def mit_bag(rep, sign=-1):
     return _projector_condition("mit_bag", {"sign": sign}, projector)
 
 
-def chirality(rep, sign=-1, chir_op=None):
+def chirality(rep, sign=-1):
     """B = range ½(Id + sign·γ(n)𝒢) with the volume-form chirality operator."""
-    G = clifford.chirality_operator(rep) if chir_op is None else np.asarray(chir_op, dtype=complex)
+    G = clifford.chirality_operator(rep)
 
     def projector(chart, q):
         n_vec = geometry.normal_vector(chart, q)
@@ -256,9 +256,9 @@ def riemannian_mit(rep, sign=-1):
     return _projector_condition("riemannian_mit", {"sign": sign}, projector)
 
 
-def riemannian_chirality(rep, sign=1, chir_op=None):
+def riemannian_chirality(rep, sign=1):
     """B = range ½(Id + sign·(i/β)γ(n)γ(∂_t)𝒢_R), 𝒢_R commuting with γ(∂_t)."""
-    GR = clifford.riemannian_chirality_operator(rep, chir_op)
+    GR = clifford.riemannian_chirality_operator(rep)
 
     def projector(chart, q):
         beta = chart.beta_at(q.t, q.x[None, :])[0]

@@ -74,15 +74,15 @@ def chirality_operator(rep):
     return G
 
 
-def riemannian_chirality_operator(rep, candidate=None, tol=1e-12):
+def riemannian_chirality_operator(rep, candidate=None):
     """A 𝒢 commuting with γ(e₀), unitary, involutive, anticommuting spatially.
 
     γ(e₀) itself satisfies all four invariants in every supported dimension
     and is the built-in default; a user-supplied ``candidate`` is validated
-    against the same invariants.
+    against the same invariants, each to 1e−12.
     """
     G = rep.gammas[0].copy() if candidate is None else np.asarray(candidate, dtype=complex)
-    N = rep.rank
+    N, tol = rep.rank, 1e-12
     if np.linalg.norm(G @ G - np.eye(N)) > tol:
         raise ContractError("riemannian chirality operator must be involutive")
     if np.linalg.norm(G @ rep.gammas[0] - rep.gammas[0] @ G) > tol:
@@ -143,21 +143,20 @@ def gamma_time(rep, chart, t, x):
     return beta * rep.gammas[0]
 
 
-def dirac_system(rep, chart, connection=None):
+def dirac_system(rep, chart):
     """D = Σ_μ ε_μ γ(e_μ)∇_{e_μ} as a first-order system on the chart.
 
-    Flat and static-1D charts have vanishing spin connection; anything else
-    needs an explicit ``connection(t, xs) -> (m, N, N)`` zero-order matrix.
+    Its domain is the charts whose spin connection vanishes, so that the
+    zero-order term is 0: flat charts and static 1+1-D charts.
     """
     if rep.dim != chart.dim_space + 1:
         raise ContractError(
             f"representation dimension {rep.dim} does not match chart "
             f"spacetime dimension {chart.dim_space + 1}")
-    if connection is None and not chart.constant:
-        if not (chart.dim_space == 1 and chart.time_independent):
-            raise ContractError(
-                "spin connection does not vanish on this chart; "
-                "supply explicit connection matrices")
+    if not (chart.constant or (chart.dim_space == 1 and chart.time_independent)):
+        raise ContractError(
+            "spin connection does not vanish on this chart; dirac_system "
+            "supports flat charts and static 1+1-D charts")
     N = rep.rank
     n = chart.dim_space
 
@@ -171,12 +170,10 @@ def dirac_system(rep, chart, connection=None):
         A[:, 0] = -(1.0 / beta)[:, None, None] * rep.gammas[0]
         for i in range(n):
             A[:, 1 + i] = np.einsum("pj,jab->pab", E[:, i, :], rep.gammas[1:])
-        C = np.zeros((m, N, N), dtype=complex) if connection is None else connection(t, xs)
-        return A, C
+        return A, np.zeros((m, N, N), dtype=complex)
 
     def metric(t, xs):
         return np.broadcast_to(rep.gram, (xs.shape[0], N, N))
 
     return FriedrichsSystem(chart, N, coeff, metric, metric_positive=False,
-                            name="dirac",
-                            time_independent=chart.time_independent and connection is None)
+                            name="dirac", time_independent=chart.time_independent)

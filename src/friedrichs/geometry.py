@@ -6,7 +6,7 @@ batches of spatial points: ``beta(t, xs)`` takes ``xs`` of shape (m, n) and
 returns shape (m,); ``h(t, xs)`` returns shape (m, n, n).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,8 +32,6 @@ class SpacetimeChart:
     space_extent: tuple
     beta: Callable
     h: Callable
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
     time_independent: bool = True
     constant: bool = False
 
@@ -201,8 +199,7 @@ def minkowski_strip(t_range=(0.0, 1.0), lengths=(1.0,)):
     def h(t, xs):
         return np.broadcast_to(eye, (xs.shape[0], n, n))
 
-    return SpacetimeChart(n, tuple(t_range), lengths, beta, h,
-                          name="minkowski_strip", constant=True)
+    return SpacetimeChart(n, tuple(t_range), lengths, beta, h, constant=True)
 
 
 def ultrastatic(t_range=(0.0, 1.0), lengths=(1.0,), eps=0.2, waves=1):
@@ -225,8 +222,7 @@ def ultrastatic(t_range=(0.0, 1.0), lengths=(1.0,), eps=0.2, waves=1):
         out[:, idx, idx] = a(xs)[:, None] ** 2
         return out
 
-    return SpacetimeChart(n, tuple(t_range), lengths, beta, h,
-                          name="ultrastatic", params={"eps": eps, "waves": waves})
+    return SpacetimeChart(n, tuple(t_range), lengths, beta, h)
 
 
 #: the keys, with their defaults, of each named scalar profile a(t, x) of a chart
@@ -264,8 +260,7 @@ def named_profile_chart(t_range=(0.0, 1.0), lengths=(1.0,), beta=None, h_scale=N
         out[:, idx, idx] = a_fn(t, xs)[:, None] ** 2
         return out
 
-    return SpacetimeChart(n, tuple(t_range), lengths, beta_fn, h, name="custom",
-                          params={"beta": beta, "h_scale": h_scale},
+    return SpacetimeChart(n, tuple(t_range), lengths, beta_fn, h,
                           time_independent=beta_static and a_static)
 
 

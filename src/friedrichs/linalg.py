@@ -14,23 +14,17 @@ import numpy as np
 
 from .errors import ContractError
 
-#: default relative rank tolerance (largest singular value sets the scale)
+#: relative rank tolerance (largest singular value sets the scale)
 RANK_TOL = 1e-9
 
 
-def require_hermitian(M, tol=1e-10, what="matrix"):
+def herm_eigen(M):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian M
+    (ContractError unless ‖M − M*‖ ≤ 1e−10·max(1, ‖M‖))."""
     M = np.asarray(M, dtype=complex)
-    scale = max(1.0, np.linalg.norm(M))
-    if np.linalg.norm(M - M.conj().T) > tol * scale:
-        raise ContractError(f"{what} is not Hermitian within {tol}")
-    return 0.5 * (M + M.conj().T)
-
-
-def herm_eigen(M, tol=1e-10):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian M."""
-    M = require_hermitian(M, tol=tol, what="herm_eigen input")
-    w, V = np.linalg.eigh(M)
-    return w, V
+    if np.linalg.norm(M - M.conj().T) > 1e-10 * max(1.0, np.linalg.norm(M)):
+        raise ContractError("herm_eigen input is not Hermitian within 1e-10")
+    return np.linalg.eigh(0.5 * (M + M.conj().T))
 
 
 def _herm(M):
@@ -99,34 +93,31 @@ class Subspace:
     def rank(self):
         return self.basis.shape[1]
 
-    def projector(self):
-        return self.basis @ self.basis.conj().T
-
 
 def full_space(N):
     return Subspace(np.eye(N, dtype=complex))
 
 
-def kernel(M, tol=RANK_TOL):
-    """Numerical null space: singular vectors with σ_i ≤ tol·σ_max."""
+def kernel(M):
+    """Numerical null space: singular vectors with σ_i ≤ RANK_TOL·σ_max."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return full_space(M.shape[1] if M.ndim == 2 else 0)
     _, s, Vh = np.linalg.svd(M)
     smax = s[0] if s.size else 0.0
-    ns = Vh.conj().T[:, np.concatenate([s <= tol * smax, np.ones(M.shape[1] - s.size, bool)])]
+    ns = Vh.conj().T[:, np.concatenate([s <= RANK_TOL * smax, np.ones(M.shape[1] - s.size, bool)])]
     return Subspace(ns)
 
 
-def matrix_rank(M, tol=RANK_TOL):
+def matrix_rank(M):
     M = np.asarray(M, dtype=complex)
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def row_reduce(GB, tol=RANK_TOL):
+def row_reduce(GB):
     """SVD row reduction of a square boundary matrix G_B, or of a stack
     (..., N, N) of them that share one rank (ContractError otherwise).
 
@@ -135,7 +126,7 @@ def row_reduce(GB, tol=RANK_TOL):
     directions V1 (the row space) and the unconstrained directions V2 = ker G_B.
     """
     U, s, Vh = np.linalg.svd(GB)
-    ranks = (s > tol * s[..., :1]).sum(axis=-1)
+    ranks = (s > RANK_TOL * s[..., :1]).sum(axis=-1)
     r = int(ranks.flat[0])
     if (ranks != r).any():
         raise ContractError(f"the stacked boundary matrices have ranks {np.unique(ranks)}")
@@ -149,7 +140,7 @@ def restrict_form(M, W):
     return B.conj().T @ np.asarray(M, dtype=complex) @ B
 
 
-def orthogonal_complement_of_image(M, W, gram=None, tol=RANK_TOL):
+def orthogonal_complement_of_image(M, W, gram=None):
     """Orthocomplement of M·W with respect to the fiber Gram matrix.
 
     With pairing ⟨u, v⟩ = v* G u the returned span is
@@ -160,16 +151,16 @@ def orthogonal_complement_of_image(M, W, gram=None, tol=RANK_TOL):
     N = M.shape[0]
     G = np.eye(N) if gram is None else np.asarray(gram, dtype=complex)
     image = G @ M @ W.basis
-    return kernel(image.conj().T, tol=tol)
+    return kernel(image.conj().T)
 
 
-def definiteness_sign(W, tol=1e-12):
+def definiteness_sign(W):
     """+1 / −1 for a definite Hermitian matrix, 0 if singular or indefinite,
-    with eigenvalues compared against tol·max(1, max|λ|); one sign per matrix
-    of a stack (..., N, N)."""
+    with eigenvalues compared against 1e−12·max(1, max|λ|); one sign per
+    matrix of a stack (..., N, N)."""
     ev = np.linalg.eigvalsh(0.5 * (W + np.conj(np.swapaxes(W, -1, -2))))
     scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1, initial=0.0))[..., None]
-    sign = np.all(ev > tol * scale, axis=-1).astype(int) - np.all(ev < -tol * scale, axis=-1)
+    sign = np.all(ev > 1e-12 * scale, axis=-1).astype(int) - np.all(ev < -1e-12 * scale, axis=-1)
     return sign if sign.ndim else int(sign)
 
 

@@ -4,7 +4,7 @@ Wave reduction (state Ψ = (∇_t u, ∇^Σ u, u), N = k(n+2)):
 
     A₀ = diag(1/β², Id, Id)
     A_Σ(ξ) = [[0, −tr_h(ξ⊗·), 0], [−ξ⊗, 0, 0], [0, 0, 0]]
-    C  = [[b₀, b⌟, c], [0, ½h⁻¹(∂_t h)⌟, R_{∂_t,·}], [−1, 0, 0]]
+    C  = [[b₀, b⌟, c], [0, ½h⁻¹(∂_t h)⌟, 0], [−1, 0, 0]]
 
 Klein-Gordon reduction (state Ψ = (u, ∇u) with a spacetime gradient,
 N = k(n+2)); the trace contracts with the Lorentzian metric, so the gradient
@@ -41,10 +41,7 @@ class SecondOrderProblem:
     k: int = 1
     mass: float = 0.0              # klein_gordon
     c: Optional[Callable] = None   # zero-order term: c(t, xs) -> (m, k, k)
-    b0: Optional[Callable] = None  # scalar damping (normally_hyperbolic)
-    b: Optional[Callable] = None   # vector drift (normally_hyperbolic)
-    curvature: Optional[Callable] = None  # R_{∂_t,·}: (t, xs) -> (m, n, k, k)
-    static_coeffs: bool = True     # set False when c/b0/b/curvature depend on t
+    static_coeffs: bool = True     # set False when c depends on t
 
     @property
     def time_independent(self):
@@ -78,14 +75,11 @@ def _weingarten(chart, t, xs, hinv, dh=None):
     return 0.5 * np.einsum("pij,pjk->pik", hinv, dh)
 
 
-def _wave_drift(prob, t, xs, beta2, hinv, dh=None):
-    """Default b₀ = (1/2β²)(tr_h ∂_t h − ∂_t β²/β²) and b = −(1/2β²)grad_h β²,
+def _wave_drift(chart, t, xs, beta2, hinv, dh=None):
+    """b₀ = (1/2β²)(tr_h ∂_t h − ∂_t β²/β²) and b = −(1/2β²)grad_h β²,
     given h⁻¹ and, when the caller has it, ∂_t h."""
-    chart = prob.chart
     m, n = xs.shape
-    if prob.b0 is not None:
-        b0 = np.broadcast_to(np.asarray(prob.b0(t, xs), dtype=complex), (m,))
-    elif chart.time_independent:
+    if chart.time_independent:
         b0 = np.zeros(m)
     else:
         ht = FD_STEP * (1.0 + abs(t))
@@ -93,17 +87,13 @@ def _wave_drift(prob, t, xs, beta2, hinv, dh=None):
         trh = np.einsum("pij,pji->p", hinv, dh)
         db2 = (chart.beta_at(t + ht, xs) ** 2 - chart.beta_at(t - ht, xs) ** 2) / (2 * ht)
         b0 = (trh - db2 / beta2) / (2 * beta2)
-    if prob.b is not None:
-        b = np.broadcast_to(np.asarray(prob.b(t, xs), dtype=complex), (m, n))
-    else:
-        grad = np.zeros((m, n))
-        for a in range(n):
-            hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
-            dx = np.zeros_like(xs)
-            dx[:, a] = hx
-            grad[:, a] = (chart.beta_at(t, xs + dx) ** 2 - chart.beta_at(t, xs - dx) ** 2) / (2 * hx)
-        b = -np.einsum("pij,pj->pi", hinv, grad) / (2 * beta2[:, None])
-    return b0, b
+    grad = np.zeros((m, n))
+    for a in range(n):
+        hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
+        dx = np.zeros_like(xs)
+        dx[:, a] = hx
+        grad[:, a] = (chart.beta_at(t, xs + dx) ** 2 - chart.beta_at(t, xs - dx) ** 2) / (2 * hx)
+    return b0, -np.einsum("pij,pj->pi", hinv, grad) / (2 * beta2[:, None])
 
 
 def _gradient_blocks(layout, hinv, N, metric=False):
@@ -146,7 +136,7 @@ def wave_to_first_order(prob):
         A[:, 0, idx, idx] = 1.0
         C = np.zeros((m, N, N), dtype=complex)
         dh = None if chart.time_independent else _dt_h(chart, t, xs)  # one difference, two terms
-        b0, b = _wave_drift(prob, t, xs, beta2, hinv, dh)
+        b0, b = _wave_drift(chart, t, xs, beta2, hinv, dh)
         C[:, :k, :k] = b0[:, None, None] * Ik
         for j in range(n):
             C[:, :k, layout.grad_slot(j)] = b[:, j, None, None] * Ik
@@ -155,10 +145,6 @@ def wave_to_first_order(prob):
         for i in range(n):
             for j in range(n):
                 C[:, layout.grad_slot(i), layout.grad_slot(j)] = W[:, i, j, None, None] * Ik
-        if prob.curvature is not None:
-            R = np.asarray(prob.curvature(t, xs), dtype=complex)
-            for i in range(n):
-                C[:, layout.grad_slot(i), layout.tail_start:] = R[:, i]
         C[:, layout.tail_start:, :k] = -Ik
         return A, C
 
@@ -291,7 +277,7 @@ class CompatibilityReport:
         return float(np.max(self.residuals))
 
 
-def corner_derivatives(sys, f, h, order, xs, delta=1e-3):
+def corner_derivatives(sys, f, h, order, xs):
     """𝔥₀ … 𝔥_order on the initial slice from the commutator recursion."""
     chart = sys.chart
     t0 = chart.t_range[0]
@@ -310,7 +296,7 @@ def corner_derivatives(sys, f, h, order, xs, delta=1e-3):
         D = -np.einsum("pij,pjk->pik", a0inv, C)
         return np.stack([M, D])
 
-    H_coeffs = taylor_coefficients(h0_coeffs, t0, n_der - 1, delta)
+    H_coeffs = taylor_coefficients(h0_coeffs, t0, n_der - 1)
     # ∂_t^j of the coefficients = j! · (Taylor coefficient j)
     H_ops = [(math.factorial(j) * c[0], math.factorial(j) * c[1])
              for j, c in enumerate(H_coeffs)]
@@ -322,7 +308,7 @@ def corner_derivatives(sys, f, h, order, xs, delta=1e-3):
             A, _ = sys.coeff_at(t, xs2)
             return np.linalg.solve(A[:, 0], np.asarray(f(t, xs2))[..., None])[..., 0]
 
-        f_coeffs = taylor_coefficients(sigma_inv_f, t0, n_der - 1, delta)
+        f_coeffs = taylor_coefficients(sigma_inv_f, t0, n_der - 1)
         f_td = [math.factorial(j) * c for j, c in enumerate(f_coeffs)]
 
     def apply_H(j, v):
@@ -339,7 +325,7 @@ def corner_derivatives(sys, f, h, order, xs, delta=1e-3):
     return hs
 
 
-def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8, delta=1e-3):
+def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8):
     """Corner compatibility residuals of orders 0..order for 1+1D problems.
 
     ``f`` is a callable (t, xs2) -> (m, N) or None; ``h`` an array (nx, N)
@@ -353,7 +339,7 @@ def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8, delta=1e-3):
     h_arr = h(xs) if callable(h) else np.asarray(h, dtype=complex)
     if h_arr.shape != (nx, sys.fiber_rank):
         raise ContractError(f"initial data must have shape ({nx}, {sys.fiber_rank})")
-    hs = corner_derivatives(sys, f, h_arr, order, xs, delta)
+    hs = corner_derivatives(sys, f, h_arr, order, xs)
 
     t0 = chart.t_range[0]
     faces = chart.faces()
@@ -365,7 +351,7 @@ def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8, delta=1e-3):
         def gb_of_t(t):
             return bc.matrix(chart, geometry.BoundaryPoint(t, face, np.array([pos])))
 
-        gb_coeffs = taylor_coefficients(gb_of_t, t0, order, delta)
+        gb_coeffs = taylor_coefficients(gb_of_t, t0, order)
         gb_td = [math.factorial(j) * c for j, c in enumerate(gb_coeffs)]
         for k in range(order + 1):
             r = np.zeros(sys.fiber_rank, dtype=complex)

@@ -635,13 +635,14 @@ def energy_trace(fld, sys):
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
 
-def estimate_energy_constant(sys, n_samples=16):
-    """Growth constant from the symmetrized zero-order term: E' ≤ C·E."""
+def estimate_energy_constant(sys):
+    """Growth constant from the symmetrized zero-order term: E' ≤ C·E, over
+    5 slices of the 16-cell lattice."""
     from .system import zero_order_symmetrization
 
     chart = sys.chart
     worst = 0.0
-    _, xs = chart.sample_interior(n_samples)
+    _, xs = chart.sample_interior(16)
     for t in chart.sample_times(5):
         Z_h, G = zero_order_symmetrization(sys, t, xs)
         P = sys.positive_metric_at(t, xs)
@@ -747,19 +748,19 @@ def green_plus(sys, bcs, f, grid, force=False):
     return fld
 
 
-def time_reversed(sys):
-    """The pullback system under t → t₀ + t₁ − t (σ(dt) negated)."""
+def time_reversed(sys, t_range):
+    """The pullback system under t → t₀ + t₁ − t (σ(dt) negated) for the
+    interval t_range = (t₀, t₁), on a chart that spans that interval."""
     chart = sys.chart
-    t0, t1 = chart.t_range
+    t0, t1 = t_range
 
     def flip(t):
         return t0 + t1 - t
 
     rev_chart = geometry.SpacetimeChart(
-        chart.dim_space, chart.t_range, chart.space_extent,
+        chart.dim_space, tuple(t_range), chart.space_extent,
         beta=lambda t, xs: chart.beta(flip(t), xs),
         h=lambda t, xs: chart.h(flip(t), xs),
-        name=chart.name + "_reversed", params=dict(chart.params),
         time_independent=chart.time_independent, constant=chart.constant)
 
     def coeff(t, xs):
@@ -788,9 +789,10 @@ def green_minus(sys, bcs, f, grid, force=False):
     Unless ``force`` is given, ``solve``'s ``enforce_admissibility`` vets them
     against the time-reversed system with the orientation-weighted form — the
     energy-dissipation criterion of the evolution actually run — and raises
-    NotAdmissibleError on failure.  The reversed solve evaluates f at
-    t₀ + t₁ − t, which need not equal the grid's times bitwise; the field
-    carries f's table on the grid.
+    NotAdmissibleError on failure.  Time is reversed about the grid's own
+    interval [t₀, t₁], so a grid that ends before the chart does (``t_final``)
+    is reversed correctly; the reversed solve steps from f's table on the
+    grid, read backwards, and the field carries that table.
     """
     if not grid.staggered:
         raise ContractError("the retarded Green operator needs a hyperbolic "
@@ -799,12 +801,8 @@ def green_minus(sys, bcs, f, grid, force=False):
     levels = _active_levels(table)
     if levels.size and levels[-1] == grid.nt:
         raise ContractError("supp f touches the final slice; shrink the support")
-    t0, t1 = sys.chart.t_range
-
-    def f_rev(t, xs2):
-        return f(t0 + t1 - t, xs2)
-
-    fld = solve(time_reversed(sys), bcs, f=f_rev, h=None, grid=grid, force=force)
+    rev = time_reversed(sys, (grid.t0, grid.t1))
+    fld = solve(rev, bcs, f=table[::-1], h=None, grid=grid, force=force)
     return GridField(fld.values[::-1].copy(), grid, (f, table))
 
 
@@ -902,7 +900,7 @@ class LambdaEquivalenceReport:
         return self.discrepancy / max(self.error_estimate, 1e-300)
 
 
-def lambda_equivalence_check(sys, lam, bcs, f, h, nx, cfl=0.5):
+def lambda_equivalence_check(sys, lam, bcs, f, h, nx):
     """Check e^{−λt}·(solution of S) against the solution of K_λ.
 
     Both problems run on the same grid; the discrepancy is compared with a
@@ -910,9 +908,9 @@ def lambda_equivalence_check(sys, lam, bcs, f, h, nx, cfl=0.5):
     """
     from .system import lambda_shift
 
-    grid = make_grid(sys, nx, cfl)
+    grid = make_grid(sys, nx)
     fld = solve(sys, bcs, f=f, h=h, grid=grid)
-    fine = make_grid(sys, 2 * nx, cfl, nt=2 * grid.nt)
+    fine = make_grid(sys, 2 * nx, nt=2 * grid.nt)
     fld_fine = solve(sys, bcs, f=f, h=h, grid=fine)
     est_vals = restrict_fine(fld_fine.values, fine, grid) - fld.values
     estimate = l2_norm(est_vals[-1], grid)

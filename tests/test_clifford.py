@@ -111,3 +111,22 @@ def test_dirac_2plus1_on_flat_chart():
     dirac = dirac_system(rep, chart)
     assert system.check_symmetric(dirac).verdict
     assert system.constant_characteristic(dirac) == (True, 0)
+
+
+SINE_BETA = {"profile": "sine", "base": 1.2, "amplitude": 0.2, "waves": 1, "waves_t": 1.0}
+
+
+@pytest.mark.parametrize("chart, builds", [
+    (geometry.minkowski_strip((0.0, 1.0), (1.0, 1.0)), True),
+    (geometry.ultrastatic((0.0, 1.0), (1.0,), eps=0.3), True),
+    (geometry.named_profile_chart((0.0, 0.4), (1.0,), beta=SINE_BETA), False),
+    (geometry.ultrastatic((0.0, 1.0), (1.0, 1.0), eps=0.25), False),
+], ids=["flat_2+1", "ultrastatic_1+1", "sine_beta_in_time_1+1", "ultrastatic_2+1"])
+def test_dirac_builds_where_the_spin_connection_vanishes(chart, builds):
+    # flat charts and static 1+1-D charts; any other chart is refused
+    rep = build_rep(chart.dim_space + 1)
+    if builds:
+        assert dirac_system(rep, chart).fiber_rank == rep.rank
+    else:
+        with pytest.raises(ContractError, match="spin connection"):
+            dirac_system(rep, chart)

@@ -151,7 +151,7 @@ def reference_tables(kind, prob, t, xs):
     if kind == "normally_hyperbolic":
         A[:, 0, :k, :k] = (1.0 / beta2)[:, None, None] * Ik
         A[:, 0, rest, rest] = 1.0
-        b0, b = reduction._wave_drift(prob, t, xs, beta2, hinv)
+        b0, b = reduction._wave_drift(prob.chart, t, xs, beta2, hinv)
         C[:, :k, :k] = b0[:, None, None] * Ik
         for j in range(n):
             C[:, :k, slot(j)] = b[:, j, None, None] * Ik

@@ -454,6 +454,28 @@ def test_green_dirac_mit_both_directions(strip):
         assert ok
 
 
+@pytest.mark.parametrize("case", ["advection", "sine_beta_wave"])
+def test_green_minus_reverses_time_about_the_grid(case):
+    # a grid that ends at t_final before its chart does gives the field of
+    # the same grid on a chart that ends at t_final
+    def setup(t1):
+        if case == "advection":
+            sys_, _ = advection_setup(geometry.minkowski_strip((0.0, t1), (1.0,)))
+            bcs = {LEFT: boundary.no_condition(1), RIGHT: boundary.zero_trace(1)}
+        else:
+            sys_, bcs = wave_setup(geometry.named_profile_chart((0.0, t1), (1.0,),
+                                                                beta=SINE_BETA))
+        return sys_, bcs
+
+    (long_sys, bcs), (short_sys, _) = setup(1.0), setup(0.6)
+    f = spacetime_source(long_sys.fiber_rank, tc=0.3)
+    long_grid, short_grid = make_grid(long_sys, 64, t_final=0.6), make_grid(short_sys, 64)
+    assert np.array_equal(long_grid.ts, short_grid.ts)
+    short = green_minus(short_sys, bcs, f, short_grid).values
+    long = green_minus(long_sys, bcs, f, long_grid).values
+    assert np.max(np.abs(long - short)) <= 1e-12 * np.max(np.abs(short))
+
+
 def test_convergence_study_exact_at_zero_steps(short_strip):
     sys_, bcs = advection_setup(short_strip)
 

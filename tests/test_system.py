@@ -467,7 +467,7 @@ def time_sign_cases():
             lambda t, xs: np.broadcast_to(np.eye(2), (xs.shape[0], 2, 2)),
             metric_positive=True)}
     catalog = {**hyperbolic_catalog(), **CATALOG}
-    return {**catalog, **{name + "_reversed": solver.time_reversed(s)
+    return {**catalog, **{name + "_reversed": solver.time_reversed(s, s.chart.t_range)
                           for name, s in catalog.items() if s.chart.dim_space == 1}, **custom}
 
 
