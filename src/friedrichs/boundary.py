@@ -8,19 +8,24 @@ kernel B is the boundary space.  Admissibility of (S, G_B) requires
   (iii) rank B = number of nonnegative eigenvalues of σ(n♭), counted in the
         positive companion metric.
 
-Projector-defined spinor conditions store G_B as the complementary projector,
-so ker G_B is exactly the projector's range:
+Condition (ii) reads the literal form ⟨G·σ(n♭)Ψ, Ψ⟩ of the system it is
+given; a time-reversed system carries its orientation in its own metric.
 
-    mit_bag:              range ½(Id ∓ iγ(n))
-    chirality:            range ½(Id ∓ γ(n)𝒢)          (even spacetime dim)
-    riemannian_mit:       range ½(Id ∓ (1/β)γ(n)γ(∂_t))
-    riemannian_chirality: range ½(Id ± (i/β)γ(n)γ(∂_t)𝒢_R)
+The catalog has two families, each with one builder.  A spinor condition
+has B = range ½(Id + sign·X) and stores G_B = Id − ½(Id + sign·X):
 
-Reduction conditions place normal contractions into block rows:
+    mit_bag:              X = iγ(n)
+    chirality:            X = γ(n)𝒢                   (even spacetime dim)
+    riemannian_mit:       X = (1/β)γ(n)γ(∂_t)
+    riemannian_chirality: X = (i/β)γ(n)γ(∂_t)𝒢_R
+
+A reduction condition writes value·Id on the value block and weight·n⌟ on
+the gradient slots of the first k rows, n the outward unit normal:
 
     neumann_like:  [[0, n⌟, 0], 0, 0]
     transparent:   [[b, n⌟, 0], 0, 0]
-    robin:         [[−b, a ν⌟], 0]     with ν the inward normal
+    robin:         [[−b, −a n⌟], 0]     (a ∇_ν u − b u = 0, ν = −n inward)
+    dirichlet:     robin(0, 1)
 
 (The Robin contraction uses the inward normal: the outward reading flips the
 sign of the boundary form and the admissible parameter range.)
@@ -118,7 +123,7 @@ def _nonneg_count(sys, q, nb, A, G, sigma_n):
     return int(np.sum(nonneg_mask(ev))), ev
 
 
-def admissibility(sys, bc, n_time=8, n_tang=4, faces=None, orient_form=False):
+def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     """Verify conditions (i)-(iii) at sampled boundary points.
 
     The quadratic form of condition (ii) is evaluated in the system's own
@@ -129,11 +134,6 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None, orient_form=False):
     eigenvalues within −RANK_TOL·scale count as nonnegative so characteristic
     directions are included.  ``faces`` restricts the sampling when a
     condition is declared per face.
-
-    ``orient_form=True`` weights the condition-(ii) form by the system's time
-    sign — the energy-dissipation criterion of the evolution actually run.
-    It agrees with the literal form for time-sign +1 systems and is used to
-    vet boundary conditions for time-reversed solves.
     """
     chart = sys.chart
     ranks_by_face = {}
@@ -144,7 +144,6 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None, orient_form=False):
     counts = set()
     ranks = set()
     spectra = {}
-    sign = sys.time_sign if (orient_form and sys.time_sign != 0) else 1
     for face in (chart.faces() if faces is None else faces):
         for q in geometry.boundary_points(chart, face, n_time, n_tang):
             nb = geometry.outward_normal(chart, q)
@@ -154,7 +153,7 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None, orient_form=False):
             B = bc.kernel_space(chart, q)
             ranks_by_face.setdefault(face, set()).add(B.rank)
             ranks.add(B.rank)
-            lowest, v = _form_on_boundary_space(sign * (G[0] @ sigma_n), B)
+            lowest, v = _form_on_boundary_space(G[0] @ sigma_n, B)
             if lowest < min_form:
                 min_form = lowest
                 if v is not None:
@@ -209,123 +208,83 @@ def adjoint_boundary_space(sys, bc, q):
 # -- catalog ---------------------------------------------------------------
 
 
-def _projector_condition(name, params, projector_fn):
+def _projector_condition(name, rep, sign, X):
+    """B = range ½(Id + sign·X(chart, q)), stored as G_B = Id − ½(Id + sign·X)."""
+
     def matrix_fn(chart, q):
-        pi = projector_fn(chart, q)
-        N = pi.shape[0]
+        pi = 0.5 * (np.eye(rep.rank) + sign * X(chart, q))
         if np.linalg.norm(pi @ pi - pi) > 1e-10 * max(1.0, np.linalg.norm(pi)):
             raise ContractError(f"{name}: boundary map is not a projection")
-        return np.eye(N) - pi
+        return np.eye(rep.rank) - pi
 
-    return BoundaryCondition(name, matrix_fn, params)
+    return BoundaryCondition(name, matrix_fn, {"sign": sign})
+
+
+def _gamma_normal(rep, chart, q):
+    """γ(n), n the outward unit normal at q."""
+    return clifford.gamma_of_vector(rep, chart, q.t, q.x, geometry.normal_vector(chart, q))
+
+
+def _gamma_normal_time(rep, chart, q):
+    """(1/β)γ(n)γ(∂_t)."""
+    beta = chart.beta_at(q.t, q.x[None, :])[0]
+    return (1.0 / beta) * _gamma_normal(rep, chart, q) @ clifford.gamma_time(rep, chart, q.t, q.x)
 
 
 def mit_bag(rep, sign=-1):
     """B = range ½(Id + sign·iγ(n)); sign −1 is the classical bag projector."""
-
-    def projector(chart, q):
-        n_vec = geometry.normal_vector(chart, q)
-        gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, n_vec)
-        return 0.5 * (np.eye(rep.rank) + sign * 1j * gn)
-
-    return _projector_condition("mit_bag", {"sign": sign}, projector)
+    return _projector_condition("mit_bag", rep, sign,
+                                lambda chart, q: 1j * _gamma_normal(rep, chart, q))
 
 
 def chirality(rep, sign=-1):
     """B = range ½(Id + sign·γ(n)𝒢) with the volume-form chirality operator."""
     G = clifford.chirality_operator(rep)
-
-    def projector(chart, q):
-        n_vec = geometry.normal_vector(chart, q)
-        gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, n_vec)
-        return 0.5 * (np.eye(rep.rank) + sign * gn @ G)
-
-    return _projector_condition("chirality", {"sign": sign}, projector)
+    return _projector_condition("chirality", rep, sign,
+                                lambda chart, q: _gamma_normal(rep, chart, q) @ G)
 
 
 def riemannian_mit(rep, sign=-1):
     """B = range ½(Id + sign·(1/β)γ(n)γ(∂_t)); only the minus sign is admissible."""
-
-    def projector(chart, q):
-        beta = chart.beta_at(q.t, q.x[None, :])[0]
-        n_vec = geometry.normal_vector(chart, q)
-        gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, n_vec)
-        gt = clifford.gamma_time(rep, chart, q.t, q.x)
-        return 0.5 * (np.eye(rep.rank) + sign * (1.0 / beta) * gn @ gt)
-
-    return _projector_condition("riemannian_mit", {"sign": sign}, projector)
+    return _projector_condition("riemannian_mit", rep, sign,
+                                lambda chart, q: _gamma_normal_time(rep, chart, q))
 
 
 def riemannian_chirality(rep, sign=1):
     """B = range ½(Id + sign·(i/β)γ(n)γ(∂_t)𝒢_R), 𝒢_R commuting with γ(∂_t)."""
     GR = clifford.riemannian_chirality_operator(rep)
-
-    def projector(chart, q):
-        beta = chart.beta_at(q.t, q.x[None, :])[0]
-        n_vec = geometry.normal_vector(chart, q)
-        gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, n_vec)
-        gt = clifford.gamma_time(rep, chart, q.t, q.x)
-        return 0.5 * (np.eye(rep.rank) + sign * (1j / beta) * gn @ gt @ GR)
-
-    return _projector_condition("riemannian_chirality", {"sign": sign}, projector)
+    return _projector_condition("riemannian_chirality", rep, sign,
+                                lambda chart, q: 1j * _gamma_normal_time(rep, chart, q) @ GR)
 
 
-def _normal_contraction_row(layout, chart, q, weight, inward=False):
-    """Row block contracting the gradient slots with the (unit) normal."""
-    k, n = layout.k, layout.n
-    N_rows = np.zeros((k, layout_total(layout)), dtype=complex)
-    n_vec = geometry.normal_vector(chart, q)
-    if inward:
-        n_vec = -n_vec
-    for axis in range(n):
-        N_rows[:, layout.grad_slot(axis)] += weight * n_vec[axis] * np.eye(k)
-    return N_rows
+def _contraction_condition(name, params, layout, value, weight):
+    """G_B = [[value·Id, weight·n⌟], 0] with n the outward unit normal: the
+    first k rows act on the value block and contract the gradient slots."""
 
+    def matrix_fn(chart, q):
+        k, n_vec = layout.k, geometry.normal_vector(chart, q)
+        GB = np.zeros((layout.width, layout.width), dtype=complex)
+        GB[:k, :k] += value * np.eye(k)
+        for axis in range(layout.n):
+            GB[:k, layout.grad_slot(axis)] += weight * n_vec[axis] * np.eye(k)
+        return GB
 
-def layout_total(layout):
-    k, n = layout.k, layout.n
-    width = k + layout.grad_width
-    if layout.tail_start is not None:
-        width += k
-    return width
+    return BoundaryCondition(name, matrix_fn, params)
 
 
 def robin(a, b, layout):
     """a ∇_ν u − b u = 0 with inward normal ν: G_B = [[−b, −a n_out⌟], 0]."""
-
-    def matrix_fn(chart, q):
-        N = layout_total(layout)
-        GB = np.zeros((N, N), dtype=complex)
-        GB[: layout.k, layout.value_start: layout.value_start + layout.k] = -b * np.eye(layout.k)
-        GB[: layout.k] += _normal_contraction_row(layout, chart, q, a, inward=True)
-        return GB
-
-    return BoundaryCondition("robin", matrix_fn, {"a": a, "b": b})
+    return _contraction_condition("robin", {"a": a, "b": b}, layout, -b, -a)
 
 
 def neumann_like(layout):
     """∇_n^Σ u = 0: G_B = [[0, n⌟, 0], 0, 0]."""
-
-    def matrix_fn(chart, q):
-        N = layout_total(layout)
-        GB = np.zeros((N, N), dtype=complex)
-        GB[: layout.k] = _normal_contraction_row(layout, chart, q, 1.0)
-        return GB
-
-    return BoundaryCondition("neumann_like", matrix_fn, {})
+    return _contraction_condition("neumann_like", {}, layout, 0.0, 1.0)
 
 
 def transparent(b, layout):
     """∇_n^Σ u = −b ∇_{∂_t} u: G_B = [[b, n⌟, 0], 0, 0]."""
-
-    def matrix_fn(chart, q):
-        N = layout_total(layout)
-        GB = np.zeros((N, N), dtype=complex)
-        GB[: layout.k, layout.value_start: layout.value_start + layout.k] = b * np.eye(layout.k)
-        GB[: layout.k] += _normal_contraction_row(layout, chart, q, 1.0)
-        return GB
-
-    return BoundaryCondition("transparent", matrix_fn, {"b": b})
+    return _contraction_condition("transparent", {"b": b}, layout, b, 1.0)
 
 
 def dirichlet(layout):

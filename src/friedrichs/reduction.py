@@ -122,8 +122,7 @@ def wave_to_first_order(prob):
         raise ContractError("wave_to_first_order expects kind='normally_hyperbolic'")
     chart, k, n = prob.chart, prob.k, prob.chart.dim_space
     N = k * (n + 2)
-    layout = GradientLayout(k=k, n=n, value_start=0, grad_start=k,
-                            has_time_slot=False, tail_start=k * (n + 1))
+    layout = GradientLayout(k=k, n=n, tail_start=k * (n + 1))
     Ik = np.eye(k)
 
     def coeff(t, xs):
@@ -164,10 +163,10 @@ def kg_to_first_order(prob):
         raise ContractError("kg_to_first_order expects kind='klein_gordon'")
     chart, k, n = prob.chart, prob.k, prob.chart.dim_space
     N = k * (n + 2)
-    layout = GradientLayout(k=k, n=n, value_start=0, grad_start=k, has_time_slot=True)
+    layout = GradientLayout(k=k, n=n, has_time_slot=True)
     Ik = np.eye(k)
     m2 = prob.mass ** 2
-    tslot = slice(layout.grad_start, layout.grad_start + k)
+    tslot = slice(k, 2 * k)
 
     def coeff(t, xs):
         m = xs.shape[0]
@@ -199,7 +198,7 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
                             "kind='reaction_diffusion'")
     chart, k, n = prob.chart, prob.k, prob.chart.dim_space
     N = k * (n + 1)
-    layout = GradientLayout(k=k, n=n, value_start=0, grad_start=k, has_time_slot=False)
+    layout = GradientLayout(k=k, n=n)
     Ik = np.eye(k)
 
     def coeff(t, xs):

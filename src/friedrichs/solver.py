@@ -31,7 +31,7 @@ from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError, NotSymmetricError)
 from .linalg import aos, eigh_pencil, pairwise_sum, row_reduce, soa, soa_mul
 from .boundary import admissibility, nonneg_mask
-from .system import check_symmetric, companion_metric
+from .system import FriedrichsSystem, check_symmetric, companion_metric
 
 
 @dataclass
@@ -40,7 +40,6 @@ class Grid:
     dx: float
     dt: float
     nt: int
-    cfl: float
     xs: np.ndarray        # sample positions (cell centers or nodes)
     ts: np.ndarray        # time levels, length nt + 1
     staggered: bool       # True: cell centers (explicit), False: nodes (implicit)
@@ -90,7 +89,7 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     else:
         xs = np.linspace(0.0, L, nx + 1)
     ts = t0 + dt * np.arange(nt + 1)
-    return Grid(nx, dx, dt, nt, cfl, xs, ts, staggered)
+    return Grid(nx, dx, dt, nt, xs, ts, staggered)
 
 
 @dataclass
@@ -480,9 +479,10 @@ def enforce_admissibility(sys, bc_map):
     """The refusal policy of every solve: the system must satisfy (S), which
     the characteristic split assumes (``check_symmetric``, once per system),
     and each face's condition must pass the admissibility check sampled at
-    4 times × 2 tangential points.  A ``time_reversed`` system's conditions
-    are checked with the orientation-weighted form (``orient_form``), the
-    energy-dissipation criterion of the evolution actually run.
+    4 times × 2 tangential points.  The check reads the literal boundary form
+    of the system it is given; a ``time_reversed`` system carries its own
+    orientation in its fiber metric, so the same check is the
+    energy-dissipation criterion of the reversed run.
 
     Raises NotSymmetricError with the (S) report, or NotAdmissibleError with
     the condition, the face and the report of the first face that fails.
@@ -492,8 +492,7 @@ def enforce_admissibility(sys, bc_map):
     if not sys._cache["symmetric"].verdict:
         raise NotSymmetricError(sys.name, sys._cache["symmetric"])
     for face, bc in bc_map.items():
-        rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face],
-                            orient_form=sys._cache.get("time_reversed", False))
+        rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face])
         if not rep.admissible:
             raise NotAdmissibleError(bc, face, rep)
 
@@ -749,10 +748,15 @@ def green_plus(sys, bcs, f, grid, force=False):
 
 
 def time_reversed(sys, t_range):
-    """The pullback system under t → t₀ + t₁ − t (σ(dt) negated) for the
-    interval t_range = (t₀, t₁), on a chart that spans that interval."""
+    """The pullback system under t → t₀ + t₁ − t for the interval
+    t_range = (t₀, t₁), on a chart that spans that interval: σ(dt) is negated
+    and the fiber metric is w·G with w = −s* (w = 1 when s* = 0).  So the
+    reversed system has s* = +1 and the same companion metric P, and its
+    literal boundary form w·G·σ(n♭) is the energy-dissipation criterion of
+    the reversed run: admissibility vets it like any other system."""
     chart = sys.chart
     t0, t1 = t_range
+    w = -sys.time_sign or 1
 
     def flip(t):
         return t0 + t1 - t
@@ -769,15 +773,14 @@ def time_reversed(sys, t_range):
         A[:, 0] = -A[:, 0]
         return A, C
 
-    from .system import FriedrichsSystem
+    def metric(t, xs):
+        G = sys.metric_at(flip(t), xs)
+        return G if w == 1 else -G
 
-    rev = FriedrichsSystem(
-        rev_chart, sys.fiber_rank, coeff,
-        lambda t, xs: sys.metric_at(flip(t), xs),
-        metric_positive=sys.metric_positive, name=sys.name + "_reversed",
+    return FriedrichsSystem(
+        rev_chart, sys.fiber_rank, coeff, metric,
+        metric_positive=sys.metric_positive and w == 1, name=sys.name + "_reversed",
         layout=sys.layout, time_independent=sys.time_independent)
-    rev._cache["time_reversed"] = True      # read by enforce_admissibility
-    return rev
 
 
 def green_minus(sys, bcs, f, grid, force=False):
@@ -787,8 +790,8 @@ def green_minus(sys, bcs, f, grid, force=False):
     boundary form (MIT, chirality, Neumann-like, Dirichlet) transfer verbatim;
     for transport-like systems pass the conditions of the reversed problem.
     Unless ``force`` is given, ``solve``'s ``enforce_admissibility`` vets them
-    against the time-reversed system with the orientation-weighted form — the
-    energy-dissipation criterion of the evolution actually run — and raises
+    against the time-reversed system, whose literal boundary form is the
+    energy-dissipation criterion of the reversed run, and raises
     NotAdmissibleError on failure.  Time is reversed about the grid's own
     interval [t₀, t₁], so a grid that ends before the chart does (``t_final``)
     is reversed correctly; the reversed solve steps from f's table on the

@@ -32,27 +32,27 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 class GradientLayout:
     """Block layout of a reduced second-order problem.
 
-    The state vector is  [value block (k)] [gradient block] [tail block],
-    where the gradient block stores covariant components, one k-wide slot per
-    covector direction; ``has_time_slot`` marks a leading dt slot (Klein-Gordon
+    The state vector is  [value block (k)] [gradient block] [tail block]: the
+    value block comes first and the gradient block starts at k.  The gradient
+    block stores covariant components, one k-wide slot per covector
+    direction; ``has_time_slot`` marks a leading dt slot (Klein-Gordon
     reduction).  Boundary-condition constructors use this to place normal
     contractions.
     """
 
     k: int
     n: int
-    value_start: int
-    grad_start: int
     has_time_slot: bool = False
     tail_start: Optional[int] = None
 
     @property
-    def grad_width(self):
-        return self.k * (self.n + (1 if self.has_time_slot else 0))
+    def width(self):
+        """Length of the state vector: value block, dt slot, n spatial slots, tail."""
+        return self.k * (1 + int(self.has_time_slot) + self.n + int(self.tail_start is not None))
 
     def grad_slot(self, axis):
         """Column range of the spatial covector slot for coordinate ``axis``."""
-        off = self.grad_start + (self.k if self.has_time_slot else 0)
+        off = self.k * (2 if self.has_time_slot else 1)
         return slice(off + axis * self.k, off + (axis + 1) * self.k)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from friedrichs import boundary, clifford, geometry, reduction, system
+from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_symbol
 from friedrichs.errors import UnsupportedDimensionError
 from friedrichs.linalg import eigh_pencil, kernel, Subspace
@@ -264,20 +264,22 @@ def test_witness_on_full_negative_eigenspace(wave, strip):
     assert admissibility(wave, bc, faces=[geometry.RIGHT]).witness is not None
 
 
-def test_oriented_form_for_time_reversed_transport(strip):
-    # the reversed transport needs conditions on its own inflow faces; the
-    # orientation-weighted form certifies them while the literal form (tied
-    # to the forward orientation) rejects the pure-outflow face
-    from friedrichs import solver, system
-
+def test_time_reversed_transport_is_vetted_by_its_literal_form(strip):
+    # reversing time turns the transport's inflow face into its outflow face;
+    # the reversed system carries the flip in its fiber metric −G (s* = +1,
+    # not positive), so its literal form accepts the reversed run's
+    # conditions and refuses the forward ones
     rev = solver.time_reversed(system.advection_system(strip), strip.t_range)
-    assert rev.time_sign == -1
-    none_left = boundary.no_condition(1)
-    literal = admissibility(rev, none_left, n_time=3, faces=[geometry.LEFT])
-    oriented = admissibility(rev, none_left, n_time=3, faces=[geometry.LEFT],
-                             orient_form=True)
-    assert not literal.admissible
-    assert oriented.admissible
+    assert rev.time_sign == 1 and not rev.metric_positive
+    verdicts = {(face, bc.name): admissibility(rev, bc, n_time=3, faces=[face]).admissible
+                for face in (geometry.LEFT, geometry.RIGHT)
+                for bc in (boundary.no_condition(1), boundary.zero_trace(1))}
+    assert verdicts == {(geometry.LEFT, "no_condition"): True,
+                        (geometry.LEFT, "zero_trace"): False,
+                        (geometry.RIGHT, "no_condition"): False,
+                        (geometry.RIGHT, "zero_trace"): True}
+    literal = admissibility(rev, boundary.no_condition(1), n_time=3, faces=[geometry.RIGHT])
+    assert not literal.semidefinite and literal.min_form_eigenvalue == pytest.approx(-1.0)
 
 
 def test_mit_rank_is_half_fiber_rank_3plus1():
@@ -327,3 +329,44 @@ def test_rank_one_condition_on_an_all_outgoing_face_is_refused(strip):
     left = admissibility(sys_, boundary.zero_trace(2), faces=[geometry.LEFT])
     assert left.admissible
     assert left.spectra[geometry.LEFT] == pytest.approx(-speeds[::-1], abs=1e-12)
+
+
+def family_charts():
+    sine_beta = {"profile": "sine", "base": 1.2, "amplitude": 0.2, "waves": 1}
+    return [geometry.minkowski_strip((0.0, 1.0), (1.0,)),
+            geometry.ultrastatic((0.0, 1.0), (1.0,), eps=0.3),
+            geometry.named_profile_chart((0.0, 1.0), (1.0,), beta=sine_beta)]
+
+
+@pytest.mark.parametrize("chart", family_charts(), ids=["flat", "ultrastatic", "sine_beta"])
+def test_each_condition_family_is_one_formula(chart):
+    # the contraction conditions are one another's special cases bitwise, and
+    # each spinor G_B is Id − ½(Id + sign·X) with X of the module docstring
+    assert chart.time_independent
+    points = [q for face in chart.faces() for q in geometry.boundary_points(chart, face, 3, 1)]
+    kinds = [("normally_hyperbolic", reduction.wave_to_first_order),
+             ("klein_gordon", reduction.kg_to_first_order),
+             ("reaction_diffusion", reduction.reaction_diffusion_to_first_order)]
+    layouts = [build(reduction.SecondOrderProblem(kind, chart, k=k)).layout
+               for kind, build in kinds for k in (1, 2)]
+    for layout in layouts:
+        for q in points:
+            for b in (0.0, 0.7, -1.3):
+                assert np.array_equal(boundary.transparent(b, layout).matrix(chart, q),
+                                      boundary.robin(-1.0, -b, layout).matrix(chart, q))
+            assert np.array_equal(boundary.neumann_like(layout).matrix(chart, q),
+                                  boundary.transparent(0.0, layout).matrix(chart, q))
+            assert np.array_equal(boundary.dirichlet(layout).matrix(chart, q),
+                                  boundary.robin(0.0, 1.0, layout).matrix(chart, q))
+    rep = clifford.build_rep(2)
+    G, GR = clifford.chirality_operator(rep), clifford.riemannian_chirality_operator(rep)
+    for q in points:
+        gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, geometry.normal_vector(chart, q))
+        gt = clifford.gamma_time(rep, chart, q.t, q.x) / chart.beta_at(q.t, q.x[None, :])[0]
+        X = {boundary.mit_bag: 1j * gn, boundary.chirality: gn @ G,
+             boundary.riemannian_mit: gn @ gt, boundary.riemannian_chirality: 1j * gn @ gt @ GR}
+        for builder, x in X.items():
+            for sign in (-1, 1):
+                expected = np.eye(rep.rank) - 0.5 * (np.eye(rep.rank) + sign * x)
+                assert np.allclose(builder(rep, sign).matrix(chart, q), expected,
+                                   rtol=0.0, atol=1e-14)

@@ -142,6 +142,24 @@ def test_converge_task(tmp_path):
     assert len(rows) == 4
 
 
+def test_converge_ignores_the_keys_its_case_does_not_read(tmp_path):
+    # converge builds the system, conditions and initial data of its case:
+    # task.initial and task.constrain_gradient pass the schema and are then
+    # ignored, so even a component no wave state has changes no output
+    base = {"chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5], "lengths": [1.0]},
+            "task": {"case": "wave_cosine", "grids": [16, 32]}}
+    extra = copy.deepcopy(base)
+    extra["task"].update(initial={"profile": "bump", "component": 7}, constrain_gradient=True)
+    outputs = []
+    for name, cfg in (("base", base), ("extra", extra)):
+        code, out = run(tmp_path / name, cfg, "converge")
+        assert code == 0
+        digest, report = (out / "report.txt").read_bytes().split(b"\n", 1)
+        assert digest.startswith(b"config: ")
+        outputs.append(((out / "errors.csv").read_bytes(), report))
+    assert outputs[0] == outputs[1]
+
+
 def test_compat_task(tmp_path):
     cfg = {
         "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5], "lengths": [1.0]},

@@ -293,7 +293,7 @@ def test_support_diagnostics_match_the_per_level_scan(nt, nx, N, density, zero_r
                                                       cells, seed):
     rng = np.random.default_rng(seed)
     dx, dt = 1.0 / nx, 0.5 / nx
-    grid = solver.Grid(nx, dx, dt, nt, 0.5, (np.arange(nx) + 0.5) * dx,
+    grid = solver.Grid(nx, dx, dt, nt, (np.arange(nx) + 0.5) * dx,
                        dt * np.arange(nt + 1), True)
     vals = random_table(rng, nt + 1, nx, N, density, zero_rows)
     if zero_field:
@@ -485,7 +485,7 @@ def test_convergence_study_exact_at_zero_steps(short_strip):
     grid = make_grid(sys_, 64, nt=1)
     grid.ts[:] = grid.ts[0]  # zero-length window: initial data is the answer
     fld = solve(sys_, bcs, h=lambda xs: exact(0, xs),
-                grid=solver.Grid(grid.nx, grid.dx, grid.dt, 0, grid.cfl,
+                grid=solver.Grid(grid.nx, grid.dx, grid.dt, 0,
                                  grid.xs, grid.ts[:1], grid.staggered))
     assert l2_norm(fld.values[-1] - exact(0, grid.xs), grid) == 0.0
 
@@ -838,6 +838,47 @@ def test_maximal_nonnegative_conditions_are_admissible_and_dissipative(matrices)
     assert energy_trace(fld, sys_).max_step_growth <= 1 + 1e-12
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(symmetric_hyperbolic(), st.sampled_from([1, -1]))
+def test_green_minus_runs_the_reversed_flow_under_its_literal_form(matrices, s_star):
+    # the same A^μ = G⁻¹S^μ with fiber metric s*·G: the reversed system has
+    # s* = +1 either way, and its literal boundary form is the one of the
+    # reversed flow, whose maximal nonnegative conditions flip the faces'
+    # roles; a forward condition is refused wherever the two differ
+    G, S0, S1 = matrices
+    N = G.shape[0]
+    chart = geometry.minkowski_strip((0.0, 0.25), (1.0,))
+    Ginv = np.linalg.inv(G)
+    sys_ = system.constant_system(chart, [Ginv @ S0, Ginv @ S1], None, gram=s_star * G)
+    assert sys_.time_sign == s_star
+    # at least 48 steps: make_grid takes one step when every speed is 0
+    grid = make_grid(sys_, 32, nt=max(48, make_grid(sys_, 32).nt))
+    rev = solver.time_reversed(sys_, (grid.t0, grid.t1))
+    assert rev.time_sign == 1 and not rev.metric_positive
+    forward, reversed_ = {}, {}
+    for face, sign in ((LEFT, -1.0), (RIGHT, 1.0)):
+        forward[face] = maximal_nonnegative(sign * S1, S0)[0]
+        reversed_[face] = maximal_nonnegative(-sign * S1, S0)[0]
+    bcs = {face: boundary.custom_bc(GB) for face, GB in reversed_.items()}
+
+    def f(t, xs2):
+        # active for t in (0.16, 0.22): the reversed run is free after it
+        bump = np.clip(1.0 - ((t - 0.19) / 0.03) ** 2, 0.0, None)
+        return bump * np.outer(1.5 + np.cos(3 * xs2[:, 0]), np.arange(1, N + 1))
+
+    fld = green_minus(sys_, bcs, f, grid)
+    values = fld.values[::-1].copy()
+    free = grid.ts[::-1] < 0.16 - grid.dt
+    e = energy_trace(GridField(values, grid), rev).energy[free]
+    assert np.all(e > 0)
+    assert np.max(e[1:] / e[:-1]) <= 1 + 1e-12
+    for face in (LEFT, RIGHT):
+        if np.allclose(forward[face], reversed_[face]):
+            continue
+        with pytest.raises(NotAdmissibleError):
+            green_minus(sys_, {**bcs, face: boundary.custom_bc(forward[face])}, f, grid)
+
+
 def reference_explicit_solve(sys_, bcs, f, h0, grid):
     """The explicit upwind solve step by step as three einsums over a padded
     field: ghost cells from the closures, |Ã|·jump at the faces, the central
@@ -1011,7 +1052,7 @@ def test_grid_is_sized_over_the_run_not_the_chart():
     bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
     fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
     assert np.isfinite(fld.values).all()
-    assert max(realised_cfl(sys_, grid, t) for t in grid.ts) <= grid.cfl
+    assert max(realised_cfl(sys_, grid, t) for t in grid.ts) <= 0.5
 
 
 def forcing_cases():
