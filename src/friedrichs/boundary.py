@@ -105,15 +105,16 @@ def nonneg_mask(ev):
     return ev >= -RANK_TOL * scale
 
 
-def _nonneg_count(sys, q, nb, A, G, sigma_n):
-    """Eigenvalues of σ(n♭) counted in the beta-normalized system: the speeds
-    of σ(dt)⁻¹σ(n♭), or the eigenvalues of σ(n♭) itself when σ(dt) is
-    singular.  A and G are the coefficient and metric tables at q."""
-    if sys.time_sign != 0:
-        ev = sys._split(q.t, q.x[None, :], nb, A, G)[0][0]
+def _nonneg_count(sys, speeds, G, sigma_n):
+    """Eigenvalues of σ(n♭) at one point counted in the beta-normalized
+    system: ``speeds``, the point's speeds of σ(dt)⁻¹σ(n♭) from its face's
+    characteristic split, or, when σ(dt) is singular (``speeds`` None), the
+    eigenvalues of σ(n♭) itself.  G is the metric at the point."""
+    if speeds is not None:
+        ev = speeds
     elif sys.metric_positive:
-        F = G[0] @ sigma_n
-        ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G[0])
+        F = G @ sigma_n
+        ev, _ = eigh_pencil(0.5 * (F + F.conj().T), G)
     else:
         ev = np.linalg.eigvals(sigma_n)
         if np.max(np.abs(ev.imag)) > 1e-8 * max(1.0, np.max(np.abs(ev))):
@@ -133,7 +134,10 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     Eigenvalue counting in (iii) uses the normalized boundary symbol;
     eigenvalues within −RANK_TOL·scale count as nonnegative so characteristic
     directions are included.  ``faces`` restricts the sampling when a
-    condition is declared per face.
+    condition is declared per face.  The sampled points share one
+    evaluation of the coefficients and the metric and, when σ(dt) is
+    definite, one characteristic split; the kernel, form and count of each
+    point are then taken point by point.
     """
     chart = sys.chart
     ranks_by_face = {}
@@ -144,23 +148,26 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     counts = set()
     ranks = set()
     spectra = {}
-    for face in (chart.faces() if faces is None else faces):
-        for q in geometry.boundary_points(chart, face, n_time, n_tang):
-            nb = geometry.outward_normal(chart, q)
-            A, G = sys.coeff_at(q.t, q.x[None, :])[0], sys.metric_at(q.t, q.x[None, :])
-            sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A[0])
-            ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n))
-            B = bc.kernel_space(chart, q)
-            ranks_by_face.setdefault(face, set()).add(B.rank)
-            ranks.add(B.rank)
-            lowest, v = _form_on_boundary_space(G[0] @ sigma_n, B)
-            if lowest < min_form:
-                min_form = lowest
-                if v is not None:
-                    witness, witness_val = v, lowest
-            count, spec = _nonneg_count(sys, q, nb, A, G, sigma_n)
-            counts.add(count)
-            spectra.setdefault(face, spec)
+    qs = [q for face in (chart.faces() if faces is None else faces)
+          for q in geometry.boundary_points(chart, face, n_time, n_tang)]
+    nbs = np.array([geometry.outward_normal(chart, q) for q in qs])
+    ts, xs = np.array([q.t for q in qs]), np.array([q.x for q in qs])
+    A, G = sys.coeff_at(ts, xs)[0], sys.metric_at(ts, xs)
+    speeds = sys._split(ts, xs, nbs, A, G)[0] if sys.time_sign != 0 else [None] * len(qs)
+    for q, nb, A_q, G_q, speeds_q in zip(qs, nbs, A, G, speeds):
+        sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A_q)
+        ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n))
+        B = bc.kernel_space(chart, q)
+        ranks_by_face.setdefault(q.face, set()).add(B.rank)
+        ranks.add(B.rank)
+        lowest, v = _form_on_boundary_space(G_q @ sigma_n, B)
+        if lowest < min_form:
+            min_form = lowest
+            if v is not None:
+                witness, witness_val = v, lowest
+        count, spec = _nonneg_count(sys, speeds_q, G_q, sigma_n)
+        counts.add(count)
+        spectra.setdefault(q.face, spec)
     ranks_by_face = {f: sorted(r) for f, r in ranks_by_face.items()}
     rank_constant = len(ranks) == 1
     cause = None

@@ -339,18 +339,15 @@ def cmd_check(cfg, out, force, seed):
 def cmd_reduce(cfg, out, force, seed):
     chart = build_chart(cfg)
     sys_, _ = build_system(cfg, chart)
-    ts = chart.sample_times(3)
-    xs = np.linspace(0.0, chart.space_extent[0], 5)[:, None]
+    ts, xs = geometry.spacetime_rows(chart.sample_times(3),
+                                     np.linspace(0.0, chart.space_extent[0], 5)[:, None])
+    (A, C), G = sys_.coeff_at(ts, xs), sys_.metric_at(ts, xs)
     rows = []
-    for t in ts:
-        A, C = sys_.coeff_at(t, xs)
-        G = sys_.metric_at(t, xs)
-        for p in range(xs.shape[0]):
-            for label, M in [("A0", A[p, 0]), ("A1", A[p, 1]), ("C", C[p]), ("G", G[p])]:
-                for i in range(sys_.fiber_rank):
-                    for j in range(sys_.fiber_rank):
-                        rows.append((t, xs[p, 0], label, i, j,
-                                     M[i, j].real, M[i, j].imag))
+    for p in range(xs.shape[0]):
+        for label, M in [("A0", A[p, 0]), ("A1", A[p, 1]), ("C", C[p]), ("G", G[p])]:
+            for i in range(sys_.fiber_rank):
+                for j in range(sys_.fiber_rank):
+                    rows.append((ts[p], xs[p, 0], label, i, j, M[i, j].real, M[i, j].imag))
     write_csv(out / "coefficients.csv",
               ["t", "x", "matrix", "row", "col", "re", "im"], rows)
     sym, hyp, pos, cc = system.check_conditions(sys_, seed)

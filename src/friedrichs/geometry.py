@@ -2,8 +2,9 @@
 
 Charts are product strips only: all geometry enters through the lapse β(t, x)
 and the spatial metric h_t(t, x).  Coefficient evaluators are vectorised over
-batches of spatial points: ``beta(t, xs)`` takes ``xs`` of shape (m, n) and
-returns shape (m,); ``h(t, xs)`` returns shape (m, n, n).
+batches of spacetime points: ``beta(t, xs)`` takes ``xs`` of shape (m, n) and
+``t`` as a scalar or one time per row, shape (m,), and returns shape (m,);
+``h(t, xs)`` returns shape (m, n, n).  A row depends on its own (t, x) only.
 """
 
 from dataclasses import dataclass
@@ -150,6 +151,13 @@ def normal_vector(chart, q):
     return hinv @ nb[1:]
 
 
+def spacetime_rows(ts, xs):
+    """One row per (time, point) pair, the times outer: the times (L·m,) and
+    the points (L·m, n) that evaluate the L times ``ts`` at the m points
+    ``xs`` (m, n) in one call; a table of the rows reshapes to (L, m, …)."""
+    return np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
+
+
 def volume_density(chart, t, xs):
     """Spacetime volume density β·√det(h) at sampled points."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -166,22 +174,31 @@ def spatial_density(chart, t, xs):
     return np.sqrt(np.linalg.det(chart.h_at(t, xs)))
 
 
+def _speed_samples(chart, system, per_axis, t_range):
+    """The (t, x) rows of ``max_characteristic_speed``'s samples, one time
+    per row."""
+    axes = [np.linspace(0.0, L, per_axis + 1) for L in chart.space_extent]
+    xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    ts = np.linspace(*(chart.t_range if t_range is None else t_range),
+                     1 if system.static else 8)
+    return spacetime_rows(ts, xs)
+
+
 def max_characteristic_speed(chart, system, per_axis=16, t_range=None):
     """sup |λ| over the speeds λ of σ(dt)⁻¹σ(dxʲ) from ``system.characteristics``
     at the nodes of the uniform ``per_axis``-cell lattice: in one dimension
     the faces that an explicit step on ``per_axis`` cells splits at.  Once, at
     the start of ``t_range`` (default: the chart's), for a static system;
-    otherwise at 8 evenly spaced times of ``t_range``.
+    otherwise at 8 evenly spaced times of ``t_range``; all in one call.
 
     Raises NotHyperbolicError when the σ(dt)-form is singular or indefinite
     at a node (either definite sign is the system's time orientation).
     """
-    axes = [np.linspace(0.0, L, per_axis + 1) for L in chart.space_extent]
-    xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    ts = np.linspace(*(chart.t_range if t_range is None else t_range),
-                     1 if system.static else 8)
-    return max(float(np.max(np.abs(system.characteristics(t, xs, dx)[0])))
-               for t in ts for dx in np.eye(chart.dim_space + 1)[1:])
+    ts, xs = _speed_samples(chart, system, per_axis, t_range)
+    n = chart.dim_space
+    xi = np.tile(np.eye(n + 1)[1:], (len(xs), 1))       # dx¹ … dxⁿ at each sample
+    return float(np.max(np.abs(system.characteristics(
+        np.repeat(ts, n), np.repeat(xs, n, axis=0), xi)[0])))
 
 
 # -- chart builders --------------------------------------------------------

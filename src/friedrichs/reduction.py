@@ -40,7 +40,7 @@ class SecondOrderProblem:
     chart: geometry.SpacetimeChart
     k: int = 1
     mass: float = 0.0              # klein_gordon
-    c: Optional[Callable] = None   # zero-order term: c(t, xs) -> (m, k, k)
+    c: Optional[Callable] = None   # zero-order term c(t, xs): a number, one per row, or k×k
     static_coeffs: bool = True     # set False when c depends on t
 
     @property
@@ -51,9 +51,9 @@ class SecondOrderProblem:
         if self.c is None:
             return np.zeros((xs.shape[0], self.k, self.k), dtype=complex)
         out = np.asarray(self.c(t, xs), dtype=complex)
-        if out.ndim == 0:
-            out = out * np.broadcast_to(np.eye(self.k), (xs.shape[0], self.k, self.k))
         try:
+            if out.ndim <= 1:       # a number, or one per row, times I_k
+                out = out[..., None, None] * np.eye(self.k)
             return np.broadcast_to(out, (xs.shape[0], self.k, self.k))
         except ValueError as exc:
             raise ContractError(f"c must be a number or k×k matrices (k = {self.k}), "
@@ -61,9 +61,9 @@ class SecondOrderProblem:
 
 
 def _dt_h(chart, t, xs):
-    """∂_t h at the sampled points by a centred difference."""
-    ht = FD_STEP * (1.0 + abs(t))
-    return (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * ht)
+    """∂_t h at the sampled points by a centred difference, with a step per row."""
+    ht = FD_STEP * (1.0 + np.abs(t))
+    return (chart.h_at(t + ht, xs) - chart.h_at(t - ht, xs)) / (2 * np.reshape(ht, (-1, 1, 1)))
 
 
 def _weingarten(chart, t, xs, hinv, dh=None):
@@ -82,17 +82,18 @@ def _wave_drift(chart, t, xs, beta2, hinv, dh=None):
     if chart.time_independent:
         b0 = np.zeros(m)
     else:
-        ht = FD_STEP * (1.0 + abs(t))
+        ht = FD_STEP * (1.0 + np.abs(t))
         dh = _dt_h(chart, t, xs) if dh is None else dh
         trh = np.einsum("pij,pji->p", hinv, dh)
         db2 = (chart.beta_at(t + ht, xs) ** 2 - chart.beta_at(t - ht, xs) ** 2) / (2 * ht)
         b0 = (trh - db2 / beta2) / (2 * beta2)
-    grad = np.zeros((m, n))
-    for a in range(n):
-        hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
-        dx = np.zeros_like(xs)
-        dx[:, a] = hx
-        grad[:, a] = (chart.beta_at(t, xs + dx) ** 2 - chart.beta_at(t, xs - dx) ** 2) / (2 * hx)
+    # β² at each point ± hx along each axis, in one call: rows (±, point, axis)
+    hx = FD_STEP * (1.0 + np.abs(xs))
+    steps = hx[:, :, None] * np.eye(n)
+    shifted = np.concatenate([xs[:, None] + steps, xs[:, None] - steps]).reshape(-1, n)
+    ts = np.tile(np.repeat(np.broadcast_to(t, m), n), 2)
+    b2 = chart.beta_at(ts, shifted).reshape(2, m, n) ** 2
+    grad = (b2[0] - b2[1]) / (2 * hx)
     return b0, -np.einsum("pij,pj->pi", hinv, grad) / (2 * beta2[:, None])
 
 

@@ -13,9 +13,13 @@ Condition (iii) of admissibility is exactly the statement that this closure is
 a square solvable system.
 
 Symmetric positive systems with singular σ(dt) (reaction-diffusion,
-Klein-Gordon reduction) are stepped implicitly (backward difference, direct
-sparse solve per step) on a node grid, with boundary rows replaced by the
-row-reduced G_B in the constrained directions.
+Klein-Gordon reduction) are stepped implicitly (backward difference) on a node
+grid, with boundary rows replaced by the row-reduced G_B in the constrained
+directions: a static system factors its operator once with SuperLU, a
+time-dependent one factors every level with banded LAPACK.
+
+Coefficient tables are evaluated for a block of levels at once: every
+coefficient callable takes one time per row (``geometry.spacetime_rows``).
 """
 
 import functools
@@ -58,7 +62,9 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     ``geometry.max_characteristic_speed`` of the grid's nx + 1 faces over the
     run's interval [t₀, t_final]: exactly the explicit step's speeds for a
     static system; for a time-dependent one, the step's CFL guard checks the
-    levels between the sample times.
+    levels between the sample times.  Δt also keeps Δt·ρ ≤ CFL, ρ the largest
+    spectral radius of σ(dt)⁻¹C at the same samples (one evaluation), so a
+    zero-order term is never stepped across in one forward-Euler step.
 
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
@@ -78,11 +84,14 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     t1 = chart.t_range[1] if t_final is None else t_final
     if not t1 > t0:
         raise ConfigError(f"t_final must be later than t0 = {t0!r}, got {t1!r}")
-    speed = (geometry.max_characteristic_speed(chart, sys, per_axis=nx, t_range=(t0, t1))
-             if staggered else 1.0)
+    speed, rate = 1.0, 0.0
+    if staggered:
+        speed = geometry.max_characteristic_speed(chart, sys, per_axis=nx, t_range=(t0, t1))
+        A, C = sys.coeff_at(*geometry._speed_samples(chart, sys, nx, (t0, t1)))
+        rate = float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(A[:, 0], C)))))
     T = t1 - t0
     if nt is None:
-        nt = max(1, math.ceil(T * speed / (cfl * dx)))
+        nt = max(1, math.ceil(T * speed / (cfl * dx)), math.ceil(T * rate / cfl))
     dt = T / nt
     if staggered:
         xs = (np.arange(nx) + 0.5) * dx
@@ -95,19 +104,15 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
 @dataclass
 class GridField:
     """Sampled space-time section: values of shape (nt+1, n_x, N).  A Green
-    operator's field carries its source as ``(f, forcing table)``; a
-    time-dependent explicit solve's field carries its energy trace as
-    ``(sys, EnergyTrace)``, and then its values are read-only."""
+    operator's field carries its source as ``(f, forcing table)``.  A field
+    carries no energy: ``energy_trace`` evaluates it from the values."""
 
     values: np.ndarray
     grid: Grid
     source: tuple = None
-    energy: tuple = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.energy is not None:
-            self.values.flags.writeable = False
 
     def pointwise_norm(self):
         return np.linalg.norm(self.values, axis=2)
@@ -173,31 +178,35 @@ def _finite(psi, m, t):
     return psi
 
 
-_BLOCK = 8      # time levels per block of the explicit step, energy_trace and apply_operator
+_BLOCK = 8      # time levels per block of every path's coefficient tables
 
 
-def _level_blocks(sys, ts, tables, size=None):
+def _level_blocks(sys, ts, tables):
     """Yield (rows, tables(ts[rows])) over the levels ``ts`` in blocks of
-    ``size`` levels (default ``_BLOCK``): the tables of a block's levels,
-    stacked on a leading axis.
+    ``_BLOCK`` levels: the tables of a block's levels, stacked on a leading
+    axis.
 
-    The one place that decides when coefficients are evaluated: every level
-    for time-dependent systems, once in total for static ones, whose tables
-    are built from their first level and serve every block with a leading
-    axis of length 1.
+    The one place that decides when coefficients are evaluated: once per
+    block for time-dependent systems, once in total for static ones, whose
+    tables are built from their first level and serve every block with a
+    leading axis of length 1.
     """
-    size = size or _BLOCK
     block = None
-    for start in range(0, len(ts), size):
+    for start in range(0, len(ts), _BLOCK):
         if block is None or not sys.static:
-            block = tables(ts[start:start + (1 if sys.static else size)])
-        yield slice(start, min(start + size, len(ts))), block
+            block = tables(ts[start:start + (1 if sys.static else _BLOCK)])
+        yield slice(start, min(start + _BLOCK, len(ts))), block
 
 
-def _per_level(tables):
-    """The block form of per-level ``tables(t)``: their arrays stacked over
-    the block's times."""
-    return lambda ts: [np.stack(a) for a in zip(*map(tables, ts))]
+def _by_level(L, *tables):
+    """Tables over the (level, point) rows of ``geometry.spacetime_rows`` for
+    L levels, each with a leading axis over the levels: shape (L, m, …)."""
+    return [a.reshape(L, -1, *a.shape[1:]) for a in tables]
+
+
+def _coefficients(sys, ts, xs):
+    """A and C of the levels ``ts`` at the points ``xs``, from one call."""
+    return _by_level(len(ts), *sys.coeff_at(*geometry.spacetime_rows(ts, xs)))
 
 
 # -- explicit characteristic upwind -----------------------------------------
@@ -205,36 +214,31 @@ def _per_level(tables):
 
 def _explicit_tables(sys, bc_map, grid, ts, force):
     """The frozen upwind steps of the levels ``ts`` (one time, or a block of
-    them), stacked over the levels: block rows B (L, nx, N, 3N), the forcing
-    maps Δt·σ(dt)⁻¹ (L, nx, N, N) and, for a time-dependent system, the
-    levels' ``_energy_block`` tables (else None):
+    them), stacked over the levels: block rows B (L, nx, N, 3N) and the
+    forcing maps Δt·σ(dt)⁻¹ (L, nx, N, N):
     Ψ_p(t + Δt) = Ψ_p + B_p·[Ψ_{p−1}; Ψ_p; Ψ_{p+1}] + Δt·σ(dt)⁻¹f_p,
     the blocks k(Ã + |Ã|_{p−½}), −k(|Ã|_{p+½} + |Ã|_{p−½}) − ΔtC̃ and
     k(|Ã|_{p+½} − Ã) with k = Δt/2Δx (LeVeque, *Finite Volume Methods for
     Hyperbolic Problems*, 2002, ch. 4 and 8) and the ghost-cell closures folded
     into the edge rows' middle blocks.  B is the increment, so rounding stays
     relative to it.  One evaluation of the coefficients, the metric and the
-    lapse per level, and one characteristic split of all the levels, serve
-    the cells, the faces (covector dx) and the two boundary faces (their
-    conormals).  ContractError when the realised CFL at the faces exceeds 1;
-    each face's closures are solved in one batch."""
+    lapse for all the levels, and one characteristic split, serve the cells,
+    the faces (covector dx) and the two boundary faces (their conormals).
+    ContractError when the realised CFL at the faces exceeds 1; each face's
+    closures are solved in one batch."""
     ts = np.atleast_1d(ts)
     chart, nx, N, L = sys.chart, grid.nx, sys.fiber_rank, ts.size
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
     pts = np.concatenate([grid.xs, faces])[:, None]
     rows = nx + np.r_[0:nx + 1, 0, nx]      # the faces, then the two boundary faces
-    A = np.empty((L, pts.shape[0], 2, N, N), complex)
-    C, G = np.empty((L, nx, N, N), complex), np.empty((L, pts.shape[0], N, N), complex)
-    beta, xi = np.empty((L, pts.shape[0])), np.empty((L, rows.size, 2))
+    t, x = geometry.spacetime_rows(ts, pts)
+    A, C, G, beta = _by_level(L, *sys.coeff_at(t, x), sys.metric_at(t, x), chart.beta_at(t, x))
+    xi = np.empty((L, rows.size, 2))
     xi[:, :nx + 1] = (0.0, 1.0)
     ends = [[geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
              for face in chart.faces()] for t in ts]
-    for level, (t, qs) in enumerate(zip(ts, ends)):
-        A_t, C_t = sys.coeff_at(t, pts)
-        A[level], C[level] = A_t, C_t[:nx]
-        G[level], beta[level] = sys.metric_at(t, pts), chart.beta_at(t, pts)
-        xi[level, nx + 1:] = [geometry.outward_normal(chart, q) for q in qs]
-    split = sys._split(ts[0], np.tile(pts[rows], (L, 1)), xi.reshape(-1, 2),
+    xi[:, nx + 1:] = [[geometry.outward_normal(chart, q) for q in qs] for qs in ends]
+    split = sys._split(np.repeat(ts, rows.size), np.tile(pts[rows], (L, 1)), xi.reshape(-1, 2),
                        *(a[:, rows].reshape(-1, *a.shape[2:]) for a in (A, G, beta)))
     lam, V, P = (a.reshape(L, rows.size, *a.shape[1:]) for a in split)
     speed = np.max(np.abs(lam[:, :nx + 1]), axis=2)
@@ -253,7 +257,8 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     kAabs = soa_mul(soa_mul(V * np.moveaxis(k * np.abs(lam[:, :nx + 1]), -1, 0),
                             np.conj(V.swapaxes(0, 1))), soa(P[:, :nx + 1]))
     a0inv = np.linalg.inv(A[:, :nx, 0])
-    kAdtC = soa_mul(soa(a0inv), np.concatenate([k * soa(A[:, :nx, 1]), grid.dt * soa(C)], axis=1))
+    kAdtC = soa_mul(soa(a0inv), np.concatenate([k * soa(A[:, :nx, 1]), grid.dt * soa(C[:, :nx])],
+                                               axis=1))
     kA, dtC = kAdtC[:, :N], kAdtC[:, N:]
     B = np.concatenate([kA + kAabs[..., :-1], -(kAabs[..., 1:] + kAabs[..., :-1] + dtC),
                         kAabs[..., 1:] - kA], axis=1)
@@ -261,12 +266,7 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     diag[..., 0] += soa_mul(left[..., 0], T[..., 0])
     diag[..., -1] += soa_mul(right[..., -1], T[..., 1])
     left[..., 0] = right[..., -1] = 0.0
-    B = np.ascontiguousarray(aos(B))
-    if sys.static:
-        return B, grid.dt * a0inv, None
-    cells_ends = np.r_[0:nx, rows[-2:]]     # the cells, then the two boundary faces
-    return B, grid.dt * a0inv, _energy_level(sys, ts, pts[cells_ends], A[:, cells_ends],
-                                             G[:, cells_ends], beta[:, cells_ends], xi[:, -2:])
+    return np.ascontiguousarray(aos(B)), grid.dt * a0inv
 
 
 def _boundary_closure(bc, chart, qs, lam, V, P, force):
@@ -300,20 +300,16 @@ def _boundary_closure(bc, chart, qs, lam, V, P, force):
 
 
 def _solve_explicit(sys, bc_map, source, h0, grid, force):
-    """The field, and for a time-dependent system its EnergyTrace (else None),
-    recorded block by block from the tables the steps build and the last
-    level's ``_energy_tables``.  The tables come in blocks of ``_BLOCK``
-    levels.  A block whose tables refuse (a CFL, hyperbolicity or closure
-    guard, or closures that differ from level to level) is built again one
-    level at a time as it is stepped, so each refusal comes at its own level
-    with its own message, once every earlier level is stepped."""
+    """The field.  The tables come in blocks of ``_BLOCK`` levels.  A block
+    whose tables refuse (a CFL, hyperbolicity or closure guard, or closures
+    that differ from level to level) is built again one level at a time as it
+    is stepped, so each refusal comes at its own level with its own message,
+    once every earlier level is stepped."""
     nx, N = grid.nx, sys.fiber_rank
     out = np.empty((grid.nt + 1, nx, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
     pad = np.zeros((nx + 2) * N, dtype=complex)     # Ψ and a zero ghost cell each side
     window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
-    energy, flux = np.empty((2, grid.nt + 1))
-    weights = _weights(grid)
 
     def tables(ts):
         try:
@@ -324,11 +320,8 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
             return None
 
     for rows, block in _level_blocks(sys, grid.ts[:-1], tables):
-        levels = []
         for k, m in enumerate(range(rows.start, rows.stop)):
-            if block is None:
-                levels.append(tables(grid.ts[m:m + 1]))
-            B, dt_a0inv, _ = levels[-1] if block is None else block
+            B, dt_a0inv = block or tables(grid.ts[m:m + 1])
             level = min(k, len(B) - 1)          # one level of its own, or a static system's one
             psi, new = out[m], out[m + 1]
             pad[N:-N] = psi.ravel()
@@ -338,31 +331,22 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
                 new += np.einsum("pij,pj->pi", dt_a0inv[level], src)
             new += psi
             _finite(new, m + 1, grid.ts[m + 1])
-        if not sys.static:
-            energy[rows], flux[rows] = _energy_block(
-                out[rows], block[2] if block else [np.concatenate(a) for a in zip(
-                    *(tb[2] for tb in levels))], weights)
-    if sys.static:
-        return out, None
-    last = slice(grid.nt, grid.nt + 1)
-    energy[last], flux[last] = _energy_block(
-        out[last], [a[None] for a in _energy_tables(sys, grid, grid.ts[-1])], weights)
-    return out, EnergyTrace(grid.ts.copy(), energy, flux)
+    return out
 
 
 # -- implicit positive systems -----------------------------------------------
 
 
-def _implicit_matrix(sys, bc_map, grid, t):
-    """Backward-Euler operator with boundary rows replaced in constrained
-    directions by the row-reduced G_B.
+def _implicit_matrix(sys, bc_map, grid, t, A, C):
+    """Backward-Euler operator of the level t, from its coefficient tables A
+    and C at the nodes, with boundary rows replaced in constrained directions
+    by the row-reduced G_B.
 
     Returns ``solve(rhs)`` of its ``_factor``, the boundary rows
     {node: (R, V1, V2)} of ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
     """
     chart = sys.chart
     npts, N = grid.xs.size, sys.fiber_rank
-    A, C = sys.coeff_at(t, grid.xs[:, None])
     dt, dx = grid.dt, grid.dx
     # lower, diagonal and upper block of each block row: centred differences
     # inside, one-sided at the two edge nodes
@@ -461,17 +445,19 @@ def _solve_implicit(sys, bc_map, source, h0, grid):
     npts, N = xs.size, sys.fiber_rank
     out = np.empty((grid.nt + 1, npts, N), dtype=complex)
     out[0] = _finite(h0, 0, grid.t0)
-    levels = _level_blocks(sys, grid.ts[1:],
-                           lambda ts: _implicit_matrix(sys, bc_map, grid, ts[0]), size=1)
-    for rows, (solve_level, brows, A0) in levels:
-        m, t1 = rows.start, grid.ts[rows.stop]
-        rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
-        src = source(m + 1, t1)
-        if src is not None:
-            rhs += src
-        for node, (R, V1, V2) in brows.items():
-            rhs[node] = V2 @ (V2.conj().T @ rhs[node])
-        out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
+    for rows, (A, C) in _level_blocks(sys, grid.ts[1:],
+                                      lambda ts: _coefficients(sys, ts, xs[:, None])):
+        for k, m in enumerate(range(rows.start, rows.stop)):
+            t1 = grid.ts[m + 1]
+            if m == 0 or not sys.static:        # a static system factors once
+                solve_level, brows, A0 = _implicit_matrix(sys, bc_map, grid, t1, A[k], C[k])
+            rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
+            src = source(m + 1, t1)
+            if src is not None:
+                rhs += src
+            for node, (R, V1, V2) in brows.items():
+                rhs[node] = V2 @ (V2.conj().T @ rhs[node])
+            out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
     return out
 
 
@@ -521,8 +507,7 @@ def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     if grid.staggered:
         if sys.time_sign == 0:
             raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
-        vals, trace = _solve_explicit(sys, bc_map, source, h0, grid, force)
-        return GridField(vals, grid, energy=None if trace is None else (sys, trace))
+        return GridField(_solve_explicit(sys, bc_map, source, h0, grid, force), grid)
     return GridField(_solve_implicit(sys, bc_map, source, h0, grid), grid)
 
 
@@ -546,29 +531,22 @@ class EnergyTrace:
         return float(np.max(e[1:][ok] / prev[ok])) if np.any(ok) else 1.0
 
 
-def _energy_tables(sys, grid, t):
-    """One energy_trace level from one evaluation on the samples and the two
-    boundary points (``_energy_level``)."""
-    chart = sys.chart
-    ends = [geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-            for face in chart.faces()]
-    xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends]])[:, None]
-    xi = np.array([geometry.outward_normal(chart, q) for q in ends])
-    tables = (sys.coeff_at(t, xs2)[0], sys.metric_at(t, xs2), chart.beta_at(t, xs2), xi)
-    return [a[0] for a in _energy_level(sys, [t], xs2, *(a[None] for a in tables))]
-
-
-def _energy_level(sys, ts, xs2, A, G, beta, xi):
-    """The energy_trace tables of the levels ``ts`` from the tables A, G and β
-    of each level at the samples followed by the two boundary points, whose
-    conormals are the rows of ``xi`` (one leading axis over the levels): the
-    energy metric (the companion metric, or G when σ(dt) is not definite) and
-    √det h on the samples; s*·β, G and σ(n♭) at the ends."""
-    n, s = xs2.shape[0] - 2, sys.time_sign
+def _energy_tables(sys, grid, ts):
+    """The energy_trace tables of the levels ``ts``, with a leading axis over
+    the levels, from one evaluation on the samples and the two boundary
+    points: the energy metric (the companion metric, or G when σ(dt) is not
+    definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
+    chart, n, s = sys.chart, grid.xs.size, sys.time_sign
+    ends = [[geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
+             for face in chart.faces()] for t in ts]
+    xi = np.array([[geometry.outward_normal(chart, q) for q in qs] for qs in ends], complex)
+    xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends[0]]])[:, None]
+    t, x = geometry.spacetime_rows(ts, xs2)
+    A, G, beta, sdens = _by_level(len(ts), sys.coeff_at(t, x)[0], sys.metric_at(t, x),
+                                  chart.beta_at(t, x), geometry.spatial_density(chart, t, x))
     P = companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0 else G[:, :n]
-    sdens = np.stack([geometry.spatial_density(sys.chart, t, xs2[:n]) for t in ts])
-    return (P, sdens, (s or 1) * beta[:, n:], G[:, n:],
-            np.einsum("lfm,lfmij->lfij", np.asarray(xi, complex), A[:, n:]))
+    return (P, sdens[:, :n], (s or 1) * beta[:, n:], G[:, n:],
+            np.einsum("lfm,lfmij->lfij", xi, A[:, n:]))
 
 
 def _quadratic_density(psi, P):
@@ -601,16 +579,6 @@ def _weights(grid):
     return weights
 
 
-def _energy_block(psi, tables, weights):
-    """Energies and fluxes of the levels Ψ (L, n, N) from their energy tables
-    stacked over the L levels (or with a leading axis of length 1)."""
-    P, sdens, sbeta, G, sn = tables
-    energy = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
-    trace = psi[:, [0, -1]]                     # the edge samples of the two faces
-    form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
-    return energy, sum((sbeta * form).T)        # 0.0 + face 0 + face 1
-
-
 def energy_trace(fld, sys):
     """E(t) = Σ_x ⟨Ψ, Ψ⟩_P √det(h) Δx, the discrete ∫_Σ |Ψ|²_β dμ_t.
 
@@ -618,38 +586,35 @@ def energy_trace(fld, sys):
     faces, evaluated at the edge sample; for conditions with vanishing
     boundary form it is an O(Δx) discretization artifact around zero.
     Systems without a positive companion metric sum the indefinite fiber
-    form G instead, which is not a norm.  Levels go in blocks of ``_BLOCK``.
-    A field that carries the trace of ``sys`` (a time-dependent explicit
-    solve) returns a copy of it: the same numbers, recorded by the solve.
+    form G instead, which is not a norm.  The one energy path: levels go in
+    blocks of ``_BLOCK``, each block's tables from one evaluation
+    (``_energy_tables``), once in total for a static system.
     """
-    if fld.energy is not None and fld.energy[0] is sys:
-        tr = fld.energy[1]
-        return EnergyTrace(tr.ts.copy(), tr.energy.copy(), tr.flux.copy())
     grid = fld.grid
     energy, flux = np.empty((2, grid.nt + 1))
     weights = _weights(grid)
-    for rows, tables in _level_blocks(sys, grid.ts,
-                                      _per_level(lambda t: _energy_tables(sys, grid, t))):
-        energy[rows], flux[rows] = _energy_block(fld.values[rows], tables, weights)
+    for rows, (P, sdens, sbeta, G, sn) in _level_blocks(
+            sys, grid.ts, lambda ts: _energy_tables(sys, grid, ts)):
+        psi = fld.values[rows]
+        energy[rows] = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
+        trace = psi[:, [0, -1]]                 # the edge samples of the two faces
+        form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
+        flux[rows] = sum((sbeta * form).T)      # 0.0 + face 0 + face 1
     return EnergyTrace(grid.ts.copy(), energy, flux)
 
 
 def estimate_energy_constant(sys):
     """Growth constant from the symmetrized zero-order term: E' ≤ C·E, over
-    5 slices of the 16-cell lattice."""
+    5 slices of every other cell of the 16-cell lattice, in one evaluation."""
     from .system import zero_order_symmetrization
 
     chart = sys.chart
-    worst = 0.0
     _, xs = chart.sample_interior(16)
-    for t in chart.sample_times(5):
-        Z_h, G = zero_order_symmetrization(sys, t, xs)
-        P = sys.positive_metric_at(t, xs)
-        pick = slice(None, None, max(1, xs.shape[0] // 8))
-        P = (G if P is None else P)[pick]
-        ev, _ = eigh_pencil(P @ Z_h[pick], P)
-        worst = max(worst, float(np.max(-ev)))
-    return worst
+    t, x = geometry.spacetime_rows(chart.sample_times(5), xs[::max(1, xs.shape[0] // 8)])
+    Z_h, G = zero_order_symmetrization(sys, t, x)
+    P = sys.positive_metric_at(t, x)
+    P = G if P is None else P
+    return max(0.0, float(np.max(-eigh_pencil(P @ Z_h, P)[0])))
 
 
 def _support_mask(fld, threshold):
@@ -690,7 +655,7 @@ def apply_operator(sys, fld):
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
     out = np.empty_like(vals)
     for rows, (A, C) in _level_blocks(sys, grid.ts,
-                                      _per_level(lambda t: sys.coeff_at(t, grid.xs[:, None]))):
+                                      lambda ts: _coefficients(sys, ts, grid.xs[:, None])):
         out[rows] = (np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
                      + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
                      + np.einsum("lpij,lpj->lpi", C, vals[rows]))

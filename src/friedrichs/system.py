@@ -60,7 +60,7 @@ class GradientLayout:
 class FriedrichsSystem:
     chart: geometry.SpacetimeChart
     fiber_rank: int
-    coeff: Callable    # coeff(t, xs) -> (A (m, n+1, N, N), C (m, N, N))
+    coeff: Callable    # coeff(t, xs) -> (A (m, n+1, N, N), C (m, N, N)); t scalar or (m,)
     metric: Callable   # metric(t, xs) -> (m, N, N)
     metric_positive: bool
     name: str = "custom"
@@ -106,13 +106,9 @@ class FriedrichsSystem:
         """Sign s* with s*·G·σ(dt) ≻ 0 at samples; 0 if indefinite/singular."""
         if "time_sign" not in self._cache:
             ts, xs = self.chart.sample_interior(8)
-            pick = slice(None, None, max(1, xs.shape[0] // 16))
-            signs = set()
-            for t in ts[::3]:
-                A, _ = self.coeff_at(t, xs)
-                G = self.metric_at(t, xs)
-                W = np.einsum("pij,pjk->pik", G, A[:, 0])
-                signs.update(definiteness_sign(W[pick]).tolist())
+            t, x = geometry.spacetime_rows(ts[::3], xs[::max(1, xs.shape[0] // 16)])
+            W = np.einsum("pij,pjk->pik", self.metric_at(t, x), self.coeff_at(t, x)[0][:, 0])
+            signs = set(definiteness_sign(W).tolist())
             self._cache["time_sign"] = signs.pop() if len(signs) == 1 else 0
         return self._cache["time_sign"]
 
@@ -135,7 +131,8 @@ class FriedrichsSystem:
 
     def _split(self, t, xs, xi, A, G, beta=None):
         """``characteristics`` for a caller that holds the coefficient table A,
-        the metric table G and, optionally, the lapse table β at ``xs``.
+        the metric table G and, optionally, the lapse table β at the rows
+        (t, xs), t a scalar or one time per row.
 
         Under (S), P·σ(dt)⁻¹σ(ξ) = s*·β·G·σ(ξ) is Hermitian, so the pencil
         (s*·β·G·σ(ξ), P) gives the speeds without inverting σ(dt) (Golub &
@@ -150,9 +147,10 @@ class FriedrichsSystem:
             lam, V = eigh_pencil(companion_metric(s, beta, G, np.einsum("pm,pmij->pij", xi, A)), P)
         except np.linalg.LinAlgError as exc:
             bad = np.flatnonzero(np.linalg.eigvalsh(P)[:, 0] <= 0)
+            at = np.broadcast_to(t, len(xs))[bad[0] if bad.size else 0]
             where = f", x={xs[bad[0]]}" if bad.size else ""
             raise NotHyperbolicError(
-                f"σ(dt)-form singular or indefinite at t={t}{where}") from exc
+                f"σ(dt)-form singular or indefinite at t={at}{where}") from exc
         return lam, V, P
 
 
@@ -190,24 +188,21 @@ def check_symmetric(sys, per_axis=16):
     """Condition (S): G·A^μ Hermitian at every sampled point, to a relative
     asymmetry of 1e−9."""
     ts, xs = sys.chart.sample_interior(per_axis)
-    worst = 0.0
-    for t in ts[:: max(1, len(ts) // 8)]:
-        A, _ = sys.coeff_at(t, xs)
-        G = sys.metric_at(t, xs)
-        W = np.einsum("pij,pmjk->pmik", G, A)
-        asym = np.linalg.norm(W - np.conj(np.swapaxes(W, 2, 3)), axis=(2, 3))
-        scale = np.maximum(1.0, np.linalg.norm(W, axis=(2, 3)))
-        worst = max(worst, float(np.max(asym / scale)))
+    t, x = geometry.spacetime_rows(ts[:: max(1, len(ts) // 8)], xs)
+    W = np.einsum("pij,pmjk->pmik", sys.metric_at(t, x), sys.coeff_at(t, x)[0])
+    asym = np.linalg.norm(W - np.conj(np.swapaxes(W, 2, 3)), axis=(2, 3))
+    worst = float(np.max(asym / np.maximum(1.0, np.linalg.norm(W, axis=(2, 3)))))
     return SymmetryReport(worst < 1e-9, worst)
 
 
 def check_hyperbolic(sys, per_axis=8, seed=0):
     """Condition (H) over sampled points and a sampled future timelike cone.
 
-    At each sampled time every point gets dt and 16 random future
-    timelike covectors (dx-part of β-scaled h⁻¹-length below 0.95), drawn
-    point by point from one seeded stream; every σ(τ) and its spectrum is
-    formed in one batch, and a form counts as positive above 1e−10.
+    Every sampled (time, point) gets dt and 16 random future timelike
+    covectors (dx-part of β-scaled h⁻¹-length below 0.95), drawn point by
+    point, times outer, from one seeded stream; the coefficients of every
+    sample are evaluated in one call, every σ(τ) and its spectrum is formed
+    in one batch, and a form counts as positive above 1e−10.
     ``verdict`` is the literal condition for the +dt cone;
     ``oriented_verdict`` allows the system's time sign s*.
     ``dt_form_positive`` reports the weaker hypothesis that ⟨σ(dt)·,·⟩ alone
@@ -223,29 +218,24 @@ def _hyperbolic(sys, per_axis=8, seed=0):
     n_cone, tol = 16, 1e-10
     rng = np.random.default_rng(seed)
     ts, xs = sys.chart.sample_interior(per_axis)
-    xs = xs[:: max(1, xs.shape[0] // 16)]
-    n = sys.dim_space
-    evs = []
-    for t in ts[:: max(1, len(ts) // 4)]:
-        A, _ = sys.coeff_at(t, xs)
-        G = sys.metric_at(t, xs)
-        hinv = sys.chart.h_inv_at(t, xs)
-        beta = sys.chart.beta_at(t, xs)
-        u, rho = np.empty((xs.shape[0], n_cone, n)), np.empty((xs.shape[0], n_cone))
-        for k in np.ndindex(rho.shape):
-            u[k], rho[k] = rng.standard_normal(n), rng.uniform(0.0, 0.95)
-        norm = np.sqrt(np.einsum("pci,pij,pcj->pc", u, hinv, u))
-        taus = np.zeros((xs.shape[0], n_cone + 1, n + 1), dtype=complex)
-        taus[:, :, 0] = 1.0
-        taus[:, 1:, 1:] = (rho / beta[:, None])[..., None] * u / norm[..., None]
-        W = G[:, None] @ np.einsum("pcm,pmij->pcij", taus, A)
-        evs.append(np.linalg.eigvalsh(0.5 * (W + np.conj(np.swapaxes(W, 2, 3)))))
-    ev = np.stack(evs)  # (time, point, covector with dt first, ascending)
+    t, x = geometry.spacetime_rows(ts[:: max(1, len(ts) // 4)], xs[:: max(1, xs.shape[0] // 16)])
+    n, m = sys.dim_space, len(x)
+    A, _ = sys.coeff_at(t, x)
+    G, hinv, beta = sys.metric_at(t, x), sys.chart.h_inv_at(t, x), sys.chart.beta_at(t, x)
+    u, rho = np.empty((m, n_cone, n)), np.empty((m, n_cone))
+    for k in np.ndindex(rho.shape):
+        u[k], rho[k] = rng.standard_normal(n), rng.uniform(0.0, 0.95)
+    norm = np.sqrt(np.einsum("pci,pij,pcj->pc", u, hinv, u))
+    taus = np.zeros((m, n_cone + 1, n + 1), dtype=complex)
+    taus[:, :, 0] = 1.0
+    taus[:, 1:, 1:] = (rho / beta[:, None])[..., None] * u / norm[..., None]
+    W = G[:, None] @ np.einsum("pcm,pmij->pcij", taus, A)
+    ev = np.linalg.eigvalsh(0.5 * (W + np.conj(np.swapaxes(W, 2, 3))))
+    # ev: (sample, covector with dt first, ascending)
     s = sys.time_sign
     min_eig = float(ev[..., 0].min())
     oriented = s != 0 and float((s * ev).min()) > tol
-    return HyperbolicReport(min_eig > tol, oriented, min_eig, s,
-                            bool(np.all(ev[:, :, 0, 0] > tol)))
+    return HyperbolicReport(min_eig > tol, oriented, min_eig, s, bool(np.all(ev[:, 0, 0] > tol)))
 
 
 def check_conditions(sys, seed=0):
@@ -261,7 +251,8 @@ def formal_adjoint(sys):
     """Formal adjoint S† in L²(G, β√det h): −A^{μ†}∇_μ − divergence term + C†.
 
     Adjoints of matrices are taken with respect to the fiber Gram matrix;
-    coefficient and volume-density derivatives are centered differences.
+    coefficient and volume-density derivatives are centered differences, in
+    t with a step per row.
     """
     chart = sys.chart
     n = sys.dim_space
@@ -282,8 +273,9 @@ def formal_adjoint(sys):
         A_adj = -np.einsum("pij,pmkj,pkl->pmil", Ginv, np.conj(A), G)
         C_adj = np.einsum("pij,pkj,pkl->pil", Ginv, np.conj(C), G)
         div = np.zeros_like(C)
-        ht = FD_STEP * (1.0 + abs(t))
-        div += (weighted(t + ht, xs)[:, 0] - weighted(t - ht, xs)[:, 0]) / (2 * ht)
+        ht = FD_STEP * (1.0 + np.abs(t))
+        div += ((weighted(t + ht, xs)[:, 0] - weighted(t - ht, xs)[:, 0])
+                / (2 * np.reshape(ht, (-1, 1, 1))))
         for a in range(n):
             hx = FD_STEP * (1.0 + np.abs(xs[:, a]))
             dx = np.zeros_like(xs)
@@ -315,32 +307,27 @@ def check_positive(sys):
     """Condition (P): per-slice lower bound of the symmetrized zero-order term.
 
     c_t is the smallest eigenvalue of the endomorphism Re(S† + S) over the
-    24-cell lattice of each of 9 slices; for an indefinite fiber metric the
-    spectrum is taken from the endomorphism directly (real up to roundoff for
-    the catalog systems).  (P) holds when every c_t exceeds 1e−10.
+    24-cell lattice of each of 9 slices, all evaluated in one call; for an
+    indefinite fiber metric the spectrum is taken from the endomorphism
+    directly (real up to roundoff for the catalog systems).  (P) holds when
+    every c_t exceeds 1e−10.
     """
-    chart = sys.chart
-    ts = chart.sample_times(9)
-    _, xs = chart.sample_interior(24)
-    c_by_slice = np.empty(len(ts))
-    for k, t in enumerate(ts):
-        Z_h, G = zero_order_symmetrization(sys, t, xs)
-        if sys.metric_positive:
-            ev, _ = eigh_pencil(G @ Z_h, G)
-        else:
-            ev = np.linalg.eigvals(Z_h)
-        c_by_slice[k] = float(np.min(ev.real))
+    ts = sys.chart.sample_times(9)
+    _, xs = sys.chart.sample_interior(24)
+    Z_h, G = zero_order_symmetrization(sys, *geometry.spacetime_rows(ts, xs))
+    ev = eigh_pencil(G @ Z_h, G)[0] if sys.metric_positive else np.linalg.eigvals(Z_h)
+    c_by_slice = np.min(ev.real.reshape(len(ts), -1), axis=1)
     c_min = float(np.min(c_by_slice))
     return PositivityReport(c_by_slice, c_min, c_min > 1e-10)
 
 
 def constant_characteristic(sys, n_time=8, n_tang=4):
-    """dim ker σ(n♭) along the boundary: (is it constant, common dimension)."""
-    dims = []
-    for q in geometry.all_boundary_points(sys.chart, n_time, n_tang):
-        nb = geometry.outward_normal(sys.chart, q)
-        sn = sys.symbol(q.t, q.x, nb)
-        dims.append(sys.fiber_rank - matrix_rank(sn))
+    """dim ker σ(n♭) along the boundary: (is it constant, common dimension),
+    from one evaluation of the coefficients at every sampled point."""
+    qs = geometry.all_boundary_points(sys.chart, n_time, n_tang)
+    nb = np.array([geometry.outward_normal(sys.chart, q) for q in qs], dtype=complex)
+    A, _ = sys.coeff_at(np.array([q.t for q in qs]), np.array([q.x for q in qs]))
+    dims = [sys.fiber_rank - matrix_rank(sn) for sn in np.einsum("pm,pmij->pij", nb, A)]
     return len(set(dims)) == 1, dims[0]
 
 

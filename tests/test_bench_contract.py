@@ -115,10 +115,10 @@ def test_benchmark_workloads_keep_their_grid_sizes(name, tmp_path):
     assert [(grid.nx, grid.nt) for grid in workload.grids] == BENCH_GRIDS[name]
 
 
-def test_time_dependent_wave_solve_and_trace_evaluate_each_level_once(monkeypatch):
-    # the explicit solve records its energy trace from the tables its steps
-    # build: one coefficient evaluation per level (nt steps and the last
-    # level), beside the admissibility sampling, and none in energy_trace;
+def test_time_dependent_wave_solve_and_trace_evaluate_each_block_once(monkeypatch):
+    # the explicit solve evaluates the coefficients once per block of levels
+    # it steps, and energy_trace, the one energy path, once per block of the
+    # levels it traces, beside the admissibility sampling (one call per face);
     # the refusal policy certifies (S) once per system, before the count
     study = studies.TimedepSolves(np.random.default_rng(0))
     wave, bcs = study.wave, study.neumann
@@ -133,5 +133,6 @@ def test_time_dependent_wave_solve_and_trace_evaluate_each_level_once(monkeypatc
     calls.clear()
     h = studies.first_component(wave, grid.xs, studies.bump(grid.xs, 0.5, 0.2))
     trace = solver.energy_trace(solver.solve(wave, bcs, h=h, grid=grid), wave)
-    assert not wave.static and admissibility > 0 and np.isfinite(trace.energy).all()
-    assert len(calls) == grid.nt + 1 + admissibility
+    assert not wave.static and admissibility == 2 and np.isfinite(trace.energy).all()
+    blocks = -(-grid.nt // solver._BLOCK) + -(-(grid.nt + 1) // solver._BLOCK)
+    assert grid.nt > 2 * solver._BLOCK and len(calls) == blocks + admissibility

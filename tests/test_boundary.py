@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs import boundary, clifford, geometry, reduction, solver, system
 from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_symbol
 from friedrichs.errors import UnsupportedDimensionError
-from friedrichs.linalg import eigh_pencil, kernel, Subspace
+from friedrichs.linalg import eigh_pencil, kernel, matrix_rank, Subspace
 
 
 @pytest.fixture
@@ -144,8 +149,9 @@ def test_rank_plus_negative_count_fills_fiber(dirac, wave):
 
 
 @pytest.mark.parametrize("case", ["dirac_mit", "wave_neumann", "heat_robin"])
-def test_admissibility_evaluates_each_sampled_point_once(case, dirac, wave, strip, monkeypatch):
-    # one coeff_at and one metric_at per point: σ(n♭), the form of (ii) and
+def test_admissibility_evaluates_all_sampled_points_at_once(case, dirac, wave, strip, monkeypatch):
+    # one coeff_at, one metric_at and, when σ(dt) is definite, one
+    # characteristic split for all the points: σ(n♭), the form of (ii) and
     # the count of (iii) read the same tables
     rep, dsys = dirac
     heat = reduction.reaction_diffusion_to_first_order(
@@ -155,11 +161,16 @@ def test_admissibility_evaluates_each_sampled_point_once(case, dirac, wave, stri
                 "heat_robin": (heat, boundary.robin(1.0, 1.0, heat.layout))}[case]
     sys_.time_sign                          # cached before counting
     calls = []
-    for name in ("coeff_at", "metric_at"):
+    for name in ("coeff_at", "metric_at", "_split"):
         monkeypatch.setattr(sys_, name, lambda *args, fn=getattr(sys_, name), name=name:
                             calls.append(name) or fn(*args))
-    assert admissibility(sys_, bc, n_time=8).admissible
-    assert sorted(calls) == ["coeff_at"] * 16 + ["metric_at"] * 16     # 8 times × 2 faces
+    split = ["_split"] if sys_.time_sign != 0 else []
+    assert admissibility(sys_, bc, n_time=8).admissible                 # 8 times × 2 faces
+    assert sorted(calls) == ["_split", "coeff_at", "metric_at"][1 - len(split):]
+    for face in (geometry.LEFT, geometry.RIGHT):
+        calls.clear()
+        assert admissibility(sys_, bc, n_time=8, faces=[face]).admissible
+        assert sorted(calls) == ["_split", "coeff_at", "metric_at"][1 - len(split):]
 
 
 def test_kernel_of_symbol_inside_boundary_space(wave, strip):
@@ -370,3 +381,117 @@ def test_each_condition_family_is_one_formula(chart):
                 expected = np.eye(rep.rank) - 0.5 * (np.eye(rep.rank) + sign * x)
                 assert np.allclose(builder(rep, sign).matrix(chart, q), expected,
                                    rtol=0.0, atol=1e-14)
+
+
+# -- the batched verifier against a point-by-point reference
+
+
+def reference_admissibility(sys_, bc, n_time, faces):
+    """``admissibility`` point by point: one coefficient and metric evaluation
+    and one one-row characteristic split per sampled point."""
+    chart = sys_.chart
+    ranks_by_face, spectra, ker_dims, counts, ranks = {}, {}, set(), set(), set()
+    min_form, witness, witness_val = np.inf, None, 0.0
+    for face in faces:
+        for q in geometry.boundary_points(chart, face, n_time, 4):
+            nb = geometry.outward_normal(chart, q)
+            A, G = sys_.coeff_at(q.t, q.x[None, :])[0], sys_.metric_at(q.t, q.x[None, :])
+            sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A[0])
+            ker_dims.add(sys_.fiber_rank - matrix_rank(sigma_n))
+            B = bc.kernel_space(chart, q)
+            ranks_by_face.setdefault(face, set()).add(B.rank)
+            ranks.add(B.rank)
+            lowest, v = boundary._form_on_boundary_space(G[0] @ sigma_n, B)
+            if lowest < min_form:
+                min_form = lowest
+                if v is not None:
+                    witness, witness_val = v, lowest
+            ev = sys_._split(q.t, q.x[None, :], nb, A, G)[0][0]
+            counts.add(int(np.sum(boundary.nonneg_mask(ev))))
+            spectra.setdefault(face, ev)
+    rank_constant = len(ranks) == 1
+    rank_B = ranks.pop() if rank_constant else -1
+    nonneg = counts.pop() if len(counts) == 1 else -1
+    rank_matches = rank_constant and nonneg >= 0 and rank_B == nonneg
+    cause = None if len(ker_dims) == 1 else (
+        "constant-characteristic violation: dim ker σ(n♭) jumps across samples")
+    return boundary.AdmissibilityReport(
+        rank_constant, {f: sorted(r) for f, r in ranks_by_face.items()}, witness is None,
+        float(min_form if np.isfinite(min_form) else 0.0), rank_matches, rank_B, nonneg,
+        rank_constant and witness is None and rank_matches and cause is None,
+        witness, witness_val, cause, spectra)
+
+
+def assert_same_report(rep, ref):
+    for f in dataclasses.fields(boundary.AdmissibilityReport):
+        got, want = getattr(rep, f.name), getattr(ref, f.name)
+        if f.name == "spectra":
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        elif f.name == "witness":
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+        else:
+            assert got == want, f.name
+
+
+@st.composite
+def systems_and_conditions(draw):
+    """A hyperbolic system A⁰ = G⁻¹S⁰, A¹ = β·G⁻¹S¹ (N ≤ 3) on a flat or a
+    sine-β(t) chart, and per face a G_B whose kernel B is random, maximal
+    nonnegative, a strict subspace of it, or it plus a negative direction."""
+    N = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0)
+
+    def matrix():
+        re, im = (np.array(draw(st.lists(entries, min_size=N * N, max_size=N * N)))
+                  for _ in range(2))
+        return (re + 1j * im).reshape(N, N)
+
+    X, Y, Z = matrix(), matrix(), matrix()
+    G, S0 = X @ X.conj().T + 0.5 * np.eye(N), Y @ Y.conj().T + 0.5 * np.eye(N)
+    S1 = 0.5 * (Z + Z.conj().T)
+    chart = (geometry.minkowski_strip((0.0, 0.5), (1.0,)) if draw(st.booleans()) else
+             geometry.named_profile_chart((0.0, 0.5), (1.0,), beta={
+                 "profile": "sine", "base": 1.2, "amplitude": 0.2, "waves": 1, "waves_t": 1.0}))
+    Ginv = np.linalg.inv(G)
+
+    def coeff(t, xs):
+        A = np.empty((xs.shape[0], 2, N, N), dtype=complex)
+        A[:, 0] = Ginv @ S0
+        A[:, 1] = chart.beta_at(t, xs)[:, None, None] * (Ginv @ S1)
+        return A, np.zeros((xs.shape[0], N, N), dtype=complex)
+
+    sys_ = system.FriedrichsSystem(chart, N, coeff,
+                                   lambda t, xs: np.broadcast_to(G, (xs.shape[0], N, N)),
+                                   metric_positive=True, time_independent=chart.time_independent)
+    gbs = {}
+    for face, sign in ((geometry.LEFT, -1.0), (geometry.RIGHT, 1.0)):
+        lam, U = scipy.linalg.eigh(sign * S1, S0)       # the face's boundary form on the pencil
+        keep = lam >= -1e-9 * max(1.0, float(np.max(np.abs(lam))))
+        kind = draw(st.sampled_from(["random", "maximal", "sub", "super"]))
+        if kind == "random":
+            r = draw(st.integers(0, N))
+            gbs[face] = matrix()[:, :r] @ matrix()[:r]
+            continue
+        cols = U[:, keep]
+        if kind == "sub" and cols.shape[1]:
+            cols = cols[:, 1:]
+        elif kind == "super" and not keep.all():
+            cols = np.concatenate([cols, U[:, ~keep][:, :1]], axis=1)
+        K = np.linalg.qr(cols)[0] if cols.shape[1] else np.zeros((N, 0))
+        gbs[face] = np.eye(N) - K @ K.conj().T
+    bc = boundary.custom_bc(lambda chart, q: gbs[q.face])
+    return sys_, bc
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(systems_and_conditions(), st.integers(1, 5))
+def test_admissibility_matches_the_point_by_point_reference(case, n_time):
+    # one evaluation and one split for all the points give every field of
+    # the report, the witness and the spectra included, bitwise
+    sys_, bc = case
+    for faces in ([geometry.LEFT], [geometry.RIGHT], None):
+        rep = admissibility(sys_, bc, n_time=n_time, n_tang=4, faces=faces)
+        ref = reference_admissibility(sys_, bc, n_time, faces or sys_.chart.faces())
+        assert_same_report(rep, ref)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -645,21 +647,27 @@ def test_energy_trace_time_dependent_without_positive_metric():
 
 
 def test_implicit_time_dependent_assembles_once_per_step(strip, monkeypatch):
+    # every level's operator is assembled and factored, from coefficients
+    # evaluated once per block of levels
     prob = reduction.SecondOrderProblem(
         "reaction_diffusion", strip, k=1,
         c=lambda t, xs: 0.3 * np.sin(2 * np.pi * t), static_coeffs=False)
     rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
-    grid = make_grid(rd, 24, t_final=0.1)
-    assembled = []
+    grid = make_grid(rd, 24, t_final=0.4)
+    bcs = boundary.robin(0.0, 1.0, rd.layout)
+    assembled, evaluated = [], []
     real = solver._implicit_matrix
 
-    def counting(sys_, bc_map, grid_, t):
+    def counting(sys_, bc_map, grid_, t, A, C):
         assembled.append(t)
-        return real(sys_, bc_map, grid_, t)
+        return real(sys_, bc_map, grid_, t, A, C)
 
     monkeypatch.setattr(solver, "_implicit_matrix", counting)
-    solve(rd, boundary.robin(0.0, 1.0, rd.layout), grid=grid)
-    assert assembled == list(grid.ts[1:])
+    monkeypatch.setattr(rd, "coeff_at",
+                        lambda t, xs, fn=rd.coeff_at: evaluated.append(t) or fn(t, xs))
+    solve(rd, bcs, grid=grid, force=True)
+    assert assembled == list(grid.ts[1:]) and grid.nt > solver._BLOCK
+    assert len(evaluated) == -(-grid.nt // solver._BLOCK)
 
 
 @pytest.mark.parametrize("eps", [5e-10, -5e-10])
@@ -1055,6 +1063,25 @@ def test_grid_is_sized_over_the_run_not_the_chart():
     assert max(realised_cfl(sys_, grid, t) for t in grid.ts) <= 0.5
 
 
+@pytest.mark.parametrize("speed, c", [(0.0, 3.0), (0.01, 300.0)])
+def test_grid_resolves_the_zero_order_term(speed, c):
+    # Δt·ρ(σ(dt)⁻¹C) ≤ cfl as well as the CFL bound: with (almost) no
+    # characteristic speed, a decay rate c is still never stepped across in
+    # one forward-Euler step (at nt = 1, Ψ(1) = 1 − c instead of e⁻ᶜ)
+    chart = geometry.minkowski_strip((0.0, 1.0), (1.0,))
+    sys_ = system.constant_system(chart, [np.eye(1), speed * np.eye(1)], c * np.eye(1))
+    grid = make_grid(sys_, 32, cfl=0.5)
+    assert grid.dt * c <= 0.5 * (1 + 1e-12) and grid.nt == math.ceil(2 * c)
+    bcs = {LEFT: boundary.zero_trace(1) if speed else boundary.no_condition(1),
+           RIGHT: boundary.no_condition(1)}
+    fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    far = fld.values[-1, grid.xs > 0.5, 0].real      # beyond the inflow's reach
+    euler = (1 - c * grid.dt) ** grid.nt
+    assert np.allclose(far, euler, rtol=1e-9, atol=0.0)
+    assert np.all((0.0 <= far) & (far <= np.exp(-c)))     # 0 ≤ (1 − cΔt)ⁿ ≤ e^{−cT}
+    assert np.max(np.exp(-c) - far) <= 0.5 * c ** 2 * grid.dt     # first order in Δt
+
+
 def forcing_cases():
     strip = geometry.minkowski_strip((0.0, 0.4), (1.0,))
     sine = geometry.named_profile_chart((0.0, 0.3), (1.0,), beta=dict(SINE_BETA, base=1.3))
@@ -1153,9 +1180,9 @@ def sine_beta_wave():
 
 
 @pytest.mark.parametrize("nt", [None, 15, 5])   # a partial last block, two full ones, one short one
-def test_explicit_solve_records_the_per_level_trace(nt):
-    # a time-dependent explicit solve records its trace from its own tables;
-    # energy_trace returns a copy of it, bitwise the level-by-level trace
+def test_energy_trace_of_a_time_dependent_solve_is_the_per_level_trace(nt):
+    # a solve carries no energy; energy_trace, the one energy path, gives
+    # the level-by-level trace bitwise
     sys_, bcs = sine_beta_wave()
     grid = make_grid(sys_, 24)
     if nt is None:
@@ -1164,64 +1191,32 @@ def test_explicit_solve_records_the_per_level_trace(nt):
         grid = make_grid(sys_, 24, t_final=nt * grid.dt, nt=nt)
     fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0), 2: (0.4, 0.2, 0.5)}, 3),
                 grid=grid)
-    assert fld.energy[0] is sys_
+    assert [f.name for f in dataclasses.fields(fld)] == ["values", "grid", "source"]
     tr = energy_trace(fld, sys_)
     energy, flux = reference_energy_trace(fld, sys_)
     assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
     assert np.array_equal(tr.ts, grid.ts)
-    tr.energy[:] = 0.0                          # a copy: the carried trace is untouched
-    assert np.array_equal(energy_trace(fld, sys_).energy, energy)
 
 
-def counted_energy_tables(monkeypatch):
-    calls = []
-    real = solver._energy_tables
-
-    def counting(sys_, grid, t):
-        calls.append(t)
-        return real(sys_, grid, t)
-
-    monkeypatch.setattr(solver, "_energy_tables", counting)
-    return calls
-
-
-def test_energy_trace_of_another_system_evaluates_its_own_tables(monkeypatch):
-    sys_, bcs = sine_beta_wave()
-    grid = make_grid(sys_, 24)
-    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
-    calls = counted_energy_tables(monkeypatch)
-    energy_trace(fld, sys_)
-    assert calls == []
-    shifted = system.lambda_shift(sys_, 0.5)
-    tr = energy_trace(fld, shifted)
-    assert calls == list(grid.ts)
-    energy, flux = reference_energy_trace(fld, shifted)
-    assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
-
-
-def test_a_field_that_carries_its_trace_is_read_only():
-    sys_, bcs = sine_beta_wave()
-    fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3),
-                grid=make_grid(sys_, 16))
-    with pytest.raises(ValueError, match="read-only"):
-        fld.values[1, 2, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        fld.values *= 2.0
-
-
-@pytest.mark.parametrize("case", ["kg_sine_beta", "dirac"])
-def test_implicit_and_static_fields_carry_no_trace(case, monkeypatch):
-    # a time-dependent implicit solve and a static explicit one record
-    # nothing: energy_trace evaluates their tables as before
+@pytest.mark.parametrize("case", ["wave_sine_beta", "kg_sine_beta", "dirac"])
+def test_energy_trace_evaluates_its_tables_once_per_block(case, monkeypatch):
+    # explicit and implicit, static and time-dependent alike: one evaluation
+    # per block of levels, once in total for a static system
     sys_, nx = energy_cases()[case]
-    bcs = boundary.dirichlet(sys_.layout) if case == "kg_sine_beta" else dirac_setup(sys_.chart)[1]
+    bcs = {"wave_sine_beta": lambda: sine_beta_wave()[1],
+           "kg_sine_beta": lambda: boundary.dirichlet(sys_.layout),
+           "dirac": lambda: dirac_setup(sys_.chart)[1]}[case]()
     grid = make_grid(sys_, nx)
     fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank),
                 grid=grid)
-    assert fld.energy is None and fld.values.flags.writeable
-    calls = counted_energy_tables(monkeypatch)
+    calls = []
+    real = solver._energy_tables
+    monkeypatch.setattr(solver, "_energy_tables",
+                        lambda sys_, grid, ts: calls.append(list(ts)) or real(sys_, grid, ts))
     tr = energy_trace(fld, sys_)
-    assert calls == (list(grid.ts) if case == "kg_sine_beta" else [grid.t0])
+    blocks = [list(grid.ts[i:i + solver._BLOCK]) for i in range(0, grid.nt + 1, solver._BLOCK)]
+    assert grid.nt + 1 > solver._BLOCK
+    assert calls == ([[grid.t0]] if sys_.static else blocks)
     energy, flux = reference_energy_trace(fld, sys_)
     assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
 
@@ -1293,7 +1288,8 @@ def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
     built = []
     real = solver._factor
     monkeypatch.setattr(solver, "_factor", lambda B, *args: built.append(B) or real(B, *args))
-    solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3])
+    A, C = sys_.coeff_at(grid.ts[3], grid.xs[:, None])
+    solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3], A, C)
     B, = built
     csc, ref = solver._csc(B), reference_csc(B)
     assert ref.has_sorted_indices and ref.nnz < B.size
@@ -1457,13 +1453,11 @@ def test_block_tables_equal_the_per_level_tables(nt, monkeypatch):
     sizes = [len(ts) for ts, _ in blocks]
     assert sum(sizes) == grid.nt and all(s == solver._BLOCK for s in sizes[:-1])
     assert (sizes[-1] == solver._BLOCK) == (grid.nt % solver._BLOCK == 0)
-    for ts, (B, dt_a0inv, energy_tables) in blocks:
+    for ts, (B, dt_a0inv) in blocks:
         for level, t in enumerate(ts):
             ref = solver._explicit_tables(sys_, bc_map, grid, t, False)
             assert_close(B[level], ref[0][0], 1e-14)
             assert_close(dt_a0inv[level], ref[1][0], 1e-14)
-            for table, ref_table in zip(energy_tables, ref[2]):
-                assert_close(table[level], ref_table[0], 1e-14)
 
 
 def dipping_advection(chart, a0, a1):
@@ -1488,7 +1482,7 @@ def stepped_levels():
 
 
 def in_window(t):
-    return 0.035 < t < 0.065         # between the times the set-up checks sample
+    return (0.035 < t) & (t < 0.065)    # between the times the set-up checks sample
 
 
 def test_not_hyperbolic_level_raises_after_the_levels_before_it():
@@ -1517,7 +1511,7 @@ def test_closure_error_raises_at_its_level_after_the_levels_before_it():
     # closure refuses once the levels before it are stepped
     chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
     sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
-                             lambda t, x: np.full_like(x, -1.0 if in_window(t) else 1.0))
+                             lambda t, x: np.where(in_window(t), -1.0, np.ones_like(x)))
     grid = make_grid(sys_, 16)
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
     assert 0 < m and m % solver._BLOCK != 0
@@ -1534,14 +1528,14 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     # straddle the window, which are built one level at a time instead
     chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
     sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
-                             lambda t, x: np.full_like(x, -1.0 if in_window(t) else 1.0))
+                             lambda t, x: np.where(in_window(t), -1.0, np.ones_like(x)))
     bcs = {face: boundary.custom_bc(lambda chart, q, face=face: np.array(
         [[float(in_window(q.t) == (face == RIGHT))]])) for face in (LEFT, RIGHT)}
     grid = make_grid(sys_, 16)
 
     def run():
         fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid, force=True)
-        return fld.values, fld.energy[1].energy
+        return fld.values, energy_trace(fld, sys_).energy
 
     blocks = recorded_blocks(monkeypatch)
     values, energy = run()

@@ -278,7 +278,7 @@ def test_check_conditions_of_the_wave(strip):
 
 def test_check_conditions_certifies_symmetry_once(strip, monkeypatch):
     # check_hyperbolic certifies (S) as its guard; check_conditions has just
-    # certified it and must not repeat the 8-slice (S) loop
+    # certified it and must not repeat the (S) evaluation
     sys_ = clifford.dirac_system(clifford.build_rep(2), strip)
     assert sys_.time_sign == -1      # cached before counting
     calls = []
@@ -295,7 +295,7 @@ def test_check_conditions_certifies_symmetry_once(strip, monkeypatch):
     pos, n_pos = counted(check_positive, sys_)
     char, n_char = counted(constant_characteristic, sys_)
     (sym2, hyp2, pos2, char2), n_all = counted(check_conditions, sys_, seed=3)
-    assert n_sym == 8
+    assert n_sym == 1 and n_hyp == 2 and n_char == 1     # each check's samples in one call
     assert n_all == n_hyp + n_pos + n_char       # one (S), not two
     assert sym2.verdict and hyp2 == hyp and char2 == char
     assert np.array_equal(pos2.c_by_slice, pos.c_by_slice) and pos2.c_min == pos.c_min
@@ -357,8 +357,9 @@ def test_check_hyperbolic_matches_the_pointwise_reference(name, seed):
     assert rep.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=1e-12)
 
 
-def test_check_hyperbolic_evaluates_coefficients_once_per_slice(strip, monkeypatch):
-    # 8 slices of check_symmetric's guard and 4 of the cone, with s* cached
+def test_check_hyperbolic_evaluates_coefficients_once_per_check(strip, monkeypatch):
+    # the 8 slices of check_symmetric's guard in one call, and the 4 of the
+    # cone in one more, with s* cached
     wave = wave_system(strip)
     assert wave.time_sign == 1
     calls = []
@@ -366,7 +367,7 @@ def test_check_hyperbolic_evaluates_coefficients_once_per_slice(strip, monkeypat
     monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",
                         lambda self, t, xs: calls.append(t) or coeff_at(self, t, xs))
     check_hyperbolic(wave, per_axis=8)
-    assert len(calls) == 12
+    assert len(calls) == 2
 
 
 def test_characteristics_split_in_the_companion_metric(strip):
@@ -421,18 +422,41 @@ def _catalog():
 CATALOG = _catalog()
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(sorted(CATALOG)), st.floats(0.0, 1.0),
-       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12), st.data())
-def test_a_coefficient_row_does_not_depend_on_the_rest_of_the_batch(name, t, xs, data):
-    # the solver slices one table on cells ∪ faces, so every row must be
-    # exactly what evaluating at that point alone gives
-    xs = np.array(xs)[:, None]
+def _evaluators():
+    """name -> fn(t, xs): the tables of each catalog system and its adjoint,
+    of the systems derived from them, and of the chart's β and h."""
+    systems = {**CATALOG,
+               "wave_normalized": system.beta_normalize(CATALOG["wave"]),
+               "dirac_normalized": system.beta_normalize(CATALOG["dirac"]),
+               "heat_shift": system.lambda_shift(CATALOG["heat"], 0.7),
+               "wave_reversed": solver.time_reversed(CATALOG["wave"], (0.1, 0.9)),
+               "dirac_reversed": solver.time_reversed(CATALOG["dirac"], (0.0, 1.0))}
+    fns = {name: lambda t, xs, s=s: (*s.coeff_at(t, xs), s.metric_at(t, xs))
+           for name, s in systems.items()}
+    chart = CATALOG["wave"].chart
+    fns["chart"] = lambda t, xs: (chart.beta_at(t, xs), chart.h_at(t, xs), chart.h_inv_at(t, xs))
+    return fns
+
+
+EVALUATORS = _evaluators()
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(EVALUATORS)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=12),
+       st.booleans(), st.data())
+def test_a_coefficient_row_does_not_depend_on_the_rest_of_the_batch(name, rows, one_time, data):
+    # the solver evaluates a block of levels on cells ∪ faces in one call,
+    # one time per row, so every row must be exactly what evaluating at that
+    # (t, x) alone gives; ``one_time`` passes the first row's t as a scalar
+    ts, xs = np.array(rows).T
+    ts, xs = (ts[0] if one_time else ts), xs[:, None]
     i = data.draw(st.integers(0, len(xs) - 1))
-    A, C = CATALOG[name].coeff_at(t, xs)
-    A1, C1 = CATALOG[name].coeff_at(t, xs[i:i + 1])
-    assert A[i].tobytes() == A1[0].tobytes()
-    assert C[i].tobytes() == C1[0].tobytes()
+    batch = EVALUATORS[name](ts, xs)
+    alone = EVALUATORS[name](float(np.broadcast_to(ts, len(xs))[i]), xs[i:i + 1])
+    for table, row in zip(batch, alone):
+        assert table.shape[0] == len(xs)
+        assert table[i].tobytes() == row[0].tobytes()
 
 
 def time_sign_reference(sys_):
