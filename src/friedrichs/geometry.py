@@ -175,26 +175,25 @@ def spatial_density(chart, t, xs):
 
 
 def _speed_samples(chart, system, per_axis, t_range):
-    """The (t, x) rows of ``max_characteristic_speed``'s samples, one time
-    per row."""
+    """The (t, x) rows of ``max_characteristic_speed``'s samples over
+    ``t_range``, one time per row."""
     axes = [np.linspace(0.0, L, per_axis + 1) for L in chart.space_extent]
     xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    ts = np.linspace(*(chart.t_range if t_range is None else t_range),
-                     1 if system.static else 8)
+    ts = np.linspace(*t_range, 1 if system.static else 8)
     return spacetime_rows(ts, xs)
 
 
-def max_characteristic_speed(chart, system, per_axis=16, t_range=None):
+def max_characteristic_speed(chart, system, per_axis=16):
     """sup |λ| over the speeds λ of σ(dt)⁻¹σ(dxʲ) from ``system.characteristics``
     at the nodes of the uniform ``per_axis``-cell lattice: in one dimension
     the faces that an explicit step on ``per_axis`` cells splits at.  Once, at
-    the start of ``t_range`` (default: the chart's), for a static system;
-    otherwise at 8 evenly spaced times of ``t_range``; all in one call.
+    the chart's first time, for a static system; otherwise at 8 evenly spaced
+    times of the chart's interval; all in one call.
 
     Raises NotHyperbolicError when the σ(dt)-form is singular or indefinite
     at a node (either definite sign is the system's time orientation).
     """
-    ts, xs = _speed_samples(chart, system, per_axis, t_range)
+    ts, xs = _speed_samples(chart, system, per_axis, chart.t_range)
     n = chart.dim_space
     xi = np.tile(np.eye(n + 1)[1:], (len(xs), 1))       # dx¹ … dxⁿ at each sample
     return float(np.max(np.abs(system.characteristics(

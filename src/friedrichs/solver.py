@@ -20,6 +20,8 @@ time-dependent one factors every level with banded LAPACK.
 
 Coefficient tables are evaluated for a block of levels at once: every
 coefficient callable takes one time per row (``geometry.spacetime_rows``).
+Real problems step in real arithmetic: a field is float64 while its tables,
+h₀ and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
 """
 
 import functools
@@ -63,8 +65,8 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
     run's interval [t₀, t_final]: exactly the explicit step's speeds for a
     static system; for a time-dependent one, the step's CFL guard checks the
     levels between the sample times.  Δt also keeps Δt·ρ ≤ CFL, ρ the largest
-    spectral radius of σ(dt)⁻¹C at the same samples (one evaluation), so a
-    zero-order term is never stepped across in one forward-Euler step.
+    spectral radius of σ(dt)⁻¹C at the same samples (one evaluation for both),
+    so a zero-order term is never stepped across in one forward-Euler step.
 
     For systems with singular σ(dt) (implicit stepping, no CFL constraint)
     the nominal speed 1 is used and the grid is node-based.
@@ -86,8 +88,9 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
         raise ConfigError(f"t_final must be later than t0 = {t0!r}, got {t1!r}")
     speed, rate = 1.0, 0.0
     if staggered:
-        speed = geometry.max_characteristic_speed(chart, sys, per_axis=nx, t_range=(t0, t1))
-        A, C = sys.coeff_at(*geometry._speed_samples(chart, sys, nx, (t0, t1)))
+        t, x = geometry._speed_samples(chart, sys, nx, (t0, t1))
+        A, C = sys.coeff_at(t, x)
+        speed = float(np.max(np.abs(sys._split(t, x, (0.0, 1.0), A, sys.metric_at(t, x))[0])))
         rate = float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(A[:, 0], C)))))
     T = t1 - t0
     if nt is None:
@@ -103,23 +106,23 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
 
 @dataclass
 class GridField:
-    """Sampled space-time section: values of shape (nt+1, n_x, N).  A Green
-    operator's field carries its source as ``(f, forcing table)``.  A field
-    carries no energy: ``energy_trace`` evaluates it from the values."""
+    """Sampled space-time section: values (nt+1, n_x, N), float64 when real,
+    else complex128.  A Green operator's field carries its source as ``(f,
+    forcing table)``; ``energy_trace`` evaluates its energy from the values."""
 
     values: np.ndarray
     grid: Grid
     source: tuple = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.asarray(self.values, np.result_type(np.asarray(self.values), float))
 
     def pointwise_norm(self):
         return np.linalg.norm(self.values, axis=2)
 
 
 def write_field(path, fld):
-    """Flat binary dump with a one-line text header (dims + dtype)."""
+    """Flat binary dump with a one-line text header (dims + dtype), always complex128."""
     vals = np.ascontiguousarray(fld.values.astype("<c16"))
     nt1, nx, N = vals.shape
     header = f"field nt1={nt1} nx={nx} N={N} dtype=complex128 byteorder=little\n"
@@ -139,9 +142,7 @@ def _as_bc_map(sys, bcs):
 
 
 def _eval_forcing(f, t, xs, N):
-    if f is None:
-        return None
-    out = np.asarray(f(t, xs[:, None]), dtype=complex)
+    out, = _real(f(t, xs[:, None]))
     if out.shape != (xs.size, N):
         raise ConfigError(f"forcing must return shape ({xs.size}, {N})")
     return out
@@ -155,7 +156,7 @@ def _source(f, grid, N):
         return lambda m, t: None
     if callable(f):
         return lambda m, t: _eval_forcing(f, t, grid.xs, N)
-    table = np.asarray(f, dtype=complex)
+    table, = _real(f)
     if table.shape != (grid.nt + 1, grid.xs.size, N):
         raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = "
                           f"{(grid.nt + 1, grid.xs.size, N)}, got {table.shape}")
@@ -163,12 +164,28 @@ def _source(f, grid, N):
 
 
 def _eval_initial(h, xs, N):
-    if h is None:
-        return np.zeros((xs.size, N), dtype=complex)
-    arr = np.asarray(h(xs) if callable(h) else h, dtype=complex)
+    arr, = _real(np.zeros((xs.size, N)) if h is None else h(xs) if callable(h) else h)
     if arr.shape != (xs.size, N):
         raise ConfigError(f"initial data must have shape ({xs.size}, {N})")
     return arr
+
+
+def _real(*arrays):
+    """The arrays as float64 when none has a nonzero imaginary part, else as
+    complex128: the one place a solve picks its arithmetic (``_field``)."""
+    if any(np.iscomplexobj(a) and np.any(np.imag(a)) for a in arrays):
+        return [np.asarray(a, complex) for a in arrays]
+    return [np.ascontiguousarray(np.real(a), float) for a in arrays]
+
+
+def _field(out, h0, nt, *tables):
+    """The field for the next level, allocated at the first with h₀ at level 0,
+    in the widest dtype of h₀ and every level's tables and forcing so far."""
+    dtype = np.result_type(h0 if out is None else out, *tables)    # a None table: no forcing
+    if out is None:
+        out = np.empty((nt + 1, *h0.shape), dtype)
+        out[0] = h0
+    return out.astype(dtype, copy=False)
 
 
 def _finite(psi, m, t):
@@ -306,14 +323,11 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
     is stepped, so each refusal comes at its own level with its own message,
     once every earlier level is stepped."""
     nx, N = grid.nx, sys.fiber_rank
-    out = np.empty((grid.nt + 1, nx, N), dtype=complex)
-    out[0] = _finite(h0, 0, grid.t0)
-    pad = np.zeros((nx + 2) * N, dtype=complex)     # Ψ and a zero ghost cell each side
-    window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
+    out = pad = None
 
     def tables(ts):
         try:
-            return _explicit_tables(sys, bc_map, grid, ts, force)
+            return _real(*_explicit_tables(sys, bc_map, grid, ts, force))
         except (ValueError, BoundaryClosureError):
             if len(ts) == 1:
                 raise
@@ -323,15 +337,20 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
         for k, m in enumerate(range(rows.start, rows.stop)):
             B, dt_a0inv = block or tables(grid.ts[m:m + 1])
             level = min(k, len(B) - 1)          # one level of its own, or a static system's one
+            src = source(m, grid.ts[m])
+            if out is None or out.dtype != complex:     # complex128 is the widest
+                out = _field(out, h0, grid.nt, B, dt_a0inv, src)
+            if pad is None or pad.dtype != out.dtype:   # Ψ and a zero ghost cell each side
+                pad = np.zeros((nx + 2) * N, out.dtype)
+                window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
             psi, new = out[m], out[m + 1]
             pad[N:-N] = psi.ravel()
             np.einsum("pij,pj->pi", B[level], window, out=new)
-            src = source(m, grid.ts[m])
             if src is not None:
                 new += np.einsum("pij,pj->pi", dt_a0inv[level], src)
             new += psi
             _finite(new, m + 1, grid.ts[m + 1])
-    return out
+    return _field(out, h0, grid.nt)             # a grid with no steps: just h₀
 
 
 # -- implicit positive systems -----------------------------------------------
@@ -340,7 +359,7 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
 def _implicit_matrix(sys, bc_map, grid, t, A, C):
     """Backward-Euler operator of the level t, from its coefficient tables A
     and C at the nodes, with boundary rows replaced in constrained directions
-    by the row-reduced G_B.
+    by the row-reduced G_B; float64 when A, C and G_B are real.
 
     Returns ``solve(rhs)`` of its ``_factor``, the boundary rows
     {node: (R, V1, V2)} of ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
@@ -348,9 +367,11 @@ def _implicit_matrix(sys, bc_map, grid, t, A, C):
     chart = sys.chart
     npts, N = grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
+    qs = [geometry.BoundaryPoint(t, f, np.array([chart.face_position(f)])) for f in chart.faces()]
+    A, C, *G_B = _real(A, C, *(bc_map[q.face].matrix(chart, q) for q in qs))
     # lower, diagonal and upper block of each block row: centred differences
     # inside, one-sided at the two edge nodes
-    B = np.zeros((npts, 3, N, N), dtype=complex)
+    B = np.zeros((npts, 3, N, N), dtype=A.dtype)
     B[:, 1] = A[:, 0] / dt + C
     B[1:-1, 0] = -A[1:-1, 1] / (2 * dx)
     B[1:-1, 2] = A[1:-1, 1] / (2 * dx)
@@ -359,10 +380,9 @@ def _implicit_matrix(sys, bc_map, grid, t, A, C):
     B[-1, 1] += A[-1, 1] / dx
     B[-1, 0] = -A[-1, 1] / dx
     boundary_rows = {}
-    for face in chart.faces():
-        node = 0 if face[1] == 0 else npts - 1
-        q = geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-        R, V1, V2 = boundary_rows[node] = row_reduce(bc_map[face].matrix(chart, q))
+    for q, G in zip(qs, G_B):
+        node = 0 if q.face[1] == 0 else npts - 1
+        R, V1, V2 = boundary_rows[node] = row_reduce(G)
         # drop the PDE equations along the constrained directions and
         # install the constraint rows there instead
         B[node] = V2 @ V2.conj().T @ B[node]
@@ -376,26 +396,30 @@ def _factor(B, static, t):
 
     A static system factors once and solves nt times: SuperLU (``splu`` of
     ``_csc``), whose solve is the faster.  A time-dependent one factors every
-    level: LAPACK's banded LU with partial pivoting (``zgbtrf`` on ``_band``,
+    level: LAPACK's banded LU with partial pivoting (``gbtrf`` on ``_band``,
     Golub & Van Loan, *Matrix Computations*, §4.3), an order of magnitude
-    cheaper to factor.  BoundaryClosureError, naming t, when the matrix is
-    exactly singular.
+    cheaper to factor.  Real when B is, solving a complex rhs part by part.
+    BoundaryClosureError, naming t, when the matrix is exactly singular.
     """
     singular = f"the implicit operator at t={t:.6g} is singular"
     if static:
         import scipy.sparse.linalg
 
         try:
-            return scipy.sparse.linalg.splu(_csc(B)).solve
+            solve = scipy.sparse.linalg.splu(_csc(B)).solve
         except RuntimeError as exc:             # "Factor is exactly singular"
             raise BoundaryClosureError(singular) from exc
-    from scipy.linalg import lapack
+    else:
+        from scipy.linalg import lapack
 
-    kl = 2 * B.shape[2] - 1
-    lu, piv, info = lapack.zgbtrf(_band(B), kl, kl, overwrite_ab=True)
-    if info > 0:
-        raise BoundaryClosureError(singular)
-    return lambda rhs: lapack.zgbtrs(lu, kl, kl, rhs, piv)[0]
+        kl = 2 * B.shape[2] - 1
+        gbtrf, gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (B,))
+        lu, piv, info = gbtrf(_band(B), kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise BoundaryClosureError(singular)
+        solve = lambda rhs: gbtrs(lu, kl, kl, rhs, piv)[0]     # noqa: E731
+    return solve if np.iscomplexobj(B) else lambda rhs: (
+        solve(rhs) if rhs.dtype == float else solve(rhs.real) + 1j * solve(rhs.imag))
 
 
 @functools.lru_cache(maxsize=8)
@@ -435,7 +459,7 @@ def _band(B):
     and B[−1, 2] have no column and are dropped."""
     npts, _, N, _ = B.shape
     src, _, _, dst = _block_index(npts, N)
-    band = np.zeros((npts * N, 3 * (2 * N - 1) + 1), dtype=complex)
+    band = np.zeros((npts * N, 3 * (2 * N - 1) + 1), dtype=B.dtype)
     band.ravel()[dst] = B.ravel()[src]
     return band.T
 
@@ -443,22 +467,22 @@ def _band(B):
 def _solve_implicit(sys, bc_map, source, h0, grid):
     xs = grid.xs
     npts, N = xs.size, sys.fiber_rank
-    out = np.empty((grid.nt + 1, npts, N), dtype=complex)
-    out[0] = _finite(h0, 0, grid.t0)
+    out = None
     for rows, (A, C) in _level_blocks(sys, grid.ts[1:],
-                                      lambda ts: _coefficients(sys, ts, xs[:, None])):
+                                      lambda ts: _real(*_coefficients(sys, ts, xs[:, None]))):
         for k, m in enumerate(range(rows.start, rows.stop)):
             t1 = grid.ts[m + 1]
             if m == 0 or not sys.static:        # a static system factors once
                 solve_level, brows, A0 = _implicit_matrix(sys, bc_map, grid, t1, A[k], C[k])
-            rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
             src = source(m + 1, t1)
+            out = _field(out, h0, grid.nt, A0, src)
+            rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
             if src is not None:
                 rhs += src
             for node, (R, V1, V2) in brows.items():
                 rhs[node] = V2 @ (V2.conj().T @ rhs[node])
             out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
-    return out
+    return _field(out, h0, grid.nt)
 
 
 def enforce_admissibility(sys, bc_map):
@@ -504,9 +528,10 @@ def solve(sys, bcs, f=None, h=None, grid=None, force=False):
         enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
     source = _source(f, grid, sys.fiber_rank)
+    if grid.staggered and sys.time_sign == 0:
+        raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
+    _finite(h0, 0, grid.t0)
     if grid.staggered:
-        if sys.time_sign == 0:
-            raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
         return GridField(_solve_explicit(sys, bc_map, source, h0, grid, force), grid)
     return GridField(_solve_implicit(sys, bc_map, source, h0, grid), grid)
 
@@ -526,9 +551,8 @@ class EnergyTrace:
     @property
     def max_step_growth(self):
         e = self.energy
-        prev = e[:-1]
-        ok = prev > 0
-        return float(np.max(e[1:][ok] / prev[ok])) if np.any(ok) else 1.0
+        ok = e[:-1] > 0
+        return float(np.max(e[1:][ok] / e[:-1][ok])) if np.any(ok) else 1.0
 
 
 def _energy_tables(sys, grid, ts):
@@ -561,12 +585,13 @@ def _quadratic_density(psi, P):
     re, im, tmp = (np.empty_like(dens) for _ in range(3))
     for i, j in itertools.product(range(psi.shape[-1]), repeat=2):
         np.multiply(xr[i], Mr[i, j], out=re)            # Ψ̄_i·P_ij
-        re += np.multiply(xi[i], Mi[i, j], out=tmp)
-        np.multiply(xr[i], Mi[i, j], out=im)
-        im -= np.multiply(xi[i], Mr[i, j], out=tmp)
+        if np.iscomplexobj(psi):        # terms that are exact zeros for a real Ψ
+            re += np.multiply(xi[i], Mi[i, j], out=tmp)
+            np.multiply(xr[i], Mi[i, j], out=im)
+            im -= np.multiply(xi[i], Mr[i, j], out=tmp)
         re *= xr[j]                                     # Re of its product with Ψ_j
-        im *= xi[j]
-        re -= im
+        if np.iscomplexobj(psi):
+            re -= np.multiply(im, xi[j], out=im)
         dens += re
     return dens
 
@@ -653,13 +678,12 @@ def apply_operator(sys, fld):
     vals = fld.values
     dpsi_dt = np.gradient(vals, grid.dt, axis=0)
     dpsi_dx = np.gradient(vals, grid.dx, axis=1)
-    out = np.empty_like(vals)
-    for rows, (A, C) in _level_blocks(sys, grid.ts,
-                                      lambda ts: _coefficients(sys, ts, grid.xs[:, None])):
-        out[rows] = (np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
-                     + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
-                     + np.einsum("lpij,lpj->lpi", C, vals[rows]))
-    return GridField(out, grid)
+    out = [np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
+           + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
+           + np.einsum("lpij,lpj->lpi", C, vals[rows])
+           for rows, (A, C) in _level_blocks(
+               sys, grid.ts, lambda ts: _real(*_coefficients(sys, ts, grid.xs[:, None])))]
+    return GridField(np.concatenate(out), grid)
 
 
 def l2_norm(fld_values, grid):
@@ -776,11 +800,9 @@ def green_minus(sys, bcs, f, grid, force=False):
 
 def green_residual(sys, fld, f):
     """‖S(G f) − f‖₂ / ‖f‖₂ over the full grid."""
-    grid = fld.grid
-    res = apply_operator(sys, fld).values
     f_vals = _source_table(fld, f, sys.fiber_rank)
-    res -= f_vals
-    return l2_norm(res, grid) / max(l2_norm(f_vals, grid), 1e-300)
+    res = apply_operator(sys, fld).values - f_vals
+    return l2_norm(res, fld.grid) / max(l2_norm(f_vals, fld.grid), 1e-300)
 
 
 def causal_support_ok(fld, f, c_max, cells=2, threshold=1e-8, future=True):
@@ -839,8 +861,7 @@ def convergence_study(factory, nxs, exact):
     for nx in nxs:
         sys_, bcs, f, h, grid = factory(nx)
         fld = solve(sys_, bcs, f=f, h=h, grid=grid)
-        ref = np.asarray(exact(grid.t1, grid.xs), dtype=complex)
-        errors.append(l2_norm(fld.values[-1] - ref, grid))
+        errors.append(l2_norm(fld.values[-1] - exact(grid.t1, grid.xs), grid))
     errors = np.asarray(errors)
     orders = np.log2(errors[:-1] / errors[1:])
     return ConvergenceReport(list(nxs), errors, orders)

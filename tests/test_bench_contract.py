@@ -136,3 +136,28 @@ def test_time_dependent_wave_solve_and_trace_evaluate_each_block_once(monkeypatc
     assert not wave.static and admissibility == 2 and np.isfinite(trace.energy).all()
     blocks = -(-grid.nt // solver._BLOCK) + -(-(grid.nt + 1) // solver._BLOCK)
     assert grid.nt > 2 * solver._BLOCK and len(calls) == blocks + admissibility
+
+
+def test_real_benchmark_fields_are_float64():
+    # the real problems the benchmark solves step in real arithmetic; Dirac +
+    # MIT, whose G_B = ½(Id − iγ(n)) is complex, stays complex
+    rng = np.random.default_rng(0)
+    static, timedep, green = (cls(rng) for cls in (
+        studies.StaticSolves, studies.TimedepSolves, studies.GreenCausal))
+    fields = {
+        "static heat": solver.solve(static.heat, static.robin, h=static.heat_h,
+                                    grid=static.heat_grid),
+        "static dirac": solver.solve(static.dirac, static.mit, h=static.dirac_h,
+                                     grid=static.dirac_grid),
+        "timedep wave": solver.solve(timedep.wave, timedep.neumann, h=timedep.wave_h,
+                                     grid=timedep.wave_grid),
+        "timedep heat": solver.solve(timedep.heat, timedep.robin, h=timedep.heat_h,
+                                     grid=timedep.heat_grid),
+        "green plus": solver.green_plus(green.adv, green.plus_bcs, green.plus_f, green.adv_grid),
+        "green minus": solver.green_minus(green.adv, green.minus_bcs, green.minus_f,
+                                          green.adv_grid),
+        "green dirac": solver.solve(green.dirac, green.mit, h=green.dirac_h,
+                                    grid=green.dirac_grid),
+    }
+    dtypes = {name: fld.values.dtype for name, fld in fields.items()}
+    assert dtypes == {name: np.complex128 if "dirac" in name else np.float64 for name in fields}

@@ -753,21 +753,18 @@ def test_grid_speed_is_the_speed_the_first_level_splits_at(name, monkeypatch):
     else:
         (sys_, bcs), sizes = cli.build_problem(cfg), [cfg["grid"]["nx"]]
     assert sys_.static and sys_.time_sign != 0
-    sized = []
-    speed = geometry.max_characteristic_speed
-    monkeypatch.setattr(geometry, "max_characteristic_speed",
-                        lambda *args, **kw: sized.append(speed(*args, **kw)) or sized[-1])
     split_tables = sys_._split
     for nx in sizes:
         split = []
-        grid = make_grid(sys_, nx, cfg["grid"]["cfl"])
         monkeypatch.setattr(sys_, "_split",
                             lambda *args: split.append(split_tables(*args)) or split[-1])
+        grid = make_grid(sys_, nx, cfg["grid"]["cfl"])
         solver._explicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, grid.t0, force=True)
         monkeypatch.setattr(sys_, "_split", split_tables)
-        (lam, _, _), = split
-        assert np.max(np.abs(lam[:-2])) == pytest.approx(sized[-1], rel=1e-12)
-    assert len(sized) == len(sizes)
+        (sized, _, _), (lam, _, _) = split
+        assert np.max(np.abs(sized)) == geometry.max_characteristic_speed(
+            sys_.chart, sys_, per_axis=nx)
+        assert np.max(np.abs(lam[:-2])) == pytest.approx(np.max(np.abs(sized)), rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1061,6 +1058,18 @@ def test_grid_is_sized_over_the_run_not_the_chart():
     fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
     assert np.isfinite(fld.values).all()
     assert max(realised_cfl(sys_, grid, t) for t in grid.ts) <= 0.5
+
+
+def test_time_dependent_grid_evaluates_its_coefficients_once(monkeypatch):
+    # the speeds and the zero-order rate come from one coeff_at call at the
+    # speed samples
+    sys_, _ = sine_beta_wave()
+    assert not sys_.static and sys_.time_sign != 0      # time_sign is cached here
+    calls = []
+    coeff_at = sys_.coeff_at
+    monkeypatch.setattr(sys_, "coeff_at", lambda *args: calls.append(1) or coeff_at(*args))
+    make_grid(sys_, 24)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("speed, c", [(0.0, 3.0), (0.01, 300.0)])
@@ -1574,3 +1583,139 @@ def test_solve_refuses_a_system_that_fails_s(strip):
     with pytest.raises(NotSymmetricError, match=r"system 'custom' fails \(S\)"):
         solve(sys_, bcs, h=h, grid=grid)
     assert np.isfinite(solve(sys_, bcs, h=h, grid=grid, force=True).values).all()
+
+
+# -- real problems step in real arithmetic
+
+
+def complex_arithmetic(monkeypatch):
+    """Make every solve pick complex128, as for a problem with complex tables."""
+    monkeypatch.setattr(solver, "_real",
+                        lambda *arrays: [np.asarray(a, dtype=complex) for a in arrays])
+
+
+def with_complex_c(sys_, after=-np.inf):
+    """sys_ with C + ½i·I at the times after ``after``: a skew-Hermitian shift,
+    so (S), (P) and the boundary form are those of sys_."""
+    N = sys_.fiber_rank
+
+    def coeff(t, xs):
+        A, C = sys_.coeff_at(t, xs)
+        on = np.broadcast_to(np.asarray(t) > after, (xs.shape[0],))
+        return A, C + 0.5j * on[:, None, None] * np.eye(N)
+
+    return system.FriedrichsSystem(sys_.chart, N, coeff, sys_.metric, sys_.metric_positive,
+                                   layout=sys_.layout,
+                                   time_independent=after == -np.inf and sys_.time_independent)
+
+
+def real_cases():
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+    wave = wave_setup(strip)
+    return {"advection": (*advection_setup(strip), 64, {0: (0.5, 0.2, 1.0)}),
+            "wave": (*wave, 48, {0: (0.5, 0.2, 1.0), 1: (0.4, 0.2, 0.5)}),
+            "wave_sine_beta": (*sine_beta_wave(), 24, {0: (0.5, 0.2, 1.0)}),
+            **{case: (*pair, 48, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)})
+               for case, pair in implicit_cases().items()}}
+
+
+@pytest.mark.parametrize("case", sorted(real_cases()))
+def test_real_problems_step_in_real_arithmetic(case, monkeypatch):
+    # a real system with real data gives a float64 field within float noise
+    # of the same solve in complex arithmetic, and the same energy
+    sys_, bcs, nx, bumps = real_cases()[case]
+    grid = make_grid(sys_, nx)
+    h = bump_state(grid.xs, bumps, sys_.fiber_rank)
+    fld = solve(sys_, bcs, h=h, grid=grid)
+    complex_arithmetic(monkeypatch)
+    ref = solve(sys_, bcs, h=h, grid=grid)
+    assert fld.values.dtype == np.float64 and ref.values.dtype == np.complex128
+    assert_close(fld.values, ref.values, 1e-11)
+    assert_close(energy_trace(fld, sys_).energy, energy_trace(ref, sys_).energy, 1e-12)
+
+
+@pytest.mark.parametrize("case", ["wave_sine_beta", "heat_static", "kg_sine_h"])
+def test_energy_of_a_real_field_is_that_of_the_field_in_complex(case):
+    sys_, _, nx, _ = real_cases()[case]
+    grid = make_grid(sys_, nx)
+    vals = np.random.default_rng(7).standard_normal((grid.nt + 1, grid.xs.size,
+                                                      sys_.fiber_rank))
+    real, cplx = (energy_trace(GridField(v, grid), sys_) for v in (vals, vals.astype(complex)))
+    assert real.energy.tobytes() == cplx.energy.tobytes()
+    assert real.flux.tobytes() == cplx.flux.tobytes()
+
+
+def test_a_real_field_is_written_as_complex128(strip, tmp_path):
+    sys_, bcs = advection_setup(strip)
+    grid = make_grid(sys_, 16)
+    fld = solve(sys_, bcs, h=bump_state(grid.xs, {0: (0.5, 0.2, 1.0)}, 1), grid=grid)
+    assert fld.values.dtype == np.float64
+    write_field(tmp_path / "real.bin", fld)
+    write_field(tmp_path / "complex.bin", GridField(fld.values.astype(complex), grid))
+    assert (tmp_path / "real.bin").read_bytes() == (tmp_path / "complex.bin").read_bytes()
+
+
+def complex_cases():
+    heat, robin = implicit_cases()["heat_static"]
+    return {"dirac_mit": (*dirac_setup(geometry.minkowski_strip((0.0, 0.3), (1.0,))), 48),
+            "heat_complex_c": (with_complex_c(heat), robin, 48)}
+
+
+@pytest.mark.parametrize("case", sorted(complex_cases()))
+def test_complex_problems_run_bitwise_in_complex_arithmetic(case, monkeypatch):
+    # a problem with complex tables never touches the real path: its field and
+    # energy are bitwise those of a solve made complex throughout
+    sys_, bcs, nx = complex_cases()[case]
+    grid = make_grid(sys_, nx)
+    h = bump_state(grid.xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank).real
+
+    def run():
+        fld = solve(sys_, bcs, h=h, grid=grid)
+        return fld.values, energy_trace(fld, sys_)
+
+    values, trace = run()
+    complex_arithmetic(monkeypatch)
+    ref_values, ref_trace = run()
+    assert values.dtype == np.complex128 and np.any(values.imag)
+    assert values.tobytes() == ref_values.tobytes()
+    assert trace.energy.tobytes() == ref_trace.energy.tobytes()
+    assert trace.flux.tobytes() == ref_trace.flux.tobytes()
+
+
+def late_complex_forcing(N, t_star):
+    """A forcing bump that gains an imaginary part after t_star."""
+    def f(t, xs2):
+        out = np.zeros((xs2.shape[0], N))
+        out[:, 0] = smooth_bump(xs2[:, 0], 0.5, 0.2) * math.exp(-((t - 0.15) / 0.1) ** 2)
+        return out * (1 + 1j) if t > t_star else out
+
+    return f
+
+
+def widening_cases():
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+    heat, robin = implicit_cases()["heat_static"]
+    heat_h, robin_h = implicit_cases()["heat_sine_h"]
+    return {"advection_forcing": (*advection_setup(strip), late_complex_forcing(1, 0.1)),
+            "heat_forcing": (heat, robin, late_complex_forcing(2, 0.1)),
+            "heat_sine_h_complex_c": (with_complex_c(heat_h, 0.1), robin_h, None)}
+
+
+@pytest.mark.parametrize("case", sorted(widening_cases()))
+def test_a_field_widens_to_complex_from_its_first_complex_level(case, monkeypatch):
+    # a real problem whose forcing or C turns complex after t* is stepped in
+    # real arithmetic up to t* and in complex arithmetic after it, with no
+    # ComplexWarning, close to the solve that is complex from the start
+    import warnings
+
+    sys_, bcs, f = widening_cases()[case]
+    grid = make_grid(sys_, 32)
+    h = bump_state(grid.xs, {0: (0.4, 0.2, 1.0)}, sys_.fiber_rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        fld = solve(sys_, bcs, f=f, h=h, grid=grid)
+    complex_arithmetic(monkeypatch)
+    ref = solve(sys_, bcs, f=f, h=h, grid=grid)
+    assert fld.values.dtype == np.complex128
+    assert not np.any(fld.values[grid.ts <= 0.1].imag) and np.any(fld.values[-1].imag)
+    assert_close(fld.values, ref.values, 1e-11)
