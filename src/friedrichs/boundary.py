@@ -11,6 +11,10 @@ kernel B is the boundary space.  Admissibility of (S, G_B) requires
 Condition (ii) reads the literal form ⟨G·σ(n♭)Ψ, Ψ⟩ of the system it is
 given; a time-reversed system carries its orientation in its own metric.
 
+A condition is evaluated like the coefficients: ``bc.matrix(chart, q)`` at a
+``BoundaryPoint`` q gives one G_B per row of q, (m, N, N), or (N, N) at a
+single point, so a face's samples cost one call.
+
 The catalog has two families, each with one builder.  A spinor condition
 has B = range ½(Id + sign·X) and stores G_B = Id − ½(Id + sign·X):
 
@@ -45,11 +49,13 @@ from .linalg import (RANK_TOL, eigh_pencil, herm_eigen, kernel, matrix_rank,
 @dataclass
 class BoundaryCondition:
     name: str
-    matrix_fn: Callable  # (chart, BoundaryPoint) -> (N, N) complex
+    matrix_fn: Callable  # (chart, BoundaryPoint q) -> (N, N) G_B per row of q, or one for all
     params: dict = field(default_factory=dict)
 
     def matrix(self, chart, q):
-        return np.asarray(self.matrix_fn(chart, q), dtype=complex)
+        """G_B at the boundary point q, (N, N), or at its rows, (m, N, N)."""
+        M = np.asarray(self.matrix_fn(chart, q), dtype=complex)
+        return np.broadcast_to(M, q.x.shape[:-1] + M.shape[-2:])
 
     def kernel_space(self, chart, q):
         return kernel(self.matrix(chart, q))
@@ -134,10 +140,10 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     Eigenvalue counting in (iii) uses the normalized boundary symbol;
     eigenvalues within −RANK_TOL·scale count as nonnegative so characteristic
     directions are included.  ``faces`` restricts the sampling when a
-    condition is declared per face.  The sampled points share one
-    evaluation of the coefficients and the metric and, when σ(dt) is
-    definite, one characteristic split; the kernel, form and count of each
-    point are then taken point by point.
+    condition is declared per face.  Each face's conormals and G_B, and then
+    the coefficients, metric and (σ(dt) definite) characteristic split of
+    all the points, come from one evaluation; the kernel, form and count of
+    each point are then taken point by point.
     """
     chart = sys.chart
     ranks_by_face = {}
@@ -148,17 +154,19 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     counts = set()
     ranks = set()
     spectra = {}
-    qs = [q for face in (chart.faces() if faces is None else faces)
-          for q in geometry.boundary_points(chart, face, n_time, n_tang)]
-    nbs = np.array([geometry.outward_normal(chart, q) for q in qs])
-    ts, xs = np.array([q.t for q in qs]), np.array([q.x for q in qs])
+    qs = [geometry.boundary_points(chart, face, chart.sample_times(n_time), n_tang)
+          for face in (chart.faces() if faces is None else faces)]
+    point_faces = [q.face for q in qs for _ in q.t]
+    ts, xs = np.concatenate([q.t for q in qs]), np.concatenate([q.x for q in qs])
+    nbs = np.concatenate([geometry.outward_normal(chart, q) for q in qs])
+    GB = np.concatenate([bc.matrix(chart, q) for q in qs])
     A, G = sys.coeff_at(ts, xs)[0], sys.metric_at(ts, xs)
-    speeds = sys._split(ts, xs, nbs, A, G)[0] if sys.time_sign != 0 else [None] * len(qs)
-    for q, nb, A_q, G_q, speeds_q in zip(qs, nbs, A, G, speeds):
+    speeds = sys._split(ts, xs, nbs, A, G)[0] if sys.time_sign != 0 else [None] * len(ts)
+    for face, nb, GB_q, A_q, G_q, speeds_q in zip(point_faces, nbs, GB, A, G, speeds):
         sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A_q)
         ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n))
-        B = bc.kernel_space(chart, q)
-        ranks_by_face.setdefault(q.face, set()).add(B.rank)
+        B = kernel(GB_q)
+        ranks_by_face.setdefault(face, set()).add(B.rank)
         ranks.add(B.rank)
         lowest, v = _form_on_boundary_space(G_q @ sigma_n, B)
         if lowest < min_form:
@@ -167,7 +175,7 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
                 witness, witness_val = v, lowest
         count, spec = _nonneg_count(sys, speeds_q, G_q, sigma_n)
         counts.add(count)
-        spectra.setdefault(q.face, spec)
+        spectra.setdefault(face, spec)
     ranks_by_face = {f: sorted(r) for f, r in ranks_by_face.items()}
     rank_constant = len(ranks) == 1
     cause = None
@@ -220,7 +228,8 @@ def _projector_condition(name, rep, sign, X):
 
     def matrix_fn(chart, q):
         pi = 0.5 * (np.eye(rep.rank) + sign * X(chart, q))
-        if np.linalg.norm(pi @ pi - pi) > 1e-10 * max(1.0, np.linalg.norm(pi)):
+        norm = np.linalg.norm(pi, axis=(-2, -1))
+        if np.any(np.linalg.norm(pi @ pi - pi, axis=(-2, -1)) > 1e-10 * np.maximum(1.0, norm)):
             raise ContractError(f"{name}: boundary map is not a projection")
         return np.eye(rep.rank) - pi
 
@@ -234,8 +243,9 @@ def _gamma_normal(rep, chart, q):
 
 def _gamma_normal_time(rep, chart, q):
     """(1/β)γ(n)γ(∂_t)."""
-    beta = chart.beta_at(q.t, q.x[None, :])[0]
-    return (1.0 / beta) * _gamma_normal(rep, chart, q) @ clifford.gamma_time(rep, chart, q.t, q.x)
+    beta = chart.beta_at(q.t, np.atleast_2d(q.x)).reshape(q.x.shape[:-1])
+    return ((1.0 / beta)[..., None, None] * _gamma_normal(rep, chart, q)
+            @ clifford.gamma_time(rep, chart, q.t, q.x))
 
 
 def mit_bag(rep, sign=-1):
@@ -270,10 +280,10 @@ def _contraction_condition(name, params, layout, value, weight):
 
     def matrix_fn(chart, q):
         k, n_vec = layout.k, geometry.normal_vector(chart, q)
-        GB = np.zeros((layout.width, layout.width), dtype=complex)
-        GB[:k, :k] += value * np.eye(k)
+        GB = np.zeros(n_vec.shape[:-1] + (layout.width, layout.width), dtype=complex)
+        GB[..., :k, :k] += value * np.eye(k)
         for axis in range(layout.n):
-            GB[:k, layout.grad_slot(axis)] += weight * n_vec[axis] * np.eye(k)
+            GB[..., :k, layout.grad_slot(axis)] += weight * n_vec[..., axis, None, None] * np.eye(k)
         return GB
 
     return BoundaryCondition(name, matrix_fn, params)
@@ -310,7 +320,7 @@ def no_condition(N):
 
 
 def custom_bc(matrix, name="custom"):
-    """Constant G_B matrix, or a callable (chart, q) -> matrix."""
+    """Constant G_B matrix, or a callable (chart, q) -> a matrix per row of q, or one for all."""
     if callable(matrix):
         return BoundaryCondition(name, matrix, {})
     M = np.asarray(matrix, dtype=complex)

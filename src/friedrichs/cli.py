@@ -435,8 +435,6 @@ def cmd_converge(cfg, out, force, seed):
 
 def cmd_compat(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
-    if isinstance(bcs, dict):
-        raise ConfigError("compat task uses a single bc for the whole boundary")
     order = cfg["task"]["order"]
     h = build_initial(cfg, sys_)
     f = build_source(cfg, sys_)

@@ -36,8 +36,8 @@ class CliffordRep:
         return self.gammas.shape[-1]
 
     def gamma_frame(self, coeffs):
-        """γ(v) for v = Σ_μ coeffs[μ]·e_μ in the orthonormal frame."""
-        return np.einsum("m,mij->ij", np.asarray(coeffs, dtype=complex), self.gammas)
+        """γ(v) for v = Σ_μ coeffs[μ]·e_μ in the orthonormal frame, per row of coeffs."""
+        return np.einsum("...m,mij->...ij", np.asarray(coeffs, dtype=complex), self.gammas)
 
 
 def build_rep(d):
@@ -124,23 +124,23 @@ def rep_invariant_residuals(rep):
 
 
 def spatial_frame(chart, t, x):
-    """Matrix E with orthonormal spatial frame e_j = Σ_i E[i, j] ∂_i, E = h^{−1/2}."""
-    h = chart.h_at(t, np.atleast_2d(x))[0]
-    w, V = np.linalg.eigh(h)
-    return (V / np.sqrt(w)) @ V.conj().T
+    """E with orthonormal spatial frame e_j = Σ_i E[i, j] ∂_i, E = h^{−1/2}, per row of x."""
+    w, V = np.linalg.eigh(chart.h_at(t, np.atleast_2d(x)))
+    E = (V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
+    return E.reshape(np.shape(x)[:-1] + E.shape[1:])
 
 
 def gamma_of_vector(rep, chart, t, x, v):
-    """γ(v) for a spatial vector with coordinate components v."""
-    Einv_v = np.linalg.solve(spatial_frame(chart, t, x), np.asarray(v, dtype=float))
-    coeffs = np.concatenate([[0.0], Einv_v])
+    """γ(v) for a spatial vector with coordinate components v, per row of x and v."""
+    Einv_v = np.linalg.solve(spatial_frame(chart, t, x), np.asarray(v, dtype=float)[..., None])
+    coeffs = np.concatenate([np.zeros(Einv_v.shape[:-2] + (1,)), Einv_v[..., 0]], axis=-1)
     return rep.gamma_frame(coeffs)
 
 
 def gamma_time(rep, chart, t, x):
-    """γ(∂_t) = β·γ(e₀)."""
-    beta = chart.beta_at(t, np.atleast_2d(x))[0]
-    return beta * rep.gammas[0]
+    """γ(∂_t) = β·γ(e₀), per row of x."""
+    beta = chart.beta_at(t, np.atleast_2d(x)).reshape(np.shape(x)[:-1])
+    return beta[..., None, None] * rep.gammas[0]
 
 
 def dirac_system(rep, chart):

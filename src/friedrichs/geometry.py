@@ -5,6 +5,9 @@ and the spatial metric h_t(t, x).  Coefficient evaluators are vectorised over
 batches of spacetime points: ``beta(t, xs)`` takes ``xs`` of shape (m, n) and
 ``t`` as a scalar or one time per row, shape (m,), and returns shape (m,);
 ``h(t, xs)`` returns shape (m, n, n).  A row depends on its own (t, x) only.
+
+Boundary evaluation follows the same convention: a ``BoundaryPoint`` holds one
+point or m rows of one face, and its conormals are evaluated once per row.
 """
 
 from dataclasses import dataclass
@@ -85,58 +88,51 @@ class SpacetimeChart:
 
 @dataclass
 class BoundaryPoint:
-    """A point on one timelike boundary face of the strip."""
+    """A point on one timelike boundary face of the strip, or m rows of them."""
 
-    t: float
+    t: float       # or one time per row, shape (m,)
     face: tuple
-    x: np.ndarray  # full spatial coordinates, shape (n,)
+    x: np.ndarray  # full spatial coordinates, shape (n,), or (m, n) for rows
 
     def __post_init__(self):
         self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
 
 
-def boundary_points(chart, face, n_time=8, n_tang=4):
-    """Uniform samples of one boundary face."""
+def boundary_points(chart, face, ts, n_tang=4):
+    """One face's samples as rows, times outer: at each of the times ``ts``,
+    the centres of an n_tang-cell lattice along each tangential axis."""
     axis, _ = face
-    pos = chart.face_position(face)
-    pts = []
-    for t in chart.sample_times(n_time):
-        if chart.dim_space == 1:
-            pts.append(BoundaryPoint(t, face, np.array([pos])))
-        else:
-            tang_axes = [a for a in range(chart.dim_space) if a != axis]
-            grids = [(np.arange(n_tang) + 0.5) * chart.space_extent[a] / n_tang for a in tang_axes]
-            for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(tang_axes)):
-                x = np.zeros(chart.dim_space)
-                x[axis] = pos
-                x[tang_axes] = combo
-                pts.append(BoundaryPoint(t, face, x))
-    return pts
-
-
-def all_boundary_points(chart, n_time=8, n_tang=4):
-    pts = []
-    for face in chart.faces():
-        pts.extend(boundary_points(chart, face, n_time, n_tang))
-    return pts
+    tang_axes = [a for a in range(chart.dim_space) if a != axis]
+    grids = [(np.arange(n_tang) + 0.5) * chart.space_extent[a] / n_tang for a in tang_axes]
+    xs = np.zeros((n_tang ** len(tang_axes), chart.dim_space))
+    xs[:, axis] = chart.face_position(face)
+    if tang_axes:
+        xs[:, tang_axes] = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(
+            -1, len(tang_axes))
+    t, x = spacetime_rows(ts, xs)
+    return BoundaryPoint(t, face, x)
 
 
 def _conormal(chart, q):
-    """h⁻¹ at the boundary point q and the outward conormal n♭ built from it."""
+    """h⁻¹ at the boundary point or rows q and the outward conormal n♭ built from it."""
     axis, side = q.face
-    pos = chart.face_position(q.face)
-    if abs(q.x[axis] - pos) > 1e-9 * max(1.0, chart.space_extent[axis]):
-        raise ContractError(f"point {q.x} at t={q.t} does not lie on face {q.face}")
-    hinv = chart.h_inv_at(q.t, q.x[None, :])[0]
-    scale = 1.0 / np.sqrt(hinv[axis, axis])
+    xs = np.atleast_2d(q.x)
+    off = np.flatnonzero(np.abs(xs[:, axis] - chart.face_position(q.face))
+                         > 1e-9 * max(1.0, chart.space_extent[axis]))
+    if off.size:
+        raise ContractError(f"point {xs[off[0]]} at t={np.broadcast_to(q.t, len(xs))[off[0]]} "
+                            f"does not lie on face {q.face}")
+    hinv = chart.h_inv_at(q.t, xs)
+    scale = 1.0 / np.sqrt(hinv[:, axis, axis])
     sign = -1.0 if side == 0 else 1.0
-    nb = np.zeros(chart.dim_space + 1)
-    nb[1 + axis] = sign * scale
-    return hinv, nb
+    nb = np.zeros((len(xs), chart.dim_space + 1))
+    nb[:, 1 + axis] = sign * scale
+    rows = q.x.shape[:-1]
+    return hinv.reshape(rows + hinv.shape[1:]), nb.reshape(rows + nb.shape[1:])
 
 
 def outward_normal(chart, q):
-    """Unit outward conormal n♭ at a boundary point, as an (n+1)-covector.
+    """Unit outward conormal n♭ at a boundary point, as an (n+1)-covector per row.
 
     The dt-component is zero (the temporal gradient is tangent to the
     boundary); the spatial part is the conormal dx^a of the face, normalised
@@ -146,9 +142,9 @@ def outward_normal(chart, q):
 
 
 def normal_vector(chart, q):
-    """Outward unit normal vector n = (n♭)♯; spatial components only, shape (n,)."""
+    """Outward unit normal vector n = (n♭)♯; spatial components only, (n,) per row."""
     hinv, nb = _conormal(chart, q)
-    return hinv @ nb[1:]
+    return (hinv @ nb[..., 1:, None])[..., 0]
 
 
 def spacetime_rows(ts, xs):

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractError
+from .solver import _as_bc_map
 from .system import FD_STEP, FriedrichsSystem, GradientLayout, lambda_shift
 
 
@@ -240,15 +241,15 @@ def constrain_gradient(values, layout, xs):
 def taylor_coefficients(fn, t0, order, delta=1e-3):
     """Taylor coefficients a_j (fn(t) ≈ Σ a_j (t−t0)^j) by polynomial fitting.
 
-    ``fn`` maps t to an ndarray; evaluated on a centered stencil of
-    2·order + 1 points.  Shared by the compatibility recursion and its test
+    ``fn`` maps the 2·order + 1 times of a centered stencil to an ndarray with
+    one row per time.  Shared by the compatibility recursion and its test
     oracle so their comparison isolates the recursion algebra.
     """
-    if order == 0:
-        return [np.asarray(fn(t0))]
     npts = 2 * order + 1
     offsets = (np.arange(npts) - order) * delta
-    samples = np.stack([np.asarray(fn(t0 + dt), dtype=complex) for dt in offsets])
+    samples = np.asarray(fn(t0 + offsets), dtype=complex)
+    if order == 0:
+        return [samples[0]]
     vander = np.vander(offsets / delta, order + 1, increasing=True)
     scaled, *_ = np.linalg.lstsq(vander, samples.reshape(npts, -1), rcond=None)
     return [(c / delta ** j).reshape(samples.shape[1:]) for j, c in enumerate(scaled)]
@@ -283,33 +284,29 @@ def corner_derivatives(sys, f, h, order, xs):
     t0 = chart.t_range[0]
     xs2 = xs[:, None]
     n_der = max(order, 1)
+    N = sys.fiber_rank
 
-    def h0_coeffs(t):
-        A, C = sys.coeff_at(t, xs2)
+    def stencil(ts):
+        """H₀ = (−σ(dt)⁻¹A¹, −σ(dt)⁻¹C) and σ(dt)⁻¹f at the times ts side by
+        side, (L, nx, N, 2N + 1), from one coefficient evaluation."""
+        A, C = sys.coeff_at(*geometry.spacetime_rows(ts, xs2))
         try:
             a0inv = np.linalg.inv(A[:, 0])
         except np.linalg.LinAlgError as exc:
             raise ContractError(
                 "compatibility recursion needs an invertible σ(dt) "
                 "on the initial slice") from exc
-        M = -np.einsum("pij,pjk->pik", a0inv, A[:, 1])
-        D = -np.einsum("pij,pjk->pik", a0inv, C)
-        return np.stack([M, D])
+        F = (np.zeros((len(A), N)) if f is None
+             else np.concatenate([np.asarray(f(t, xs2)) for t in ts]))
+        cols = [-np.einsum("pij,pjk->pik", a0inv, A[:, 1]), -np.einsum("pij,pjk->pik", a0inv, C),
+                np.linalg.solve(A[:, 0], F[..., None])]
+        return np.concatenate(cols, axis=-1).reshape(len(ts), xs.size, N, 2 * N + 1)
 
-    H_coeffs = taylor_coefficients(h0_coeffs, t0, n_der - 1)
     # ∂_t^j of the coefficients = j! · (Taylor coefficient j)
-    H_ops = [(math.factorial(j) * c[0], math.factorial(j) * c[1])
-             for j, c in enumerate(H_coeffs)]
-
-    if f is None:
-        f_td = [np.zeros((xs.size, sys.fiber_rank), dtype=complex)] * n_der
-    else:
-        def sigma_inv_f(t):
-            A, _ = sys.coeff_at(t, xs2)
-            return np.linalg.solve(A[:, 0], np.asarray(f(t, xs2))[..., None])[..., 0]
-
-        f_coeffs = taylor_coefficients(sigma_inv_f, t0, n_der - 1)
-        f_td = [math.factorial(j) * c for j, c in enumerate(f_coeffs)]
+    derivs = [math.factorial(j) * c
+              for j, c in enumerate(taylor_coefficients(stencil, t0, n_der - 1))]
+    H_ops = [(c[..., :N], c[..., N:2 * N]) for c in derivs]
+    f_td = [c[..., 2 * N] for c in derivs]
 
     def apply_H(j, v):
         M, D = H_ops[j]
@@ -325,9 +322,10 @@ def corner_derivatives(sys, f, h, order, xs):
     return hs
 
 
-def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8):
+def compatibility_check(sys, bcs, f, h, order, nx=128, tol=1e-8):
     """Corner compatibility residuals of orders 0..order for 1+1D problems.
 
+    ``bcs`` is one condition or a face map, as ``solver.solve`` takes them.
     ``f`` is a callable (t, xs2) -> (m, N) or None; ``h`` an array (nx, N)
     sampled on the node grid of the initial slice (or a callable of xs).
     """
@@ -342,17 +340,14 @@ def compatibility_check(sys, bc, f, h, order, nx=128, tol=1e-8):
     hs = corner_derivatives(sys, f, h_arr, order, xs)
 
     t0 = chart.t_range[0]
+    bc_map = _as_bc_map(sys, bcs)
     faces = chart.faces()
     residuals = np.zeros((order + 1, len(faces)))
     for fi, face in enumerate(faces):
-        pos = chart.face_position(face)
         node = 0 if face[1] == 0 else nx - 1
-
-        def gb_of_t(t):
-            return bc.matrix(chart, geometry.BoundaryPoint(t, face, np.array([pos])))
-
-        gb_coeffs = taylor_coefficients(gb_of_t, t0, order)
-        gb_td = [math.factorial(j) * c for j, c in enumerate(gb_coeffs)]
+        gb_td = [math.factorial(j) * c for j, c in enumerate(taylor_coefficients(
+            lambda ts: bc_map[face].matrix(chart, geometry.boundary_points(chart, face, ts)),
+            t0, order))]
         for k in range(order + 1):
             r = np.zeros(sys.fiber_rank, dtype=complex)
             for j in range(k + 1):

@@ -252,9 +252,8 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     A, C, G, beta = _by_level(L, *sys.coeff_at(t, x), sys.metric_at(t, x), chart.beta_at(t, x))
     xi = np.empty((L, rows.size, 2))
     xi[:, :nx + 1] = (0.0, 1.0)
-    ends = [[geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-             for face in chart.faces()] for t in ts]
-    xi[:, nx + 1:] = [[geometry.outward_normal(chart, q) for q in qs] for qs in ends]
+    ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
+    xi[:, nx + 1:] = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1)
     split = sys._split(np.repeat(ts, rows.size), np.tile(pts[rows], (L, 1)), xi.reshape(-1, 2),
                        *(a[:, rows].reshape(-1, *a.shape[2:]) for a in (A, G, beta)))
     lam, V, P = (a.reshape(L, rows.size, *a.shape[1:]) for a in split)
@@ -265,9 +264,9 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
         m = int(np.argmax(cfl > 1.0))
         raise ContractError(f"realised CFL {cfl[m]:.4g} > 1 at t={ts[m]:.6g}, "
                             f"x={faces[worst[m]]:.6g}: lower the grid's cfl")
-    T = soa(np.stack([_boundary_closure(bc_map[qs[0].face], chart, qs,
+    T = soa(np.stack([_boundary_closure(bc_map[q.face], chart, q,
                                         *(a[:, i] for a in (lam, V, P)), force)
-                      for qs, i in zip(zip(*ends), (-2, -1))], axis=1))
+                      for q, i in zip(ends, (-2, -1))], axis=1))
     # the block's products in structure-of-arrays layout: (N, ·, level, cell or face)
     k = grid.dt / (2 * grid.dx)
     V = soa(V[:, :nx + 1])
@@ -286,26 +285,26 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     return np.ascontiguousarray(aos(B)), grid.dt * a0inv
 
 
-def _boundary_closure(bc, chart, qs, lam, V, P, force):
+def _boundary_closure(bc, chart, q, lam, V, P, force):
     """Matrices T (L, N, N), ghost = T_l @ Ψ_edge, implementing the
-    characteristic closure at the boundary points qs of one face, one per
-    level, from the splits (λ, V, P) of their outward conormals stacked over
-    the levels, in one batch.  The levels must share their counts of incoming
+    characteristic closure at the rows of the boundary point q, one per level,
+    from the splits (λ, V, P) of their outward conormals stacked over the
+    levels, in one batch.  The levels must share their counts of incoming
     characteristics and of constraint rows (ContractError otherwise); with
     ``force``, a batch with an unsolvable level is closed by least squares."""
     keep = nonneg_mask(lam)
     if np.any(keep != keep[0]):
-        raise ContractError(f"the levels at face {qs[0].face} differ in their incoming "
+        raise ContractError(f"the levels at face {q.face} differ in their incoming "
                             f"characteristics")
     W_oz = np.conj(np.swapaxes(V[..., keep[0]], -1, -2)) @ P
-    R, _, _ = row_reduce(np.stack([bc.matrix(chart, q) for q in qs]))
+    R, _, _ = row_reduce(bc.matrix(chart, q))
     r, n_in = R.shape[-2], int(np.sum(~keep[0]))
     K = np.concatenate([W_oz, R], axis=-2)       # square exactly when r == n_in
     rhs_map = np.concatenate([W_oz, -R], axis=-2)
     if r != n_in:
         if not force:
             raise BoundaryClosureError(
-                f"boundary closure at face {qs[0].face}: {n_in} incoming characteristics "
+                f"boundary closure at face {q.face}: {n_in} incoming characteristics "
                 f"vs rank-{r} condition (admissibility (iii) defect)")
         return np.linalg.pinv(K) @ rhs_map
     try:
@@ -313,7 +312,7 @@ def _boundary_closure(bc, chart, qs, lam, V, P, force):
     except np.linalg.LinAlgError as exc:
         if force:
             return np.linalg.pinv(K) @ rhs_map
-        raise BoundaryClosureError(f"singular closure at face {qs[0].face}") from exc
+        raise BoundaryClosureError(f"singular closure at face {q.face}") from exc
 
 
 def _solve_explicit(sys, bc_map, source, h0, grid, force):
@@ -356,19 +355,17 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
 # -- implicit positive systems -----------------------------------------------
 
 
-def _implicit_matrix(sys, bc_map, grid, t, A, C):
+def _implicit_matrix(sys, grid, t, A, C, G_B):
     """Backward-Euler operator of the level t, from its coefficient tables A
     and C at the nodes, with boundary rows replaced in constrained directions
-    by the row-reduced G_B; float64 when A, C and G_B are real.
+    by the row-reduced G_B {face: (N, N)}; float64 when A, C and G_B are real.
 
     Returns ``solve(rhs)`` of its ``_factor``, the boundary rows
     {node: (R, V1, V2)} of ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
     """
-    chart = sys.chart
     npts, N = grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
-    qs = [geometry.BoundaryPoint(t, f, np.array([chart.face_position(f)])) for f in chart.faces()]
-    A, C, *G_B = _real(A, C, *(bc_map[q.face].matrix(chart, q) for q in qs))
+    A, C, *mats = _real(A, C, *G_B.values())
     # lower, diagonal and upper block of each block row: centred differences
     # inside, one-sided at the two edge nodes
     B = np.zeros((npts, 3, N, N), dtype=A.dtype)
@@ -380,8 +377,8 @@ def _implicit_matrix(sys, bc_map, grid, t, A, C):
     B[-1, 1] += A[-1, 1] / dx
     B[-1, 0] = -A[-1, 1] / dx
     boundary_rows = {}
-    for q, G in zip(qs, G_B):
-        node = 0 if q.face[1] == 0 else npts - 1
+    for face, G in zip(G_B, mats):
+        node = 0 if face[1] == 0 else npts - 1
         R, V1, V2 = boundary_rows[node] = row_reduce(G)
         # drop the PDE equations along the constrained directions and
         # install the constraint rows there instead
@@ -465,15 +462,18 @@ def _band(B):
 
 
 def _solve_implicit(sys, bc_map, source, h0, grid):
-    xs = grid.xs
+    xs, chart = grid.xs, sys.chart
     npts, N = xs.size, sys.fiber_rank
     out = None
-    for rows, (A, C) in _level_blocks(sys, grid.ts[1:],
-                                      lambda ts: _real(*_coefficients(sys, ts, xs[:, None]))):
+    for rows, (A, C, G_B) in _level_blocks(sys, grid.ts[1:], lambda ts: (
+            *_real(*_coefficients(sys, ts, xs[:, None])),
+            {face: bc.matrix(chart, geometry.boundary_points(chart, face, ts))
+             for face, bc in bc_map.items()})):
         for k, m in enumerate(range(rows.start, rows.stop)):
             t1 = grid.ts[m + 1]
             if m == 0 or not sys.static:        # a static system factors once
-                solve_level, brows, A0 = _implicit_matrix(sys, bc_map, grid, t1, A[k], C[k])
+                solve_level, brows, A0 = _implicit_matrix(
+                    sys, grid, t1, A[k], C[k], {face: G[k] for face, G in G_B.items()})
             src = source(m + 1, t1)
             out = _field(out, h0, grid.nt, A0, src)
             rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
@@ -561,10 +561,9 @@ def _energy_tables(sys, grid, ts):
     points: the energy metric (the companion metric, or G when σ(dt) is not
     definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
     chart, n, s = sys.chart, grid.xs.size, sys.time_sign
-    ends = [[geometry.BoundaryPoint(t, face, np.array([chart.face_position(face)]))
-             for face in chart.faces()] for t in ts]
-    xi = np.array([[geometry.outward_normal(chart, q) for q in qs] for qs in ends], complex)
-    xs2 = np.concatenate([grid.xs, [q.x[0] for q in ends[0]]])[:, None]
+    ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
+    xi = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1).astype(complex)
+    xs2 = np.concatenate([grid.xs, [q.x[0, 0] for q in ends]])[:, None]
     t, x = geometry.spacetime_rows(ts, xs2)
     A, G, beta, sdens = _by_level(len(ts), sys.coeff_at(t, x)[0], sys.metric_at(t, x),
                                   chart.beta_at(t, x), geometry.spatial_density(chart, t, x))

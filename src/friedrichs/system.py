@@ -323,10 +323,11 @@ def check_positive(sys):
 
 def constant_characteristic(sys, n_time=8, n_tang=4):
     """dim ker σ(n♭) along the boundary: (is it constant, common dimension),
-    from one evaluation of the coefficients at every sampled point."""
-    qs = geometry.all_boundary_points(sys.chart, n_time, n_tang)
-    nb = np.array([geometry.outward_normal(sys.chart, q) for q in qs], dtype=complex)
-    A, _ = sys.coeff_at(np.array([q.t for q in qs]), np.array([q.x for q in qs]))
+    from one evaluation of the conormals per face and of the coefficients."""
+    qs = [geometry.boundary_points(sys.chart, face, sys.chart.sample_times(n_time), n_tang)
+          for face in sys.chart.faces()]
+    nb = np.concatenate([geometry.outward_normal(sys.chart, q) for q in qs]).astype(complex)
+    A, _ = sys.coeff_at(np.concatenate([q.t for q in qs]), np.concatenate([q.x for q in qs]))
     dims = [sys.fiber_rank - matrix_rank(sn) for sn in np.einsum("pm,pmij->pij", nb, A)]
     return len(set(dims)) == 1, dims[0]
 

@@ -26,3 +26,12 @@ def short_strip():
 @pytest.fixture
 def curved_strip():
     return geometry.ultrastatic((0.0, 1.0), (1.0,), eps=0.3)
+
+
+def sampled_boundary_points(chart, n_time=8, n_tang=4, faces=None):
+    """The boundary samples of ``faces`` (every face by default) at
+    ``chart.sample_times(n_time)``, one ``BoundaryPoint`` each, in the row
+    order of ``geometry.boundary_points``."""
+    qs = [geometry.boundary_points(chart, face, chart.sample_times(n_time), n_tang)
+          for face in (chart.faces() if faces is None else faces)]
+    return [geometry.BoundaryPoint(t, q.face, x) for q in qs for t, x in zip(q.t, q.x)]

@@ -18,7 +18,7 @@ from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_
 from friedrichs.geometry import LEFT, RIGHT
 from friedrichs.linalg import kernel
 
-from conftest import smooth_bump
+from conftest import sampled_boundary_points, smooth_bump
 from test_reduction import random_time_polynomial_system, taylor_oracle
 
 
@@ -98,7 +98,7 @@ def test_criterion_02_wave_boundary_spectrum():
             prob = reduction.SecondOrderProblem("normally_hyperbolic", chart, k=k)
             sys_ = reduction.wave_to_first_order(prob)
             for face in chart.faces():
-                q = geometry.boundary_points(chart, face, n_time=3, n_tang=2)[0]
+                q = sampled_boundary_points(chart, 3, 2, [face])[0]
                 sn = sys_.symbol(q.t, q.x, geometry.outward_normal(chart, q))
                 lam = np.sort(np.linalg.eigvalsh(sn))
                 expect = np.sort([0.0] * (n * k) + [1.0] * k + [-1.0] * k)
@@ -120,7 +120,7 @@ def test_criterion_03_clifford_invariants_and_dirac_characteristic():
     for n in (1, 2):
         chart = geometry.minkowski_strip((0.0, 1.0), (1.0,) * n)
         dirac = clifford.dirac_system(clifford.build_rep(n + 1), chart)
-        for q in geometry.all_boundary_points(chart, n_time=6, n_tang=3):
+        for q in sampled_boundary_points(chart, 6, 3):
             sn = boundary_symbol(dirac, q)
             nowhere_char &= kernel(sn).rank == 0
     report(3, "Clifford invariant suite exact to 1e-12; Dirac nowhere characteristic",
@@ -368,7 +368,7 @@ def test_criterion_10_adjoint_boundary_spaces():
         assert rep_adm.admissible, bc.name
         chart = sys_.chart
         for face in chart.faces():
-            for q in geometry.boundary_points(chart, face, n_time=16):
+            for q in sampled_boundary_points(chart, 16, faces=[face]):
                 bdag = adjoint_boundary_space(sys_, bc, q)
                 dims_ok &= bdag.rank == rep_adm.nonneg_count
                 B = bc.kernel_space(chart, q)

@@ -9,6 +9,7 @@ the benchmark's ``config_sweep`` runs must pass the CLI's config reader.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -115,27 +116,71 @@ def test_benchmark_workloads_keep_their_grid_sizes(name, tmp_path):
     assert [(grid.nx, grid.nt) for grid in workload.grids] == BENCH_GRIDS[name]
 
 
+def count_evaluations(monkeypatch, sys_):
+    """A Counter of the evaluations of sys_'s coefficients and of the
+    conormals and G_B made from now on, under the names the benchmark traces."""
+    counts = Counter()
+    coeff_at, matrix = sys_.coeff_at, boundary.BoundaryCondition.matrix
+    outward_normal = geometry.outward_normal
+    monkeypatch.setattr(sys_, "coeff_at", lambda t, xs: counts.update(
+        ["coeff_at"]) or coeff_at(t, xs))
+    monkeypatch.setattr(boundary.BoundaryCondition, "matrix", lambda self, chart, q: counts.update(
+        ["bc_matrix"]) or matrix(self, chart, q))
+    monkeypatch.setattr(geometry, "outward_normal", lambda chart, q: counts.update(
+        ["outward_normal"]) or outward_normal(chart, q))
+    return counts
+
+
+def evaluations_per_phase(monkeypatch, sys_, bcs, h, grid):
+    """The evaluations of the admissibility sampling, of ``solve`` beyond
+    that sampling, which it runs first, and of ``energy_trace``; the refusal
+    policy certifies (S) once per system, before the count."""
+    bc_map = solver._as_bc_map(sys_, bcs)
+    solver.enforce_admissibility(sys_, bc_map)
+    counts = count_evaluations(monkeypatch, sys_)
+    solver.enforce_admissibility(sys_, bc_map)
+    admissibility = dict(counts)
+    counts.clear()
+    fld = solver.solve(sys_, bcs, h=h, grid=grid)
+    solve = dict(counts - Counter(admissibility))
+    counts.clear()
+    trace = solver.energy_trace(fld, sys_)
+    assert not sys_.static and np.isfinite(trace.energy).all()
+    return admissibility, solve, dict(counts)
+
+
 def test_time_dependent_wave_solve_and_trace_evaluate_each_block_once(monkeypatch):
     # the explicit solve evaluates the coefficients once per block of levels
-    # it steps, and energy_trace, the one energy path, once per block of the
-    # levels it traces, beside the admissibility sampling (one call per face);
-    # the refusal policy certifies (S) once per system, before the count
+    # it steps, and each face's conormal and G_B once per block; energy_trace,
+    # the one energy path, the coefficients and each face's conormal once per
+    # block of the levels it traces; the admissibility sampling each once per
+    # face
     study = studies.TimedepSolves(np.random.default_rng(0))
     wave, bcs = study.wave, study.neumann
     grid = solver.make_grid(wave, 32)
-    solver.enforce_admissibility(wave, solver._as_bc_map(wave, bcs))
-    calls = []
-    coeff_at = system.FriedrichsSystem.coeff_at
-    monkeypatch.setattr(system.FriedrichsSystem, "coeff_at",
-                        lambda self, t, xs: calls.append(t) or coeff_at(self, t, xs))
-    solver.enforce_admissibility(wave, solver._as_bc_map(wave, bcs))
-    admissibility = len(calls)
-    calls.clear()
     h = studies.first_component(wave, grid.xs, studies.bump(grid.xs, 0.5, 0.2))
-    trace = solver.energy_trace(solver.solve(wave, bcs, h=h, grid=grid), wave)
-    assert not wave.static and admissibility == 2 and np.isfinite(trace.energy).all()
-    blocks = -(-grid.nt // solver._BLOCK) + -(-(grid.nt + 1) // solver._BLOCK)
-    assert grid.nt > 2 * solver._BLOCK and len(calls) == blocks + admissibility
+    admissibility, solve, trace = evaluations_per_phase(monkeypatch, wave, bcs, h, grid)
+    steps, levels = -(-grid.nt // solver._BLOCK), -(-(grid.nt + 1) // solver._BLOCK)
+    assert grid.nt > 2 * solver._BLOCK
+    assert admissibility == {"coeff_at": 2, "outward_normal": 2, "bc_matrix": 2}
+    assert solve == {"coeff_at": steps, "outward_normal": 2 * steps, "bc_matrix": 2 * steps}
+    assert trace == {"coeff_at": levels, "outward_normal": 2 * levels}
+
+
+def test_time_dependent_heat_solve_takes_each_faces_condition_once_per_block(monkeypatch):
+    # the implicit solve evaluates the coefficients and each face's G_B once
+    # per block of the levels it steps (it still assembles and row-reduces
+    # every level), and needs no conormal
+    study = studies.TimedepSolves(np.random.default_rng(0))
+    heat, bcs = study.heat, study.robin
+    grid = solver.make_grid(heat, 32)
+    h = studies.state_with_gradient(heat, grid.xs, studies.bump(grid.xs, 0.5, 0.3))
+    admissibility, solve, trace = evaluations_per_phase(monkeypatch, heat, bcs, h, grid)
+    steps, levels = -(-grid.nt // solver._BLOCK), -(-(grid.nt + 1) // solver._BLOCK)
+    assert grid.nt > 2 * solver._BLOCK
+    assert admissibility == {"coeff_at": 2, "outward_normal": 2, "bc_matrix": 2}
+    assert solve == {"coeff_at": steps, "bc_matrix": 2 * steps}
+    assert trace == {"coeff_at": levels, "outward_normal": 2 * levels}
 
 
 def test_real_benchmark_fields_are_float64():

@@ -11,6 +11,8 @@ from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_
 from friedrichs.errors import UnsupportedDimensionError
 from friedrichs.linalg import eigh_pencil, kernel, matrix_rank, Subspace
 
+from conftest import sampled_boundary_points
+
 
 @pytest.fixture
 def dirac(strip):
@@ -86,7 +88,7 @@ def test_neumann_kernel_rank_two_space_dims():
     prob = reduction.SecondOrderProblem("normally_hyperbolic", chart, k=1)
     wave2 = reduction.wave_to_first_order(prob)
     nl = boundary.neumann_like(wave2.layout)
-    q = geometry.boundary_points(chart, (0, 1), n_time=1, n_tang=2)[0]
+    q = sampled_boundary_points(chart, 1, 2, [(0, 1)])[0]
     assert nl.kernel_space(chart, q).rank == 3  # (n+1)k = 3
 
 
@@ -175,7 +177,7 @@ def test_admissibility_evaluates_all_sampled_points_at_once(case, dirac, wave, s
 
 def test_kernel_of_symbol_inside_boundary_space(wave, strip):
     bc = boundary.neumann_like(wave.layout)
-    for q in geometry.all_boundary_points(strip, n_time=4):
+    for q in sampled_boundary_points(strip, 4):
         sn = boundary_symbol(wave, q)
         ker = kernel(sn)
         B = bc.kernel_space(strip, q)
@@ -300,7 +302,7 @@ def test_mit_rank_is_half_fiber_rank_3plus1():
     rep = clifford.build_rep(4)
     sys_ = clifford.dirac_system(rep, chart)
     bc = boundary.mit_bag(rep, -1)
-    q = geometry.boundary_points(chart, (0, 1), n_time=1, n_tang=1)[0]
+    q = sampled_boundary_points(chart, 1, 1, [(0, 1)])[0]
     B = bc.kernel_space(chart, q)
     assert B.rank == rep.rank // 2 == 2
     spec = admissibility(sys_, bc, n_time=1, n_tang=1, faces=[(0, 1)]).spectra[(0, 1)]
@@ -346,15 +348,20 @@ def family_charts():
     sine_beta = {"profile": "sine", "base": 1.2, "amplitude": 0.2, "waves": 1}
     return [geometry.minkowski_strip((0.0, 1.0), (1.0,)),
             geometry.ultrastatic((0.0, 1.0), (1.0,), eps=0.3),
-            geometry.named_profile_chart((0.0, 1.0), (1.0,), beta=sine_beta)]
+            geometry.named_profile_chart((0.0, 1.0), (1.0,), beta=sine_beta),
+            geometry.minkowski_strip((0.0, 1.0), (1.0, 2.0)),
+            geometry.ultrastatic((0.0, 1.0), (1.0, 2.0), eps=0.3)]
 
 
-@pytest.mark.parametrize("chart", family_charts(), ids=["flat", "ultrastatic", "sine_beta"])
+@pytest.mark.parametrize("chart", family_charts(),
+                         ids=["flat", "ultrastatic", "sine_beta", "flat_2d", "ultrastatic_2d"])
 def test_each_condition_family_is_one_formula(chart):
     # the contraction conditions are one another's special cases bitwise, and
-    # each spinor G_B is Id − ½(Id + sign·X) with X of the module docstring
+    # each spinor G_B is Id − ½(Id + sign·X) with X of the module docstring;
+    # every condition on a face's rows, at mixed times, is bitwise its G_B at
+    # each row's point
     assert chart.time_independent
-    points = [q for face in chart.faces() for q in geometry.boundary_points(chart, face, 3, 1)]
+    points = sampled_boundary_points(chart, 3, 1)
     kinds = [("normally_hyperbolic", reduction.wave_to_first_order),
              ("klein_gordon", reduction.kg_to_first_order),
              ("reaction_diffusion", reduction.reaction_diffusion_to_first_order)]
@@ -369,18 +376,40 @@ def test_each_condition_family_is_one_formula(chart):
                                   boundary.transparent(0.0, layout).matrix(chart, q))
             assert np.array_equal(boundary.dirichlet(layout).matrix(chart, q),
                                   boundary.robin(0.0, 1.0, layout).matrix(chart, q))
-    rep = clifford.build_rep(2)
-    G, GR = clifford.chirality_operator(rep), clifford.riemannian_chirality_operator(rep)
+    rep = clifford.build_rep(chart.dim_space + 1)
+    GR = clifford.riemannian_chirality_operator(rep)
     for q in points:
         gn = clifford.gamma_of_vector(rep, chart, q.t, q.x, geometry.normal_vector(chart, q))
         gt = clifford.gamma_time(rep, chart, q.t, q.x) / chart.beta_at(q.t, q.x[None, :])[0]
-        X = {boundary.mit_bag: 1j * gn, boundary.chirality: gn @ G,
-             boundary.riemannian_mit: gn @ gt, boundary.riemannian_chirality: 1j * gn @ gt @ GR}
+        X = {boundary.mit_bag: 1j * gn, boundary.riemannian_mit: gn @ gt,
+             boundary.riemannian_chirality: 1j * gn @ gt @ GR}
+        if rep.dim % 2 == 0:
+            X[boundary.chirality] = gn @ clifford.chirality_operator(rep)
         for builder, x in X.items():
             for sign in (-1, 1):
                 expected = np.eye(rep.rank) - 0.5 * (np.eye(rep.rank) + sign * x)
                 assert np.allclose(builder(rep, sign).matrix(chart, q), expected,
                                    rtol=0.0, atol=1e-14)
+    spinor = [boundary.mit_bag, boundary.riemannian_mit, boundary.riemannian_chirality]
+    if rep.dim % 2 == 0:
+        spinor.append(boundary.chirality)
+    N = layouts[0].width
+    conditions = [build(rep, sign) for build in spinor for sign in (-1, 1)] + [
+        cond for layout in layouts for cond in (
+            boundary.robin(0.4, 0.9, layout), boundary.neumann_like(layout),
+            boundary.transparent(0.7, layout), boundary.dirichlet(layout))] + [
+        boundary.zero_trace(N), boundary.no_condition(N), boundary.custom_bc(np.diag(range(N))),
+        boundary.custom_bc(lambda chart, q: np.multiply.outer(np.cos(q.t), np.eye(N)))]
+    rng = np.random.default_rng(chart.dim_space)
+    for face in chart.faces():
+        q = geometry.boundary_points(chart, face, rng.uniform(*chart.t_range, 4), 3)
+        order = rng.permutation(len(q.t))
+        rows = geometry.BoundaryPoint(q.t[order], face, q.x[order])
+        singles = [geometry.BoundaryPoint(t, face, x) for t, x in zip(rows.t, rows.x)]
+        for bc in conditions:
+            batch = bc.matrix(chart, rows)
+            assert batch.shape == (len(singles),) + bc.matrix(chart, singles[0]).shape
+            assert batch.tobytes() == np.stack([bc.matrix(chart, p) for p in singles]).tobytes()
 
 
 # -- the batched verifier against a point-by-point reference
@@ -393,7 +422,7 @@ def reference_admissibility(sys_, bc, n_time, faces):
     ranks_by_face, spectra, ker_dims, counts, ranks = {}, {}, set(), set(), set()
     min_form, witness, witness_val = np.inf, None, 0.0
     for face in faces:
-        for q in geometry.boundary_points(chart, face, n_time, 4):
+        for q in sampled_boundary_points(chart, n_time, 4, [face]):
             nb = geometry.outward_normal(chart, q)
             A, G = sys_.coeff_at(q.t, q.x[None, :])[0], sys_.metric_at(q.t, q.x[None, :])
             sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A[0])

@@ -175,6 +175,25 @@ def test_compat_task(tmp_path):
     assert "PASS" in report
 
 
+def test_compat_takes_one_condition_per_face(tmp_path):
+    # advection's inflow face fixes the trace and its outflow face nothing:
+    # order 0 holds for data that vanish at x = 0 and fails for 1 + sin 2πx,
+    # which stands in for 1 + x (no profile is linear; both are 1 at x = 0)
+    cfg = {
+        "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5], "lengths": [1.0]},
+        "system": {"builder": "advection"},
+        "bc": {"left": {"name": "zero_trace"}, "right": {"name": "no_condition"}},
+        "task": {"order": 0, "nx": 64, "initial": {"profile": "sine"}},
+    }
+    code, out = run(tmp_path / "vanishing", cfg, "compat")
+    assert code == 0 and "-> PASS" in (out / "report.txt").read_text()
+    assert (out / "residuals.csv").read_text() == "order,face,residual\n0,0,0\n0,1,0\n"
+    cfg["task"]["initial"] = [{"profile": "cosine", "waves": 0.0}, {"profile": "sine"}]
+    code, out = run(tmp_path / "one_plus", cfg, "compat")
+    assert code == 1 and "-> FAIL" in (out / "report.txt").read_text()
+    assert (out / "residuals.csv").read_text() == "order,face,residual\n0,0,1\n0,1,0\n"
+
+
 def test_reduce_task(tmp_path):
     cfg = {
         "chart": {"name": "minkowski_strip", "t_range": [0.0, 1.0], "lengths": [1.0]},

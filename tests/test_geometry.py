@@ -7,6 +7,8 @@ from friedrichs.geometry import (BoundaryPoint, LEFT, RIGHT, boundary_points,
                                  max_characteristic_speed, outward_normal,
                                  volume_density)
 
+from conftest import sampled_boundary_points
+
 
 def test_flat_left_normal(strip):
     q = BoundaryPoint(0.3, LEFT, [0.0])
@@ -24,12 +26,12 @@ def test_scaled_metric_normal_is_unit_normalized():
 
 
 def test_normal_has_no_dt_component(curved_strip):
-    for q in geometry.all_boundary_points(curved_strip, n_time=6):
+    for q in sampled_boundary_points(curved_strip, 6):
         assert outward_normal(curved_strip, q)[0] == 0.0
 
 
 def test_normal_is_g_unit(curved_strip):
-    for q in geometry.all_boundary_points(curved_strip, n_time=8):
+    for q in sampled_boundary_points(curved_strip, 8):
         nb = outward_normal(curved_strip, q)
         hinv = curved_strip.h_inv_at(q.t, q.x[None, :])[0]
         norm_sq = nb[1:] @ hinv @ nb[1:]
@@ -37,7 +39,7 @@ def test_normal_is_g_unit(curved_strip):
 
 
 def test_normal_points_outward(curved_strip):
-    for q in geometry.all_boundary_points(curved_strip, n_time=4):
+    for q in sampled_boundary_points(curved_strip, 4):
         n_vec = geometry.normal_vector(curved_strip, q)
         inward = 1.0 if q.face[1] == 0 else -1.0
         assert n_vec[q.face[0]] * inward < 0
@@ -82,18 +84,38 @@ def test_volume_density_matches_expansion_on_random_charts():
 @pytest.mark.parametrize("dims", [1, 2])
 def test_normal_vector_inverts_h_once_and_is_bitwise_h_inverse_of_the_conormal(
         curved_strip, dims, monkeypatch):
-    chart = curved_strip if dims == 1 else geometry.ultrastatic((0.0, 1.0), (1.0, 2.0), eps=0.3)
-    points = geometry.all_boundary_points(chart, n_time=3, n_tang=3)
-    expected = [chart.h_inv_at(q.t, q.x[None, :])[0] @ outward_normal(chart, q)[1:]
-                for q in points]
-    calls = []
-    h_inv_at = chart.h_inv_at
-    monkeypatch.setattr(chart, "h_inv_at", lambda t, xs: calls.append(t) or h_inv_at(t, xs))
-    for q, n in zip(points, expected):
-        assert geometry.normal_vector(chart, q).tobytes() == n.tobytes()
-    assert len(calls) == len(points)
+    # at single points, and on a face's rows at mixed times, where a static and
+    # a time-dependent chart give each row its own point's result bitwise
+    lengths = (1.0,) if dims == 1 else (1.0, 2.0)
+    sine_h = {"profile": "sine", "base": 1.0, "amplitude": 0.3, "waves": 1, "waves_t": 1.0}
+    charts = [curved_strip if dims == 1 else geometry.ultrastatic((0.0, 1.0), lengths, eps=0.3),
+              geometry.named_profile_chart((0.0, 1.0), lengths, h_scale=sine_h)]
+    rng = np.random.default_rng(dims)
+    for chart in charts:
+        points = sampled_boundary_points(chart, 3, 3)
+        expected = [chart.h_inv_at(q.t, q.x[None, :])[0] @ outward_normal(chart, q)[1:]
+                    for q in points]
+        calls = []
+        h_inv_at = chart.h_inv_at
+        monkeypatch.setattr(chart, "h_inv_at", lambda t, xs: calls.append(t) or h_inv_at(t, xs))
+        for q, n in zip(points, expected):
+            assert geometry.normal_vector(chart, q).tobytes() == n.tobytes()
+        assert len(calls) == len(points)
+        for face in chart.faces():
+            q = boundary_points(chart, face, rng.uniform(0.0, 1.0, 4), 3)
+            order = rng.permutation(len(q.t))
+            rows = BoundaryPoint(q.t[order], face, q.x[order])
+            singles = [BoundaryPoint(t, face, x) for t, x in zip(rows.t, rows.x)]
+            for fn in (outward_normal, geometry.normal_vector):
+                calls.clear()
+                batch = fn(chart, rows)
+                assert len(calls) == 1
+                assert batch.tobytes() == np.stack([fn(chart, p) for p in singles]).tobytes()
     with pytest.raises(ContractError, match="does not lie on face"):
         geometry.normal_vector(chart, BoundaryPoint(0.5, RIGHT, [0.5] * dims))
+    with pytest.raises(ContractError, match=r"point \[0\.5.*\] at t=0\.2 does not lie"):
+        geometry.normal_vector(chart, BoundaryPoint([0.1, 0.2], RIGHT,
+                                                    [[1.0] * dims, [0.5] * dims]))
 
 
 def test_volume_density_continuous_in_time(curved_strip):
@@ -130,8 +152,8 @@ def test_speed_rejects_singular_time_symbol(strip):
 
 
 def test_boundary_points_lie_on_face(curved_strip):
-    for q in boundary_points(curved_strip, RIGHT, n_time=5):
-        assert q.x[0] == pytest.approx(1.0)
+    q = boundary_points(curved_strip, RIGHT, curved_strip.sample_times(5))
+    assert q.x.shape == (5, 1) and q.x[:, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -9,7 +9,7 @@ from friedrichs.reduction import (SecondOrderProblem, compatibility_check,
                                   reaction_diffusion_to_first_order,
                                   taylor_coefficients, wave_to_first_order)
 
-from conftest import smooth_bump
+from conftest import sampled_boundary_points, smooth_bump
 
 
 def wave_sys(chart, k=1):
@@ -26,7 +26,7 @@ def test_wave_boundary_spectrum(n, k):
     sys_ = wave_sys(chart, k)
     assert sys_.fiber_rank == k * (n + 2)
     for face in chart.faces():
-        q = geometry.boundary_points(chart, face, n_time=2, n_tang=2)[0]
+        q = sampled_boundary_points(chart, 2, 2, [face])[0]
         nb = geometry.outward_normal(chart, q)
         lam = np.sort(np.linalg.eigvalsh(sys_.symbol(q.t, q.x, nb)))
         expect = np.sort([0.0] * (n * k) + [1.0] * k + [-1.0] * k)
@@ -248,7 +248,8 @@ def taylor_oracle(sys_, f, h, order, xs, delta=1e-3):
     n_der = max(order, 1)
 
     def coeffs_of(fn):
-        return taylor_coefficients(fn, sys_.chart.t_range[0], n_der - 1, delta)
+        return taylor_coefficients(lambda ts: np.stack([fn(t) for t in ts]),
+                                   sys_.chart.t_range[0], n_der - 1, delta)
 
     A0 = coeffs_of(lambda t: sys_.coeff_at(t, xs2)[0][:, 0])
     A1 = coeffs_of(lambda t: sys_.coeff_at(t, xs2)[0][:, 1])
@@ -287,6 +288,7 @@ def random_time_polynomial_system(chart, N, rng):
 
     def coeff(t, xs):
         m = xs.shape[0]
+        t = np.reshape(t, (-1, 1, 1))       # a scalar, or one time per row
         A = np.zeros((m, 2, N, N), dtype=complex)
         A[:, 0] = a0
         A[:, 1] = herm[0] + t * herm[1] + t ** 2 * herm[2]
@@ -387,6 +389,7 @@ def test_compat_oracle_smooth_coefficients_within_fd_truncation(strip):
 
     def coeff(t, xs):
         m = xs.shape[0]
+        t = np.reshape(t, (-1, 1, 1))       # a scalar, or one time per row
         A = np.zeros((m, 2, 2, 2), dtype=complex)
         A[:, 0] = (2.0 + np.sin(t)) * np.eye(2)
         A[:, 1] = np.array([[0.0, 1.0], [1.0, 0.0]]) * np.cos(t)

@@ -658,9 +658,9 @@ def test_implicit_time_dependent_assembles_once_per_step(strip, monkeypatch):
     assembled, evaluated = [], []
     real = solver._implicit_matrix
 
-    def counting(sys_, bc_map, grid_, t, A, C):
+    def counting(sys_, grid_, t, A, C, G_B):
         assembled.append(t)
-        return real(sys_, bc_map, grid_, t, A, C)
+        return real(sys_, grid_, t, A, C, G_B)
 
     monkeypatch.setattr(solver, "_implicit_matrix", counting)
     monkeypatch.setattr(rd, "coeff_at",
@@ -901,9 +901,9 @@ def reference_explicit_solve(sys_, bcs, f, h0, grid):
         pad = np.empty((nx + 2, N), dtype=complex)
         pad[1:-1] = psi
         for face, edge in ((LEFT, 0), (RIGHT, -1)):      # the ghost beside each edge cell
-            q = geometry.BoundaryPoint(t, face, [chart.face_position(face)])
-            split = sys_.characteristics(t, q.x[None], geometry.outward_normal(chart, q))
-            T, = solver._boundary_closure(bc_map[face], chart, [q], *split, False)
+            q = geometry.BoundaryPoint([t], face, [[chart.face_position(face)]])
+            split = sys_.characteristics(t, q.x, geometry.outward_normal(chart, q))
+            T, = solver._boundary_closure(bc_map[face], chart, q, *split, False)
             pad[edge] = T @ psi[edge]
         diss = np.einsum("fij,fj->fi", Aabs, pad[1:] - pad[:-1])
         rhs = -np.einsum("pij,pj->pi", a0inv @ A[:, 1], (pad[2:] - pad[:-2]) / (2 * dx))
@@ -1298,7 +1298,10 @@ def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
     real = solver._factor
     monkeypatch.setattr(solver, "_factor", lambda B, *args: built.append(B) or real(B, *args))
     A, C = sys_.coeff_at(grid.ts[3], grid.xs[:, None])
-    solver._implicit_matrix(sys_, solver._as_bc_map(sys_, bcs), grid, grid.ts[3], A, C)
+    G_B = {face: bc.matrix(sys_.chart, geometry.BoundaryPoint(
+        grid.ts[3], face, [sys_.chart.face_position(face)]))
+        for face, bc in solver._as_bc_map(sys_, bcs).items()}
+    solver._implicit_matrix(sys_, grid, grid.ts[3], A, C, G_B)
     B, = built
     csc, ref = solver._csc(B), reference_csc(B)
     assert ref.has_sorted_indices and ref.nnz < B.size
@@ -1538,8 +1541,8 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
     sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
                              lambda t, x: np.where(in_window(t), -1.0, np.ones_like(x)))
-    bcs = {face: boundary.custom_bc(lambda chart, q, face=face: np.array(
-        [[float(in_window(q.t) == (face == RIGHT))]])) for face in (LEFT, RIGHT)}
+    bcs = {face: boundary.custom_bc(lambda chart, q, face=face: np.asarray(
+        in_window(q.t) == (face == RIGHT), float)[..., None, None]) for face in (LEFT, RIGHT)}
     grid = make_grid(sys_, 16)
 
     def run():
