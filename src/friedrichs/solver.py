@@ -25,7 +25,6 @@ h₀ and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
 """
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -176,6 +175,13 @@ def _real(*arrays):
     if any(np.iscomplexobj(a) and np.any(np.imag(a)) for a in arrays):
         return [np.asarray(a, complex) for a in arrays]
     return [np.ascontiguousarray(np.real(a), float) for a in arrays]
+
+
+def _entries(M):
+    """M (..., N, N) as ``soa`` lays it out, and the (i, j) entries nonzero
+    somewhere in it: a skipped term would add ±0 to a sum that starts at +0."""
+    M = soa(M)
+    return M, list(zip(*np.nonzero(M.reshape(*M.shape[:2], -1).any(axis=2))))
 
 
 def _field(out, h0, nt, *tables):
@@ -360,8 +366,8 @@ def _implicit_matrix(sys, grid, t, A, C, G_B):
     and C at the nodes, with boundary rows replaced in constrained directions
     by the row-reduced G_B {face: (N, N)}; float64 when A, C and G_B are real.
 
-    Returns ``solve(rhs)`` of its ``_factor``, the boundary rows
-    {node: (R, V1, V2)} of ``row_reduce`` and the σ(dt) table A⁰ of the nodes.
+    Returns ``solve(rhs)`` of its ``_factor``, the boundary rows {node: (R,
+    V1, V2)} of ``row_reduce`` and the ``_entries`` of A⁰ = σ(dt) at the nodes.
     """
     npts, N = grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
@@ -384,7 +390,7 @@ def _implicit_matrix(sys, grid, t, A, C, G_B):
         # install the constraint rows there instead
         B[node] = V2 @ V2.conj().T @ B[node]
         B[node, 1] += V1 @ R
-    return _factor(B, sys.static, t), boundary_rows, A[:, 0]
+    return _factor(B, sys.static, t), boundary_rows, _entries(A[:, 0])
 
 
 def _factor(B, static, t):
@@ -472,11 +478,14 @@ def _solve_implicit(sys, bc_map, source, h0, grid):
         for k, m in enumerate(range(rows.start, rows.stop)):
             t1 = grid.ts[m + 1]
             if m == 0 or not sys.static:        # a static system factors once
-                solve_level, brows, A0 = _implicit_matrix(
+                solve_level, brows, (A0, nz) = _implicit_matrix(
                     sys, grid, t1, A[k], C[k], {face: G[k] for face, G in G_B.items()})
             src = source(m + 1, t1)
             out = _field(out, h0, grid.nt, A0, src)
-            rhs = np.einsum("pij,pj->pi", A0, out[m]) / grid.dt
+            rhs = np.zeros(out.shape[1:], out.dtype)   # A⁰Ψ/Δt, summed in np.einsum's order
+            for i, j in nz:
+                rhs[:, i] += A0[i, j] * out[m][:, j]
+            rhs /= grid.dt
             if src is not None:
                 rhs += src
             for node, (R, V1, V2) in brows.items():
@@ -559,7 +568,8 @@ def _energy_tables(sys, grid, ts):
     """The energy_trace tables of the levels ``ts``, with a leading axis over
     the levels, from one evaluation on the samples and the two boundary
     points: the energy metric (the companion metric, or G when σ(dt) is not
-    definite) and √det h on the samples; s*·β, G and σ(n♭) at the ends."""
+    definite) as ``_quadratic_density`` takes it, and √det h, on the samples;
+    s*·β, G and σ(n♭) at the ends."""
     chart, n, s = sys.chart, grid.xs.size, sys.time_sign
     ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
     xi = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1).astype(complex)
@@ -567,30 +577,35 @@ def _energy_tables(sys, grid, ts):
     t, x = geometry.spacetime_rows(ts, xs2)
     A, G, beta, sdens = _by_level(len(ts), sys.coeff_at(t, x)[0], sys.metric_at(t, x),
                                   chart.beta_at(t, x), geometry.spatial_density(chart, t, x))
-    P = companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0 else G[:, :n]
-    return (P, sdens[:, :n], (s or 1) * beta[:, n:], G[:, n:],
+    P, nz = _entries(*_real(
+        companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0 else G[:, :n]))
+    return ((*_parts(P), nz), sdens[:, :n], (s or 1) * beta[:, n:], G[:, n:],
             np.einsum("lfm,lfmij->lfij", xi, A[:, n:]))
 
 
-def _quadratic_density(psi, P):
-    """Re ⟨Ψ, PΨ⟩ for Ψ (L, n, N) and P broadcasting to (L, n, N, N), term by
-    term in the (i, j) order and real arithmetic of ``np.einsum("pi,pij,pj->p",
-    Ψ̄, P, Ψ)``: bitwise that einsum's on each level, at a fraction of its cost."""
-    x = np.moveaxis(psi, -1, 0)
-    xr, xi = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
-    M = np.moveaxis(P, (-2, -1), (0, 1))
-    Mr, Mi = np.ascontiguousarray(M.real), np.ascontiguousarray(M.imag)
+def _parts(a):
+    """Contiguous copies of a's real and imaginary parts, the imaginary None for a real a."""
+    return a.real.copy(), a.imag.copy() if a.dtype == complex else None
+
+
+def _quadratic_density(psi, Pr, Pi, nz):
+    """Re ⟨Ψ, PΨ⟩ for Ψ (L, n, N) and the ``_parts`` of P's ``_entries`` (L or
+    1 levels), term by term in the (i, j) order and real arithmetic of
+    ``np.einsum("pi,pij,pj->p", Ψ̄, P, Ψ)``: bitwise that einsum's on each level,
+    summing only the entries nz, and no product with a real P's or Ψ's zero Im."""
+    xr, xi = _parts(np.moveaxis(psi, -1, 0))
     dens = np.zeros(psi.shape[:-1])
     re, im, tmp = (np.empty_like(dens) for _ in range(3))
-    for i, j in itertools.product(range(psi.shape[-1]), repeat=2):
-        np.multiply(xr[i], Mr[i, j], out=re)            # Ψ̄_i·P_ij
-        if np.iscomplexobj(psi):        # terms that are exact zeros for a real Ψ
-            re += np.multiply(xi[i], Mi[i, j], out=tmp)
-            np.multiply(xr[i], Mi[i, j], out=im)
-            im -= np.multiply(xi[i], Mr[i, j], out=tmp)
+    for i, j in nz:
+        np.multiply(xr[i], Pr[i, j], out=re)            # Re(Ψ̄_i·P_ij)
+        if xi is not None:
+            np.multiply(xi[i], Pr[i, j], out=im)        # −Im(Ψ̄_i·P_ij)
+            if Pi is not None:
+                re += np.multiply(xi[i], Pi[i, j], out=tmp)
+                im -= np.multiply(xr[i], Pi[i, j], out=tmp)
         re *= xr[j]                                     # Re of its product with Ψ_j
-        if np.iscomplexobj(psi):
-            re -= np.multiply(im, xi[j], out=im)
+        if xi is not None:
+            re += np.multiply(im, xi[j], out=im)
         dens += re
     return dens
 
@@ -620,7 +635,7 @@ def energy_trace(fld, sys):
     for rows, (P, sdens, sbeta, G, sn) in _level_blocks(
             sys, grid.ts, lambda ts: _energy_tables(sys, grid, ts)):
         psi = fld.values[rows]
-        energy[rows] = pairwise_sum(_quadratic_density(psi, P) * sdens * weights)
+        energy[rows] = pairwise_sum(_quadratic_density(psi, *P) * sdens * weights)
         trace = psi[:, [0, -1]]                 # the edge samples of the two faces
         form = np.real(trace.conj()[..., None, :] @ G @ sn @ trace[..., None])[..., 0, 0]
         flux[rows] = sum((sbeta * form).T)      # 0.0 + face 0 + face 1

@@ -1413,6 +1413,104 @@ def test_implicit_factor_kind_follows_static(case, monkeypatch):
     assert len(calls) == (1 if sys_.static else 0)
 
 
+def recorded_right_hand_sides(monkeypatch, sys_, bcs, grid, h):
+    """Solve, recording each level's right-hand side as handed to the
+    operator's solve, and each ``_implicit_matrix`` call's A⁰ = σ(dt) (as the
+    operator's real-or-complex tables hold it) and boundary rows."""
+    rhss, mats = [], []
+    real = solver._implicit_matrix
+
+    def matrix(sys_, grid_, t, A, C, G_B):
+        solve_level, brows, entries = real(sys_, grid_, t, A, C, G_B)
+        mats.append((solver._real(A, C, *G_B.values())[0][:, 0], brows))
+        return (lambda rhs: rhss.append(rhs.copy()) or solve_level(rhs)), brows, entries
+
+    monkeypatch.setattr(solver, "_implicit_matrix", matrix)
+    fld = solve(sys_, bcs, h=h, grid=grid, force=True)
+    return fld, rhss, mats
+
+
+def reference_right_hand_side(A0, brows, psi, dt):
+    """A⁰Ψ/Δt as one einsum, projected at the boundary rows."""
+    rhs = np.einsum("pij,pj->pi", A0, psi) / dt
+    for node, (_, _, V2) in brows.items():
+        rhs[node] = V2 @ (V2.conj().T @ rhs[node])
+    return rhs.ravel()
+
+
+@pytest.mark.parametrize("case", sorted(implicit_cases()))
+def test_implicit_right_hand_side_is_bitwise_the_einsum(case, monkeypatch):
+    # σ(dt) is singular here, so its products skip entries that vanish
+    # everywhere; a static solve assembles its operator once
+    sys_, bcs = implicit_cases()[case]
+    grid = make_grid(sys_, 24)
+    h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, sys_.fiber_rank)
+    fld, rhss, mats = recorded_right_hand_sides(monkeypatch, sys_, bcs, grid, h)
+    assert len(mats) == (1 if sys_.static else grid.nt) and len(rhss) == grid.nt
+    assert np.any(mats[0][0] == 0.0) and np.any(mats[0][0] != 0.0)
+    for m, rhs in enumerate(rhss):
+        A0, brows = mats[0 if sys_.static else m]
+        ref = reference_right_hand_side(A0, brows, fld.values[m], grid.dt)
+        assert rhs.dtype == ref.dtype and rhs.tobytes() == ref.tobytes()
+
+
+def test_implicit_right_hand_side_with_an_off_diagonal_singular_sigma_dt(strip, monkeypatch):
+    # σ(dt) = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]: singular, with off-diagonal entries
+    A0 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    sys_ = system.constant_system(strip, [A0, np.diag([1.0, -1.0, 0.5])], np.eye(3))
+    assert sys_.time_sign == 0
+    grid = make_grid(sys_, 24, t_final=0.1)
+    h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5), 2: (0.5, 0.2, 1.0)}, 3)
+    fld, rhss, mats = recorded_right_hand_sides(monkeypatch, sys_, boundary.no_condition(3),
+                                                grid, h)
+    assert len(mats) == 1 and len(rhss) == grid.nt > 1
+    for m, rhs in enumerate(rhss):
+        ref = reference_right_hand_side(*mats[0], fld.values[m], grid.dt)
+        assert np.max(np.abs(rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def density_tables(P):
+    """P laid out as ``_energy_tables`` hands it to ``_quadratic_density``."""
+    M, nz = solver._entries(*solver._real(P))
+    return (*solver._parts(M), nz)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(N=st.integers(3, 4), levels=st.sampled_from([1, 5]), n=st.integers(1, 9),
+       density=st.floats(0.0, 1.0), real_metric=st.booleans(), real_field=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadratic_density_over_its_tables_is_bitwise_the_einsum(
+        N, levels, n, density, real_metric, real_field, seed):
+    # a Hermitian P (static: one level for all five, or one per level) with
+    # entries that vanish everywhere or at some points, a zero row and an
+    # imaginary-only entry
+    rng = np.random.default_rng(seed)
+    shape = (levels, n, N, N)
+    P = rng.standard_normal(shape) + (0.0 if real_metric else 1j * rng.standard_normal(shape))
+    P = P + np.conj(np.swapaxes(P, -1, -2))
+    mask = rng.random((N, N)) < density
+    zero = rng.integers(N)
+    a, b = rng.choice(np.delete(np.arange(N), zero), 2, replace=False)
+    mask = mask | mask.T
+    mask[zero] = mask[:, zero] = False
+    where = rng.random(shape) < 0.8                 # and entries that vanish at some points
+    P = P * mask * (where & np.swapaxes(where, -1, -2))
+    if not real_metric:
+        P[..., a, b] = 1j * (1.0 + rng.random((levels, n)))
+        P[..., b, a] = np.conj(P[..., a, b])
+    psi = rng.standard_normal((5, n, N))
+    if not real_field:
+        psi = psi + 1j * rng.standard_normal((5, n, N))
+    _, Pi, nz = tables = density_tables(P)
+    assert (Pi is None) == real_metric and psi.dtype == (float if real_field else complex)
+    assert all(zero not in entry for entry in nz)
+    dens = solver._quadratic_density(psi, *tables)
+    for level in range(5):
+        ref = np.real(np.einsum("pi,pij,pj->p", psi[level].conj(), P[min(level, levels - 1)],
+                                psi[level]))
+        assert dens[level].tobytes() == ref.tobytes()
+
+
 def singular_system(chart):
     """σ(dt) = diag(1, 0), σ(dx) = 0, C = 0: every backward-Euler operator is singular."""
     return system.constant_system(chart, [np.diag([1.0, 0.0]), np.zeros((2, 2))], None)
