@@ -28,7 +28,7 @@ def herm_eigen(M):
 
 
 def _herm(M):
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
     return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
 
 
@@ -68,11 +68,12 @@ def eigh_pencil(A, B):
     Cholesky reduction B = LLᴴ, C = L⁻¹AL⁻ᴴ, V = L⁻ᴴU (Golub & Van Loan,
     *Matrix Computations*, §8.7); LinAlgError when some B is not ≻ 0.  L⁻¹
     and the products are taken in structure-of-arrays layout (``soa``), and
-    ``np.linalg.eigh`` solves the Hermitian cores C.
+    ``np.linalg.eigh`` solves the Hermitian cores C.  Real symmetric pencils
+    stay in real arithmetic; any complex input makes the pencil complex.
     """
     Linv = _lower_inverse(soa(np.linalg.cholesky(_herm(B))))
     LinvH = np.conj(Linv.swapaxes(0, 1))
-    A = soa(np.asarray(A, dtype=complex))
+    A = soa(np.asarray(A))
     C = soa_mul(soa_mul(Linv, 0.5 * (A + np.conj(A.swapaxes(0, 1)))), LinvH)
     w, U = np.linalg.eigh(aos(0.5 * (C + np.conj(C.swapaxes(0, 1)))))
     return w, aos(soa_mul(LinvH, soa(U)))

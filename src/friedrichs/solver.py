@@ -16,12 +16,14 @@ Symmetric positive systems with singular σ(dt) (reaction-diffusion,
 Klein-Gordon reduction) are stepped implicitly (backward difference) on a node
 grid, with boundary rows replaced by the row-reduced G_B in the constrained
 directions: a static system factors its operator once with SuperLU, a
-time-dependent one factors every level with banded LAPACK.
+time-dependent one assembles the operators of a block of levels in one pass
+and factors each level with banded LAPACK.
 
 Coefficient tables are evaluated for a block of levels at once: every
 coefficient callable takes one time per row (``geometry.spacetime_rows``).
-Real problems step in real arithmetic: a field is float64 while its tables,
-h₀ and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
+Real problems step in real arithmetic: their tables are narrowed to float64
+right after their evaluation, and a field is float64 while its tables, h₀
+and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
 """
 
 import functools
@@ -212,13 +214,26 @@ def _level_blocks(sys, ts, tables):
     The one place that decides when coefficients are evaluated: once per
     block for time-dependent systems, once in total for static ones, whose
     tables are built from their first level and serve every block with a
-    leading axis of length 1.
+    leading axis of length 1.  A block whose tables refuse (ValueError, such
+    as a CFL, hyperbolicity or rank guard, or BoundaryClosureError) is
+    yielded again one level at a time, each level's tables built only once
+    the caller is done with the level before: so each refusal comes at its
+    own level with its own message, after every earlier level is stepped.
     """
     block = None
     for start in range(0, len(ts), _BLOCK):
+        stop = min(start + _BLOCK, len(ts))
         if block is None or not sys.static:
-            block = tables(ts[start:start + (1 if sys.static else _BLOCK)])
-        yield slice(start, min(start + _BLOCK, len(ts))), block
+            block_ts = ts[start:start + (1 if sys.static else _BLOCK)]
+            try:
+                block = tables(block_ts)
+            except (ValueError, BoundaryClosureError):
+                if len(block_ts) == 1:
+                    raise
+                for m in range(start, stop):
+                    yield slice(m, m + 1), tables(ts[m:m + 1])
+                continue
+        yield slice(start, stop), block
 
 
 def _by_level(L, *tables):
@@ -248,17 +263,21 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     lapse for all the levels, and one characteristic split, serve the cells,
     the faces (covector dx) and the two boundary faces (their conormals).
     ContractError when the realised CFL at the faces exceeds 1; each face's
-    closures are solved in one batch."""
+    closures are solved in one batch.  The tables and each face's G_B are
+    narrowed together (``_real``) right after their evaluation, so a real
+    problem builds every product in float64."""
     ts = np.atleast_1d(ts)
     chart, nx, N, L = sys.chart, grid.nx, sys.fiber_rank, ts.size
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
     pts = np.concatenate([grid.xs, faces])[:, None]
     rows = nx + np.r_[0:nx + 1, 0, nx]      # the faces, then the two boundary faces
     t, x = geometry.spacetime_rows(ts, pts)
-    A, C, G, beta = _by_level(L, *sys.coeff_at(t, x), sys.metric_at(t, x), chart.beta_at(t, x))
+    ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
+    A, C, G, *mats = _real(*sys.coeff_at(t, x), sys.metric_at(t, x),
+                           *(bc_map[q.face].matrix(chart, q) for q in ends))
+    A, C, G, beta = _by_level(L, A, C, G, chart.beta_at(t, x))
     xi = np.empty((L, rows.size, 2))
     xi[:, :nx + 1] = (0.0, 1.0)
-    ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
     xi[:, nx + 1:] = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1)
     split = sys._split(np.repeat(ts, rows.size), np.tile(pts[rows], (L, 1)), xi.reshape(-1, 2),
                        *(a[:, rows].reshape(-1, *a.shape[2:]) for a in (A, G, beta)))
@@ -270,9 +289,8 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
         m = int(np.argmax(cfl > 1.0))
         raise ContractError(f"realised CFL {cfl[m]:.4g} > 1 at t={ts[m]:.6g}, "
                             f"x={faces[worst[m]]:.6g}: lower the grid's cfl")
-    T = soa(np.stack([_boundary_closure(bc_map[q.face], chart, q,
-                                        *(a[:, i] for a in (lam, V, P)), force)
-                      for q, i in zip(ends, (-2, -1))], axis=1))
+    T = soa(np.stack([_boundary_closure(G_B, q.face, *(a[:, i] for a in (lam, V, P)), force)
+                      for q, G_B, i in zip(ends, mats, (-2, -1))], axis=1))
     # the block's products in structure-of-arrays layout: (N, ·, level, cell or face)
     k = grid.dt / (2 * grid.dx)
     V = soa(V[:, :nx + 1])
@@ -291,26 +309,27 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     return np.ascontiguousarray(aos(B)), grid.dt * a0inv
 
 
-def _boundary_closure(bc, chart, q, lam, V, P, force):
+def _boundary_closure(G_B, face, lam, V, P, force):
     """Matrices T (L, N, N), ghost = T_l @ Ψ_edge, implementing the
-    characteristic closure at the rows of the boundary point q, one per level,
-    from the splits (λ, V, P) of their outward conormals stacked over the
-    levels, in one batch.  The levels must share their counts of incoming
-    characteristics and of constraint rows (ContractError otherwise); with
-    ``force``, a batch with an unsolvable level is closed by least squares."""
+    characteristic closure at the rows of a face, one per level, from their
+    boundary matrices G_B (L, N, N) and the splits (λ, V, P) of their outward
+    conormals stacked over the levels, in one batch.  The levels must share
+    their counts of incoming characteristics and of constraint rows
+    (ContractError otherwise); with ``force``, a batch with an unsolvable
+    level is closed by least squares."""
     keep = nonneg_mask(lam)
     if np.any(keep != keep[0]):
-        raise ContractError(f"the levels at face {q.face} differ in their incoming "
+        raise ContractError(f"the levels at face {face} differ in their incoming "
                             f"characteristics")
     W_oz = np.conj(np.swapaxes(V[..., keep[0]], -1, -2)) @ P
-    R, _, _ = row_reduce(bc.matrix(chart, q))
+    R, _, _ = row_reduce(G_B)
     r, n_in = R.shape[-2], int(np.sum(~keep[0]))
     K = np.concatenate([W_oz, R], axis=-2)       # square exactly when r == n_in
     rhs_map = np.concatenate([W_oz, -R], axis=-2)
     if r != n_in:
         if not force:
             raise BoundaryClosureError(
-                f"boundary closure at face {q.face}: {n_in} incoming characteristics "
+                f"boundary closure at face {face}: {n_in} incoming characteristics "
                 f"vs rank-{r} condition (admissibility (iii) defect)")
         return np.linalg.pinv(K) @ rhs_map
     try:
@@ -318,30 +337,17 @@ def _boundary_closure(bc, chart, q, lam, V, P, force):
     except np.linalg.LinAlgError as exc:
         if force:
             return np.linalg.pinv(K) @ rhs_map
-        raise BoundaryClosureError(f"singular closure at face {q.face}") from exc
+        raise BoundaryClosureError(f"singular closure at face {face}") from exc
 
 
 def _solve_explicit(sys, bc_map, source, h0, grid, force):
-    """The field.  The tables come in blocks of ``_BLOCK`` levels.  A block
-    whose tables refuse (a CFL, hyperbolicity or closure guard, or closures
-    that differ from level to level) is built again one level at a time as it
-    is stepped, so each refusal comes at its own level with its own message,
-    once every earlier level is stepped."""
+    """The field, from the tables of ``_level_blocks``' blocks of levels."""
     nx, N = grid.nx, sys.fiber_rank
     out = pad = None
-
-    def tables(ts):
-        try:
-            return _real(*_explicit_tables(sys, bc_map, grid, ts, force))
-        except (ValueError, BoundaryClosureError):
-            if len(ts) == 1:
-                raise
-            return None
-
-    for rows, block in _level_blocks(sys, grid.ts[:-1], tables):
+    for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _real(
+            *_explicit_tables(sys, bc_map, grid, ts, force))):
         for k, m in enumerate(range(rows.start, rows.stop)):
-            B, dt_a0inv = block or tables(grid.ts[m:m + 1])
-            level = min(k, len(B) - 1)          # one level of its own, or a static system's one
+            level = min(k, len(B) - 1)          # a static system's one level serves all
             src = source(m, grid.ts[m])
             if out is None or out.dtype != complex:     # complex128 is the widest
                 out = _field(out, h0, grid.nt, B, dt_a0inv, src)
@@ -361,81 +367,86 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
 # -- implicit positive systems -----------------------------------------------
 
 
-def _implicit_matrix(sys, grid, t, A, C, G_B):
-    """Backward-Euler operator of the level t, from its coefficient tables A
-    and C at the nodes, with boundary rows replaced in constrained directions
-    by the row-reduced G_B {face: (N, N)}; float64 when A, C and G_B are real.
+def _implicit_tables(sys, bc_map, grid, ts):
+    """The backward-Euler operators of the levels ``ts`` (a block of them, or
+    a static system's one) from one evaluation of the coefficients at the
+    nodes and of each face's G_B, narrowed together (``_real``): block rows B
+    (L, npts, 3, N, N) as in ``_factor``, the boundary rows replaced in the
+    constrained directions by the row-reduced G_B (one stacked ``row_reduce``
+    per face, ContractError when the ranks differ within the block).
 
-    Returns ``solve(rhs)`` of its ``_factor``, the boundary rows {node: (R,
-    V1, V2)} of ``row_reduce`` and the ``_entries`` of A⁰ = σ(dt) at the nodes.
+    Returns the operators (B for a static system, else their ``_band``
+    storage), each face's boundary rows {node: (R, V1, V2)} and the
+    ``_entries`` of A⁰ = σ(dt) at the nodes, all stacked over the levels.
     """
-    npts, N = grid.xs.size, sys.fiber_rank
+    chart, npts, N = sys.chart, grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
-    A, C, *mats = _real(A, C, *G_B.values())
+    A, C = _coefficients(sys, ts, grid.xs[:, None])
+    A, C, *mats = _real(A, C, *(bc.matrix(chart, geometry.boundary_points(chart, face, ts))
+                               for face, bc in bc_map.items()))
     # lower, diagonal and upper block of each block row: centred differences
     # inside, one-sided at the two edge nodes
-    B = np.zeros((npts, 3, N, N), dtype=A.dtype)
-    B[:, 1] = A[:, 0] / dt + C
-    B[1:-1, 0] = -A[1:-1, 1] / (2 * dx)
-    B[1:-1, 2] = A[1:-1, 1] / (2 * dx)
-    B[0, 1] -= A[0, 1] / dx
-    B[0, 2] = A[0, 1] / dx
-    B[-1, 1] += A[-1, 1] / dx
-    B[-1, 0] = -A[-1, 1] / dx
+    B = np.zeros((len(ts), npts, 3, N, N), dtype=A.dtype)
+    B[:, :, 1] = A[:, :, 0] / dt + C
+    B[:, 1:-1, 0] = -A[:, 1:-1, 1] / (2 * dx)
+    B[:, 1:-1, 2] = A[:, 1:-1, 1] / (2 * dx)
+    B[:, 0, 1] -= A[:, 0, 1] / dx
+    B[:, 0, 2] = A[:, 0, 1] / dx
+    B[:, -1, 1] += A[:, -1, 1] / dx
+    B[:, -1, 0] = -A[:, -1, 1] / dx
     boundary_rows = {}
-    for face, G in zip(G_B, mats):
+    for face, G in zip(bc_map, mats):
         node = 0 if face[1] == 0 else npts - 1
         R, V1, V2 = boundary_rows[node] = row_reduce(G)
         # drop the PDE equations along the constrained directions and
         # install the constraint rows there instead
-        B[node] = V2 @ V2.conj().T @ B[node]
-        B[node, 1] += V1 @ R
-    return _factor(B, sys.static, t), boundary_rows, _entries(A[:, 0])
+        B[:, node] = (V2 @ V2.conj().swapaxes(-1, -2))[:, None] @ B[:, node]
+        B[:, node, 1] += V1 @ R
+    return B if sys.static else _band(B), boundary_rows, _entries(A[:, :, 0])
 
 
-def _factor(B, static, t):
-    """``solve(rhs)`` of the block-tridiagonal matrix whose block row i holds
-    B[i, d + 1] at block column i + d (d = −1, 0, 1).
+def _factor(op, t, banded):
+    """``solve(rhs)`` of one level's block-tridiagonal matrix, whose block
+    row i holds B[i, d + 1] at block column i + d (d = −1, 0, 1).
 
-    A static system factors once and solves nt times: SuperLU (``splu`` of
-    ``_csc``), whose solve is the faster.  A time-dependent one factors every
-    level: LAPACK's banded LU with partial pivoting (``gbtrf`` on ``_band``,
-    Golub & Van Loan, *Matrix Computations*, §4.3), an order of magnitude
-    cheaper to factor.  Real when B is, solving a complex rhs part by part.
-    BoundaryClosureError, naming t, when the matrix is exactly singular.
+    A static system (``banded`` None) factors once and solves nt times:
+    SuperLU (``splu`` of ``_csc(op)``, op = B), whose solve is the faster.  A
+    time-dependent one factors every level: LAPACK's banded LU with partial
+    pivoting, the pair ``banded`` = (``gbtrf``, ``gbtrs``) of op's dtype on
+    op = ``_band(B)``
+    (Golub & Van Loan, *Matrix Computations*, §4.3), an order of magnitude
+    cheaper to factor; it overwrites op.  Real when op is, solving a complex
+    rhs part by part.  BoundaryClosureError, naming t, when the matrix is
+    exactly singular.
     """
-    singular = f"the implicit operator at t={t:.6g} is singular"
-    if static:
+    singular = "the implicit operator at t={:.6g} is singular"
+    if banded is None:
         import scipy.sparse.linalg
 
         try:
-            solve = scipy.sparse.linalg.splu(_csc(B)).solve
+            solve = scipy.sparse.linalg.splu(_csc(op)).solve
         except RuntimeError as exc:             # "Factor is exactly singular"
-            raise BoundaryClosureError(singular) from exc
+            raise BoundaryClosureError(singular.format(t)) from exc
     else:
-        from scipy.linalg import lapack
-
-        kl = 2 * B.shape[2] - 1
-        gbtrf, gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (B,))
-        lu, piv, info = gbtrf(_band(B), kl, kl, overwrite_ab=True)
+        gbtrf, gbtrs = banded
+        kl = (op.shape[0] - 1) // 3
+        lu, piv, info = gbtrf(op, kl, kl, overwrite_ab=True)
         if info > 0:
-            raise BoundaryClosureError(singular)
+            raise BoundaryClosureError(singular.format(t))
         solve = lambda rhs: gbtrs(lu, kl, kl, rhs, piv)[0]     # noqa: E731
-    return solve if np.iscomplexobj(B) else lambda rhs: (
+    return solve if np.iscomplexobj(op) else lambda rhs: (
         solve(rhs) if rhs.dtype == float else solve(rhs.real) + 1j * solve(rhs.imag))
 
 
 @functools.lru_cache(maxsize=8)
 def _block_index(npts, N):
     """Where B's entries (as in ``_factor``) go: their flat positions in B
-    whose block column exists, the rows i and columns j of those entries in
-    the matrix, and their flat positions in ``_band``'s storage."""
-    kl = 2 * N - 1
+    whose block column exists, and the rows i and columns j of those entries
+    in the matrix."""
     I, d, a, b = np.indices((npts, 3, N, N)).reshape(4, -1)
     J = I + d - 1                           # block column
     src = np.flatnonzero((J >= 0) & (J < npts))
-    i, j = (I * N + a)[src], (J * N + b)[src]
-    index = src, i, j, j * (3 * kl + 1) + 2 * kl + i - j
+    index = src, (I * N + a)[src], (J * N + b)[src]
     for arr in index:
         arr.flags.writeable = False         # shared by every caller
     return index
@@ -448,48 +459,58 @@ def _csc(B):
     import scipy.sparse
 
     npts, _, N, _ = B.shape
-    src, i, j, _ = _block_index(npts, N)
+    src, i, j = _block_index(npts, N)
     entries = B.ravel()[src]
     nz = np.abs(entries) > 0
     return scipy.sparse.csr_matrix((entries[nz], (i[nz], j[nz])), shape=(npts * N,) * 2).tocsc()
 
 
 def _band(B):
-    """The block-tridiagonal matrix of B (as in ``_factor``) in LAPACK band
-    storage for ``gbtrf``, Fortran-ordered (3kl + 1, npts·N): bandwidths
-    kl = ku = 2N − 1, entry (i, j) at row kl + ku + i − j of column j, the
-    first kl rows left for the fill-in; the out-of-range edge blocks B[0, 0]
-    and B[−1, 2] have no column and are dropped."""
-    npts, _, N, _ = B.shape
-    src, _, _, dst = _block_index(npts, N)
-    band = np.zeros((npts * N, 3 * (2 * N - 1) + 1), dtype=B.dtype)
-    band.ravel()[dst] = B.ravel()[src]
-    return band.T
+    """The block-tridiagonal matrices of B (..., npts, 3, N, N) (each as in
+    ``_factor``) in LAPACK band storage for ``gbtrf``, (..., 3kl + 1,
+    npts·N) with each matrix Fortran-ordered: bandwidths kl = ku = 2N − 1,
+    entry (i, j) at row kl + ku + i − j of column j, the first kl rows left
+    for the fill-in; the out-of-range edge blocks B[0, 0] and B[−1, 2] have
+    no column and are dropped.  One strided copy per block entry (d, a, b)
+    serves all the matrices."""
+    *lead, npts, _, N, _ = B.shape
+    kl = 2 * N - 1
+    band = np.zeros((*lead, npts, N, 3 * kl + 1), dtype=B.dtype)    # column j as (J, b)
+    for d, a, b in np.ndindex(3, N, N):
+        rows = slice(max(0, 1 - d), npts - max(0, d - 1))     # block rows whose column exists
+        cols = slice(max(0, d - 1), npts - max(0, 1 - d))
+        band[..., cols, b, 2 * kl + (1 - d) * N + a - b] = B[..., rows, d, a, b]
+    return band.reshape(*lead, npts * N, -1).swapaxes(-1, -2)
 
 
 def _solve_implicit(sys, bc_map, source, h0, grid):
-    xs, chart = grid.xs, sys.chart
-    npts, N = xs.size, sys.fiber_rank
+    """The field.  A level solves its operator from ``_implicit_tables``'
+    blocks of levels and forms its right-hand side; a time-dependent one
+    first factors its operator (``_factor``)."""
+    npts, N = grid.xs.size, sys.fiber_rank
+    banded = {}         # gbtrf and gbtrs per dtype, looked up once per solve
     out = None
-    for rows, (A, C, G_B) in _level_blocks(sys, grid.ts[1:], lambda ts: (
-            *_real(*_coefficients(sys, ts, xs[:, None])),
-            {face: bc.matrix(chart, geometry.boundary_points(chart, face, ts))
-             for face, bc in bc_map.items()})):
+    for rows, (ops, brows, (A0, nz)) in _level_blocks(
+            sys, grid.ts[1:], lambda ts: _implicit_tables(sys, bc_map, grid, ts)):
+        if not sys.static and ops.dtype not in banded:
+            from scipy.linalg import lapack
+
+            banded[ops.dtype] = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=ops.dtype)
         for k, m in enumerate(range(rows.start, rows.stop)):
             t1 = grid.ts[m + 1]
+            level = 0 if sys.static else k
             if m == 0 or not sys.static:        # a static system factors once
-                solve_level, brows, (A0, nz) = _implicit_matrix(
-                    sys, grid, t1, A[k], C[k], {face: G[k] for face, G in G_B.items()})
+                solve_level = _factor(ops[level], t1, banded.get(ops.dtype))
             src = source(m + 1, t1)
             out = _field(out, h0, grid.nt, A0, src)
             rhs = np.zeros(out.shape[1:], out.dtype)   # A⁰Ψ/Δt, summed in np.einsum's order
             for i, j in nz:
-                rhs[:, i] += A0[i, j] * out[m][:, j]
+                rhs[:, i] += A0[i, j, level] * out[m][:, j]
             rhs /= grid.dt
             if src is not None:
                 rhs += src
             for node, (R, V1, V2) in brows.items():
-                rhs[node] = V2 @ (V2.conj().T @ rhs[node])
+                rhs[node] = V2[level] @ (V2[level].conj().T @ rhs[node])
             out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
     return _field(out, h0, grid.nt)
 

@@ -142,7 +142,8 @@ class FriedrichsSystem:
         s = self.time_sign
         beta = self.chart.beta_at(t, xs) if beta is None else beta
         P = companion_metric(s, beta, G, A[:, 0])
-        xi = np.broadcast_to(np.asarray(xi, complex), A.shape[:2])
+        xi = np.asarray(xi)
+        xi = np.broadcast_to(xi.astype(np.result_type(xi, A), copy=False), A.shape[:2])
         try:
             lam, V = eigh_pencil(companion_metric(s, beta, G, np.einsum("pm,pmij->pij", xi, A)), P)
         except np.linalg.LinAlgError as exc:

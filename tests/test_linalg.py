@@ -124,12 +124,14 @@ def test_eigh_pencil_matches_transformed_problem():
 @st.composite
 def pencil_stacks(draw):
     """Stacks (batch ≤ 8, N ≤ 4) of random Hermitian A and B ≻ 0 with
-    cond(B) ≤ 1e6, and an index into the stack."""
-    batch, N = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cond(B) ≤ 1e6, real symmetric in a real draw, and an index into the stack."""
+    batch, N, real = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     A = np.stack([random_hermitian(N, rng) for _ in range(batch)])
-    Q = np.linalg.qr(rng.standard_normal((batch, N, N))
-                     + 1j * rng.standard_normal((batch, N, N)))[0]
+    Z = rng.standard_normal((batch, N, N)) + 1j * rng.standard_normal((batch, N, N))
+    if real:
+        A, Z = A.real, Z.real
+    Q = np.linalg.qr(Z)[0]
     spectrum = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 6.0)), (batch, N))
     B = (Q * spectrum[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2))
     return A, B, Q, spectrum, draw(st.integers(0, batch - 1))
@@ -139,9 +141,11 @@ def pencil_stacks(draw):
 @given(pencil_stacks())
 def test_batched_pencil_matches_scipy_per_slice(stack):
     # eigenvalues on the scale ‖A‖‖B⁻¹‖ that bounds them, and AV = BVΛ on the
-    # normwise scale ‖A‖ + |λ|‖B‖: the entries of BVΛ reach cond(B)
+    # normwise scale ‖A‖ + |λ|‖B‖: the entries of BVΛ reach cond(B); a real
+    # symmetric pencil is solved in real arithmetic
     A, B, Q, spectrum, j = stack
     w, V = eigh_pencil(A, B)
+    assert w.dtype == np.float64 and V.dtype == B.dtype == A.dtype
     for a, b, wi, vi, s in zip(A, B, w, V, spectrum):
         expect = scipy.linalg.eigh(a, b, eigvals_only=True)
         norm_a = np.linalg.norm(a, 2)

@@ -646,28 +646,62 @@ def test_energy_trace_time_dependent_without_positive_metric():
     assert tr.energy[-1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_implicit_time_dependent_assembles_once_per_step(strip, monkeypatch):
-    # every level's operator is assembled and factored, from coefficients
-    # evaluated once per block of levels
+def counting(name, fn, calls):
+    """fn, counting its calls under ``name`` in ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def counted(monkeypatch, owner, name, calls):
+    monkeypatch.setattr(owner, name, counting(name, getattr(owner, name), calls))
+
+
+def counted_lapack(monkeypatch, calls):
+    """Count ``get_lapack_funcs`` lookups and the calls of the routines they return."""
+    from scipy.linalg import lapack
+
+    lookup = lapack.get_lapack_funcs
+    monkeypatch.setattr(lapack, "get_lapack_funcs", counting(
+        "get_lapack_funcs", lambda names, *args, **kwargs: [
+            counting(name, fn, calls) for name, fn in zip(names, lookup(names, *args, **kwargs))],
+        calls))
+
+
+@pytest.mark.parametrize("static", [False, True])
+def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, static,
+                                                                      monkeypatch):
+    # a time-dependent solve evaluates, row-reduces and lays out its operators
+    # once per block of levels and factors each level; a static one
+    # assembles once and factors once with SuperLU
+    import scipy.sparse.linalg
+
     prob = reduction.SecondOrderProblem(
         "reaction_diffusion", strip, k=1,
-        c=lambda t, xs: 0.3 * np.sin(2 * np.pi * t), static_coeffs=False)
+        c=(lambda t, xs: -1.0) if static else (lambda t, xs: 0.3 * np.sin(2 * np.pi * t)),
+        static_coeffs=static)
     rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
+    assert rd.static == static
     grid = make_grid(rd, 24, t_final=0.4)
     bcs = boundary.robin(0.0, 1.0, rd.layout)
-    assembled, evaluated = [], []
-    real = solver._implicit_matrix
-
-    def counting(sys_, grid_, t, A, C, G_B):
-        assembled.append(t)
-        return real(sys_, grid_, t, A, C, G_B)
-
-    monkeypatch.setattr(solver, "_implicit_matrix", counting)
-    monkeypatch.setattr(rd, "coeff_at",
-                        lambda t, xs, fn=rd.coeff_at: evaluated.append(t) or fn(t, xs))
+    calls = {}
+    for name in ("_implicit_tables", "row_reduce", "_entries", "_band", "_factor"):
+        counted(monkeypatch, solver, name, calls)
+    counted(monkeypatch, rd, "coeff_at", calls)
+    counted(monkeypatch, scipy.sparse.linalg, "splu", calls)
+    counted_lapack(monkeypatch, calls)
     solve(rd, bcs, grid=grid, force=True)
-    assert assembled == list(grid.ts[1:]) and grid.nt > solver._BLOCK
-    assert len(evaluated) == -(-grid.nt // solver._BLOCK)
+    blocks = 1 if static else -(-grid.nt // solver._BLOCK)
+    assert grid.nt > 2 * solver._BLOCK
+    expected = {"_implicit_tables": blocks, "coeff_at": blocks, "row_reduce": 2 * blocks,
+                "_entries": blocks, "_factor": 1 if static else grid.nt}
+    if static:
+        expected["splu"] = 1
+    else:
+        expected.update(_band=blocks, get_lapack_funcs=1, gbtrf=grid.nt, gbtrs=grid.nt)
+    assert calls == expected
 
 
 @pytest.mark.parametrize("eps", [5e-10, -5e-10])
@@ -903,7 +937,7 @@ def reference_explicit_solve(sys_, bcs, f, h0, grid):
         for face, edge in ((LEFT, 0), (RIGHT, -1)):      # the ghost beside each edge cell
             q = geometry.BoundaryPoint([t], face, [[chart.face_position(face)]])
             split = sys_.characteristics(t, q.x, geometry.outward_normal(chart, q))
-            T, = solver._boundary_closure(bc_map[face], chart, q, *split, False)
+            T, = solver._boundary_closure(bc_map[face].matrix(chart, q), face, *split, False)
             pad[edge] = T @ psi[edge]
         diss = np.einsum("fij,fj->fi", Aabs, pad[1:] - pad[:-1])
         rhs = -np.einsum("pij,pj->pi", a0inv @ A[:, 1], (pad[2:] - pad[:-2]) / (2 * dx))
@@ -1292,22 +1326,26 @@ def implicit_cases():
 
 @pytest.mark.parametrize("case", sorted(implicit_cases()))
 def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
+    # each level of a block's operators, and the block's band storage is
+    # bitwise each level's own
     sys_, bcs = implicit_cases()[case]
     grid = make_grid(sys_, 32)
     built = []
-    real = solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda B, *args: built.append(B) or real(B, *args))
-    A, C = sys_.coeff_at(grid.ts[3], grid.xs[:, None])
-    G_B = {face: bc.matrix(sys_.chart, geometry.BoundaryPoint(
-        grid.ts[3], face, [sys_.chart.face_position(face)]))
-        for face, bc in solver._as_bc_map(sys_, bcs).items()}
-    solver._implicit_matrix(sys_, grid, grid.ts[3], A, C, G_B)
-    B, = built
-    csc, ref = solver._csc(B), reference_csc(B)
-    assert ref.has_sorted_indices and ref.nnz < B.size
-    assert csc.data.tobytes() == ref.data.tobytes()
-    assert csc.indices.tobytes() == ref.indices.tobytes()
-    assert csc.indptr.tobytes() == ref.indptr.tobytes()
+    band = solver._band
+    monkeypatch.setattr(solver, "_band", lambda B: built.append(B) or band(B))
+    ts = grid.ts[3:3 + solver._BLOCK]
+    ops, _, _ = solver._implicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, ts)
+    Bs = ops if sys_.static else built[0]
+    assert len(Bs) == len(ts) == solver._BLOCK
+    for level, B in enumerate(Bs):
+        csc, ref = solver._csc(B), reference_csc(B)
+        assert ref.has_sorted_indices and ref.nnz < B.size
+        assert csc.data.tobytes() == ref.data.tobytes()
+        assert csc.indices.tobytes() == ref.indices.tobytes()
+        assert csc.indptr.tobytes() == ref.indptr.tobytes()
+        if not sys_.static:
+            assert ops[level].flags.f_contiguous
+            assert ops[level].tobytes("F") == band(B).tobytes("F")
 
 
 def test_implicit_csc_masks_the_out_of_range_edge_blocks():
@@ -1373,15 +1411,18 @@ def reference_band(B):
 @pytest.mark.parametrize("npts, N", [(5, 2), (4, 3), (6, 1)])
 def test_band_holds_the_block_rows_entries(npts, N):
     # the out-of-range edge blocks B[0, 0] and B[-1, 2] are masked; every
-    # other entry lands where LAPACK's gbtrf reads it
+    # other entry lands where LAPACK's gbtrf reads it, for one level and for
+    # each level of a stack
     rng = np.random.default_rng(npts * N)
-    B = rng.standard_normal((npts, 3, N, N)) + 1j * rng.standard_normal((npts, 3, N, N))
-    band = solver._band(B)
-    assert band.flags.f_contiguous
-    assert band.tobytes(order="F") == reference_band(B).tobytes(order="F")
-    inner = B.copy()
-    inner[0, 0] = inner[-1, 2] = 0.0
-    assert np.array_equal(band, reference_band(inner))
+    shape = (3, npts, 3, N, N)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    bands = solver._band(stack)
+    for B, band in [(stack[0], solver._band(stack[0])), *zip(stack, bands)]:
+        assert band.flags.f_contiguous
+        assert band.tobytes(order="F") == reference_band(B).tobytes(order="F")
+        inner = B.copy()
+        inner[0, 0] = inner[-1, 2] = 0.0
+        assert np.array_equal(band, reference_band(inner))
 
 
 @pytest.mark.parametrize("case", ["heat_sine_h", "kg_sine_h"])
@@ -1392,7 +1433,8 @@ def test_banded_implicit_fields_match_superlu(case, monkeypatch):
     h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, sys_.fiber_rank)
     banded = solve(sys_, bcs, h=h, grid=grid).values
     real = solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda B, static, t: real(B, True, t))
+    monkeypatch.setattr(solver, "_band", lambda B: B)      # the block rows instead
+    monkeypatch.setattr(solver, "_factor", lambda B, t, banded: real(B, t, None))
     superlu = solve(sys_, bcs, h=h, grid=grid).values
     assert np.max(np.abs(banded - superlu)) <= 1e-12 * np.max(np.abs(superlu))
     assert not np.array_equal(banded, superlu)      # two factorizations ran
@@ -1415,17 +1457,26 @@ def test_implicit_factor_kind_follows_static(case, monkeypatch):
 
 def recorded_right_hand_sides(monkeypatch, sys_, bcs, grid, h):
     """Solve, recording each level's right-hand side as handed to the
-    operator's solve, and each ``_implicit_matrix`` call's A⁰ = σ(dt) (as the
-    operator's real-or-complex tables hold it) and boundary rows."""
+    operator's solve, and the A⁰ = σ(dt) (as the operator's real-or-complex
+    tables hold it) and boundary rows of each level ``_implicit_tables``
+    builds."""
     rhss, mats = [], []
-    real = solver._implicit_matrix
+    tables, factor = solver._implicit_tables, solver._factor
 
-    def matrix(sys_, grid_, t, A, C, G_B):
-        solve_level, brows, entries = real(sys_, grid_, t, A, C, G_B)
-        mats.append((solver._real(A, C, *G_B.values())[0][:, 0], brows))
-        return (lambda rhs: rhss.append(rhs.copy()) or solve_level(rhs)), brows, entries
+    def recording(sys_, bc_map, grid_, ts):
+        ops, brows, entries = tables(sys_, bc_map, grid_, ts)
+        A0 = solver.aos(entries[0])
+        mats.extend((A0[level], {node: tuple(a[level] for a in rows)
+                                 for node, rows in brows.items()})
+                    for level in range(len(ts)))
+        return ops, brows, entries
 
-    monkeypatch.setattr(solver, "_implicit_matrix", matrix)
+    def factoring(*args):
+        solve_level = factor(*args)
+        return lambda rhs: rhss.append(rhs.copy()) or solve_level(rhs)
+
+    monkeypatch.setattr(solver, "_implicit_tables", recording)
+    monkeypatch.setattr(solver, "_factor", factoring)
     fld = solve(sys_, bcs, h=h, grid=grid, force=True)
     return fld, rhss, mats
 
@@ -1654,6 +1705,52 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     ref_values, ref_energy = run()
     assert_close(values, ref_values, 1e-14)
     assert_close(energy, ref_energy, 1e-14)
+
+
+def test_an_implicit_block_whose_ranks_differ_is_stepped_level_by_level(monkeypatch):
+    # the left face fixes both components inside a window of time and only the
+    # first outside it: a block that straddles the window cannot row-reduce
+    # its G_B in one stack, so it is built one level at a time instead, and
+    # the field is bitwise the field built level by level throughout
+    sys_, _ = implicit_cases()["heat_sine_h"]
+    assert not sys_.static
+    bcs = {LEFT: boundary.custom_bc(lambda chart, q: np.where(
+               in_window(np.asarray(q.t))[..., None, None], np.eye(2), np.diag([1.0, 0.0]))),
+           RIGHT: boundary.custom_bc(np.diag([1.0, 0.0]))}
+    grid = make_grid(sys_, 32)
+    h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, 2)
+    built = []
+    tables = solver._implicit_tables
+
+    def recording(sys_, bc_map, grid_, ts):
+        built.append([len(ts), False])              # False: the block refused
+        out = tables(sys_, bc_map, grid_, ts)
+        built[-1][1] = True
+        return out
+
+    monkeypatch.setattr(solver, "_implicit_tables", recording)
+    values = solve(sys_, bcs, h=h, grid=grid, force=True).values
+    refused = [size for size, ok in built if not ok]
+    assert refused and all(size == solver._BLOCK for size in refused)
+    assert sum(size for size, ok in built if ok) == grid.nt
+    monkeypatch.setattr(solver, "_BLOCK", 1)
+    assert values.tobytes() == solve(sys_, bcs, h=h, grid=grid, force=True).values.tobytes()
+
+
+@pytest.mark.parametrize("case", ["advection", "wave", "wave_sine_beta"])
+def test_explicit_tables_of_a_real_problem_are_built_in_real_arithmetic(case, monkeypatch):
+    # the split, σ(dt)⁻¹, the closures and the block products run in float64,
+    # bitwise the tables built in complex arithmetic
+    sys_, bcs, nx, _ = real_cases()[case]
+    grid = make_grid(sys_, nx)
+    assert grid.nt >= solver._BLOCK
+    bc_map, ts = solver._as_bc_map(sys_, bcs), grid.ts[:1 if sys_.static else solver._BLOCK]
+    tables = solver._explicit_tables(sys_, bc_map, grid, ts, False)
+    complex_arithmetic(monkeypatch)
+    ref = solver._explicit_tables(sys_, bc_map, grid, ts, False)
+    for table, cplx in zip(tables, ref):
+        assert table.dtype == np.float64 and cplx.dtype == np.complex128
+        assert not np.any(cplx.imag) and table.tobytes() == cplx.real.tobytes()
 
 
 def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
