@@ -61,17 +61,29 @@ def _lower_inverse(L):
     return X
 
 
+def _cholesky(B):
+    """Lower Cholesky factors of the Hermitian stack B in ``soa`` layout: the square
+    roots of a positive diagonal when no off-diagonal entry is nonzero (bitwise LAPACK's
+    factor), else LAPACK's, which raises LinAlgError where some B is not ≻ 0."""
+    S = soa(B)
+    diag = S[range(len(S)), range(len(S))].real
+    if np.all(diag > 0) and np.count_nonzero(S) == diag.size:
+        S[range(len(S)), range(len(S))] = np.sqrt(diag)
+        return S
+    return soa(np.linalg.cholesky(B))
+
+
 def eigh_pencil(A, B):
     """Real eigenvalues (ascending) and B-orthonormal eigenvector columns of the
     Hermitian pencils A v = λ B v, B ≻ 0, over stacks of shape (..., N, N).
 
-    Cholesky reduction B = LLᴴ, C = L⁻¹AL⁻ᴴ, V = L⁻ᴴU (Golub & Van Loan,
-    *Matrix Computations*, §8.7); LinAlgError when some B is not ≻ 0.  L⁻¹
-    and the products are taken in structure-of-arrays layout (``soa``), and
+    Cholesky reduction B = LLᴴ (``_cholesky``), C = L⁻¹AL⁻ᴴ, V = L⁻ᴴU (Golub &
+    Van Loan, *Matrix Computations*, §4.2, §8.7); LinAlgError when some B is not ≻ 0.
+    L⁻¹ and the products are taken in structure-of-arrays layout (``soa``), and
     ``np.linalg.eigh`` solves the Hermitian cores C.  Real symmetric pencils
     stay in real arithmetic; any complex input makes the pencil complex.
     """
-    Linv = _lower_inverse(soa(np.linalg.cholesky(_herm(B))))
+    Linv = _lower_inverse(_cholesky(_herm(B)))
     LinvH = np.conj(Linv.swapaxes(0, 1))
     A = soa(np.asarray(A))
     C = soa_mul(soa_mul(Linv, 0.5 * (A + np.conj(A.swapaxes(0, 1)))), LinvH)

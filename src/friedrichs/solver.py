@@ -19,8 +19,9 @@ directions: a static system factors its operator once with SuperLU, a
 time-dependent one assembles the operators of a block of levels in one pass
 and factors each level with banded LAPACK.
 
-Coefficient tables are evaluated for a block of levels at once: every
-coefficient callable takes one time per row (``geometry.spacetime_rows``).
+Coefficient tables are evaluated for a block of ``_BLOCK`` levels at once:
+every coefficient callable takes one time per row (``geometry.spacetime_rows``),
+and a diagonal σ(dt) or companion metric is inverted or factored entrywise.
 Real problems step in real arithmetic: their tables are narrowed to float64
 right after their evaluation, and a field is float64 while its tables, h₀
 and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
@@ -142,8 +143,8 @@ def _as_bc_map(sys, bcs):
     return {f: bcs for f in faces}
 
 
-def _eval_forcing(f, t, xs, N):
-    out, = _real(f(t, xs[:, None]))
+def _forcing_level(f, t, xs, N):
+    out = np.asarray(f(t, xs[:, None]))
     if out.shape != (xs.size, N):
         raise ConfigError(f"forcing must return shape ({xs.size}, {N})")
     return out
@@ -156,7 +157,7 @@ def _source(f, grid, N):
     if f is None:
         return lambda m, t: None
     if callable(f):
-        return lambda m, t: _eval_forcing(f, t, grid.xs, N)
+        return lambda m, t: _real(_forcing_level(f, t, grid.xs, N))[0]
     table, = _real(f)
     if table.shape != (grid.nt + 1, grid.xs.size, N):
         raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = "
@@ -203,7 +204,7 @@ def _finite(psi, m, t):
     return psi
 
 
-_BLOCK = 8      # time levels per block of every path's coefficient tables
+_BLOCK = 16     # levels per block of every path's tables; their transients grow with it
 
 
 def _level_blocks(sys, ts, tables):
@@ -296,7 +297,10 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     V = soa(V[:, :nx + 1])
     kAabs = soa_mul(soa_mul(V * np.moveaxis(k * np.abs(lam[:, :nx + 1]), -1, 0),
                             np.conj(V.swapaxes(0, 1))), soa(P[:, :nx + 1]))
-    a0inv = np.linalg.inv(A[:, :nx, 0])
+    A0, d = A[:, :nx, 0], A[:, :nx, 0, range(N), range(N), None]
+    diagonal = A0.dtype == float and np.all(np.isfinite(d) & (d != 0)) and all(
+        i == j for i, j in _entries(A0)[1])
+    a0inv = np.eye(N) / d if diagonal else np.linalg.inv(A0)    # bitwise, signed zeros too
     kAdtC = soa_mul(soa(a0inv), np.concatenate([k * soa(A[:, :nx, 1]), grid.dt * soa(C[:, :nx])],
                                                axis=1))
     kA, dtC = kAdtC[:, :N], kAdtC[:, N:]
@@ -665,7 +669,8 @@ def energy_trace(fld, sys):
 
 def estimate_energy_constant(sys):
     """Growth constant from the symmetrized zero-order term: E' ≤ C·E, over
-    5 slices of every other cell of the 16-cell lattice, in one evaluation."""
+    5 slices of every other cell of the 16-cell lattice, in one evaluation;
+    ContractError, naming the system, without a positive companion metric."""
     from .system import zero_order_symmetrization
 
     chart = sys.chart
@@ -674,7 +679,10 @@ def estimate_energy_constant(sys):
     Z_h, G = zero_order_symmetrization(sys, t, x)
     P = sys.positive_metric_at(t, x)
     P = G if P is None else P
-    return max(0.0, float(np.max(-eigh_pencil(P @ Z_h, P)[0])))
+    try:
+        return max(0.0, float(np.max(-eigh_pencil(P @ Z_h, P)[0])))
+    except np.linalg.LinAlgError as exc:
+        raise ContractError(f"{sys.name}: no positive companion metric") from exc
 
 
 def _support_mask(fld, threshold):
@@ -733,11 +741,11 @@ def l2_norm(fld_values, grid):
 
 
 def _forcing_table(f, grid, N):
-    """The forcing f of a Green operator stacked over the time levels:
-    shape (nt+1, n_x, N)."""
+    """The forcing f of a Green operator stacked over the time levels and
+    narrowed once (``_real``): shape (nt+1, n_x, N)."""
     if f is None:
         raise ConfigError("a Green operator needs a source f")
-    return np.stack([_eval_forcing(f, t, grid.xs, N) for t in grid.ts])
+    return _real(np.stack([_forcing_level(f, t, grid.xs, N) for t in grid.ts]))[0]
 
 
 def _active_levels(table, threshold=1e-14):

@@ -173,7 +173,7 @@ def test_time_dependent_heat_solve_takes_each_faces_condition_once_per_block(mon
     # every level), and needs no conormal
     study = studies.TimedepSolves(np.random.default_rng(0))
     heat, bcs = study.heat, study.robin
-    grid = solver.make_grid(heat, 32)
+    grid = solver.make_grid(heat, 64)
     h = studies.state_with_gradient(heat, grid.xs, studies.bump(grid.xs, 0.5, 0.3))
     admissibility, solve, trace = evaluations_per_phase(monkeypatch, heat, bcs, h, grid)
     steps, levels = -(-grid.nt // solver._BLOCK), -(-(grid.nt + 1) // solver._BLOCK)

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friedrichs import linalg
 from friedrichs.errors import ContractError
 from friedrichs.linalg import (Subspace, eigh_pencil, full_space, herm_eigen,
                                kernel, matrix_rank, orthogonal_complement_of_image,
@@ -157,6 +160,62 @@ def test_batched_pencil_matches_scipy_per_slice(stack):
     spectrum[j, 0] = -spectrum[j, 0]
     with pytest.raises(np.linalg.LinAlgError):
         eigh_pencil(A, (Q * spectrum[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2)))
+
+
+def lapack_pencil(A, B):
+    """eigh_pencil with every factor B = LLᴴ taken by LAPACK's Cholesky."""
+    with mock.patch.object(linalg, "_cholesky", lambda B: linalg.soa(np.linalg.cholesky(B))):
+        return eigh_pencil(A, B)
+
+
+def outcome(pencil, A, B):
+    """The bytes of pencil(A, B)'s λ and V, or the type of the error it raises."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return [a.tobytes() for a in pencil(A, B)]
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@st.composite
+def diagonal_pencil_stacks(draw):
+    """Stacks (batch ≤ 8, N ≤ 4) of random Hermitian A, real symmetric in a
+    real draw, and diagonal B ≻ 0 with cond(B) ≤ 1e6 whose off-diagonal
+    entries are zeros of either sign."""
+    batch, N, real = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.stack([random_hermitian(N, rng) for _ in range(batch)])
+    zeros = rng.choice([0.0, -0.0], (2, batch, N, N))
+    B = zeros[0] if real else zeros[0] + 1j * zeros[1]
+    i = np.arange(N)
+    B[:, i, i] = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 6.0)), (batch, N))
+    return (A.real, B) if real else (A, B)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(diagonal_pencil_stacks())
+def test_diagonal_pencil_is_bitwise_the_cholesky_path(stack):
+    # a diagonal B ≻ 0 is factored by square roots, without LAPACK, and gives
+    # bitwise the eigenvalues and eigenvectors of LAPACK's factor
+    A, B = stack
+    expect = outcome(lapack_pencil, A, B)
+    with mock.patch.object(np.linalg, "cholesky", None):
+        assert outcome(eigh_pencil, A, B) == expect
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.0, -1.0, np.nan])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_diagonal_pencil_that_is_not_positive_is_lapacks(entry, dtype):
+    # a zero, negative or NaN diagonal entry is handed to LAPACK, which
+    # raises LinAlgError where B is not ≻ 0 and lets a NaN through to eigh:
+    # the outcome is LAPACK's, as for any B
+    A = np.stack([random_hermitian(3, np.random.default_rng(7))] * 2)
+    A = A.real if dtype is float else A
+    B = np.stack([np.diag([1.0, 2.0, 3.0])] * 2).astype(dtype)
+    B[1, 1, 1] = entry
+    got = outcome(eigh_pencil, A, B)
+    assert got == outcome(lapack_pencil, A, B)
+    assert got is np.linalg.LinAlgError or entry != entry
 
 
 def test_matrix_rank_tolerance():

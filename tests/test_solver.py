@@ -684,7 +684,7 @@ def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, sta
         static_coeffs=static)
     rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
     assert rd.static == static
-    grid = make_grid(rd, 24, t_final=0.4)
+    grid = make_grid(rd, 48, t_final=0.4)
     bcs = boundary.robin(0.0, 1.0, rd.layout)
     calls = {}
     for name in ("_implicit_tables", "row_reduce", "_entries", "_band", "_factor"):
@@ -1217,12 +1217,42 @@ def test_green_diagnostics_read_the_carried_table_as_a_fresh_one(strip, directio
                 == causal_support_ok(fld, other, 1.0, cells, threshold, future))
 
 
+def test_green_forcing_table_is_checked_per_level_and_narrowed_once(strip, monkeypatch):
+    # f is evaluated and its shape checked at every level; the stacked table
+    # is narrowed once: float64 when every level is real, else complex128
+    # with each level's own values (a real level keeps its −0.0 imaginary parts)
+    sys_, _ = advection_setup(strip)
+    grid = make_grid(sys_, 32)
+    f = spacetime_source(1)
+    calls = {}
+    counted(monkeypatch, solver, "_real", calls)
+    table = solver._forcing_table(f, grid, 1)
+    levels = np.stack([f(t, grid.xs[:, None]) for t in grid.ts])
+    assert calls == {"_real": 1}
+    assert table.dtype == np.float64 and table.tobytes() == levels.real.tobytes()
+
+    def mixed(t, xs2):
+        out = f(t, xs2)
+        out.imag = 0.5 if t == grid.ts[4] else -0.0
+        return out
+
+    table = solver._forcing_table(mixed, grid, 1)
+    assert table.tobytes() == np.stack([mixed(t, grid.xs[:, None]) for t in grid.ts]).tobytes()
+    assert np.signbit(table[0].imag).all()
+
+    def misshaped(t, xs2):
+        return np.zeros((xs2.shape[0], 1 if t < grid.ts[3] else 2))
+
+    with pytest.raises(ConfigError, match=r"^forcing must return shape \(32, 1\)$"):
+        solver._forcing_table(misshaped, grid, 1)
+
+
 def sine_beta_wave():
     return wave_setup(geometry.named_profile_chart((0.0, 0.3), (1.0,),
                                                    beta=dict(SINE_BETA, base=1.3)))
 
 
-@pytest.mark.parametrize("nt", [None, 15, 5])   # a partial last block, two full ones, one short one
+@pytest.mark.parametrize("nt", [None, 15, 5])   # a partial last block, a full one, one short one
 def test_energy_trace_of_a_time_dependent_solve_is_the_per_level_trace(nt):
     # a solve carries no energy; energy_trace, the one energy path, gives
     # the level-by-level trace bitwise
@@ -1756,7 +1786,7 @@ def test_explicit_tables_of_a_real_problem_are_built_in_real_arithmetic(case, mo
 def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
     # one eigh_pencil call per block of levels, not one per level
     sys_, bcs = sine_beta_wave()
-    grid = make_grid(sys_, 24)
+    grid = make_grid(sys_, 40)
     calls = []
     pencil = system.eigh_pencil
     monkeypatch.setattr(system, "eigh_pencil", lambda *a: calls.append(1) or pencil(*a))
@@ -1764,6 +1794,54 @@ def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
           force=True)
     assert grid.nt > 2 * solver._BLOCK
     assert len(calls) == -(-grid.nt // solver._BLOCK)
+
+
+
+@pytest.mark.parametrize("case", ["wave_sine_beta", "dirac"])
+def test_diagonal_tables_are_inverted_and_factored_without_lapack(case, monkeypatch):
+    # the time-dependent wave's σ(dt) and companion metric are diagonal: its
+    # explicit solve calls neither np.linalg.inv nor np.linalg.cholesky.
+    # Dirac's σ(dt) is not diagonal: one inv per table build, and its
+    # diagonal companion metric takes no cholesky either
+    sys_, bcs = sine_beta_wave() if case == "wave_sine_beta" else dirac_setup(
+        geometry.minkowski_strip((0.0, 0.3), (1.0,)))
+    grid = make_grid(sys_, 40)
+    calls = {}
+    for name in ("inv", "cholesky"):
+        counted(monkeypatch, np.linalg, name, calls)
+    counted(monkeypatch, solver, "_explicit_tables", calls)
+    solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank),
+          grid=grid, force=True)
+    builds = 1 if sys_.static else -(-grid.nt // solver._BLOCK)
+    assert builds == 1 or grid.nt > 2 * solver._BLOCK
+    assert calls == ({"_explicit_tables": builds} if case == "wave_sine_beta"
+                     else {"_explicit_tables": builds, "inv": builds})
+
+
+@pytest.mark.parametrize("case", ["advection", "wave", "wave_sine_beta", "wave_reversed"])
+def test_diagonal_sigma_dt_inverse_is_bitwise_lapacks(case, monkeypatch):
+    # the reciprocal of a diagonal σ(dt), negative entries included (the
+    # time-reversed wave), gives bitwise the tables of LAPACK's inverse
+    sys_, bcs, nx, _ = real_cases()["wave" if case == "wave_reversed" else case]
+    if case == "wave_reversed":
+        sys_ = solver.time_reversed(sys_, sys_.chart.t_range)
+    grid = make_grid(sys_, nx)
+    bc_map, ts = solver._as_bc_map(sys_, bcs), grid.ts[:solver._BLOCK]
+    tables = solver._explicit_tables(sys_, bc_map, grid, ts, False)
+    monkeypatch.setattr(solver, "_entries", lambda M: (M, [(0, 1)]))    # as if σ(dt) were full
+    ref = solver._explicit_tables(sys_, bc_map, grid, ts, False)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(tables, ref))
+
+
+def test_energy_constant_refuses_a_system_without_a_positive_metric(strip):
+    # the Klein-Gordon reduction's σ(dt) is singular and its metric G is
+    # diag(1, −1, 1): the diagonal factor hands it to LAPACK, which refuses
+    kg = reduction.kg_to_first_order(
+        reduction.SecondOrderProblem("klein_gordon", strip, k=1, mass=1.0))
+    assert kg.positive_metric_at(0.0, [[0.5]]) is None
+    with pytest.raises(ContractError, match="kg_reduction: no positive companion metric") as err:
+        estimate_energy_constant(kg)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 # -- the refusal policy requires (S)

@@ -385,17 +385,24 @@ def test_characteristics_split_in_the_companion_metric(strip):
 
 def test_characteristics_refuse_a_point_where_the_dt_form_is_indefinite(strip):
     # σ(dt) = diag(1, ±1) is definite at the samples behind the time sign
-    # (x ≤ 0.94) and indefinite past x = 0.97
-    def coeff(t, xs):
-        A = np.zeros((xs.shape[0], 2, 2, 2), dtype=complex)
-        A[:, 0, 0, 0] = 1.0
-        A[:, 0, 1, 1] = np.where(xs[:, 0] > 0.97, -1.0, 1.0)
-        A[:, 1] = np.eye(2)
-        return A, np.zeros((xs.shape[0], 2, 2), dtype=complex)
+    # (x ≤ 0.94) and indefinite past x = 0.97; diag(1, ±0) there is singular,
+    # and the split names the point too
+    def dipping(entry):
+        def coeff(t, xs):
+            A = np.zeros((xs.shape[0], 2, 2, 2), dtype=complex)
+            A[:, 0, 0, 0] = 1.0
+            A[:, 0, 1, 1] = np.where(xs[:, 0] > 0.97, entry, 1.0)
+            A[:, 1] = np.eye(2)
+            return A, np.zeros((xs.shape[0], 2, 2), dtype=complex)
 
-    sys_ = system.FriedrichsSystem(
-        strip, 2, coeff, lambda t, xs: np.broadcast_to(np.eye(2), (xs.shape[0], 2, 2)),
-        metric_positive=True)
+        return system.FriedrichsSystem(
+            strip, 2, coeff, lambda t, xs: np.broadcast_to(np.eye(2), (xs.shape[0], 2, 2)),
+            metric_positive=True)
+
+    for entry in (0.0, -0.0):
+        with pytest.raises(NotHyperbolicError, match=r"at t=0\.0, x=\[0\.99\]"):
+            dipping(entry).characteristics(0.0, np.array([[0.5], [0.99]]), (0.0, 1.0))
+    sys_ = dipping(-1.0)
     assert sys_.time_sign == 1
     with pytest.raises(NotHyperbolicError, match=r"x=\[0\.99\]"):
         sys_.characteristics(0.0, np.array([[0.5], [0.99]]), (0.0, 1.0))
