@@ -42,7 +42,7 @@ import numpy as np
 
 from . import clifford, geometry
 from .errors import ContractError
-from .linalg import (RANK_TOL, eigh_pencil, herm_eigen, kernel, matrix_rank,
+from .linalg import (RANK_TOL, as_table, eigh_pencil, herm_eigen, kernel, matrix_rank,
                      orthogonal_complement_of_image, restrict_form)
 
 
@@ -54,7 +54,7 @@ class BoundaryCondition:
 
     def matrix(self, chart, q):
         """G_B at the boundary point q, (N, N), or at its rows, (m, N, N)."""
-        M = np.asarray(self.matrix_fn(chart, q), dtype=complex)
+        M = as_table(self.matrix_fn(chart, q))
         return np.broadcast_to(M, q.x.shape[:-1] + M.shape[-2:])
 
     def kernel_space(self, chart, q):
@@ -280,7 +280,7 @@ def _contraction_condition(name, params, layout, value, weight):
 
     def matrix_fn(chart, q):
         k, n_vec = layout.k, geometry.normal_vector(chart, q)
-        GB = np.zeros(n_vec.shape[:-1] + (layout.width, layout.width), dtype=complex)
+        GB = np.zeros(n_vec.shape[:-1] + (layout.width,) * 2, np.result_type(value, weight, n_vec))
         GB[..., :k, :k] += value * np.eye(k)
         for axis in range(layout.n):
             GB[..., :k, layout.grad_slot(axis)] += weight * n_vec[..., axis, None, None] * np.eye(k)
@@ -323,5 +323,5 @@ def custom_bc(matrix, name="custom"):
     """Constant G_B matrix, or a callable (chart, q) -> a matrix per row of q, or one for all."""
     if callable(matrix):
         return BoundaryCondition(name, matrix, {})
-    M = np.asarray(matrix, dtype=complex)
+    M = as_table(matrix)
     return BoundaryCondition(name, lambda chart, q: M, {})

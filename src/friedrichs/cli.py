@@ -394,6 +394,8 @@ def cmd_green(cfg, out, force, seed):
 
 def cmd_converge(cfg, out, force, seed):
     chart = build_chart(cfg)
+    if (name := cfg["chart"]["name"]) != "minkowski_strip":     # its exact solutions' chart
+        raise ConfigError(f"converge needs the minkowski_strip chart, got {name!r}")
     case = cfg["task"]["case"]
     if case == "advection_sine":
         sys_ = system.advection_system(chart)

@@ -18,6 +18,11 @@ from .errors import ContractError
 RANK_TOL = 1e-9
 
 
+def as_table(x):
+    """A builder's table in its own arithmetic: float64 when it is real, else complex128."""
+    return (x := np.asarray(x)).astype(np.result_type(x, float), copy=False)
+
+
 def herm_eigen(M):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian M
     (ContractError unless ‖M − M*‖ ≤ 1e−10·max(1, ‖M‖))."""

@@ -32,6 +32,7 @@ import numpy as np
 from . import geometry
 from .errors import ContractError
 from .solver import _as_bc_map
+from .linalg import as_table
 from .system import FD_STEP, FriedrichsSystem, GradientLayout, lambda_shift
 
 
@@ -50,8 +51,8 @@ class SecondOrderProblem:
 
     def c_at(self, t, xs):
         if self.c is None:
-            return np.zeros((xs.shape[0], self.k, self.k), dtype=complex)
-        out = np.asarray(self.c(t, xs), dtype=complex)
+            return np.zeros((xs.shape[0], self.k, self.k))
+        out = as_table(self.c(t, xs))
         try:
             if out.ndim <= 1:       # a number, or one per row, times I_k
                 out = out[..., None, None] * np.eye(self.k)
@@ -104,13 +105,13 @@ def _gradient_blocks(layout, hinv, N, metric=False):
     A (m, n+1, N, N) with −h⁻¹ᵢⱼ·I at (value, slot j) and −I at (slot i, value) of Aⁱ."""
     m, k, n, Ik = hinv.shape[0], layout.k, layout.n, np.eye(layout.k)
     if metric:
-        G = np.zeros((m, N, N), dtype=complex)
+        G = np.zeros((m, N, N))
         G[:, :k, :k] = Ik
         for i in range(n):
             for j in range(n):
                 G[:, layout.grad_slot(i), layout.grad_slot(j)] = hinv[:, i, j, None, None] * Ik
         return G
-    A = np.zeros((m, n + 1, N, N), dtype=complex)
+    A = np.zeros((m, n + 1, N, N))
     for i in range(n):
         for j in range(n):
             A[:, 1 + i, :k, layout.grad_slot(j)] = -hinv[:, i, j, None, None] * Ik
@@ -135,13 +136,13 @@ def wave_to_first_order(prob):
         A[:, 0, :k, :k] = (1.0 / beta2)[:, None, None] * Ik
         idx = np.arange(k, N)
         A[:, 0, idx, idx] = 1.0
-        C = np.zeros((m, N, N), dtype=complex)
+        C = np.zeros((m, N, N), (c := prob.c_at(t, xs)).dtype)
         dh = None if chart.time_independent else _dt_h(chart, t, xs)  # one difference, two terms
         b0, b = _wave_drift(chart, t, xs, beta2, hinv, dh)
         C[:, :k, :k] = b0[:, None, None] * Ik
         for j in range(n):
             C[:, :k, layout.grad_slot(j)] = b[:, j, None, None] * Ik
-        C[:, :k, layout.tail_start:] = prob.c_at(t, xs)
+        C[:, :k, layout.tail_start:] = c
         W = _weingarten(chart, t, xs, hinv, dh)
         for i in range(n):
             for j in range(n):
@@ -176,7 +177,7 @@ def kg_to_first_order(prob):
         A = _gradient_blocks(layout, chart.h_inv_at(t, xs), N)
         A[:, 0, :k, tslot] = (1.0 / beta2)[:, None, None] * Ik
         A[:, 0, tslot, :k] = -Ik
-        C = np.zeros((m, N, N), dtype=complex)
+        C = np.zeros((m, N, N))
         C[:, :k, :k] = m2 * Ik
         idx = np.arange(k, N)
         C[:, idx, idx] = 1.0
@@ -207,8 +208,8 @@ def reaction_diffusion_to_first_order(prob, lam=0.0):
         m = xs.shape[0]
         A = _gradient_blocks(layout, chart.h_inv_at(t, xs), N)
         A[:, 0, :k, :k] = Ik
-        C = np.zeros((m, N, N), dtype=complex)
-        C[:, :k, :k] = prob.c_at(t, xs)
+        C = np.zeros((m, N, N), (c := prob.c_at(t, xs)).dtype)
+        C[:, :k, :k] = c
         idx = np.arange(k, N)
         C[:, idx, idx] = 1.0
         return A, C

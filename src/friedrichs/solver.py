@@ -19,12 +19,12 @@ directions: a static system factors its operator once with SuperLU, a
 time-dependent one assembles the operators of a block of levels in one pass
 and factors each level with banded LAPACK.
 
-Coefficient tables are evaluated for a block of ``_BLOCK`` levels at once:
-every coefficient callable takes one time per row (``geometry.spacetime_rows``),
-and a diagonal σ(dt) or companion metric is inverted or factored entrywise.
-Real problems step in real arithmetic: their tables are narrowed to float64
-right after their evaluation, and a field is float64 while its tables, h₀
-and forcing are real, complex128 otherwise; ``field.bin`` is complex128.
+Coefficient tables are evaluated for a block of levels at once, sized in
+(level, point) rows for a time-dependent system: every coefficient callable
+takes one time per row (``geometry.spacetime_rows``), and a diagonal σ(dt) or
+companion metric is inverted or factored entrywise.  Real problems' builders
+make float64 tables, and a field is float64 while its tables, h₀ and forcing
+are real (``_real``), complex128 otherwise; ``field.bin`` is complex128.
 """
 
 import functools
@@ -204,13 +204,15 @@ def _finite(psi, m, t):
     return psi
 
 
-_BLOCK = 16     # levels per block of every path's tables; their transients grow with it
+_BLOCK = 16          # levels per static block: tables built once, shorter blocks step slower
+_BLOCK_ROWS = 8192   # (level, point) rows per time-dependent block: its transients grow with them
 
 
-def _level_blocks(sys, ts, tables):
-    """Yield (rows, tables(ts[rows])) over the levels ``ts`` in blocks of
-    ``_BLOCK`` levels: the tables of a block's levels, stacked on a leading
-    axis.
+def _level_blocks(sys, ts, tables, points):
+    """Yield (rows, tables(ts[rows])) over the levels ``ts`` in blocks: the
+    tables of a block's levels, stacked on a leading axis.  A block holds
+    ``_BLOCK`` levels of a static system, else as many levels of ``points``
+    points as fill ``_BLOCK_ROWS`` rows (at least one): a few MB of tables.
 
     The one place that decides when coefficients are evaluated: once per
     block for time-dependent systems, once in total for static ones, whose
@@ -221,11 +223,11 @@ def _level_blocks(sys, ts, tables):
     the caller is done with the level before: so each refusal comes at its
     own level with its own message, after every earlier level is stepped.
     """
-    block = None
-    for start in range(0, len(ts), _BLOCK):
-        stop = min(start + _BLOCK, len(ts))
+    block, n = None, _BLOCK if sys.static else max(1, _BLOCK_ROWS // points)
+    for start in range(0, len(ts), n):
+        stop = min(start + n, len(ts))
         if block is None or not sys.static:
-            block_ts = ts[start:start + (1 if sys.static else _BLOCK)]
+            block_ts = ts[start:start + 1] if sys.static else ts[start:stop]
             try:
                 block = tables(block_ts)
             except (ValueError, BoundaryClosureError):
@@ -349,7 +351,7 @@ def _solve_explicit(sys, bc_map, source, h0, grid, force):
     nx, N = grid.nx, sys.fiber_rank
     out = pad = None
     for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _real(
-            *_explicit_tables(sys, bc_map, grid, ts, force))):
+            *_explicit_tables(sys, bc_map, grid, ts, force)), 2 * nx + 1):
         for k, m in enumerate(range(rows.start, rows.stop)):
             level = min(k, len(B) - 1)          # a static system's one level serves all
             src = source(m, grid.ts[m])
@@ -495,7 +497,7 @@ def _solve_implicit(sys, bc_map, source, h0, grid):
     banded = {}         # gbtrf and gbtrs per dtype, looked up once per solve
     out = None
     for rows, (ops, brows, (A0, nz)) in _level_blocks(
-            sys, grid.ts[1:], lambda ts: _implicit_tables(sys, bc_map, grid, ts)):
+            sys, grid.ts[1:], lambda ts: _implicit_tables(sys, bc_map, grid, ts), npts):
         if not sys.static and ops.dtype not in banded:
             from scipy.linalg import lapack
 
@@ -658,7 +660,7 @@ def energy_trace(fld, sys):
     energy, flux = np.empty((2, grid.nt + 1))
     weights = _weights(grid)
     for rows, (P, sdens, sbeta, G, sn) in _level_blocks(
-            sys, grid.ts, lambda ts: _energy_tables(sys, grid, ts)):
+            sys, grid.ts, lambda ts: _energy_tables(sys, grid, ts), grid.xs.size + 2):
         psi = fld.values[rows]
         energy[rows] = pairwise_sum(_quadratic_density(psi, *P) * sdens * weights)
         trace = psi[:, [0, -1]]                 # the edge samples of the two faces
@@ -724,8 +726,8 @@ def apply_operator(sys, fld):
     out = [np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
            + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
            + np.einsum("lpij,lpj->lpi", C, vals[rows])
-           for rows, (A, C) in _level_blocks(
-               sys, grid.ts, lambda ts: _real(*_coefficients(sys, ts, grid.xs[:, None])))]
+           for rows, (A, C) in _level_blocks(sys, grid.ts, lambda ts: _real(
+               *_coefficients(sys, ts, grid.xs[:, None])), grid.xs.size)]
     return GridField(np.concatenate(out), grid)
 
 

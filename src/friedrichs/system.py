@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractError, NormalizationError, NotHyperbolicError
-from .linalg import aos, definiteness_sign, eigh_pencil, matrix_rank, soa, soa_mul
+from .linalg import aos, as_table, definiteness_sign, eigh_pencil, matrix_rank, soa, soa_mul
 
 #: finite-difference step scale for coefficient derivatives
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -82,16 +82,13 @@ class FriedrichsSystem:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         A, C = self.coeff(t, xs)
         N, n = self.fiber_rank, self.dim_space
-        A = np.broadcast_to(np.asarray(A, dtype=complex), (xs.shape[0], n + 1, N, N))
-        C = np.broadcast_to(np.asarray(C, dtype=complex), (xs.shape[0], N, N))
-        return A, C
+        return (np.broadcast_to(as_table(A), (xs.shape[0], n + 1, N, N)),
+                np.broadcast_to(as_table(C), (xs.shape[0], N, N)))
 
     def metric_at(self, t, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         N = self.fiber_rank
-        G = np.broadcast_to(np.asarray(self.metric(t, xs), dtype=complex),
-                            (xs.shape[0], N, N))
-        return G
+        return np.broadcast_to(as_table(self.metric(t, xs)), (xs.shape[0], N, N))
 
     def symbol(self, t, x, xi):
         """Principal symbol σ(ξ) = Σ_μ ξ_μ A^μ at the point (t, x)."""
@@ -122,10 +119,10 @@ class FriedrichsSystem:
 
     def characteristics(self, t, xs, xi):
         """Speeds λ (m, N), ascending, P-orthonormal eigenvectors V and the
-        companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points, for one
-        covector ξ or one per point: the one characteristic split, read by
-        condition (iii), the ghost-cell closure, |Ã| and the time step.
-        NotHyperbolicError, naming the first such point, where P is not ≻ 0."""
+        companion metric P of σ(dt)⁻¹σ(ξ) at a batch of points, for one covector
+        ξ or one per point: the one characteristic split, read by condition
+        (iii), the ghost-cell closure, |Ã| and the time step.  NotHyperbolicError,
+        naming the first such point, where a form is NaN or Inf, or P not ≻ 0."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self._split(t, xs, xi, self.coeff_at(t, xs)[0], self.metric_at(t, xs))
 
@@ -144,14 +141,17 @@ class FriedrichsSystem:
         P = companion_metric(s, beta, G, A[:, 0])
         xi = np.asarray(xi)
         xi = np.broadcast_to(xi.astype(np.result_type(xi, A), copy=False), A.shape[:2])
+        F = companion_metric(s, beta, G, np.einsum("pm,pmij->pij", xi, A))
+        ts = np.broadcast_to(t, len(xs))
+        bad = np.flatnonzero(~(np.isfinite(P) & np.isfinite(F)).all(axis=(1, 2)))
+        if bad.size:        # LAPACK's Cholesky would pass a NaN on instead of refusing it
+            raise NotHyperbolicError(f"σ(dt)-form not finite at t={ts[bad[0]]}, x={xs[bad[0]]}")
         try:
-            lam, V = eigh_pencil(companion_metric(s, beta, G, np.einsum("pm,pmij->pij", xi, A)), P)
+            lam, V = eigh_pencil(F, P)
         except np.linalg.LinAlgError as exc:
             bad = np.flatnonzero(np.linalg.eigvalsh(P)[:, 0] <= 0)
-            at = np.broadcast_to(t, len(xs))[bad[0] if bad.size else 0]
-            where = f", x={xs[bad[0]]}" if bad.size else ""
-            raise NotHyperbolicError(
-                f"σ(dt)-form singular or indefinite at t={at}{where}") from exc
+            at, where = ts[bad[0] if bad.size else 0], f", x={xs[bad[0]]}" if bad.size else ""
+            raise NotHyperbolicError(f"σ(dt)-form singular or indefinite at t={at}{where}") from exc
         return lam, V, P
 
 
@@ -273,7 +273,7 @@ def formal_adjoint(sys):
         mu = geometry.volume_density(chart, t, xs)
         A_adj = -np.einsum("pij,pmkj,pkl->pmil", Ginv, np.conj(A), G)
         C_adj = np.einsum("pij,pkj,pkl->pil", Ginv, np.conj(C), G)
-        div = np.zeros_like(C)
+        div = np.zeros(C.shape, np.result_type(A, C, G))
         ht = FD_STEP * (1.0 + np.abs(t))
         div += ((weighted(t + ht, xs)[:, 0] - weighted(t - ht, xs)[:, 0])
                 / (2 * np.reshape(ht, (-1, 1, 1))))
@@ -283,7 +283,7 @@ def formal_adjoint(sys):
             dx[:, a] = hx
             div += ((weighted(t, xs + dx)[:, 1 + a] - weighted(t, xs - dx)[:, 1 + a])
                     / (2 * hx[:, None, None]))
-        C_adj -= np.einsum("pij,pjk->pik", Ginv, div) / mu[:, None, None]
+        C_adj = C_adj - np.einsum("pij,pjk->pik", Ginv, div) / mu[:, None, None]
         return A_adj, C_adj
 
     return FriedrichsSystem(
@@ -395,13 +395,13 @@ def advection_system(chart, speed=1.0):
 
     def coeff(t, xs):
         m = xs.shape[0]
-        A = np.zeros((m, 2, 1, 1), dtype=complex)
+        A = np.zeros((m, 2, 1, 1), np.result_type(speed, float))
         A[:, 0, 0, 0] = 1.0
         A[:, 1, 0, 0] = speed
-        return A, np.zeros((m, 1, 1), dtype=complex)
+        return A, np.zeros((m, 1, 1))
 
     def metric(t, xs):
-        return np.ones((xs.shape[0], 1, 1), dtype=complex)
+        return np.ones((xs.shape[0], 1, 1))
 
     return FriedrichsSystem(chart, 1, coeff, metric, metric_positive=True,
                             name="advection")
@@ -409,10 +409,10 @@ def advection_system(chart, speed=1.0):
 
 def constant_system(chart, A_list, C, gram=None):
     """System with constant coefficient matrices (CLI custom tables, tests)."""
-    A_const = np.asarray(A_list, dtype=complex)
+    A_const = as_table(A_list)
     N = A_const.shape[-1] if A_const.ndim == 3 else 0
-    C_const = np.zeros((N, N), dtype=complex) if C is None else np.asarray(C, dtype=complex)
-    G_const = np.eye(N, dtype=complex) if gram is None else np.asarray(gram, dtype=complex)
+    C_const = np.zeros((N, N)) if C is None else as_table(C)
+    G_const = np.eye(N) if gram is None else as_table(gram)
     if N == 0 or (A_const.shape, C_const.shape, G_const.shape) != (
             (chart.dim_space + 1, N, N), (N, N), (N, N)):
         raise ContractError(f"A must be {chart.dim_space + 1} N×N matrices and C, gram N×N; "

@@ -19,6 +19,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
 import studies  # noqa: E402
 import tracing  # noqa: E402
+from conftest import block_length, short_blocks  # noqa: E402
 
 from friedrichs import boundary, cli, geometry, solver, system  # noqa: E402
 
@@ -158,10 +159,12 @@ def test_time_dependent_wave_solve_and_trace_evaluate_each_block_once(monkeypatc
     study = studies.TimedepSolves(np.random.default_rng(0))
     wave, bcs = study.wave, study.neumann
     grid = solver.make_grid(wave, 32)
+    short_blocks(monkeypatch, grid, "explicit")
     h = studies.first_component(wave, grid.xs, studies.bump(grid.xs, 0.5, 0.2))
     admissibility, solve, trace = evaluations_per_phase(monkeypatch, wave, bcs, h, grid)
-    steps, levels = -(-grid.nt // solver._BLOCK), -(-(grid.nt + 1) // solver._BLOCK)
-    assert grid.nt > 2 * solver._BLOCK
+    block = block_length(wave, grid, "explicit")
+    steps, levels = -(-grid.nt // block), -(-(grid.nt + 1) // block_length(wave, grid, "energy"))
+    assert grid.nt > 2 * block
     assert admissibility == {"coeff_at": 2, "outward_normal": 2, "bc_matrix": 2}
     assert solve == {"coeff_at": steps, "outward_normal": 2 * steps, "bc_matrix": 2 * steps}
     assert trace == {"coeff_at": levels, "outward_normal": 2 * levels}
@@ -174,13 +177,37 @@ def test_time_dependent_heat_solve_takes_each_faces_condition_once_per_block(mon
     study = studies.TimedepSolves(np.random.default_rng(0))
     heat, bcs = study.heat, study.robin
     grid = solver.make_grid(heat, 64)
+    short_blocks(monkeypatch, grid, "implicit")
     h = studies.state_with_gradient(heat, grid.xs, studies.bump(grid.xs, 0.5, 0.3))
     admissibility, solve, trace = evaluations_per_phase(monkeypatch, heat, bcs, h, grid)
-    steps, levels = -(-grid.nt // solver._BLOCK), -(-(grid.nt + 1) // solver._BLOCK)
-    assert grid.nt > 2 * solver._BLOCK
+    block = block_length(heat, grid, "implicit")
+    steps, levels = -(-grid.nt // block), -(-(grid.nt + 1) // block_length(heat, grid, "energy"))
+    assert grid.nt > 2 * block
     assert admissibility == {"coeff_at": 2, "outward_normal": 2, "bc_matrix": 2}
     assert solve == {"coeff_at": steps, "bc_matrix": 2 * steps}
     assert trace == {"coeff_at": levels, "outward_normal": 2 * levels}
+
+
+def test_a_time_dependent_solve_holds_its_transients_to_one_block_of_rows():
+    # the timedep_solves wave over 64 levels at nx 1024: blocks sized in
+    # rows keep the transient tables to a few levels (about 7.5 MiB in all,
+    # the 1.6 MiB field included), where 16-level blocks peaked at 33.6 MiB
+    import tracemalloc
+
+    study = studies.TimedepSolves(np.random.default_rng(0))
+    wave, bcs = study.wave, study.neumann
+    dt = solver.make_grid(wave, 1024).dt
+    grid, warm = (solver.make_grid(wave, 1024, t_final=nt * dt, nt=nt) for nt in (64, 1))
+    h = studies.first_component(wave, grid.xs, studies.bump(grid.xs, 0.5, 0.2))
+    solver.solve(wave, bcs, h=h, grid=warm)     # certifies (S) once per system
+    tracemalloc.start()
+    try:
+        fld = solver.solve(wave, bcs, h=h, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.values.shape == (65, 1024, 3) and np.isfinite(fld.values).all()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_real_benchmark_fields_are_float64():

@@ -160,6 +160,21 @@ def test_converge_ignores_the_keys_its_case_does_not_read(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("chart", [
+    {"name": "ultrastatic", "params": {"eps": 0.2}},
+    {"name": "custom", "params": {"beta": {"profile": "sine", "base": 1.3, "amplitude": 0.2,
+                                           "waves": 1, "waves_t": 1.0}}}])
+def test_converge_refuses_a_chart_other_than_the_minkowski_strip(tmp_path, capsys, chart):
+    # its closed-form solutions are the flat strip's: on any other chart the
+    # errors it would report are the distance to another problem's solution
+    cfg = {"chart": {**chart, "t_range": [0.0, 0.5], "lengths": [1.0]},
+           "task": {"case": "wave_cosine", "grids": [16, 32]}}
+    code, out = run(tmp_path, cfg, "converge")
+    assert code == 2 and not (out / "errors.csv").exists()
+    assert capsys.readouterr().err == (f"config error: converge needs the minkowski_strip "
+                                       f"chart, got {chart['name']!r}\n")
+
+
 def test_compat_task(tmp_path):
     cfg = {
         "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.5], "lengths": [1.0]},

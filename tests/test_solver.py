@@ -26,7 +26,7 @@ from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                lambda_equivalence_check, make_grid, solve,
                                support_growth_margins, write_field)
 
-from conftest import smooth_bump
+from conftest import block_length, level_by_level, short_blocks, smooth_bump
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -685,6 +685,7 @@ def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, sta
     rd = reduction.reaction_diffusion_to_first_order(prob, 1.0)
     assert rd.static == static
     grid = make_grid(rd, 48, t_final=0.4)
+    short_blocks(monkeypatch, grid, "implicit")
     bcs = boundary.robin(0.0, 1.0, rd.layout)
     calls = {}
     for name in ("_implicit_tables", "row_reduce", "_entries", "_band", "_factor"):
@@ -693,8 +694,9 @@ def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, sta
     counted(monkeypatch, scipy.sparse.linalg, "splu", calls)
     counted_lapack(monkeypatch, calls)
     solve(rd, bcs, grid=grid, force=True)
-    blocks = 1 if static else -(-grid.nt // solver._BLOCK)
-    assert grid.nt > 2 * solver._BLOCK
+    block = block_length(rd, grid, "implicit")
+    blocks = 1 if static else -(-grid.nt // block)
+    assert grid.nt > 2 * block
     expected = {"_implicit_tables": blocks, "coeff_at": blocks, "row_reduce": 2 * blocks,
                 "_entries": blocks, "_factor": 1 if static else grid.nt}
     if static:
@@ -1039,10 +1041,12 @@ def energy_cases():
 
 
 @pytest.mark.parametrize("case", sorted(energy_cases()))
-def test_energy_trace_is_bitwise_the_per_level_trace(case):
+def test_energy_trace_is_bitwise_the_per_level_trace(case, monkeypatch):
     sys_, nx = energy_cases()[case]
     grid = make_grid(sys_, nx)
-    assert (grid.nt + 1) % solver._BLOCK != 0     # a partial last block
+    short_blocks(monkeypatch, grid, "energy")
+    block = block_length(sys_, grid, "energy")
+    assert (grid.nt + 1) % block != 0 and grid.nt + 1 > block     # a partial last block
     rng = np.random.default_rng(11)
     shape = (grid.nt + 1, grid.xs.size, sys_.fiber_rank)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1183,10 +1187,12 @@ def operator_cases():
 
 
 @pytest.mark.parametrize("case", sorted(operator_cases()))
-def test_apply_operator_is_bitwise_the_per_level_operator(case):
+def test_apply_operator_is_bitwise_the_per_level_operator(case, monkeypatch):
     sys_, nx = operator_cases()[case]
     grid = make_grid(sys_, nx)
-    assert (grid.nt + 1) % solver._BLOCK != 0     # a partial last block
+    short_blocks(monkeypatch, grid, "operator")
+    block = block_length(sys_, grid, "operator")
+    assert (grid.nt + 1) % block != 0 and grid.nt + 1 > block     # a partial last block
     rng = np.random.default_rng(5)
     shape = (grid.nt + 1, grid.xs.size, sys_.fiber_rank)
     fld = GridField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
@@ -1253,15 +1259,18 @@ def sine_beta_wave():
 
 
 @pytest.mark.parametrize("nt", [None, 15, 5])   # a partial last block, a full one, one short one
-def test_energy_trace_of_a_time_dependent_solve_is_the_per_level_trace(nt):
+def test_energy_trace_of_a_time_dependent_solve_is_the_per_level_trace(nt, monkeypatch):
     # a solve carries no energy; energy_trace, the one energy path, gives
     # the level-by-level trace bitwise
     sys_, bcs = sine_beta_wave()
     grid = make_grid(sys_, 24)
+    short_blocks(monkeypatch, grid, "energy")
+    block = block_length(sys_, grid, "energy")
     if nt is None:
-        assert (grid.nt + 1) % solver._BLOCK != 0 and grid.nt + 1 > solver._BLOCK
+        assert (grid.nt + 1) % block != 0 and grid.nt + 1 > block
     else:                                       # the same step, fewer levels
         grid = make_grid(sys_, 24, t_final=nt * grid.dt, nt=nt)
+        assert (grid.nt + 1 == block) == (nt == 15)
     fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0), 2: (0.4, 0.2, 0.5)}, 3),
                 grid=grid)
     assert [f.name for f in dataclasses.fields(fld)] == ["values", "grid", "source"]
@@ -1280,6 +1289,7 @@ def test_energy_trace_evaluates_its_tables_once_per_block(case, monkeypatch):
            "kg_sine_beta": lambda: boundary.dirichlet(sys_.layout),
            "dirac": lambda: dirac_setup(sys_.chart)[1]}[case]()
     grid = make_grid(sys_, nx)
+    short_blocks(monkeypatch, grid, "energy")
     fld = solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank),
                 grid=grid)
     calls = []
@@ -1287,8 +1297,9 @@ def test_energy_trace_evaluates_its_tables_once_per_block(case, monkeypatch):
     monkeypatch.setattr(solver, "_energy_tables",
                         lambda sys_, grid, ts: calls.append(list(ts)) or real(sys_, grid, ts))
     tr = energy_trace(fld, sys_)
-    blocks = [list(grid.ts[i:i + solver._BLOCK]) for i in range(0, grid.nt + 1, solver._BLOCK)]
-    assert grid.nt + 1 > solver._BLOCK
+    block = block_length(sys_, grid, "energy")
+    blocks = [list(grid.ts[i:i + block]) for i in range(0, grid.nt + 1, block)]
+    assert grid.nt + 1 > block
     assert calls == ([[grid.t0]] if sys_.static else blocks)
     energy, flux = reference_energy_trace(fld, sys_)
     assert np.array_equal(tr.energy, energy) and np.array_equal(tr.flux, flux)
@@ -1631,19 +1642,22 @@ def assert_close(a, b, rel):
     assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
 
 
-@pytest.mark.parametrize("nt", [None, 16, 5])   # a partial last block, full ones, nt + 1 < _BLOCK
+@pytest.mark.parametrize("nt", [None, 16, 5])   # a partial last block, full ones, nt + 1 < block
 def test_block_tables_equal_the_per_level_tables(nt, monkeypatch):
     sys_, bcs = sine_beta_wave()
     grid = make_grid(sys_, 24)
     if nt is not None:
         grid = make_grid(sys_, 24, t_final=nt * grid.dt, nt=nt)
+    short_blocks(monkeypatch, grid, "explicit")
+    block = block_length(sys_, grid, "explicit")
+    assert (grid.nt % block == 0) == (nt == 16) and (grid.nt > block) == (nt is None)
     bc_map = solver._as_bc_map(sys_, bcs)
     blocks = recorded_blocks(monkeypatch)
     solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
     monkeypatch.undo()
     sizes = [len(ts) for ts, _ in blocks]
-    assert sum(sizes) == grid.nt and all(s == solver._BLOCK for s in sizes[:-1])
-    assert (sizes[-1] == solver._BLOCK) == (grid.nt % solver._BLOCK == 0)
+    assert sum(sizes) == grid.nt and all(s == block for s in sizes[:-1])
+    assert (sizes[-1] == block) == (grid.nt % block == 0)
     for ts, (B, dt_a0inv) in blocks:
         for level, t in enumerate(ts):
             ref = solver._explicit_tables(sys_, bc_map, grid, t, False)
@@ -1676,7 +1690,7 @@ def in_window(t):
     return (0.035 < t) & (t < 0.065)    # between the times the set-up checks sample
 
 
-def test_not_hyperbolic_level_raises_after_the_levels_before_it():
+def test_not_hyperbolic_level_raises_after_the_levels_before_it(monkeypatch):
     # σ(dt) turns negative on x > 0.5 inside a window of time in the middle of
     # the first block: its first level raises, naming t and the first bad face,
     # once the levels before it are stepped
@@ -1684,8 +1698,9 @@ def test_not_hyperbolic_level_raises_after_the_levels_before_it():
     sys_ = dipping_advection(chart, lambda t, x: np.where(in_window(t) & (x > 0.5), -1.0, 1.0),
                              lambda t, x: np.zeros_like(x))
     grid = make_grid(sys_, 16, nt=70)
+    short_blocks(monkeypatch, grid, "explicit")
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
-    assert 0 < m < solver._BLOCK
+    assert 0 < m < block_length(sys_, grid, "explicit")
     steps, f = stepped_levels()
     bcs = boundary.no_condition(1)
     faces = np.arange(grid.nx + 1) * grid.dx
@@ -1696,7 +1711,27 @@ def test_not_hyperbolic_level_raises_after_the_levels_before_it():
     assert steps == list(grid.ts[:m])
 
 
-def test_closure_error_raises_at_its_level_after_the_levels_before_it():
+def test_a_non_finite_sigma_dt_is_refused_at_its_level_and_point(monkeypatch):
+    # σ(dt) turns NaN on x > 0.5 inside the window: LAPACK's Cholesky would
+    # pass the NaN on, so the split refuses it, naming the first level of the
+    # window and its first face past 0.5, once the levels before it are stepped
+    chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
+    sys_ = dipping_advection(chart, lambda t, x: np.where(in_window(t) & (x > 0.5), np.nan, 1.0),
+                             lambda t, x: np.zeros_like(x))
+    grid = make_grid(sys_, 16, nt=70)
+    short_blocks(monkeypatch, grid, "explicit")
+    m = next(m for m, t in enumerate(grid.ts) if in_window(t))
+    assert 0 < m < block_length(sys_, grid, "explicit")
+    steps, f = stepped_levels()
+    faces = np.arange(grid.nx + 1) * grid.dx
+    x = faces[faces > 0.5][0]
+    with pytest.raises(NotHyperbolicError) as err:
+        solve(sys_, boundary.no_condition(1), f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert str(err.value) == f"σ(dt)-form not finite at t={grid.ts[m]}, x=[{x}]"
+    assert steps == list(grid.ts[:m])
+
+
+def test_closure_error_raises_at_its_level_after_the_levels_before_it(monkeypatch):
     # the speed turns negative inside a window of time: the left face's zero
     # trace then has no incoming characteristic to fix, and that level's
     # closure refuses once the levels before it are stepped
@@ -1704,8 +1739,9 @@ def test_closure_error_raises_at_its_level_after_the_levels_before_it():
     sys_ = dipping_advection(chart, lambda t, x: np.ones_like(x),
                              lambda t, x: np.where(in_window(t), -1.0, np.ones_like(x)))
     grid = make_grid(sys_, 16)
+    short_blocks(monkeypatch, grid, "explicit")
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
-    assert 0 < m and m % solver._BLOCK != 0
+    assert 0 < m and m % block_length(sys_, grid, "explicit") != 0
     steps, f = stepped_levels()
     bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
     with pytest.raises(BoundaryClosureError, match=r"face \(0, 0\): 0 incoming characteristics"):
@@ -1723,6 +1759,7 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     bcs = {face: boundary.custom_bc(lambda chart, q, face=face: np.asarray(
         in_window(q.t) == (face == RIGHT), float)[..., None, None]) for face in (LEFT, RIGHT)}
     grid = make_grid(sys_, 16)
+    short_blocks(monkeypatch, grid, "explicit")
 
     def run():
         fld = solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid, force=True)
@@ -1731,7 +1768,7 @@ def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
     blocks = recorded_blocks(monkeypatch)
     values, energy = run()
     assert any(tables is None for _, tables in blocks)
-    monkeypatch.setattr(solver, "_BLOCK", 1)
+    level_by_level(monkeypatch)
     ref_values, ref_energy = run()
     assert_close(values, ref_values, 1e-14)
     assert_close(energy, ref_energy, 1e-14)
@@ -1748,6 +1785,7 @@ def test_an_implicit_block_whose_ranks_differ_is_stepped_level_by_level(monkeypa
                in_window(np.asarray(q.t))[..., None, None], np.eye(2), np.diag([1.0, 0.0]))),
            RIGHT: boundary.custom_bc(np.diag([1.0, 0.0]))}
     grid = make_grid(sys_, 32)
+    short_blocks(monkeypatch, grid, "implicit")
     h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, 2)
     built = []
     tables = solver._implicit_tables
@@ -1761,9 +1799,9 @@ def test_an_implicit_block_whose_ranks_differ_is_stepped_level_by_level(monkeypa
     monkeypatch.setattr(solver, "_implicit_tables", recording)
     values = solve(sys_, bcs, h=h, grid=grid, force=True).values
     refused = [size for size, ok in built if not ok]
-    assert refused and all(size == solver._BLOCK for size in refused)
+    assert refused and all(size == block_length(sys_, grid, "implicit") for size in refused)
     assert sum(size for size, ok in built if ok) == grid.nt
-    monkeypatch.setattr(solver, "_BLOCK", 1)
+    level_by_level(monkeypatch)
     assert values.tobytes() == solve(sys_, bcs, h=h, grid=grid, force=True).values.tobytes()
 
 
@@ -1787,13 +1825,15 @@ def test_time_dependent_explicit_solve_splits_once_per_block(monkeypatch):
     # one eigh_pencil call per block of levels, not one per level
     sys_, bcs = sine_beta_wave()
     grid = make_grid(sys_, 40)
+    short_blocks(monkeypatch, grid, "explicit")
     calls = []
     pencil = system.eigh_pencil
     monkeypatch.setattr(system, "eigh_pencil", lambda *a: calls.append(1) or pencil(*a))
     solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid,
           force=True)
-    assert grid.nt > 2 * solver._BLOCK
-    assert len(calls) == -(-grid.nt // solver._BLOCK)
+    block = block_length(sys_, grid, "explicit")
+    assert grid.nt > 2 * block
+    assert len(calls) == -(-grid.nt // block)
 
 
 
@@ -1806,14 +1846,16 @@ def test_diagonal_tables_are_inverted_and_factored_without_lapack(case, monkeypa
     sys_, bcs = sine_beta_wave() if case == "wave_sine_beta" else dirac_setup(
         geometry.minkowski_strip((0.0, 0.3), (1.0,)))
     grid = make_grid(sys_, 40)
+    short_blocks(monkeypatch, grid, "explicit")
     calls = {}
     for name in ("inv", "cholesky"):
         counted(monkeypatch, np.linalg, name, calls)
     counted(monkeypatch, solver, "_explicit_tables", calls)
     solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank),
           grid=grid, force=True)
-    builds = 1 if sys_.static else -(-grid.nt // solver._BLOCK)
-    assert builds == 1 or grid.nt > 2 * solver._BLOCK
+    block = block_length(sys_, grid, "explicit")
+    builds = 1 if sys_.static else -(-grid.nt // block)
+    assert builds == 1 or grid.nt > 2 * block
     assert calls == ({"_explicit_tables": builds} if case == "wave_sine_beta"
                      else {"_explicit_tables": builds, "inv": builds})
 
