@@ -15,19 +15,19 @@ a square solvable system.
 Symmetric positive systems with singular σ(dt) (reaction-diffusion,
 Klein-Gordon reduction) are stepped implicitly (backward difference) on a node
 grid, with boundary rows replaced by the row-reduced G_B in the constrained
-directions: a static system factors its operator once with SuperLU, a
-time-dependent one assembles the operators of a block of levels in one pass
-and factors each level with banded LAPACK.
+directions, in LAPACK band storage: a static system's one operator is read
+from it as CSC and factored once with SuperLU, a time-dependent one factors
+each level with banded LAPACK.
 
 Coefficient tables are evaluated for a block of levels at once, sized in
 (level, point) rows for a time-dependent system: every coefficient callable
 takes one time per row (``geometry.spacetime_rows``), and a diagonal σ(dt) or
 companion metric is inverted or factored entrywise.  Real problems' builders
 make float64 tables, and a field is float64 while its tables, h₀ and forcing
-are real (``_real``), complex128 otherwise; ``field.bin`` is complex128.
+are real (``_real``), complex128 otherwise; ``field.bin`` is complex128.  A
+solve tables its forcing once, over every level (``_forcing_table``).
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,28 +143,6 @@ def _as_bc_map(sys, bcs):
     return {f: bcs for f in faces}
 
 
-def _forcing_level(f, t, xs, N):
-    out = np.asarray(f(t, xs[:, None]))
-    if out.shape != (xs.size, N):
-        raise ConfigError(f"forcing must return shape ({xs.size}, {N})")
-    return out
-
-
-def _source(f, grid, N):
-    """The forcing of a solve as a function of (level m, time t): read from a
-    table of shape (nt+1, n_x, N), evaluated from a callable f(t, xs), or None
-    without forcing."""
-    if f is None:
-        return lambda m, t: None
-    if callable(f):
-        return lambda m, t: _real(_forcing_level(f, t, grid.xs, N))[0]
-    table, = _real(f)
-    if table.shape != (grid.nt + 1, grid.xs.size, N):
-        raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = "
-                          f"{(grid.nt + 1, grid.xs.size, N)}, got {table.shape}")
-    return lambda m, t: table[m]
-
-
 def _eval_initial(h, xs, N):
     arr, = _real(np.zeros((xs.size, N)) if h is None else h(xs) if callable(h) else h)
     if arr.shape != (xs.size, N):
@@ -188,8 +166,8 @@ def _entries(M):
 
 
 def _field(out, h0, nt, *tables):
-    """The field for the next level, allocated at the first with h₀ at level 0,
-    in the widest dtype of h₀ and every level's tables and forcing so far."""
+    """The field for the next block, allocated at the first with h₀ at level 0,
+    in the widest dtype of h₀, the blocks' tables so far and the forcing table."""
     dtype = np.result_type(h0 if out is None else out, *tables)    # a None table: no forcing
     if out is None:
         out = np.empty((nt + 1, *h0.shape), dtype)
@@ -346,25 +324,22 @@ def _boundary_closure(G_B, face, lam, V, P, force):
         raise BoundaryClosureError(f"singular closure at face {face}") from exc
 
 
-def _solve_explicit(sys, bc_map, source, h0, grid, force):
-    """The field, from the tables of ``_level_blocks``' blocks of levels."""
+def _solve_explicit(sys, bc_map, table, h0, grid, force):
+    """The field, from ``_level_blocks``' blocks of tables and the forcing table."""
     nx, N = grid.nx, sys.fiber_rank
-    out = pad = None
+    out = None
     for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _real(
             *_explicit_tables(sys, bc_map, grid, ts, force)), 2 * nx + 1):
+        out = _field(out, h0, grid.nt, B, dt_a0inv, table)
+        pad = np.zeros((nx + 2) * N, out.dtype)     # Ψ and a zero ghost cell each side
+        window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
         for k, m in enumerate(range(rows.start, rows.stop)):
             level = min(k, len(B) - 1)          # a static system's one level serves all
-            src = source(m, grid.ts[m])
-            if out is None or out.dtype != complex:     # complex128 is the widest
-                out = _field(out, h0, grid.nt, B, dt_a0inv, src)
-            if pad is None or pad.dtype != out.dtype:   # Ψ and a zero ghost cell each side
-                pad = np.zeros((nx + 2) * N, out.dtype)
-                window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
             psi, new = out[m], out[m + 1]
             pad[N:-N] = psi.ravel()
             np.einsum("pij,pj->pi", B[level], window, out=new)
-            if src is not None:
-                new += np.einsum("pij,pj->pi", dt_a0inv[level], src)
+            if table is not None:
+                new += np.einsum("pij,pj->pi", dt_a0inv[level], table[m])
             new += psi
             _finite(new, m + 1, grid.ts[m + 1])
     return _field(out, h0, grid.nt)             # a grid with no steps: just h₀
@@ -381,9 +356,9 @@ def _implicit_tables(sys, bc_map, grid, ts):
     constrained directions by the row-reduced G_B (one stacked ``row_reduce``
     per face, ContractError when the ranks differ within the block).
 
-    Returns the operators (B for a static system, else their ``_band``
-    storage), each face's boundary rows {node: (R, V1, V2)} and the
-    ``_entries`` of A⁰ = σ(dt) at the nodes, all stacked over the levels.
+    Returns the operators in ``_band`` storage, each face's boundary rows
+    {node: (R, V1, V2)} and the ``_entries`` of A⁰ = σ(dt) at the nodes, all
+    stacked over the levels.
     """
     chart, npts, N = sys.chart, grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
@@ -408,18 +383,17 @@ def _implicit_tables(sys, bc_map, grid, ts):
         # install the constraint rows there instead
         B[:, node] = (V2 @ V2.conj().swapaxes(-1, -2))[:, None] @ B[:, node]
         B[:, node, 1] += V1 @ R
-    return B if sys.static else _band(B), boundary_rows, _entries(A[:, :, 0])
+    return _band(B), boundary_rows, _entries(A[:, :, 0])
 
 
 def _factor(op, t, banded):
-    """``solve(rhs)`` of one level's block-tridiagonal matrix, whose block
-    row i holds B[i, d + 1] at block column i + d (d = −1, 0, 1).
+    """``solve(rhs)`` of one level's block-tridiagonal matrix in ``_band``
+    storage op, whose block row i holds B[i, d + 1] at block column i + d (d = −1, 0, 1).
 
     A static system (``banded`` None) factors once and solves nt times:
-    SuperLU (``splu`` of ``_csc(op)``, op = B), whose solve is the faster.  A
+    SuperLU (``splu`` of ``_csc(op)``), whose solve is the faster.  A
     time-dependent one factors every level: LAPACK's banded LU with partial
-    pivoting, the pair ``banded`` = (``gbtrf``, ``gbtrs``) of op's dtype on
-    op = ``_band(B)``
+    pivoting, the pair ``banded`` = (``gbtrf``, ``gbtrs``) of op's dtype
     (Golub & Van Loan, *Matrix Computations*, §4.3), an order of magnitude
     cheaper to factor; it overwrites op.  Real when op is, solving a complex
     rhs part by part.  BoundaryClosureError, naming t, when the matrix is
@@ -444,31 +418,13 @@ def _factor(op, t, banded):
         solve(rhs) if rhs.dtype == float else solve(rhs.real) + 1j * solve(rhs.imag))
 
 
-@functools.lru_cache(maxsize=8)
-def _block_index(npts, N):
-    """Where B's entries (as in ``_factor``) go: their flat positions in B
-    whose block column exists, and the rows i and columns j of those entries
-    in the matrix."""
-    I, d, a, b = np.indices((npts, 3, N, N)).reshape(4, -1)
-    J = I + d - 1                           # block column
-    src = np.flatnonzero((J >= 0) & (J < npts))
-    index = src, (I * N + a)[src], (J * N + b)[src]
-    for arr in index:
-        arr.flags.writeable = False         # shared by every caller
-    return index
-
-
-def _csc(B):
-    """The block-tridiagonal matrix of B (as in ``_factor``) in scipy's CSC,
-    built COO → CSR → CSC without exact zeros; the out-of-range edge blocks
-    B[0, 0] and B[−1, 2] have no column and are dropped."""
+def _csc(band):
+    """The matrix of one level's ``_band`` storage in scipy's CSC, without
+    exact zeros: its 2kl + 1 diagonals, past the kl rows left for the fill-in."""
     import scipy.sparse
 
-    npts, _, N, _ = B.shape
-    src, i, j = _block_index(npts, N)
-    entries = B.ravel()[src]
-    nz = np.abs(entries) > 0
-    return scipy.sparse.csr_matrix((entries[nz], (i[nz], j[nz])), shape=(npts * N,) * 2).tocsc()
+    kl, n = (band.shape[0] - 1) // 3, band.shape[1]
+    return scipy.sparse.dia_matrix((band[kl:], kl - np.arange(2 * kl + 1)), shape=(n, n)).tocsc()
 
 
 def _band(B):
@@ -489,10 +445,10 @@ def _band(B):
     return band.reshape(*lead, npts * N, -1).swapaxes(-1, -2)
 
 
-def _solve_implicit(sys, bc_map, source, h0, grid):
+def _solve_implicit(sys, bc_map, table, h0, grid):
     """The field.  A level solves its operator from ``_implicit_tables``'
-    blocks of levels and forms its right-hand side; a time-dependent one
-    first factors its operator (``_factor``)."""
+    blocks of levels and forms its right-hand side with the forcing table; a
+    time-dependent one first factors its operator (``_factor``)."""
     npts, N = grid.xs.size, sys.fiber_rank
     banded = {}         # gbtrf and gbtrs per dtype, looked up once per solve
     out = None
@@ -502,19 +458,18 @@ def _solve_implicit(sys, bc_map, source, h0, grid):
             from scipy.linalg import lapack
 
             banded[ops.dtype] = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=ops.dtype)
+        out = _field(out, h0, grid.nt, A0, table)
         for k, m in enumerate(range(rows.start, rows.stop)):
             t1 = grid.ts[m + 1]
             level = 0 if sys.static else k
             if m == 0 or not sys.static:        # a static system factors once
                 solve_level = _factor(ops[level], t1, banded.get(ops.dtype))
-            src = source(m + 1, t1)
-            out = _field(out, h0, grid.nt, A0, src)
             rhs = np.zeros(out.shape[1:], out.dtype)   # A⁰Ψ/Δt, summed in np.einsum's order
             for i, j in nz:
                 rhs[:, i] += A0[i, j, level] * out[m][:, j]
             rhs /= grid.dt
-            if src is not None:
-                rhs += src
+            if table is not None:
+                rhs += table[m + 1]
             for node, (R, V1, V2) in brows.items():
                 rhs[node] = V2[level] @ (V2[level].conj().T @ rhs[node])
             out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
@@ -546,8 +501,8 @@ def enforce_admissibility(sys, bc_map):
 def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     """Advance S Ψ = f, Ψ(t₀) = h, Ψ|∂ ∈ ker G_B over the grid.
 
-    ``f`` is a callable f(t, xs) or its table over the grid's levels, shape
-    (nt+1, n_x, N); ``h`` a callable h(xs) or its array.  Hyperbolic
+    ``f`` is a callable f(t, xs), tabled once over the grid's levels, or that
+    table, shape (nt+1, n_x, N); ``h`` a callable h(xs) or its array.  Hyperbolic
     systems use the explicit characteristic upwind scheme; symmetric
     positive systems with singular σ(dt) are stepped implicitly.
     Unless ``force`` is given, the system and its boundary conditions must
@@ -563,13 +518,13 @@ def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     if not force:
         enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
-    source = _source(f, grid, sys.fiber_rank)
+    table = None if f is None else _forcing_table(f, grid, sys.fiber_rank)
     if grid.staggered and sys.time_sign == 0:
         raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
     _finite(h0, 0, grid.t0)
     if grid.staggered:
-        return GridField(_solve_explicit(sys, bc_map, source, h0, grid, force), grid)
-    return GridField(_solve_implicit(sys, bc_map, source, h0, grid), grid)
+        return GridField(_solve_explicit(sys, bc_map, table, h0, grid, force), grid)
+    return GridField(_solve_implicit(sys, bc_map, table, h0, grid), grid)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -743,11 +698,24 @@ def l2_norm(fld_values, grid):
 
 
 def _forcing_table(f, grid, N):
-    """The forcing f of a Green operator stacked over the time levels and
-    narrowed once (``_real``): shape (nt+1, n_x, N)."""
+    """The forcing f of a solve or a Green operator, shape (nt+1, n_x, N) and
+    narrowed once (``_real``): f's table, or a callable f(t, xs) evaluated
+    once per level, each level's shape checked before the next is evaluated."""
     if f is None:
         raise ConfigError("a Green operator needs a source f")
-    return _real(np.stack([_forcing_level(f, t, grid.xs, N) for t in grid.ts]))[0]
+    shape = (grid.nt + 1, grid.xs.size, N)
+    if callable(f):
+        levels = []
+        for t in grid.ts:
+            levels.append(np.asarray(f(t, grid.xs[:, None])))
+            if levels[-1].shape != shape[1:]:
+                raise ConfigError(f"forcing must return shape {shape[1:]}")
+        f = np.stack(levels)
+    table, = _real(f)
+    if table.shape != shape:
+        raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = {shape}, "
+                          f"got {table.shape}")
+    return table
 
 
 def _active_levels(table, threshold=1e-14):

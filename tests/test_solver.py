@@ -675,7 +675,7 @@ def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, sta
                                                                       monkeypatch):
     # a time-dependent solve evaluates, row-reduces and lays out its operators
     # once per block of levels and factors each level; a static one
-    # assembles once and factors once with SuperLU
+    # assembles and lays out its operator once and factors it once with SuperLU
     import scipy.sparse.linalg
 
     prob = reduction.SecondOrderProblem(
@@ -698,11 +698,11 @@ def test_implicit_assembles_once_per_block_and_factors_once_per_level(strip, sta
     blocks = 1 if static else -(-grid.nt // block)
     assert grid.nt > 2 * block
     expected = {"_implicit_tables": blocks, "coeff_at": blocks, "row_reduce": 2 * blocks,
-                "_entries": blocks, "_factor": 1 if static else grid.nt}
+                "_entries": blocks, "_band": blocks, "_factor": 1 if static else grid.nt}
     if static:
         expected["splu"] = 1
     else:
-        expected.update(_band=blocks, get_lapack_funcs=1, gbtrf=grid.nt, gbtrs=grid.nt)
+        expected.update(get_lapack_funcs=1, gbtrf=grid.nt, gbtrs=grid.nt)
     assert calls == expected
 
 
@@ -750,7 +750,7 @@ def test_static_speed_peak_sizes_the_grid():
     assert np.isfinite(fld.values).all()
 
 
-def test_cfl_guard_refuses_an_unresolved_speed_peak():
+def test_cfl_guard_refuses_an_unresolved_speed_peak(monkeypatch):
     # the speed peaks at 4 at t = 0.05, between the chart's sample times that
     # size Δt (they read 1): the per-level guard refuses the level before it
     chart = geometry.minkowski_strip((0.0, 0.7), (1.0,))
@@ -758,18 +758,13 @@ def test_cfl_guard_refuses_an_unresolved_speed_peak():
         x, 1.0 + 3.0 * np.exp(-((t - 0.05) / 0.005) ** 2)), time_independent=False)
     grid = make_grid(sys_, 128, cfl=0.5)
     assert geometry.max_characteristic_speed(chart, sys_, per_axis=128) == pytest.approx(1.0)
-    steps = []
-
-    def f(t, xs2):
-        steps.append(t)
-        return np.zeros((xs2.shape[0], 1), dtype=complex)
-
+    steps = stepped_levels(monkeypatch)
     bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
     with pytest.raises(ContractError, match=r"realised CFL \S+ > 1 at t=") as err:
-        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+        solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
     m = int(np.argmin(np.abs(grid.ts - float(re.search(r"at t=([^,]+),", str(err.value))[1]))))
     assert grid.ts[m] == pytest.approx(0.047, abs=1e-3)
-    assert steps == list(grid.ts[:m])           # the levels before it were stepped
+    assert steps == list(grid.ts[:m + 1])       # the levels up to it were stepped
     cfl = float(str(err.value).split()[2])
     assert cfl == pytest.approx(realised_cfl(sys_, grid, grid.ts[m]), rel=1e-3)
     assert cfl == pytest.approx(1.455, abs=1e-3)
@@ -807,7 +802,8 @@ def test_grid_speed_is_the_speed_the_first_level_splits_at(name, monkeypatch):
 @pytest.mark.parametrize("setup", ["explicit", "implicit"])
 def test_solve_stops_at_the_first_non_finite_level(strip, setup):
     # the forcing blows up at t_5: the explicit step carries it into level 6,
-    # the implicit step into level 5, and no later forcing is evaluated
+    # the implicit step into level 5; the forcing is tabled up front, each
+    # level evaluated once
     if setup == "explicit":
         sys_, bcs = advection_setup(strip)
     else:
@@ -824,7 +820,7 @@ def test_solve_stops_at_the_first_non_finite_level(strip, setup):
     m = 6 if setup == "explicit" else 5
     with pytest.raises(BoundaryClosureError, match=rf"level m={m}, t={grid.ts[m]:.6g}$"):
         solve(sys_, bcs, f=f, grid=grid)
-    assert max(calls) == grid.ts[5]
+    assert calls == list(grid.ts)
 
 
 ENTRIES = st.floats(-1.0, 1.0)
@@ -1226,8 +1222,9 @@ def test_green_diagnostics_read_the_carried_table_as_a_fresh_one(strip, directio
 def test_green_forcing_table_is_checked_per_level_and_narrowed_once(strip, monkeypatch):
     # f is evaluated and its shape checked at every level; the stacked table
     # is narrowed once: float64 when every level is real, else complex128
-    # with each level's own values (a real level keeps its −0.0 imaginary parts)
-    sys_, _ = advection_setup(strip)
+    # with each level's own values (a real level keeps its −0.0 imaginary parts).
+    # A solve tables a callable f the same way, and steps bitwise as from its table
+    sys_, bcs = advection_setup(strip)
     grid = make_grid(sys_, 32)
     f = spacetime_source(1)
     calls = {}
@@ -1251,6 +1248,19 @@ def test_green_forcing_table_is_checked_per_level_and_narrowed_once(strip, monke
 
     with pytest.raises(ConfigError, match=r"^forcing must return shape \(32, 1\)$"):
         solver._forcing_table(misshaped, grid, 1)
+
+    calls.clear()
+    unforced = solve(sys_, bcs, h=np.ones((32, 1)), grid=grid)
+    without = calls.pop("_real")
+    forced = solve(sys_, bcs, f=f, h=np.ones((32, 1)), grid=grid)
+    assert calls == {"_real": without + 1}
+    assert forced.values.tobytes() == solve(sys_, bcs, f=table.real, h=np.ones((32, 1)),
+                                            grid=grid).values.tobytes()
+    assert forced.values.dtype == unforced.values.dtype == np.float64
+    levels = []
+    with pytest.raises(ConfigError, match=r"^forcing must return shape \(32, 1\)$"):
+        solve(sys_, bcs, f=lambda t, xs2: levels.append(t) or misshaped(t, xs2), grid=grid)
+    assert levels == list(grid.ts[:4])          # none evaluated past the misshaped level
 
 
 def sine_beta_wave():
@@ -1365,41 +1375,56 @@ def implicit_cases():
             "kg_sine_h": (kg, boundary.dirichlet(kg.layout))}
 
 
-@pytest.mark.parametrize("case", sorted(implicit_cases()))
+def static_solves_heat():
+    """The benchmark's static heat + Robin problem: c = −1 as a complex table."""
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+    c = np.full((1, 1), -1.0, dtype=complex)
+    sys_ = reduction.reaction_diffusion_to_first_order(reduction.SecondOrderProblem(
+        "reaction_diffusion", strip, k=1, c=lambda t, xs: np.broadcast_to(c, (xs.shape[0], 1, 1))),
+        2.0)
+    return sys_, boundary.robin(0.0, 1.0, sys_.layout)
+
+
+@pytest.mark.parametrize("case", sorted(implicit_cases()) + ["static_solves_heat_2048"])
 def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
-    # each level of a block's operators, and the block's band storage is
-    # bitwise each level's own
-    sys_, bcs = implicit_cases()[case]
-    grid = make_grid(sys_, 32)
+    # each level of a block's operators is laid out in band storage bitwise
+    # as its own block rows, and read back from it as scipy's CSC bitwise
+    sys_, bcs = static_solves_heat() if case.startswith("static") else implicit_cases()[case]
+    grid = make_grid(sys_, 2048 if case.endswith("2048") else 32)
     built = []
     band = solver._band
     monkeypatch.setattr(solver, "_band", lambda B: built.append(B) or band(B))
     ts = grid.ts[3:3 + solver._BLOCK]
     ops, _, _ = solver._implicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, ts)
-    Bs = ops if sys_.static else built[0]
-    assert len(Bs) == len(ts) == solver._BLOCK
+    Bs, = built
+    assert len(Bs) == len(ops) == len(ts) == solver._BLOCK
     for level, B in enumerate(Bs):
-        csc, ref = solver._csc(B), reference_csc(B)
+        csc, ref = solver._csc(ops[level]), reference_csc(B)
         assert ref.has_sorted_indices and ref.nnz < B.size
+        assert csc.dtype == ref.dtype == B.dtype
         assert csc.data.tobytes() == ref.data.tobytes()
         assert csc.indices.tobytes() == ref.indices.tobytes()
         assert csc.indptr.tobytes() == ref.indptr.tobytes()
-        if not sys_.static:
-            assert ops[level].flags.f_contiguous
-            assert ops[level].tobytes("F") == band(B).tobytes("F")
+        assert ops[level].flags.f_contiguous
+        assert ops[level].tobytes("F") == band(B).tobytes("F")
 
 
 def test_implicit_csc_masks_the_out_of_range_edge_blocks():
-    # nonzero blocks beyond the two edges have no column and are dropped
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
-    B[2, 1, 0, 1] = 0.0
-    csc = solver._csc(B)
-    inner = B.copy()
-    inner[0, 0] = inner[-1, 2] = 0.0
-    ref = reference_csc(inner)
-    assert csc.data.tobytes() == ref.data.tobytes()
-    assert np.array_equal(csc.indices, ref.indices) and np.array_equal(csc.indptr, ref.indptr)
+    # nonzero blocks beyond the two edges have no column and are dropped, and
+    # so are exact zeros, for real and complex block rows of each N
+    for N, kind in itertools.product((2, 1, 3), (complex, float)):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 3, N, N))
+        if kind is complex:
+            B = B + 1j * rng.standard_normal((5, 3, N, N))
+        B[2, 1, 0, N - 1] = 0.0
+        csc = solver._csc(solver._band(B))
+        inner = B.copy()
+        inner[0, 0] = inner[-1, 2] = 0.0
+        ref = reference_csc(inner)
+        assert csc.dtype == B.dtype and ref.nnz == np.count_nonzero(inner)
+        assert csc.data.tobytes() == ref.data.tobytes()
+        assert np.array_equal(csc.indices, ref.indices) and np.array_equal(csc.indptr, ref.indptr)
 
 
 def reference_active_levels(table, threshold):
@@ -1474,8 +1499,7 @@ def test_banded_implicit_fields_match_superlu(case, monkeypatch):
     h = bump_state(grid.xs, {0: (0.5, 0.25, 1.0), 1: (0.4, 0.2, 0.5)}, sys_.fiber_rank)
     banded = solve(sys_, bcs, h=h, grid=grid).values
     real = solver._factor
-    monkeypatch.setattr(solver, "_band", lambda B: B)      # the block rows instead
-    monkeypatch.setattr(solver, "_factor", lambda B, t, banded: real(B, t, None))
+    monkeypatch.setattr(solver, "_factor", lambda op, t, banded: real(op, t, None))
     superlu = solve(sys_, bcs, h=h, grid=grid).values
     assert np.max(np.abs(banded - superlu)) <= 1e-12 * np.max(np.abs(superlu))
     assert not np.array_equal(banded, superlu)      # two factorizations ran
@@ -1676,14 +1700,13 @@ def dipping_advection(chart, a0, a1):
                                    metric_positive=True, time_independent=False)
 
 
-def stepped_levels():
+def stepped_levels(monkeypatch):
+    """The times of the levels a solve steps, h₀'s level first, recorded as
+    each passes ``solver._finite``."""
     steps = []
-
-    def f(t, xs2):
-        steps.append(t)
-        return np.zeros((xs2.shape[0], 1), dtype=complex)
-
-    return steps, f
+    finite = solver._finite
+    monkeypatch.setattr(solver, "_finite", lambda psi, m, t: steps.append(t) or finite(psi, m, t))
+    return steps
 
 
 def in_window(t):
@@ -1701,14 +1724,14 @@ def test_not_hyperbolic_level_raises_after_the_levels_before_it(monkeypatch):
     short_blocks(monkeypatch, grid, "explicit")
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
     assert 0 < m < block_length(sys_, grid, "explicit")
-    steps, f = stepped_levels()
+    steps = stepped_levels(monkeypatch)
     bcs = boundary.no_condition(1)
     faces = np.arange(grid.nx + 1) * grid.dx
     x = faces[faces > 0.5][0]
     with pytest.raises(NotHyperbolicError) as err:
-        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+        solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
     assert str(err.value) == f"σ(dt)-form singular or indefinite at t={grid.ts[m]}, x=[{x}]"
-    assert steps == list(grid.ts[:m])
+    assert steps == list(grid.ts[:m + 1])
 
 
 def test_a_non_finite_sigma_dt_is_refused_at_its_level_and_point(monkeypatch):
@@ -1722,13 +1745,13 @@ def test_a_non_finite_sigma_dt_is_refused_at_its_level_and_point(monkeypatch):
     short_blocks(monkeypatch, grid, "explicit")
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
     assert 0 < m < block_length(sys_, grid, "explicit")
-    steps, f = stepped_levels()
+    steps = stepped_levels(monkeypatch)
     faces = np.arange(grid.nx + 1) * grid.dx
     x = faces[faces > 0.5][0]
     with pytest.raises(NotHyperbolicError) as err:
-        solve(sys_, boundary.no_condition(1), f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+        solve(sys_, boundary.no_condition(1), h=lambda xs: np.ones((xs.size, 1)), grid=grid)
     assert str(err.value) == f"σ(dt)-form not finite at t={grid.ts[m]}, x=[{x}]"
-    assert steps == list(grid.ts[:m])
+    assert steps == list(grid.ts[:m + 1])
 
 
 def test_closure_error_raises_at_its_level_after_the_levels_before_it(monkeypatch):
@@ -1742,11 +1765,11 @@ def test_closure_error_raises_at_its_level_after_the_levels_before_it(monkeypatc
     short_blocks(monkeypatch, grid, "explicit")
     m = next(m for m, t in enumerate(grid.ts) if in_window(t))
     assert 0 < m and m % block_length(sys_, grid, "explicit") != 0
-    steps, f = stepped_levels()
+    steps = stepped_levels(monkeypatch)
     bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
     with pytest.raises(BoundaryClosureError, match=r"face \(0, 0\): 0 incoming characteristics"):
-        solve(sys_, bcs, f=f, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
-    assert steps == list(grid.ts[:m])
+        solve(sys_, bcs, h=lambda xs: np.ones((xs.size, 1)), grid=grid)
+    assert steps == list(grid.ts[:m + 1])
 
 
 def test_a_block_that_closes_unlike_is_stepped_level_by_level(monkeypatch):
@@ -2021,9 +2044,11 @@ def widening_cases():
 
 @pytest.mark.parametrize("case", sorted(widening_cases()))
 def test_a_field_widens_to_complex_from_its_first_complex_level(case, monkeypatch):
-    # a real problem whose forcing or C turns complex after t* is stepped in
-    # real arithmetic up to t* and in complex arithmetic after it, with no
-    # ComplexWarning, close to the solve that is complex from the start
+    # a real problem whose C turns complex after t* is stepped in real
+    # arithmetic up to t* and in complex arithmetic from its first complex
+    # block; a forcing that turns complex fixes complex arithmetic for the
+    # whole solve, its field real-valued up to t*.  No ComplexWarning, and
+    # close to the solve that is complex from the start
     import warnings
 
     sys_, bcs, f = widening_cases()[case]
