@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import clifford, geometry
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .linalg import (RANK_TOL, as_table, eigh_pencil, herm_eigen, kernel, matrix_rank,
                      orthogonal_complement_of_image, restrict_form)
 
@@ -59,6 +59,18 @@ class BoundaryCondition:
 
     def kernel_space(self, chart, q):
         return kernel(self.matrix(chart, q))
+
+
+def as_bc_map(sys, bcs):
+    """One condition per face of the system's chart: a face map, which must
+    name every face, or one condition for all of them."""
+    faces = sys.chart.faces()
+    if isinstance(bcs, dict):
+        missing = [f for f in faces if f not in bcs]
+        if missing:
+            raise ConfigError(f"missing boundary condition for faces {missing}")
+        return bcs
+    return {f: bcs for f in faces}
 
 
 @dataclass

@@ -307,7 +307,7 @@ def build_problem(cfg):
 
 def cmd_check(cfg, out, force, seed):
     sys_, bcs = build_problem(cfg)
-    bc_map = solver._as_bc_map(sys_, bcs)
+    bc_map = boundary.as_bc_map(sys_, bcs)
     sym, hyp, pos, cc = system.check_conditions(sys_, seed)
     lines = [f"system: {sys_.name} (N={sys_.fiber_rank})",
              f"symmetric: {sym.verdict} (max asymmetry {_fmt(sym.max_asymmetry)})",
@@ -368,7 +368,7 @@ def cmd_solve(cfg, out, force, seed):
     report = (f"solve: nx={grid.nx} nt={grid.nt} dt={_fmt(grid.dt)}\n"
               f"energy ratio E(T)/E(0): {_fmt(tr.final_ratio)}\n"
               f"max per-step energy growth: {_fmt(tr.max_step_growth)}\n")
-    if sys_.positive_metric_at(grid.t0, grid.xs[:1, None]) is None:
+    if sys_.time_sign == 0 and not sys_.metric_positive:
         report += ("note: E(t) is the indefinite fiber form (the system has no "
                    "positive companion metric), not a norm\n")
     if force:

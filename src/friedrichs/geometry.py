@@ -215,26 +215,12 @@ def minkowski_strip(t_range=(0.0, 1.0), lengths=(1.0,)):
 
 
 def ultrastatic(t_range=(0.0, 1.0), lengths=(1.0,), eps=0.2, waves=1):
-    """β = 1 with a static curved spatial metric h = a(x)² δ, a = 1 + eps·sin."""
-    lengths = tuple(np.atleast_1d(lengths))
-    n = len(lengths)
+    """β = 1 with a static curved spatial metric h = a(x)² δ, a = 1 + eps·sin:
+    the named-profile chart with a sine conformal factor."""
     if not -0.9 < eps < 0.9:
         raise ConfigError("ultrastatic eps must keep h positive definite")
-
-    def a(xs):
-        phase = sum(2 * np.pi * waves * xs[:, j] / lengths[j] for j in range(n))
-        return 1.0 + eps * np.sin(phase)
-
-    def beta(t, xs):
-        return np.ones(xs.shape[0])
-
-    def h(t, xs):
-        out = np.zeros((xs.shape[0], n, n))
-        idx = np.arange(n)
-        out[:, idx, idx] = a(xs)[:, None] ** 2
-        return out
-
-    return SpacetimeChart(n, tuple(t_range), lengths, beta, h)
+    return named_profile_chart(t_range, lengths, h_scale={
+        "profile": "sine", "base": 1.0, "amplitude": eps, "waves": waves})
 
 
 #: the keys, with their defaults, of each named scalar profile a(t, x) of a chart

@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
+from .boundary import as_bc_map
 from .errors import ContractError
-from .solver import _as_bc_map
 from .linalg import as_table
 from .system import FD_STEP, FriedrichsSystem, GradientLayout, lambda_shift
 
@@ -341,7 +341,7 @@ def compatibility_check(sys, bcs, f, h, order, nx=128, tol=1e-8):
     hs = corner_derivatives(sys, f, h_arr, order, xs)
 
     t0 = chart.t_range[0]
-    bc_map = _as_bc_map(sys, bcs)
+    bc_map = as_bc_map(sys, bcs)
     faces = chart.faces()
     residuals = np.zeros((order + 1, len(faces)))
     for fi, face in enumerate(faces):

@@ -30,7 +30,7 @@ solve tables its forcing once, over every level (``_forcing_table``).
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError, NotSymmetricError)
 from .linalg import aos, eigh_pencil, pairwise_sum, row_reduce, soa, soa_mul
-from .boundary import admissibility, nonneg_mask
-from .system import FriedrichsSystem, check_symmetric, companion_metric
+from .boundary import admissibility, as_bc_map, nonneg_mask
+from .system import check_symmetric, companion_metric
 
 
 @dataclass
@@ -131,16 +131,6 @@ def write_field(path, fld):
     with open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(vals.tobytes())
-
-
-def _as_bc_map(sys, bcs):
-    faces = sys.chart.faces()
-    if isinstance(bcs, dict):
-        missing = [f for f in faces if f not in bcs]
-        if missing:
-            raise ConfigError(f"missing boundary condition for faces {missing}")
-        return bcs
-    return {f: bcs for f in faces}
 
 
 def _eval_initial(h, xs, N):
@@ -514,7 +504,7 @@ def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     """
     if grid is None:
         raise ConfigError("solve requires a grid (make_grid)")
-    bc_map = _as_bc_map(sys, bcs)
+    bc_map = as_bc_map(sys, bcs)
     if not force:
         enforce_admissibility(sys, bc_map)
     h0 = _eval_initial(h, grid.xs, sys.fiber_rank)
@@ -763,11 +753,8 @@ def time_reversed(sys, t_range):
     def flip(t):
         return t0 + t1 - t
 
-    rev_chart = geometry.SpacetimeChart(
-        chart.dim_space, tuple(t_range), chart.space_extent,
-        beta=lambda t, xs: chart.beta(flip(t), xs),
-        h=lambda t, xs: chart.h(flip(t), xs),
-        time_independent=chart.time_independent, constant=chart.constant)
+    rev_chart = replace(chart, t_range=tuple(t_range), beta=lambda t, xs: chart.beta(flip(t), xs),
+                        h=lambda t, xs: chart.h(flip(t), xs))
 
     def coeff(t, xs):
         A, C = sys.coeff_at(flip(t), xs)
@@ -779,10 +766,8 @@ def time_reversed(sys, t_range):
         G = sys.metric_at(flip(t), xs)
         return G if w == 1 else -G
 
-    return FriedrichsSystem(
-        rev_chart, sys.fiber_rank, coeff, metric,
-        metric_positive=sys.metric_positive and w == 1, name=sys.name + "_reversed",
-        layout=sys.layout, time_independent=sys.time_independent)
+    return replace(sys, chart=rev_chart, coeff=coeff, metric=metric,
+                   metric_positive=sys.metric_positive and w == 1, name=sys.name + "_reversed")
 
 
 def green_minus(sys, bcs, f, grid, force=False):
@@ -920,7 +905,7 @@ def lambda_equivalence_check(sys, lam, bcs, f, h, nx):
     shifted = lambda_shift(sys, lam)
 
     def f_scaled(t, xs2):
-        return math.exp(-lam * t) * f(t, xs2) if f is not None else None
+        return math.exp(-lam * t) * f(t, xs2)
 
     fld_shift = solve(shifted, bcs, f=f_scaled if f is not None else None,
                       h=h, grid=grid)

@@ -15,7 +15,7 @@ and s* = −1 keeps the normalized metric s*·β·G·σ(dt) positive definite wh
 boundary forms stay in the original metric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,7 +66,7 @@ class FriedrichsSystem:
     name: str = "custom"
     layout: Optional[GradientLayout] = None
     time_independent: bool = True
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim_space(self):
@@ -286,15 +286,14 @@ def formal_adjoint(sys):
         C_adj = C_adj - np.einsum("pij,pjk->pik", Ginv, div) / mu[:, None, None]
         return A_adj, C_adj
 
-    return FriedrichsSystem(
-        chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=sys.metric,
-        metric_positive=sys.metric_positive, name=sys.name + "_adjoint",
-        layout=sys.layout, time_independent=sys.time_independent)
+    return replace(sys, coeff=coeff, name=sys.name + "_adjoint")
 
 
 def zero_order_symmetrization(sys, t, xs):
     """Hermitian part (w.r.t. G) of the zero-order endomorphism of S + S†."""
-    adj = sys._cache.setdefault("adjoint", formal_adjoint(sys))
+    if "adjoint" not in sys._cache:
+        sys._cache["adjoint"] = formal_adjoint(sys)
+    adj = sys._cache["adjoint"]
     _, C = sys.coeff_at(t, xs)
     _, C_adj = adj.coeff_at(t, xs)
     G = sys.metric_at(t, xs)
@@ -357,12 +356,10 @@ def beta_normalize(sys):
     _, xs_probe = chart.sample_interior(4)
     coeff(chart.sample_times(3)[1], xs_probe[:2])
 
-    return FriedrichsSystem(
-        chart=chart, fiber_rank=sys.fiber_rank, coeff=coeff,
-        metric=lambda t, xs: companion_metric(s or 1, chart.beta_at(t, xs), sys.metric_at(t, xs),
-                                              sys.coeff_at(t, xs)[0][:, 0]),
-        metric_positive=s != 0, name=sys.name + "_normalized", layout=sys.layout,
-        time_independent=sys.time_independent)
+    return replace(
+        sys, coeff=coeff, metric=lambda t, xs: companion_metric(
+            s or 1, chart.beta_at(t, xs), sys.metric_at(t, xs), sys.coeff_at(t, xs)[0][:, 0]),
+        metric_positive=s != 0, name=sys.name + "_normalized")
 
 
 def lambda_shift(sys, lam):
@@ -371,10 +368,7 @@ def lambda_shift(sys, lam):
         A, C = sys.coeff_at(t, xs)
         return A, C + lam * A[:, 0]
 
-    return FriedrichsSystem(
-        chart=sys.chart, fiber_rank=sys.fiber_rank, coeff=coeff, metric=sys.metric,
-        metric_positive=sys.metric_positive, name=f"{sys.name}_shift{lam}",
-        layout=sys.layout, time_independent=sys.time_independent)
+    return replace(sys, coeff=coeff, name=f"{sys.name}_shift{lam}")
 
 
 def find_lambda(sys):
@@ -389,22 +383,10 @@ def find_lambda(sys):
 
 
 def advection_system(chart, speed=1.0):
-    """Scalar transport ∂_t + a·∂_x (1+1D)."""
+    """Scalar transport ∂_t + a·∂_x (1+1D): the constant system A⁰ = 1, A¹ = a."""
     if chart.dim_space != 1:
         raise ContractError("advection builder is 1+1D")
-
-    def coeff(t, xs):
-        m = xs.shape[0]
-        A = np.zeros((m, 2, 1, 1), np.result_type(speed, float))
-        A[:, 0, 0, 0] = 1.0
-        A[:, 1, 0, 0] = speed
-        return A, np.zeros((m, 1, 1))
-
-    def metric(t, xs):
-        return np.ones((xs.shape[0], 1, 1))
-
-    return FriedrichsSystem(chart, 1, coeff, metric, metric_positive=True,
-                            name="advection")
+    return replace(constant_system(chart, [[[1.0]], [[speed]]], None), name="advection")
 
 
 def constant_system(chart, A_list, C, gram=None):

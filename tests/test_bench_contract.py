@@ -136,7 +136,7 @@ def evaluations_per_phase(monkeypatch, sys_, bcs, h, grid):
     """The evaluations of the admissibility sampling, of ``solve`` beyond
     that sampling, which it runs first, and of ``energy_trace``; the refusal
     policy certifies (S) once per system, before the count."""
-    bc_map = solver._as_bc_map(sys_, bcs)
+    bc_map = boundary.as_bc_map(sys_, bcs)
     solver.enforce_admissibility(sys_, bc_map)
     counts = count_evaluations(monkeypatch, sys_)
     solver.enforce_admissibility(sys_, bc_map)

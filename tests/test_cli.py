@@ -393,6 +393,15 @@ def shipped(name, key=None, value=None):
     return cfg
 
 
+def test_a_bc_map_that_leaves_out_a_face_exits_2(tmp_path, capsys):
+    cfg = shipped("advection_green.json")
+    del cfg["bc"]["right"]
+    code, out = run(tmp_path, cfg, "green")
+    assert code == 2
+    assert not (out / "report.txt").exists()
+    assert "missing boundary condition for faces [(0, 1)]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["0", "3"])
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
                                         if "system" in json.loads(p.read_text())))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs import geometry, system
-from friedrichs.errors import ContractError, NotHyperbolicError
+from friedrichs.errors import ConfigError, ContractError, NotHyperbolicError
 from friedrichs.geometry import (BoundaryPoint, LEFT, RIGHT, boundary_points,
                                  max_characteristic_speed, outward_normal,
                                  volume_density)
@@ -122,6 +122,24 @@ def test_volume_density_continuous_in_time(curved_strip):
     xs = np.array([[0.3], [0.7]])
     vals = [volume_density(curved_strip, t, xs) for t in (0.5, 0.5 + 1e-7)]
     assert np.allclose(vals[0], vals[1], atol=1e-6)
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 2.0), (0.5, 1.0, 1.5)])
+def test_ultrastatic_is_a_static_sine_conformal_factor(lengths):
+    eps, waves = 0.35, 2
+    chart = geometry.ultrastatic((0.0, 1.0), lengths, eps=eps, waves=waves)
+    rng = np.random.default_rng(len(lengths))
+    t, xs = rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 1.0, (40, len(lengths))) * lengths
+    a = 1.0 + eps * np.sin(sum(2 * np.pi * waves * xs[:, j] / L for j, L in enumerate(lengths)))
+    assert chart.h_at(t, xs).tobytes() == (a[:, None, None] ** 2 * np.eye(len(lengths))).tobytes()
+    assert chart.beta_at(t, xs).tolist() == [1.0] * 40
+    assert chart.time_independent and not chart.constant
+
+
+@pytest.mark.parametrize("eps", [0.9, -0.9, 1.5])
+def test_ultrastatic_refuses_an_eps_that_can_degenerate_h(eps):
+    with pytest.raises(ConfigError, match="ultrastatic eps"):
+        geometry.ultrastatic(eps=eps)
 
 
 def test_advection_speed(strip):

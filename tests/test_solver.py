@@ -507,6 +507,19 @@ def test_lambda_equivalence_advection(short_strip, lam):
     assert rep.ratio <= 5.0
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_lambda_equivalence_with_a_forcing(short_strip, lam):
+    # K_λ is forced by e^{−λt}f: at λ = 0 that is f itself, so the two solves
+    # agree bitwise; an unforced K_λ would not
+    sys_, bcs = advection_setup(short_strip)
+    f = lambda t, xs: smooth_bump(xs, 0.3, 0.15) * np.exp(-t)
+    rep = lambda_equivalence_check(sys_, lam, bcs, f, None, nx=96)
+    if lam == 0.0:
+        assert rep.discrepancy == 0.0
+    else:
+        assert 0.0 < rep.ratio <= 5.0
+
+
 def test_lambda_scaled_energy_relation(short_strip):
     # |e^{−λt}Ψ|² carries the pointwise factor e^{−2λt} against |Ψ|²
     sys_, bcs = advection_setup(short_strip)
@@ -719,6 +732,87 @@ def test_admissible_pair_has_a_solvable_closure(strip, eps):
     assert np.all(np.isfinite(fld.values))
 
 
+def closure_fallbacks(monkeypatch):
+    """From now on, "pinv" for each np.linalg.pinv call and "singular" for
+    each LinAlgError that np.linalg.solve raises, in call order."""
+    seen = []
+    pinv, linear_solve = np.linalg.pinv, np.linalg.solve
+
+    def recording_pinv(*args, **kwargs):
+        seen.append("pinv")
+        return pinv(*args, **kwargs)
+
+    def recording_solve(*args, **kwargs):
+        try:
+            return linear_solve(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            seen.append("singular")
+            raise
+
+    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return seen
+
+
+def test_forced_closure_with_more_conditions_than_incoming_is_least_squares(
+        short_strip, monkeypatch):
+    # zero_trace on the outflow face: a rank-1 condition and no incoming
+    # characteristic, which (iii) refuses; forced, pinv closes that face
+    sys_ = system.advection_system(short_strip)
+    bcs = {LEFT: boundary.zero_trace(1), RIGHT: boundary.zero_trace(1)}
+    h, grid = lambda xs: smooth_bump(xs, 0.5, 0.2)[:, None], make_grid(sys_, 32)
+    with pytest.raises(NotAdmissibleError, match=r"face \(0, 1\)"):
+        solve(sys_, bcs, h=h, grid=grid)
+    seen = closure_fallbacks(monkeypatch)
+    fld = solve(sys_, bcs, h=h, grid=grid, force=True)
+    assert seen == ["pinv"]
+    assert np.isfinite(fld.values).all()
+
+
+def test_forced_singular_closure_falls_back_to_least_squares(short_strip, monkeypatch):
+    # speeds ±1; the left face's diag(0, 1) constrains the outgoing component,
+    # so its square closure is singular: LinAlgError, then pinv
+    sys_ = system.constant_system(short_strip, [np.eye(2), np.diag([1.0, -1.0])], None)
+    bcs = {face: boundary.custom_bc(np.diag([0.0, 1.0])) for face in (LEFT, RIGHT)}
+    h, grid = lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 2), make_grid(sys_, 32)
+    with pytest.raises(NotAdmissibleError, match=r"face \(0, 0\)"):
+        solve(sys_, bcs, h=h, grid=grid)
+    seen = closure_fallbacks(monkeypatch)
+    fld = solve(sys_, bcs, h=h, grid=grid, force=True)
+    assert seen == ["singular", "pinv"]
+    assert np.isfinite(fld.values).all()
+
+
+def test_a_static_solve_whose_one_table_refuses_raises_that_refusal(strip):
+    # 4 levels on 32 cells: Δt = 0.25 against Δx = 1/32, a realised CFL of 8
+    # at the one level a static system tables
+    sys_, bcs = advection_setup(strip)
+    grid = make_grid(sys_, 32, nt=4)
+    with pytest.raises(ContractError, match=r"realised CFL 8 > 1 at t=0"):
+        solve(sys_, bcs, h=lambda xs: smooth_bump(xs)[:, None], grid=grid)
+
+
+def test_green_minus_refuses_a_source_at_the_final_level(strip):
+    sys_ = system.advection_system(strip)
+    bcs = {LEFT: boundary.no_condition(1), RIGHT: boundary.zero_trace(1)}
+    grid = make_grid(sys_, 32)
+    f = lambda t, xs: np.full((xs.shape[0], 1), float(t == grid.ts[-1]))
+    with pytest.raises(ContractError, match="supp f touches the final slice"):
+        green_minus(sys_, bcs, f, grid)
+
+
+def test_solve_refuses_a_face_map_that_leaves_out_a_face(strip):
+    sys_, bcs = advection_setup(strip)
+    with pytest.raises(ConfigError, match=r"missing boundary condition for faces \[\(0, 1\)\]"):
+        solve(sys_, {LEFT: bcs[LEFT]}, h=None, grid=make_grid(sys_, 32))
+
+
+def test_solve_refuses_initial_data_of_the_wrong_shape(strip):
+    sys_, bcs = advection_setup(strip)
+    with pytest.raises(ConfigError, match=r"initial data must have shape \(32, 1\)"):
+        solve(sys_, bcs, h=np.ones((32, 2)), grid=make_grid(sys_, 32))
+
+
 def peaked_advection(chart, speed, time_independent=True):
     """Scalar transport ∂_t + a(t, x)∂_x with the speed profile a."""
     def coeff(t, xs):
@@ -790,7 +884,7 @@ def test_grid_speed_is_the_speed_the_first_level_splits_at(name, monkeypatch):
         monkeypatch.setattr(sys_, "_split",
                             lambda *args: split.append(split_tables(*args)) or split[-1])
         grid = make_grid(sys_, nx, cfg["grid"]["cfl"])
-        solver._explicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, grid.t0, force=True)
+        solver._explicit_tables(sys_, boundary.as_bc_map(sys_, bcs), grid, grid.t0, force=True)
         monkeypatch.setattr(sys_, "_split", split_tables)
         (sized, _, _), (lam, _, _) = split
         assert np.max(np.abs(sized)) == geometry.max_characteristic_speed(
@@ -920,7 +1014,7 @@ def reference_explicit_solve(sys_, bcs, f, h0, grid):
     """The explicit upwind solve step by step as three einsums over a padded
     field: ghost cells from the closures, |Ã|·jump at the faces, the central
     difference of ÃΨ, C̃Ψ and σ(dt)⁻¹f at the cells."""
-    chart, bc_map = sys_.chart, solver._as_bc_map(sys_, bcs)
+    chart, bc_map = sys_.chart, boundary.as_bc_map(sys_, bcs)
     nx, N, dt, dx = grid.nx, sys_.fiber_rank, grid.dt, grid.dx
     faces = np.append(np.arange(nx) * dx, chart.space_extent[0])[:, None]
     out = [h0]
@@ -1395,7 +1489,7 @@ def test_implicit_operator_is_bitwise_scipys_csc(case, monkeypatch):
     band = solver._band
     monkeypatch.setattr(solver, "_band", lambda B: built.append(B) or band(B))
     ts = grid.ts[3:3 + solver._BLOCK]
-    ops, _, _ = solver._implicit_tables(sys_, solver._as_bc_map(sys_, bcs), grid, ts)
+    ops, _, _ = solver._implicit_tables(sys_, boundary.as_bc_map(sys_, bcs), grid, ts)
     Bs, = built
     assert len(Bs) == len(ops) == len(ts) == solver._BLOCK
     for level, B in enumerate(Bs):
@@ -1675,7 +1769,7 @@ def test_block_tables_equal_the_per_level_tables(nt, monkeypatch):
     short_blocks(monkeypatch, grid, "explicit")
     block = block_length(sys_, grid, "explicit")
     assert (grid.nt % block == 0) == (nt == 16) and (grid.nt > block) == (nt is None)
-    bc_map = solver._as_bc_map(sys_, bcs)
+    bc_map = boundary.as_bc_map(sys_, bcs)
     blocks = recorded_blocks(monkeypatch)
     solve(sys_, bcs, h=lambda xs: bump_state(xs, {0: (0.5, 0.2, 1.0)}, 3), grid=grid)
     monkeypatch.undo()
@@ -1835,7 +1929,7 @@ def test_explicit_tables_of_a_real_problem_are_built_in_real_arithmetic(case, mo
     sys_, bcs, nx, _ = real_cases()[case]
     grid = make_grid(sys_, nx)
     assert grid.nt >= solver._BLOCK
-    bc_map, ts = solver._as_bc_map(sys_, bcs), grid.ts[:1 if sys_.static else solver._BLOCK]
+    bc_map, ts = boundary.as_bc_map(sys_, bcs), grid.ts[:1 if sys_.static else solver._BLOCK]
     tables = solver._explicit_tables(sys_, bc_map, grid, ts, False)
     complex_arithmetic(monkeypatch)
     ref = solver._explicit_tables(sys_, bc_map, grid, ts, False)
@@ -1891,7 +1985,7 @@ def test_diagonal_sigma_dt_inverse_is_bitwise_lapacks(case, monkeypatch):
     if case == "wave_reversed":
         sys_ = solver.time_reversed(sys_, sys_.chart.t_range)
     grid = make_grid(sys_, nx)
-    bc_map, ts = solver._as_bc_map(sys_, bcs), grid.ts[:solver._BLOCK]
+    bc_map, ts = boundary.as_bc_map(sys_, bcs), grid.ts[:solver._BLOCK]
     tables = solver._explicit_tables(sys_, bc_map, grid, ts, False)
     monkeypatch.setattr(solver, "_entries", lambda M: (M, [(0, 1)]))    # as if σ(dt) were full
     ref = solver._explicit_tables(sys_, bc_map, grid, ts, False)

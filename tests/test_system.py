@@ -252,6 +252,58 @@ def test_lambda_shift_identity_and_symbols(strip):
     assert np.allclose(C2 - C0, 3.0 * A0[:, 0])
 
 
+TRANSFORMS = {"time_reversed": lambda s: solver.time_reversed(s, s.chart.t_range),
+              "lambda_shift": lambda s: lambda_shift(s, 2.0),
+              "formal_adjoint": formal_adjoint,
+              "beta_normalize": beta_normalize}
+
+PARENTS = {
+    "dirac": lambda: clifford.dirac_system(clifford.build_rep(2),
+                                           geometry.minkowski_strip((0.0, 1.0), (1.0,))),
+    "wave_in_time": lambda: wave_system(geometry.named_profile_chart(
+        (0.0, 1.0), (1.0,), beta={"profile": "sine", "waves_t": 1.0})),
+}
+
+
+@pytest.mark.parametrize("parent", PARENTS)
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_a_transform_starts_with_an_empty_cache_and_reports_its_own_time_sign(
+        transform, parent):
+    # the parent's s* is cached before the transform; the transform must not
+    # read it, and it keeps the parent's fiber rank, layout and time dependence
+    sys_ = PARENTS[parent]()
+    assert sys_.time_sign != 0 and "time_sign" in sys_._cache
+    out = TRANSFORMS[transform](sys_)
+    assert out._cache == {}
+    assert out.time_sign == TRANSFORMS[transform](PARENTS[parent]()).time_sign
+    assert (out.fiber_rank, out.layout, out.time_independent) == (
+        sys_.fiber_rank, sys_.layout, sys_.time_independent)
+    assert out.chart.constant == sys_.chart.constant
+    assert out.chart.time_independent == sys_.chart.time_independent
+
+
+def test_the_reversed_dirac_system_has_time_sign_plus_one():
+    dirac = PARENTS["dirac"]()
+    assert dirac.time_sign == -1
+    assert solver.time_reversed(dirac, dirac.chart.t_range).time_sign == 1
+    assert dirac.time_sign == -1
+
+
+def test_advection_is_the_constant_system_of_its_speed(strip):
+    t, xs = np.array([0.1, 0.7]), np.array([[0.2], [0.9]])
+    for speed in (2, -0.5, 1.5 + 0.5j):
+        adv, const = advection_system(strip, speed), constant_system(
+            strip, [[[1.0]], [[speed]]], None)
+        for a, b in zip((*adv.coeff_at(t, xs), adv.metric_at(t, xs)),
+                        (*const.coeff_at(t, xs), const.metric_at(t, xs))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert adv.coeff_at(t, xs)[0][:, 1, 0, 0].tolist() == [speed, speed]
+        assert (adv.name, adv.metric_positive, adv.static, adv.time_sign) == (
+            "advection", True, True, 1)
+    with pytest.raises(ContractError, match="1\\+1D"):
+        advection_system(geometry.minkowski_strip((0.0, 1.0), (1.0, 1.0)))
+
+
 def test_find_lambda_reaction_diffusion(strip):
     prob = reduction.SecondOrderProblem("reaction_diffusion", strip, k=1,
                                         c=lambda t, xs: -1.0)
