@@ -46,7 +46,7 @@ from .linalg import (RANK_TOL, as_table, eigh_pencil, herm_eigen, kernel, matrix
                      orthogonal_complement_of_image, restrict_form)
 
 
-@dataclass
+@dataclass(eq=False)        # hashed by identity: admissibility verdicts are cached per object
 class BoundaryCondition:
     name: str
     matrix_fn: Callable  # (chart, BoundaryPoint q) -> (N, N) G_B per row of q, or one for all
@@ -63,12 +63,15 @@ class BoundaryCondition:
 
 def as_bc_map(sys, bcs):
     """One condition per face of the system's chart: a face map, which must
-    name every face, or one condition for all of them."""
+    name every face and no other, or one condition for all of them."""
     faces = sys.chart.faces()
     if isinstance(bcs, dict):
         missing = [f for f in faces if f not in bcs]
         if missing:
             raise ConfigError(f"missing boundary condition for faces {missing}")
+        unknown = [f for f in bcs if f not in faces]
+        if unknown:
+            raise ConfigError(f"boundary condition for faces {unknown} not on the chart")
         return bcs
     return {f: bcs for f in faces}
 

@@ -25,7 +25,9 @@ takes one time per row (``geometry.spacetime_rows``), and a diagonal σ(dt) or
 companion metric is inverted or factored entrywise.  Real problems' builders
 make float64 tables, and a field is float64 while its tables, h₀ and forcing
 are real (``_real``), complex128 otherwise; ``field.bin`` is complex128.  A
-solve tables its forcing once, over every level (``_forcing_table``).
+solve tables its forcing once, over every level (``_forcing_table``), checks
+its levels finite a block at a time, and vets a system's faces once per
+condition object (``enforce_admissibility``).
 """
 
 import math
@@ -165,11 +167,12 @@ def _field(out, h0, nt, *tables):
     return out.astype(dtype, copy=False)
 
 
-def _finite(psi, m, t):
-    """``psi``, the solution at level m (time t), unless it holds NaN or Inf."""
-    if not np.isfinite(psi).all():
-        raise BoundaryClosureError(f"solution is not finite at level m={m}, t={t:.6g}")
-    return psi
+def _finite(levels, m, ts):
+    """BoundaryClosureError at the first of the levels m, m + 1, … holding NaN or Inf."""
+    ok = np.isfinite(levels).all(axis=(1, 2))
+    if not ok.all():
+        m += int(np.argmin(ok))
+        raise BoundaryClosureError(f"solution is not finite at level m={m}, t={ts[m]:.6g}")
 
 
 _BLOCK = 16          # levels per static block: tables built once, shorter blocks step slower
@@ -315,7 +318,8 @@ def _boundary_closure(G_B, face, lam, V, P, force):
 
 
 def _solve_explicit(sys, bc_map, table, h0, grid, force):
-    """The field, from ``_level_blocks``' blocks of tables and the forcing table."""
+    """The field, from ``_level_blocks``' blocks of tables and the forcing
+    table, with one Δt·σ(dt)⁻¹f product and one finiteness check per block."""
     nx, N = grid.nx, sys.fiber_rank
     out = None
     for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _real(
@@ -323,15 +327,17 @@ def _solve_explicit(sys, bc_map, table, h0, grid, force):
         out = _field(out, h0, grid.nt, B, dt_a0inv, table)
         pad = np.zeros((nx + 2) * N, out.dtype)     # Ψ and a zero ghost cell each side
         window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
-        for k, m in enumerate(range(rows.start, rows.stop)):
-            level = min(k, len(B) - 1)          # a static system's one level serves all
-            psi, new = out[m], out[m + 1]
-            pad[N:-N] = psi.ravel()
-            np.einsum("pij,pj->pi", B[level], window, out=new)
-            if table is not None:
-                new += np.einsum("pij,pj->pi", dt_a0inv[level], table[m])
-            new += psi
-            _finite(new, m + 1, grid.ts[m + 1])
+        forced = None if table is None else np.einsum("lpij,lpj->lpi", dt_a0inv, table[rows])
+        with np.errstate(over="ignore", invalid="ignore"):     # refused by _finite below
+            for k, m in enumerate(range(rows.start, rows.stop)):
+                level = min(k, len(B) - 1)          # a static system's one level serves all
+                psi, new = out[m], out[m + 1]
+                pad[N:-N] = psi.ravel()
+                np.einsum("pij,pj->pi", B[level], window, out=new)
+                if forced is not None:
+                    new += forced[k]
+                new += psi
+        _finite(out[rows.start + 1:rows.stop + 1], rows.start + 1, grid.ts)
     return _field(out, h0, grid.nt)             # a grid with no steps: just h₀
 
 
@@ -438,7 +444,8 @@ def _band(B):
 def _solve_implicit(sys, bc_map, table, h0, grid):
     """The field.  A level solves its operator from ``_implicit_tables``'
     blocks of levels and forms its right-hand side with the forcing table; a
-    time-dependent one first factors its operator (``_factor``)."""
+    time-dependent one first factors its operator (``_factor``).  A block's
+    levels are checked finite together, also ahead of a singular factor."""
     npts, N = grid.xs.size, sys.fiber_rank
     banded = {}         # gbtrf and gbtrs per dtype, looked up once per solve
     out = None
@@ -449,20 +456,25 @@ def _solve_implicit(sys, bc_map, table, h0, grid):
 
             banded[ops.dtype] = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=ops.dtype)
         out = _field(out, h0, grid.nt, A0, table)
-        for k, m in enumerate(range(rows.start, rows.stop)):
-            t1 = grid.ts[m + 1]
-            level = 0 if sys.static else k
-            if m == 0 or not sys.static:        # a static system factors once
-                solve_level = _factor(ops[level], t1, banded.get(ops.dtype))
-            rhs = np.zeros(out.shape[1:], out.dtype)   # A⁰Ψ/Δt, summed in np.einsum's order
-            for i, j in nz:
-                rhs[:, i] += A0[i, j, level] * out[m][:, j]
-            rhs /= grid.dt
-            if table is not None:
-                rhs += table[m + 1]
-            for node, (R, V1, V2) in brows.items():
-                rhs[node] = V2[level] @ (V2[level].conj().T @ rhs[node])
-            out[m + 1] = _finite(solve_level(rhs.ravel()).reshape(npts, N), m + 1, t1)
+        with np.errstate(over="ignore", invalid="ignore"):     # refused by _finite below
+            for k, m in enumerate(range(rows.start, rows.stop)):
+                level = 0 if sys.static else k
+                if m == 0 or not sys.static:        # a static system factors once
+                    try:
+                        solve_level = _factor(ops[level], grid.ts[m + 1], banded.get(ops.dtype))
+                    except BoundaryClosureError:
+                        _finite(out[rows.start + 1:m + 1], rows.start + 1, grid.ts)
+                        raise
+                rhs = np.zeros(out.shape[1:], out.dtype)   # A⁰Ψ/Δt, in np.einsum's order
+                for i, j in nz:
+                    rhs[:, i] += A0[i, j, level] * out[m][:, j]
+                rhs /= grid.dt
+                if table is not None:
+                    rhs += table[m + 1]
+                for node, (R, V1, V2) in brows.items():
+                    rhs[node] = V2[level] @ (V2[level].conj().T @ rhs[node])
+                out[m + 1] = solve_level(rhs.ravel()).reshape(npts, N)
+        _finite(out[rows.start + 1:rows.stop + 1], rows.start + 1, grid.ts)
     return _field(out, h0, grid.nt)
 
 
@@ -470,8 +482,9 @@ def enforce_admissibility(sys, bc_map):
     """The refusal policy of every solve: the system must satisfy (S), which
     the characteristic split assumes (``check_symmetric``, once per system),
     and each face's condition must pass the admissibility check sampled at
-    4 times × 2 tangential points.  The check reads the literal boundary form
-    of the system it is given; a ``time_reversed`` system carries its own
+    4 times × 2 tangential points, its report kept in the system's cache per
+    (face, condition object) like (S)'s.  The check reads the literal boundary
+    form of the system it is given; a ``time_reversed`` system carries its own
     orientation in its fiber metric, so the same check is the
     energy-dissipation criterion of the reversed run.
 
@@ -483,9 +496,10 @@ def enforce_admissibility(sys, bc_map):
     if not sys._cache["symmetric"].verdict:
         raise NotSymmetricError(sys.name, sys._cache["symmetric"])
     for face, bc in bc_map.items():
-        rep = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face])
-        if not rep.admissible:
-            raise NotAdmissibleError(bc, face, rep)
+        if (face, bc) not in sys._cache:
+            sys._cache[face, bc] = admissibility(sys, bc, n_time=4, n_tang=2, faces=[face])
+        if not sys._cache[face, bc].admissible:
+            raise NotAdmissibleError(bc, face, sys._cache[face, bc])
 
 
 def solve(sys, bcs, f=None, h=None, grid=None, force=False):
@@ -511,7 +525,7 @@ def solve(sys, bcs, f=None, h=None, grid=None, force=False):
     table = None if f is None else _forcing_table(f, grid, sys.fiber_rank)
     if grid.staggered and sys.time_sign == 0:
         raise NotHyperbolicError("explicit path needs a definite σ(dt)-form")
-    _finite(h0, 0, grid.t0)
+    _finite(h0[None], 0, grid.ts)
     if grid.staggered:
         return GridField(_solve_explicit(sys, bc_map, table, h0, grid, force), grid)
     return GridField(_solve_implicit(sys, bc_map, table, h0, grid), grid)
@@ -781,8 +795,9 @@ def green_minus(sys, bcs, f, grid, force=False):
     energy-dissipation criterion of the reversed run, and raises
     NotAdmissibleError on failure.  Time is reversed about the grid's own
     interval [t₀, t₁], so a grid that ends before the chart does (``t_final``)
-    is reversed correctly; the reversed solve steps from f's table on the
-    grid, read backwards, and the field carries that table.
+    is reversed correctly; the reversed system is built once per interval and
+    kept in ``sys``'s cache, and with it its verdicts.  The reversed solve
+    steps from f's table on the grid, read backwards; the field carries it.
     """
     if not grid.staggered:
         raise ContractError("the retarded Green operator needs a hyperbolic "
@@ -791,8 +806,10 @@ def green_minus(sys, bcs, f, grid, force=False):
     levels = _active_levels(table)
     if levels.size and levels[-1] == grid.nt:
         raise ContractError("supp f touches the final slice; shrink the support")
-    rev = time_reversed(sys, (grid.t0, grid.t1))
-    fld = solve(rev, bcs, f=table[::-1], h=None, grid=grid, force=force)
+    key = ("reversed", grid.t0, grid.t1)
+    if key not in sys._cache:
+        sys._cache[key] = time_reversed(sys, (grid.t0, grid.t1))
+    fld = solve(sys._cache[key], bcs, f=table[::-1], h=None, grid=grid, force=force)
     return GridField(fld.values[::-1].copy(), grid, (f, table))
 
 

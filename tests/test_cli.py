@@ -625,6 +625,38 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_green_operators_and_an_explicit_dirac_solve_load_no_scipy():
+    # G⁺, G⁻ and an explicit Dirac solve step on numpy alone: importing
+    # scipy.sparse for them would add over 10 MB to their peak RSS
+    src = str(Path(friedrichs.__file__).resolve().parent.parent)
+    code = """if True:
+        import sys
+        import numpy as np
+        from friedrichs import boundary, clifford, geometry, solver, system
+        from friedrichs.geometry import LEFT, RIGHT
+        chart = geometry.minkowski_strip((0.0, 1.0), (1.0,))
+        adv = system.advection_system(chart)
+        grid = solver.make_grid(adv, 64)
+
+        def f(t, xs2):
+            return (abs(t - 0.5) < 0.1) * np.exp(-(xs2 - 0.5) ** 2 / 0.01)
+
+        solver.green_plus(adv, {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)},
+                          f, grid)
+        solver.green_minus(adv, {LEFT: boundary.no_condition(1), RIGHT: boundary.zero_trace(1)},
+                           f, grid)
+        rep = clifford.build_rep(2)
+        dirac = clifford.dirac_system(rep, chart)
+        grid = solver.make_grid(dirac, 64)
+        h = np.outer(np.exp(-(grid.xs - 0.5) ** 2 / 0.01), np.eye(dirac.fiber_rank)[0])
+        solver.solve(dirac, boundary.mit_bag(rep, -1), h=h, grid=grid)
+        print(sorted(m for m in sys.modules if 'scipy' in m))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 SINGULAR = {
     "chart": {"name": "minkowski_strip", "t_range": [0.0, 0.1]},
     "system": {"builder": "custom", "params": {"A": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}},

@@ -807,6 +807,105 @@ def test_solve_refuses_a_face_map_that_leaves_out_a_face(strip):
         solve(sys_, {LEFT: bcs[LEFT]}, h=None, grid=make_grid(sys_, 32))
 
 
+@pytest.mark.parametrize("op", ["solve", "green_minus"])
+def test_a_face_map_that_names_a_face_the_chart_lacks_is_refused(strip, op):
+    # (1, 0) would be the first face of a second spatial axis: the strip has
+    # none, and the refusal names it before any sampling reaches it
+    sys_ = system.advection_system(strip)
+    bcs = {LEFT: boundary.no_condition(1), RIGHT: boundary.zero_trace(1),
+           (1, 0): boundary.no_condition(1)}
+    grid = make_grid(sys_, 32)
+    with pytest.raises(ConfigError, match=r"boundary condition for faces \[\(1, 0\)\] not on"):
+        if op == "solve":
+            solve(sys_, bcs, h=None, grid=grid)
+        else:
+            green_minus(sys_, bcs, lambda t, xs: np.full((xs.shape[0], 1), float(
+                abs(t - 0.5) < 0.1)), grid)
+
+
+def vettings(monkeypatch):
+    """The (system, face) of every admissibility sampling from now on."""
+    calls = []
+    admissibility = solver.admissibility
+    monkeypatch.setattr(solver, "admissibility", lambda sys_, bc, **kw: calls.append(
+        (sys_, *kw["faces"])) or admissibility(sys_, bc, **kw))
+    return calls
+
+
+def test_repeated_green_operators_and_solves_vet_each_face_once(strip, monkeypatch):
+    # MIT's boundary form vanishes, so G⁺, G⁻ and a plain solve all take it:
+    # over three rounds the system's two faces and its reversed system's two
+    # are each sampled once, and G⁻ reverses the system once per interval
+    sys_, mit = dirac_setup(strip)
+    grid, short = make_grid(sys_, 32), make_grid(sys_, 32, t_final=0.5)
+    N = sys_.fiber_rank
+
+    def f(t, xs):
+        return np.full((xs.shape[0], N), float(abs(t - 0.25) < 0.1))
+
+    vetted, reversals = vettings(monkeypatch), []
+    time_reversed = solver.time_reversed
+    monkeypatch.setattr(solver, "time_reversed", lambda s, interval: reversals.append(
+        interval) or time_reversed(s, interval))
+    h = bump_state(grid.xs, {0: (0.5, 0.2, 1.0)}, N)
+    fields = [[op(sys_, mit, f, grid).values for op in (green_plus, green_minus)]
+              + [solve(sys_, mit, h=h, grid=grid).values] for _ in range(3)]
+    assert reversals == [(grid.t0, grid.t1)]
+    rev = sys_._cache["reversed", grid.t0, grid.t1]
+    assert vetted == [(sys_, LEFT), (sys_, RIGHT), (rev, LEFT), (rev, RIGHT)]
+    for again in fields[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(fields[0], again))
+    green_minus(sys_, mit, f, short)            # another interval: another reversed system
+    assert reversals == [(grid.t0, grid.t1), (short.t0, short.t1)]
+    assert [face for s, face in vetted[4:]] == [LEFT, RIGHT] and vetted[4][0] not in (sys_, rev)
+
+
+def test_each_condition_object_is_vetted_afresh(strip, monkeypatch):
+    # the verdicts are kept per condition object: a refused condition on a
+    # face whose admissible one is cached is still refused, a refusal is
+    # repeated from the cache, and an admissible condition still passes on a
+    # face where another was refused
+    good = {LEFT: boundary.zero_trace(1), RIGHT: boundary.no_condition(1)}
+    bad = boundary.no_condition(1)              # leaves the left inflow free: (iii)
+    grid = make_grid(system.advection_system(strip), 32)
+    first, second = system.advection_system(strip), system.advection_system(strip)
+    vetted = vettings(monkeypatch)
+    solve(first, good, h=None, grid=grid)
+    with pytest.raises(NotAdmissibleError) as err:
+        solve(first, {**good, LEFT: bad}, h=None, grid=grid)
+    assert err.value.face == LEFT and err.value.bc is bad
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(NotAdmissibleError) as err:
+            solve(second, {**good, LEFT: bad}, h=None, grid=grid)
+        refusals.append(err.value.report)
+    assert refusals[0] is refusals[1] and not refusals[0].rank_matches_nonneg_count
+    solve(second, good, h=None, grid=grid)
+    assert vetted == [(first, LEFT), (first, RIGHT), (first, LEFT), (second, LEFT),
+                      (second, LEFT), (second, RIGHT)]
+
+
+def test_a_forced_solve_neither_reads_nor_fills_the_verdict_cache(strip, monkeypatch):
+    # a cached refusal does not stop a forced solve, and a forced solve of a
+    # new condition leaves the cache as it was
+    sys_ = system.advection_system(strip)
+    grid = make_grid(sys_, 32)
+    refused, unvetted = boundary.no_condition(1), boundary.no_condition(1)
+    with pytest.raises(NotAdmissibleError):
+        solve(sys_, refused, h=None, grid=grid)
+    cached = dict(sys_._cache)
+    vetted = vettings(monkeypatch)
+    h = np.ones((grid.nx, 1))
+    assert np.isfinite(solve(sys_, refused, h=h, grid=grid, force=True).values).all()
+    solve(sys_, unvetted, h=h, grid=grid, force=True)
+    assert vetted == []
+    assert sys_._cache.keys() == cached.keys()
+    assert all(sys_._cache[key] is value for key, value in cached.items())
+    with pytest.raises(NotAdmissibleError):
+        solve(sys_, unvetted, h=h, grid=grid)
+    assert vetted == [(sys_, LEFT)]
+
+
 def test_solve_refuses_initial_data_of_the_wrong_shape(strip):
     sys_, bcs = advection_setup(strip)
     with pytest.raises(ConfigError, match=r"initial data must have shape \(32, 1\)"):
@@ -917,6 +1016,63 @@ def test_solve_stops_at_the_first_non_finite_level(strip, setup):
     assert calls == list(grid.ts)
 
 
+def test_an_explicit_block_that_goes_non_finite_mid_block_is_refused_at_that_level(strip):
+    # a dense two-speed system, forced with Inf at one cell at t_5: level 6,
+    # mid-block, goes infinite there, and the block's later levels step
+    # through Inf − Inf with no warning (an error under the test settings)
+    # before the refusal names level 6
+    S0, S1 = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.3, 1.0], [1.0, -0.4]])
+    sys_ = system.constant_system(strip, [S0, S1], None)
+    bcs = {face: boundary.custom_bc(maximal_nonnegative(sign * S1, S0)[0])
+           for face, sign in ((LEFT, -1.0), (RIGHT, 1.0))}
+    grid = make_grid(sys_, 16)
+    assert sys_.static and grid.nt > solver._BLOCK > 7
+
+    def f(t, xs2):
+        out = np.zeros((xs2.shape[0], 2))
+        out[8, 0] = np.inf if t == grid.ts[5] else 0.0
+        return out
+
+    with pytest.raises(BoundaryClosureError, match=rf"^solution is not finite at level m=6, "
+                                                   rf"t={grid.ts[6]:.6g}$"):
+        solve(sys_, bcs, f=f, h=lambda xs: np.outer(np.sin(np.pi * xs), [1.0, 0.5]), grid=grid)
+
+
+def switching_off_system(chart, t_off):
+    """σ(dt) = diag(1, 0), no flux, C = diag(0, c(t)) with c = 1 before t_off
+    and 0 from it on: stepped implicitly, one level at a time within a block,
+    each level's operator diag(1/Δt, c) singular from t_off on."""
+
+    def coeff(t, xs):
+        A = np.zeros((xs.shape[0], 2, 2, 2))
+        A[:, 0, 0, 0] = 1.0
+        C = np.zeros((xs.shape[0], 2, 2))
+        C[:, 1, 1] = np.broadcast_to(t, xs.shape[:1]) < t_off
+        return A, C
+
+    return system.FriedrichsSystem(chart, 2, coeff, lambda t, xs: np.eye(2)[None].repeat(
+        xs.shape[0], axis=0), metric_positive=True, time_independent=False)
+
+
+@pytest.mark.parametrize("blow_up", [True, False])
+def test_a_time_dependent_implicit_block_refuses_its_first_non_finite_level(strip, blow_up):
+    # the forcing is infinite at t_5, so level 5 is; level 12's operator is
+    # singular, later in the same block: the non-finite level is refused
+    # first, with no warning (an error under the test settings); without it
+    # the singular operator is refused at its own time
+    grid = make_grid(switching_off_system(strip, 0.0), 16)
+    sys_ = switching_off_system(strip, grid.ts[12])
+    assert not grid.staggered and block_length(sys_, grid, "implicit") > grid.nt > 12
+
+    def f(t, xs2):
+        return np.full((xs2.shape[0], 2), np.inf if blow_up and t == grid.ts[5] else 1.0)
+
+    message = (f"^solution is not finite at level m=5, t={grid.ts[5]:.6g}$" if blow_up else
+               rf"^the implicit operator at t={grid.ts[12]:.6g} is singular$")
+    with pytest.raises(BoundaryClosureError, match=message):
+        solve(sys_, boundary.no_condition(2), f=f, h=np.ones((grid.xs.size, 2)), grid=grid)
+
+
 ENTRIES = st.floats(-1.0, 1.0)
 
 
@@ -967,6 +1123,49 @@ def test_maximal_nonnegative_conditions_are_admissible_and_dissipative(matrices)
     fld = solve(sys_, bcs, h=lambda xs: np.outer(1.5 + np.cos(3 * xs), np.arange(1, N + 1)),
                 grid=make_grid(sys_, 32))
     assert energy_trace(fld, sys_).max_step_growth <= 1 + 1e-12
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(symmetric_hyperbolic(), st.data())
+def test_non_maximal_nonnegative_conditions_are_refused_by_iii(matrices, data):
+    # each face's kernel is a random r-dimensional subspace of the span of
+    # the nonnegative eigenvectors, the kernel of a random G_B = M·QQ* with Q
+    # an orthonormal basis of its complement:
+    # a nonnegative boundary space, maximal only when r is the whole count
+    # (Lax & Phillips, CPAM 1960); a non-maximal one leaves an incoming
+    # characteristic free and is refused by (iii), a maximal pair is
+    # admissible and the solve dissipative
+    G, S0, S1 = matrices
+    N = G.shape[0]
+    chart = geometry.minkowski_strip((0.0, 0.25), (1.0,))
+    Ginv = np.linalg.inv(G)
+    sys_ = system.constant_system(chart, [Ginv @ S0, Ginv @ S1], None, gram=G)
+
+    def near_identity(n):
+        # ‖Id − it‖ ≤ 0.2·‖Z‖_F < 1 for n ≤ 3: invertible, so any r columns are independent
+        re, im = (np.array(data.draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)))
+                  for _ in range(2))
+        return np.eye(n) + 0.2 * (re + 1j * im).reshape(n, n)
+
+    bcs, short = {}, []
+    for face, sign in ((LEFT, -1.0), (RIGHT, 1.0)):
+        lam, U = scipy.linalg.eigh(sign * S1, S0)
+        U = U[:, lam >= -1e-9 * max(1.0, float(np.max(np.abs(lam))))]
+        r = data.draw(st.integers(0, U.shape[1]))
+        Q = np.linalg.qr(U @ near_identity(U.shape[1])[:, :r], mode="complete")[0][:, r:]
+        bcs[face] = boundary.custom_bc(near_identity(N) @ Q @ Q.conj().T)
+        if r < U.shape[1]:
+            short.append((face, r, U.shape[1]))
+    grid = make_grid(sys_, 32)
+    h = lambda xs: np.outer(1.5 + np.cos(3 * xs), np.arange(1, N + 1))    # noqa: E731
+    if short:
+        with pytest.raises(NotAdmissibleError) as err:
+            solve(sys_, bcs, h=h, grid=grid)
+        rep = err.value.report
+        assert (err.value.face, rep.rank_B, rep.nonneg_count) == short[0]
+        assert rep.rank_constant and rep.semidefinite and not rep.rank_matches_nonneg_count
+    else:
+        assert energy_trace(solve(sys_, bcs, h=h, grid=grid), sys_).max_step_growth <= 1 + 1e-12
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -1795,11 +1994,16 @@ def dipping_advection(chart, a0, a1):
 
 
 def stepped_levels(monkeypatch):
-    """The times of the levels a solve steps, h₀'s level first, recorded as
-    each passes ``solver._finite``."""
+    """The times of the levels a solve steps, h₀'s level first, recorded a
+    block at a time as each block's levels pass ``solver._finite``."""
     steps = []
     finite = solver._finite
-    monkeypatch.setattr(solver, "_finite", lambda psi, m, t: steps.append(t) or finite(psi, m, t))
+
+    def record(levels, m, ts):
+        finite(levels, m, ts)
+        steps.extend(ts[m:m + len(levels)])
+
+    monkeypatch.setattr(solver, "_finite", record)
     return steps
 
 
