@@ -158,7 +158,8 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     condition is declared per face.  Each face's conormals and G_B, and then
     the coefficients, metric and (σ(dt) definite) characteristic split of
     all the points, come from one evaluation; the kernel, form and count of
-    each point are then taken point by point.
+    each point are then taken point by point.  ContractError, naming the face
+    and t, at the first point where G_B or σ(n♭) is NaN or Inf.
     """
     chart = sys.chart
     ranks_by_face = {}
@@ -176,8 +177,16 @@ def admissibility(sys, bc, n_time=8, n_tang=4, faces=None):
     nbs = np.concatenate([geometry.outward_normal(chart, q) for q in qs])
     GB = np.concatenate([bc.matrix(chart, q) for q in qs])
     A, G = sys.coeff_at(ts, xs)[0], sys.metric_at(ts, xs)
+    gb_ok = np.isfinite(GB).all(axis=(1, 2))
+    ok = gb_ok & np.isfinite(A).all(axis=(1, 2, 3)) & np.isfinite(nbs).all(axis=1)
+    if not ok.all():        # the SVDs below would fail without naming the point
+        p = int(np.argmin(ok))
+        raise ContractError(f"{'σ(n♭)' if gb_ok[p] else 'G_B'} of bc '{bc.name}' is not finite "
+                            f"at face {point_faces[p]}, t={ts[p]:.6g}")
     speeds = sys._split(ts, xs, nbs, A, G)[0] if sys.time_sign != 0 else [None] * len(ts)
     for face, nb, GB_q, A_q, G_q, speeds_q in zip(point_faces, nbs, GB, A, G, speeds):
+        # complex also for a real A: ``check`` writes this pencil's spectrum, and in
+        # real arithmetic kg_robin_check's −0.99999999999999989 would read −1
         sigma_n = np.einsum("m,mij->ij", nb.astype(complex), A_q)
         ker_dims.add(sys.fiber_rank - matrix_rank(sigma_n))
         B = kernel(GB_q)

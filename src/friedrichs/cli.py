@@ -117,7 +117,7 @@ def _c(p):
 def _custom_bc(sys_, rep, p):
     if np.shape(p["matrix"]) != (sys_.fiber_rank,) * 2:
         raise ConfigError(f"custom bc params.matrix must be {sys_.fiber_rank}×{sys_.fiber_rank}")
-    return boundary.custom_bc(np.array(p["matrix"], dtype=complex))
+    return boundary.custom_bc(p["matrix"])
 
 
 # Each table entry pairs the keys that one profile, system builder or boundary
@@ -220,6 +220,8 @@ def read_config(value, spec=SECTIONS, path=""):
     elif isinstance(spec, dict) or not _is(value, spec):
         what = _TYPES[type(spec)] if type(spec) in _TYPES else f"a list like {spec}"
         raise ConfigError(f"{path or 'the config'} must be {what}, got {value!r}")
+    elif isinstance(value, (float, list)) and not np.isfinite(np.asarray(value, float)).all():
+        raise ConfigError(f"{path} must be finite, got {value!r}")    # JSON's NaN, ±Infinity
     return value
 
 
@@ -264,7 +266,7 @@ def build_initial(cfg, sys_):
              for i, item in enumerate(task["initial"])]
 
     def h(xs):
-        out = np.zeros((xs.size, sys_.fiber_rank), dtype=complex)
+        out = np.zeros((xs.size, sys_.fiber_rank))
         # data that overflows is left to the solver's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
             for comp, fn in items:
@@ -284,7 +286,7 @@ def build_source(cfg, sys_):
     tc, tw, comp = spec["t_center"], spec["t_width"], spec["component"]
 
     def f(t, xs2):
-        out = np.zeros((xs2.shape[0], sys_.fiber_rank), dtype=complex)
+        out = np.zeros((xs2.shape[0], sys_.fiber_rank))
         s = (t - tc) / tw
         if abs(s) < 1:
             out[:, comp] = np.exp(1.0 - 1.0 / (1.0 - s ** 2)) * fx(xs2[:, 0])
@@ -361,7 +363,13 @@ def cmd_solve(cfg, out, force, seed):
     grid = solver.make_grid(sys_, **cfg["grid"])
     fld = solver.solve(sys_, bcs, f=build_source(cfg, sys_),
                        h=build_initial(cfg, sys_), grid=grid, force=force)
-    tr = solver.energy_trace(fld, sys_)
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below
+        tr = solver.energy_trace(fld, sys_)
+    bad = ~(np.isfinite(tr.energy) & np.isfinite(tr.flux))
+    if bad.any():       # a finite field whose energy overflows
+        m = int(np.argmax(bad))
+        raise ContractError(f"energy is not finite at level m={m}, t={tr.ts[m]:.6g}: "
+                            f"E={_fmt(tr.energy[m])}, flux={_fmt(tr.flux[m])}")
     write_csv(out / "energy.csv", ["t", "E", "flux"],
               list(zip(tr.ts, tr.energy, tr.flux)))
     solver.write_field(out / "field.bin", fld)

@@ -19,8 +19,12 @@ RANK_TOL = 1e-9
 
 
 def as_table(x):
-    """A builder's table in its own arithmetic: float64 when it is real, else complex128."""
-    return (x := np.asarray(x)).astype(np.result_type(x, float), copy=False)
+    """A table that comes in, in the arithmetic its values need: float64 when
+    no entry has a nonzero imaginary part, else complex128."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and np.any(x.imag):
+        return x.astype(complex, copy=False)
+    return x.real.astype(float, copy=False)
 
 
 def herm_eigen(M):

@@ -22,9 +22,9 @@ each level with banded LAPACK.
 Coefficient tables are evaluated for a block of levels at once, sized in
 (level, point) rows for a time-dependent system: every coefficient callable
 takes one time per row (``geometry.spacetime_rows``), and a diagonal σ(dt) or
-companion metric is inverted or factored entrywise.  Real problems' builders
-make float64 tables, and a field is float64 while its tables, h₀ and forcing
-are real (``_real``), complex128 otherwise; ``field.bin`` is complex128.  A
+companion metric is inverted or factored entrywise.  Every table comes in
+float64 or complex128 by its values (``linalg.as_table``), and a field is
+float64 while its tables, h₀ and forcing are real; ``field.bin`` is complex128.  A
 solve tables its forcing once, over every level (``_forcing_table``), checks
 its levels finite a block at a time, and vets a system's faces once per
 condition object (``enforce_admissibility``).
@@ -39,7 +39,7 @@ import numpy as np
 from . import geometry
 from .errors import (BoundaryClosureError, ConfigError, ContractError,
                      NotAdmissibleError, NotHyperbolicError, NotSymmetricError)
-from .linalg import aos, eigh_pencil, pairwise_sum, row_reduce, soa, soa_mul
+from .linalg import aos, as_table, eigh_pencil, pairwise_sum, row_reduce, soa, soa_mul
 from .boundary import admissibility, as_bc_map, nonneg_mask
 from .system import check_symmetric, companion_metric
 
@@ -86,10 +86,11 @@ def make_grid(sys, nx, cfl=0.5, t_final=None, nt=None):
         raise ContractError("the solver supports one spatial dimension")
     dx = L / nx
     staggered = sys.time_sign != 0
-    t0 = chart.t_range[0]
-    t1 = chart.t_range[1] if t_final is None else t_final
-    if not t1 > t0:
-        raise ConfigError(f"t_final must be later than t0 = {t0!r}, got {t1!r}")
+    t0, t_end = chart.t_range
+    t1 = t_end if t_final is None else t_final
+    if not t0 < t1 <= t_end + 1e-12 * max(1.0, abs(t_end)):    # nt·Δt may pass t_end by rounding
+        raise ConfigError(f"t_final must be in ({t0!r}, {t_end!r}], the chart's interval, "
+                          f"got {t1!r}")
     speed, rate = 1.0, 0.0
     if staggered:
         t, x = geometry._speed_samples(chart, sys, nx, (t0, t1))
@@ -136,18 +137,10 @@ def write_field(path, fld):
 
 
 def _eval_initial(h, xs, N):
-    arr, = _real(np.zeros((xs.size, N)) if h is None else h(xs) if callable(h) else h)
+    arr = as_table(np.zeros((xs.size, N)) if h is None else h(xs) if callable(h) else h)
     if arr.shape != (xs.size, N):
         raise ConfigError(f"initial data must have shape ({xs.size}, {N})")
     return arr
-
-
-def _real(*arrays):
-    """The arrays as float64 when none has a nonzero imaginary part, else as
-    complex128: the one place a solve picks its arithmetic (``_field``)."""
-    if any(np.iscomplexobj(a) and np.any(np.imag(a)) for a in arrays):
-        return [np.asarray(a, complex) for a in arrays]
-    return [np.ascontiguousarray(np.real(a), float) for a in arrays]
 
 
 def _entries(M):
@@ -237,9 +230,9 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     lapse for all the levels, and one characteristic split, serve the cells,
     the faces (covector dx) and the two boundary faces (their conormals).
     ContractError when the realised CFL at the faces exceeds 1; each face's
-    closures are solved in one batch.  The tables and each face's G_B are
-    narrowed together (``_real``) right after their evaluation, so a real
-    problem builds every product in float64."""
+    closures are solved in one batch.  Each table comes in real or complex
+    by its own values, and B meets the closures in their common dtype before
+    they are folded in, so a real problem builds every product in float64."""
     ts = np.atleast_1d(ts)
     chart, nx, N, L = sys.chart, grid.nx, sys.fiber_rank, ts.size
     faces = np.append(np.arange(nx) * grid.dx, chart.space_extent[0])
@@ -247,9 +240,8 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
     rows = nx + np.r_[0:nx + 1, 0, nx]      # the faces, then the two boundary faces
     t, x = geometry.spacetime_rows(ts, pts)
     ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
-    A, C, G, *mats = _real(*sys.coeff_at(t, x), sys.metric_at(t, x),
-                           *(bc_map[q.face].matrix(chart, q) for q in ends))
-    A, C, G, beta = _by_level(L, A, C, G, chart.beta_at(t, x))
+    A, C, G, beta = _by_level(L, *sys.coeff_at(t, x), sys.metric_at(t, x), chart.beta_at(t, x))
+    mats = [bc_map[q.face].matrix(chart, q) for q in ends]
     xi = np.empty((L, rows.size, 2))
     xi[:, :nx + 1] = (0.0, 1.0)
     xi[:, nx + 1:] = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1)
@@ -278,7 +270,7 @@ def _explicit_tables(sys, bc_map, grid, ts, force):
                                                axis=1))
     kA, dtC = kAdtC[:, :N], kAdtC[:, N:]
     B = np.concatenate([kA + kAabs[..., :-1], -(kAabs[..., 1:] + kAabs[..., :-1] + dtC),
-                        kAabs[..., 1:] - kA], axis=1)
+                        kAabs[..., 1:] - kA], axis=1, dtype=np.result_type(kAdtC, kAabs, T))
     left, diag, right = B[:, :N], B[:, N:2 * N], B[:, 2 * N:]
     diag[..., 0] += soa_mul(left[..., 0], T[..., 0])
     diag[..., -1] += soa_mul(right[..., -1], T[..., 1])
@@ -322,8 +314,8 @@ def _solve_explicit(sys, bc_map, table, h0, grid, force):
     table, with one Δt·σ(dt)⁻¹f product and one finiteness check per block."""
     nx, N = grid.nx, sys.fiber_rank
     out = None
-    for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _real(
-            *_explicit_tables(sys, bc_map, grid, ts, force)), 2 * nx + 1):
+    for rows, (B, dt_a0inv) in _level_blocks(sys, grid.ts[:-1], lambda ts: _explicit_tables(
+            sys, bc_map, grid, ts, force), 2 * nx + 1):
         out = _field(out, h0, grid.nt, B, dt_a0inv, table)
         pad = np.zeros((nx + 2) * N, out.dtype)     # Ψ and a zero ghost cell each side
         window = np.lib.stride_tricks.sliding_window_view(pad, 3 * N)[::N]
@@ -347,7 +339,7 @@ def _solve_explicit(sys, bc_map, table, h0, grid, force):
 def _implicit_tables(sys, bc_map, grid, ts):
     """The backward-Euler operators of the levels ``ts`` (a block of them, or
     a static system's one) from one evaluation of the coefficients at the
-    nodes and of each face's G_B, narrowed together (``_real``): block rows B
+    nodes and of each face's G_B, in their common dtype: block rows B
     (L, npts, 3, N, N) as in ``_factor``, the boundary rows replaced in the
     constrained directions by the row-reduced G_B (one stacked ``row_reduce``
     per face, ContractError when the ranks differ within the block).
@@ -359,11 +351,11 @@ def _implicit_tables(sys, bc_map, grid, ts):
     chart, npts, N = sys.chart, grid.xs.size, sys.fiber_rank
     dt, dx = grid.dt, grid.dx
     A, C = _coefficients(sys, ts, grid.xs[:, None])
-    A, C, *mats = _real(A, C, *(bc.matrix(chart, geometry.boundary_points(chart, face, ts))
-                               for face, bc in bc_map.items()))
+    mats = [bc.matrix(chart, geometry.boundary_points(chart, face, ts))
+            for face, bc in bc_map.items()]
     # lower, diagonal and upper block of each block row: centred differences
     # inside, one-sided at the two edge nodes
-    B = np.zeros((len(ts), npts, 3, N, N), dtype=A.dtype)
+    B = np.zeros((len(ts), npts, 3, N, N), dtype=np.result_type(A, C, *mats))
     B[:, :, 1] = A[:, :, 0] / dt + C
     B[:, 1:-1, 0] = -A[:, 1:-1, 1] / (2 * dx)
     B[:, 1:-1, 2] = A[:, 1:-1, 1] / (2 * dx)
@@ -455,7 +447,7 @@ def _solve_implicit(sys, bc_map, table, h0, grid):
             from scipy.linalg import lapack
 
             banded[ops.dtype] = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=ops.dtype)
-        out = _field(out, h0, grid.nt, A0, table)
+        out = _field(out, h0, grid.nt, ops, table)
         with np.errstate(over="ignore", invalid="ignore"):     # refused by _finite below
             for k, m in enumerate(range(rows.start, rows.stop)):
                 level = 0 if sys.static else k
@@ -558,13 +550,13 @@ def _energy_tables(sys, grid, ts):
     s*·β, G and σ(n♭) at the ends."""
     chart, n, s = sys.chart, grid.xs.size, sys.time_sign
     ends = [geometry.boundary_points(chart, face, ts) for face in chart.faces()]
-    xi = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1).astype(complex)
+    xi = np.stack([geometry.outward_normal(chart, q) for q in ends], axis=1)
     xs2 = np.concatenate([grid.xs, [q.x[0, 0] for q in ends]])[:, None]
     t, x = geometry.spacetime_rows(ts, xs2)
     A, G, beta, sdens = _by_level(len(ts), sys.coeff_at(t, x)[0], sys.metric_at(t, x),
                                   chart.beta_at(t, x), geometry.spatial_density(chart, t, x))
-    P, nz = _entries(*_real(
-        companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0 else G[:, :n]))
+    P, nz = _entries(companion_metric(s, beta[:, :n], G[:, :n], A[:, :n, 0]) if s != 0
+                     else G[:, :n])
     return ((*_parts(P), nz), sdens[:, :n], (s or 1) * beta[:, n:], G[:, n:],
             np.einsum("lfm,lfmij->lfij", xi, A[:, n:]))
 
@@ -685,8 +677,8 @@ def apply_operator(sys, fld):
     out = [np.einsum("lpij,lpj->lpi", A[:, :, 0], dpsi_dt[rows])
            + np.einsum("lpij,lpj->lpi", A[:, :, 1], dpsi_dx[rows])
            + np.einsum("lpij,lpj->lpi", C, vals[rows])
-           for rows, (A, C) in _level_blocks(sys, grid.ts, lambda ts: _real(
-               *_coefficients(sys, ts, grid.xs[:, None])), grid.xs.size)]
+           for rows, (A, C) in _level_blocks(
+               sys, grid.ts, lambda ts: _coefficients(sys, ts, grid.xs[:, None]), grid.xs.size)]
     return GridField(np.concatenate(out), grid)
 
 
@@ -702,8 +694,8 @@ def l2_norm(fld_values, grid):
 
 
 def _forcing_table(f, grid, N):
-    """The forcing f of a solve or a Green operator, shape (nt+1, n_x, N) and
-    narrowed once (``_real``): f's table, or a callable f(t, xs) evaluated
+    """The forcing f of a solve or a Green operator, shape (nt+1, n_x, N),
+    through ``as_table`` once: f's table, or a callable f(t, xs) evaluated
     once per level, each level's shape checked before the next is evaluated."""
     if f is None:
         raise ConfigError("a Green operator needs a source f")
@@ -715,7 +707,7 @@ def _forcing_table(f, grid, N):
             if levels[-1].shape != shape[1:]:
                 raise ConfigError(f"forcing must return shape {shape[1:]}")
         f = np.stack(levels)
-    table, = _real(f)
+    table = as_table(f)
     if table.shape != shape:
         raise ConfigError(f"forcing table must have shape (nt+1, n_x, N) = {shape}, "
                           f"got {table.shape}")
@@ -726,11 +718,6 @@ def _active_levels(table, threshold=1e-14):
     """Levels of a forcing table whose norm exceeds threshold · the largest."""
     norms = np.linalg.norm(table, axis=(1, 2))
     return np.flatnonzero(norms > threshold * max(norms.max(), 1e-300))
-
-
-def forcing_support_levels(f, grid, N, threshold=1e-14):
-    """Time levels where the forcing is active (threshold=0: strictly nonzero)."""
-    return _active_levels(_forcing_table(f, grid, N), threshold)
 
 
 def _source_table(fld, f, N):

@@ -326,7 +326,7 @@ def constant_characteristic(sys, n_time=8, n_tang=4):
     from one evaluation of the conormals per face and of the coefficients."""
     qs = [geometry.boundary_points(sys.chart, face, sys.chart.sample_times(n_time), n_tang)
           for face in sys.chart.faces()]
-    nb = np.concatenate([geometry.outward_normal(sys.chart, q) for q in qs]).astype(complex)
+    nb = np.concatenate([geometry.outward_normal(sys.chart, q) for q in qs])
     A, _ = sys.coeff_at(np.concatenate([q.t for q in qs]), np.concatenate([q.x for q in qs]))
     dims = [sys.fiber_rank - matrix_rank(sn) for sn in np.einsum("pm,pmij->pij", nb, A)]
     return len(set(dims)) == 1, dims[0]

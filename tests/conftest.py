@@ -37,6 +37,12 @@ def sampled_boundary_points(chart, n_time=8, n_tang=4, faces=None):
     return [geometry.BoundaryPoint(t, q.face, x) for q in qs for t, x in zip(q.t, q.x)]
 
 
+def forcing_support_levels(f, grid, N, threshold=1e-14):
+    """Time levels where the forcing f is active on the grid (threshold=0:
+    strictly nonzero), from the forcing table a solve steps from."""
+    return solver._active_levels(solver._forcing_table(f, grid, N), threshold)
+
+
 def rows_per_level(grid, path):
     """The (level, point) rows one level of ``path``'s tables evaluates on
     ``grid``: the cells and faces ("explicit"), the samples ("implicit",

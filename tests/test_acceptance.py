@@ -18,7 +18,7 @@ from friedrichs.boundary import adjoint_boundary_space, admissibility, boundary_
 from friedrichs.geometry import LEFT, RIGHT
 from friedrichs.linalg import kernel
 
-from conftest import sampled_boundary_points, smooth_bump
+from conftest import forcing_support_levels, sampled_boundary_points, smooth_bump
 from test_reduction import random_time_polynomial_system, taylor_oracle
 
 
@@ -250,7 +250,7 @@ def test_criterion_07_green_operators():
         ratios = [residuals[i] / residuals[i + 1] for i in range(2)]
         contained, _ = solver.causal_support_ok(finest[0], f, 1.0, cells=2,
                                                 threshold=1e-3, future=future)
-        levels = solver.forcing_support_levels(f, finest[1], 1, threshold=0.0)
+        levels = forcing_support_levels(f, finest[1], 1, threshold=0.0)
         if future:
             outside_exact = bool(np.all(finest[0].values[:levels[0]] == 0))
         else:

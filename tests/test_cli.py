@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs
-from friedrichs import boundary, cli, solver
+from friedrichs import boundary, cli, geometry, reduction, solver
+from friedrichs.errors import ContractError
 from friedrichs.geometry import LEFT, RIGHT
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -465,6 +467,42 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, command
     assert named in err
 
 
+def cli_probe(name, key, value):
+    """A ``solve`` of shipped config ``name`` with ``key`` set to ``value``: its error line."""
+    def probe(tmp_path, capsys):
+        return assert_config_error(capsys, *run(tmp_path, shipped(name, key, value), "solve"))
+
+    return probe
+
+
+def api_probe(tmp_path, capsys):
+    """The shipped heat problem solved under a Robin condition with a = NaN."""
+    chart = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+    heat = reduction.reaction_diffusion_to_first_order(reduction.SecondOrderProblem(
+        "reaction_diffusion", chart, k=1, c=lambda t, xs: -1.0), 2.0)
+    with pytest.raises(ContractError) as err:
+        solver.solve(heat, boundary.robin(math.nan, 1.0, heat.layout),
+                     grid=solver.make_grid(heat, 32))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("probe, named", [
+    (cli_probe("dirac_mit_check.json", "chart.lengths", [math.inf]),
+     "chart.lengths must be finite, got [inf]"),
+    (cli_probe("dirac_mit_check.json", "task.initial.center", math.nan),
+     "task.initial[0].center must be finite, got nan"),
+    (cli_probe("heat_dirichlet_solve.json", "bc.params.a", math.nan),
+     "bc.params.a must be finite, got nan"),
+    (cli_probe("dirac_mit_check.json", "task.initial.amplitude", 1e308),
+     "energy is not finite at level m=0, t=0: E=inf"),
+    (api_probe, "G_B of bc 'robin' is not finite at face (0, 0), t=0")],
+    ids=["infinite_length", "nan_center", "nan_robin_a", "overflowing_energy", "api_nan_robin"])
+def test_non_finite_input_is_refused_naming_it(tmp_path, capsys, probe, named):
+    # a NaN or Infinity in a config, an energy that overflows from finite
+    # data and a NaN condition parameter through the API fail fast and say where
+    assert named in probe(tmp_path, capsys)
+
+
 CUSTOM_ADVECTION = {"chart": {"t_range": [0.0, 0.2]}, "bc": {"name": "zero_trace"},
                     "system": {"builder": "custom", "params": {"A": [[[1.0]], [[1.0]]]}}}
 
@@ -533,14 +571,16 @@ MUTATIONS = {
     "rename": lambda node, key: isinstance(node, dict),
     "retype": lambda node, key: True,
     "scale": lambda node, key: is_number(node[key]),
+    "nonfinite": lambda node, key: is_number(node[key]),
 }
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_shipped_configs_survive_mutation(data):
-    # one key of a shipped config dropped, renamed, retyped or rescaled: the
-    # CLI exits 0, 1 or 2 and never raises, and an unknown key exits 2
+    # one key of a shipped config dropped, renamed, retyped, rescaled or made
+    # NaN or ±Infinity: the CLI exits 0, 1 or 2 and never raises, and an
+    # unknown key or a non-finite number exits 2
     name, command, extra, _, _ = data.draw(st.sampled_from(studies.CLI_RUNS))
     cfg = shipped(name)
     how = data.draw(st.sampled_from(sorted(MUTATIONS)))
@@ -555,6 +595,8 @@ def test_shipped_configs_survive_mutation(data):
         node[key] = data.draw(st.sampled_from([
             v for v in (value if is_number(value) else 1.0, str(value), [value], True)
             if type(v) is not type(value)]))
+    elif how == "nonfinite":
+        node[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     else:
         node[key] *= data.draw(st.sampled_from([-1, 0, 0.5, 2]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -564,7 +606,7 @@ def test_shipped_configs_survive_mutation(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--config", str(path), "--out", tmp, *extra])
     assert code in (0, 1, 2)
-    if how == "rename":
+    if how in ("rename", "nonfinite"):
         assert code == 2
 
 

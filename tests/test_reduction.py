@@ -208,9 +208,10 @@ SINE_BETA = {"profile": "sine", "base": 1.3, "amplitude": 0.2, "waves": 1, "wave
 
 
 def test_real_builders_table_in_float64_and_complex_ones_in_complex128():
-    # every real builder's A, C, G and G_B is float64 where it is built; the
-    # Dirac operator and its bag condition, a complex c and a complex custom
-    # table stay complex128
+    # every real-valued A, C, G and G_B is float64 where it comes in
+    # (``as_table``), whatever its builder's dtype: the 1+1-D Dirac operator's
+    # too, whose bag condition, a complex c and a complex custom table stay
+    # complex128, and so does the 3+1-D Dirac operator
     chart = geometry.named_profile_chart((0.0, 0.4), (1.0,), beta=SINE_BETA)
     t, xs = np.array([0.0, 0.13, 0.31]), np.array([[0.0], [0.4], [1.0]])
 
@@ -220,7 +221,7 @@ def test_real_builders_table_in_float64_and_complex_ones_in_complex128():
                 "reaction_diffusion": lambda p: reaction_diffusion_to_first_order(p, lam)}[kind](
                     prob)
 
-    def dtypes(sys_, bcs):
+    def dtypes(sys_, bcs, xs=xs):
         q = geometry.boundary_points(sys_.chart, geometry.LEFT, t)
         return ([a.dtype for a in (*sys_.coeff_at(t, xs), sys_.metric_at(t, xs))]
                 + [bc.matrix(sys_.chart, q).dtype for bc in bcs])
@@ -242,7 +243,12 @@ def test_real_builders_table_in_float64_and_complex_ones_in_complex128():
     assert dtypes(custom, [boundary.custom_bc(np.diag([1j, 0.0]))]) == [real, cplx, real, cplx]
     rep = clifford.build_rep(2)
     dirac = clifford.dirac_system(rep, geometry.minkowski_strip((0.0, 0.4), (1.0,)))
-    assert dtypes(dirac, [boundary.mit_bag(rep)]) == [cplx] * 4
+    assert dtypes(dirac, [boundary.mit_bag(rep)]) == [real] * 3 + [cplx]
+    # γ² = Id ⊗ iσ₁ is imaginary, the other γ^μ are real, and C is zero
+    rep = clifford.build_rep(4)
+    dirac = clifford.dirac_system(rep, geometry.minkowski_strip((0.0, 0.4), (1.0,) * 3))
+    assert dtypes(dirac, [boundary.mit_bag(rep)], np.repeat(xs, 3, axis=1)) == [
+        cplx, real, real, cplx]
 
 
 # -- initial data --------------------------------------------------------------

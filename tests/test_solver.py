@@ -26,7 +26,8 @@ from friedrichs.solver import (GridField, apply_operator, causal_support_ok,
                                lambda_equivalence_check, make_grid, solve,
                                support_growth_margins, write_field)
 
-from conftest import block_length, level_by_level, short_blocks, smooth_bump
+from conftest import (block_length, forcing_support_levels, level_by_level, short_blocks,
+                      smooth_bump)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,13 +75,24 @@ def test_grid_refuses_booleans(short_strip):
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"nt": 0}, "nt"), ({"nt": -3}, "nt"), ({"nt": 2.5}, "nt"), ({"nt": True}, "nt"),
-    ({"t_final": -0.5}, "t_final"), ({"t_final": 0.0}, "t_final")],
-    ids=["nt=0", "nt=-3", "nt=2.5", "nt=True", "t_final=-0.5", "t_final=0"])
+    ({"t_final": -0.5}, "t_final"), ({"t_final": 0.0}, "t_final"),
+    ({"t_final": 3.0}, "t_final")],
+    ids=["nt=0", "nt=-3", "nt=2.5", "nt=True", "t_final=-0.5", "t_final=0", "t_final=3"])
 def test_grid_refuses_a_bad_nt_or_t_final(strip, kwargs, name):
     # an nt that is not a positive integer, or a run that does not go forward
+    # or leaves the chart
     sys_, _ = advection_setup(strip)
     with pytest.raises(ConfigError, match=rf"^{name} must be"):
         make_grid(sys_, 16, **kwargs)
+
+
+def test_grid_takes_a_t_final_at_the_chart_end_up_to_rounding():
+    # nt·Δt of a grid over (0, 0.3) at nx 61 is 0.30000000000000004
+    sys_, _ = advection_setup(geometry.minkowski_strip((0.0, 0.3), (1.0,)))
+    grid = make_grid(sys_, 61)
+    assert grid.nt * grid.dt > 0.3
+    again = make_grid(sys_, 61, t_final=grid.nt * grid.dt, nt=grid.nt)
+    assert again.nt == grid.nt and again.dt == grid.dt
 
 
 def test_zero_problem_zero_solution(short_strip):
@@ -399,7 +411,7 @@ def test_green_plus_past_containment_exact(strip):
     f = spacetime_source(1)
     grid = make_grid(sys_, 128, cfl=0.5)
     fld = green_plus(sys_, bcs, f, grid)
-    first = solver.forcing_support_levels(f, grid, 1, threshold=0.0)[0]
+    first = forcing_support_levels(f, grid, 1, threshold=0.0)[0]
     assert np.all(fld.values[:first] == 0)
 
 
@@ -409,7 +421,7 @@ def test_green_minus_mirror(strip):
     f = spacetime_source(1, tc=0.6)
     grid = make_grid(sys_, 128, cfl=0.5)
     fld = green_minus(sys_, bcs_rev, f, grid)
-    last = solver.forcing_support_levels(f, grid, 1, threshold=0.0)[-1]
+    last = forcing_support_levels(f, grid, 1, threshold=0.0)[-1]
     assert np.all(fld.values[last + 1:] == 0)
     assert green_residual(sys_, fld, f) < 0.15
     ok, _ = causal_support_ok(fld, f, 1.0, cells=2, threshold=1e-3, future=False)
@@ -1275,11 +1287,11 @@ def test_block_row_step_matches_the_einsum_step(matrices):
     def f(t, xs2):
         return np.sin(3 * xs2 + 2 * t) * np.arange(1, N + 1)
 
-    for chart in (geometry.minkowski_strip((0.0, 0.25), (1.0,)),
-                  geometry.named_profile_chart((0.0, 0.25), (1.0,), beta=SINE_BETA)):
-        sys_ = lapse_scaled_system(chart, G, S0, S1, C)
-        assert sys_.static == chart.time_independent
-        dt = make_grid(sys_, 16).dt
+    for chart in (lambda t1: geometry.minkowski_strip((0.0, t1), (1.0,)),
+                  lambda t1: geometry.named_profile_chart((0.0, t1), (1.0,), beta=SINE_BETA)):
+        dt = make_grid(lapse_scaled_system(chart(0.25), G, S0, S1, C), 16).dt
+        sys_ = lapse_scaled_system(chart(20 * dt), G, S0, S1, C)    # a chart that spans the run
+        assert sys_.static == sys_.chart.time_independent
         grid = make_grid(sys_, 16, t_final=20 * dt, nt=20)
         for forcing in (None, f):
             new = solve(sys_, bcs, f=forcing, h=h, grid=grid, force=True).values
@@ -1514,17 +1526,17 @@ def test_green_diagnostics_read_the_carried_table_as_a_fresh_one(strip, directio
 
 def test_green_forcing_table_is_checked_per_level_and_narrowed_once(strip, monkeypatch):
     # f is evaluated and its shape checked at every level; the stacked table
-    # is narrowed once: float64 when every level is real, else complex128
+    # is narrowed once (``as_table``): float64 when every level is real, else complex128
     # with each level's own values (a real level keeps its −0.0 imaginary parts).
     # A solve tables a callable f the same way, and steps bitwise as from its table
     sys_, bcs = advection_setup(strip)
     grid = make_grid(sys_, 32)
     f = spacetime_source(1)
     calls = {}
-    counted(monkeypatch, solver, "_real", calls)
+    counted(monkeypatch, solver, "as_table", calls)
     table = solver._forcing_table(f, grid, 1)
     levels = np.stack([f(t, grid.xs[:, None]) for t in grid.ts])
-    assert calls == {"_real": 1}
+    assert calls == {"as_table": 1}
     assert table.dtype == np.float64 and table.tobytes() == levels.real.tobytes()
 
     def mixed(t, xs2):
@@ -1544,9 +1556,9 @@ def test_green_forcing_table_is_checked_per_level_and_narrowed_once(strip, monke
 
     calls.clear()
     unforced = solve(sys_, bcs, h=np.ones((32, 1)), grid=grid)
-    without = calls.pop("_real")
+    without = calls.pop("as_table")
     forced = solve(sys_, bcs, f=f, h=np.ones((32, 1)), grid=grid)
-    assert calls == {"_real": without + 1}
+    assert calls == {"as_table": without + 1}
     assert forced.values.tobytes() == solve(sys_, bcs, f=table.real, h=np.ones((32, 1)),
                                             grid=grid).values.tobytes()
     assert forced.values.dtype == unforced.values.dtype == np.float64
@@ -1880,7 +1892,7 @@ def test_implicit_right_hand_side_with_an_off_diagonal_singular_sigma_dt(strip, 
 
 def density_tables(P):
     """P laid out as ``_energy_tables`` hands it to ``_quadratic_density``."""
-    M, nz = solver._entries(*solver._real(P))
+    M, nz = solver._entries(solver.as_table(P))
     return (*solver._parts(M), nz)
 
 
@@ -2228,9 +2240,10 @@ def test_solve_refuses_a_system_that_fails_s(strip):
 
 
 def complex_arithmetic(monkeypatch):
-    """Make every solve pick complex128, as for a problem with complex tables."""
-    monkeypatch.setattr(solver, "_real",
-                        lambda *arrays: [np.asarray(a, dtype=complex) for a in arrays])
+    """Make every table complex128 where it comes in, as for a problem with
+    complex tables, so that every solve runs in complex arithmetic."""
+    for module in (solver, system, boundary, reduction):
+        monkeypatch.setattr(module, "as_table", lambda x: np.asarray(x, dtype=complex))
 
 
 def with_complex_c(sys_, after=-np.inf):
@@ -2294,19 +2307,33 @@ def test_a_real_field_is_written_as_complex128(strip, tmp_path):
     assert (tmp_path / "real.bin").read_bytes() == (tmp_path / "complex.bin").read_bytes()
 
 
+def two_way_setup(chart, left, C=None):
+    """Two characteristics of speeds ±1 under the condition matrix ``left`` on
+    the left face and ψ₁ = 0 on the right."""
+    sys_ = system.constant_system(chart, [np.eye(2), np.diag([1.0, -1.0])], C)
+    return sys_, {LEFT: boundary.custom_bc(left), RIGHT: boundary.custom_bc(np.diag([0.0, 1.0]))}
+
+
 def complex_cases():
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
     heat, robin = implicit_cases()["heat_static"]
-    return {"dirac_mit": (*dirac_setup(geometry.minkowski_strip((0.0, 0.3), (1.0,))), 48),
-            "heat_complex_c": (with_complex_c(heat), robin, 48)}
+    _, advection_bcs = advection_setup(strip)
+    one, two = {0: (0.5, 0.2, 1.0)}, {0: (0.5, 0.2, 1.0), 1: (0.4, 0.2, 0.5)}
+    return {"dirac_mit": (*dirac_setup(strip), 48, one),
+            "heat_complex_c": (with_complex_c(heat), robin, 48, one),
+            "advection_complex_c": (system.constant_system(strip, [[[1.0]], [[1.0]]], [[0.5j]]),
+                                    advection_bcs, 48, one),
+            "two_way_complex_bc": (*two_way_setup(strip, [[1.0, 1j], [0.0, 0.0]]), 48, two)}
 
 
 @pytest.mark.parametrize("case", sorted(complex_cases()))
 def test_complex_problems_run_bitwise_in_complex_arithmetic(case, monkeypatch):
     # a problem with complex tables never touches the real path: its field and
-    # energy are bitwise those of a solve made complex throughout
-    sys_, bcs, nx = complex_cases()[case]
+    # energy are bitwise those of a solve made complex throughout.  A real
+    # system under a complex condition, and a real σ(dt) with a complex C, too
+    sys_, bcs, nx, bumps = complex_cases()[case]
     grid = make_grid(sys_, nx)
-    h = bump_state(grid.xs, {0: (0.5, 0.2, 1.0)}, sys_.fiber_rank).real
+    h = bump_state(grid.xs, bumps, sys_.fiber_rank).real
 
     def run():
         fld = solve(sys_, bcs, h=h, grid=grid)
@@ -2319,6 +2346,33 @@ def test_complex_problems_run_bitwise_in_complex_arithmetic(case, monkeypatch):
     assert values.tobytes() == ref_values.tobytes()
     assert trace.energy.tobytes() == ref_trace.energy.tobytes()
     assert trace.flux.tobytes() == ref_trace.flux.tobytes()
+
+
+@pytest.mark.parametrize("path", ["explicit", "implicit"])
+def test_complex_typed_real_inputs_step_bitwise_as_their_float64_twins(path):
+    # a C or c, a condition's matrix, h₀ and a forcing that are complex-typed
+    # but real-valued come in as float64 (``as_table``): the solve is bitwise
+    # that of their float64 twins, in a float64 field
+    strip = geometry.minkowski_strip((0.0, 0.3), (1.0,))
+
+    def run(dtype):
+        c, dirichlet = np.full((1, 1), -1.0, dtype), np.diag([1.0, 0.0]).astype(dtype)
+        if path == "explicit":
+            sys_, bcs = two_way_setup(strip, dirichlet, 0.5 * np.eye(2, dtype=dtype))
+        else:
+            sys_ = reduction.reaction_diffusion_to_first_order(reduction.SecondOrderProblem(
+                "reaction_diffusion", strip, k=1, c=lambda t, xs: c), 2.0)
+            bcs = boundary.custom_bc(dirichlet)
+        grid = make_grid(sys_, 32)
+        h = bump_state(grid.xs, {0: (0.5, 0.2, 1.0), 1: (0.4, 0.2, 0.5)}, 2).real.astype(dtype)
+        source = spacetime_source(2, tc=0.15)
+        fld = solve(sys_, bcs, f=lambda t, xs2: source(t, xs2).real.astype(dtype), h=h, grid=grid)
+        return fld.values, energy_trace(fld, sys_)
+
+    (values, trace), (twin, twin_trace) = run(complex), run(float)
+    assert values.dtype == twin.dtype == np.float64 and values.tobytes() == twin.tobytes()
+    assert trace.energy.tobytes() == twin_trace.energy.tobytes()
+    assert trace.flux.tobytes() == twin_trace.flux.tobytes()
 
 
 def late_complex_forcing(N, t_star):
